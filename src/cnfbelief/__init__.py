@@ -25,7 +25,6 @@ from .graphs import (
     induced_width,
     min_degree_order,
     moral_graph,
-    ordering_for,
 )
 from .model import (
     BeliefNetwork,

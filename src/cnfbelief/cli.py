@@ -60,9 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alg", choices=ALGORITHMS, default="cpe")
     common.add_argument("--i-bound", type=_i_bound, default=0, metavar="N|unbounded",
                         help="resolvent size cap for in-bucket resolution (default 0: off)")
-    common.add_argument("--order", choices=["min-degree"], default="min-degree",
-                        help="ordering heuristic (default min-degree)")
-    common.add_argument("--order-file", help="explicit ordering, first-to-last, overrides --order")
+    common.add_argument("--order-file", help="explicit ordering, first-to-last")
     common.add_argument("--no-reorder", action="store_true",
                         help="disable promotion of unit-clause buckets")
 

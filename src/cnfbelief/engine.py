@@ -21,8 +21,9 @@ maintained so that anything routed after an observation is restricted
 on the way, which keeps items out of already-processed buckets.
 
 The final probability is the product of the scalar factors that fall
-out of the bottom of the pass.  Deriving the empty clause short-circuits
-the run to probability 0.
+out of the bottom of the pass; its logarithm is also kept as the sum of
+their logs, which does not underflow.  Deriving the empty clause
+short-circuits the run to probability 0.
 """
 
 from __future__ import annotations
@@ -96,10 +97,14 @@ class RunStats:
     width_static is the induced width of the clause-augmented graph
     along the requested ordering; width_posthoc is the adjusted induced
     width (observed variables discounted) along the order the run
-    actually processed, when the run completed.
+    actually processed, when the run completed.  log_result is the
+    natural log of the probability, summed from the scalar factors so
+    that it stays finite where result underflows to 0; it is -inf when
+    the probability is exactly 0.
     """
 
     result: float = 0.0
+    log_result: float = -math.inf
     elapsed: float = 0.0
     mf: int = 0
     derived_clauses: int = 0
@@ -278,7 +283,7 @@ class _Run:
         self.sequence: list[int] = []
         self.promoted: deque[int] = deque()
         self.promoted_set: set[int] = set()
-        self.pending: deque[int] = deque(ordering.order)
+        self.pending: list[int] = list(ordering.order)
         self.trace: list[TraceEntry] = []
 
     def load(self, phi: CnfFormula) -> None:
@@ -296,6 +301,9 @@ class _Run:
     def process_all(self) -> None:
         while self.promoted or self.pending:
             v = self.promoted.popleft() if self.promoted else self.pending.pop()
+            if v in self.processed:
+                # promoted earlier; promoted buckets always drain before pending
+                continue
             self.processed.add(v)
             self.sequence.append(v)
             bucket = self.buckets[v]
@@ -353,7 +361,6 @@ class _Run:
                 collect.append(reduced)
         if (reduced.is_unit() and self.cfg.dynamic_reorder
                 and home not in self.promoted_set):
-            self.pending.remove(home)
             self.promoted.append(home)
             self.promoted_set.add(home)
 
@@ -506,6 +513,8 @@ def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg):
         failed = True
     stats.elapsed = perf_counter() - t0
     stats.result = 0.0 if failed else math.prod(run.scalars)
+    if not failed and all(run.scalars):
+        stats.log_result = math.fsum(map(math.log, run.scalars))
     if not failed and len(run.sequence) == net.n:
         actual = Ordering(tuple(reversed(run.sequence)))
         stats.width_posthoc = adjusted_induced_width(aug, actual, run.sigma)
@@ -546,7 +555,8 @@ def partition_buckets(net: BeliefNetwork, phi: CnfFormula,
             raise ModelError(f"clause variable {v} unknown to the network")
     run = _Run(net, ordering, EngineConfig(dynamic_reorder=True), RunStats())
     run.load(phi)
-    order = list(run.promoted) + list(reversed(run.pending))
+    order = list(run.promoted) + [v for v in reversed(run.pending)
+                                  if v not in run.promoted_set]
     return BucketSchedule(order=order, by_var=run.buckets)
 
 

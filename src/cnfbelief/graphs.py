@@ -9,6 +9,7 @@ in.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -76,11 +77,6 @@ class Ordering:
     def position(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.order)}
 
-    def latest(self, variables: Iterable[int]) -> int:
-        """The variable of ``variables`` appearing last in the order."""
-        pos = self.position()
-        return max(variables, key=pos.__getitem__)
-
 
 def moral_graph(net: BeliefNetwork) -> UndirectedGraph:
     """Connect each variable with its parents and marry the parents."""
@@ -101,6 +97,62 @@ def augmented_graph(net: BeliefNetwork, phi: CnfFormula) -> UndirectedGraph:
     return g
 
 
+def _eliminate(graph: UndirectedGraph, order: Ordering | None = None,
+               observed: Iterable[int] = ()) -> tuple[Ordering, int]:
+    """Eliminate every vertex last-to-first and return (order, width).
+
+    With ``order`` None the order is chosen greedily: each step takes
+    the minimum degree vertex of the shrinking graph, smallest index on
+    ties, and fills the latest open slot.  Selection pops a lazy heap of
+    (degree, vertex) entries: eliminating a vertex pushes a fresh entry
+    for each neighbor, and a popped entry is skipped when its vertex is
+    gone or its degree is out of date, so the whole pass costs
+    O((n + fill) log n).
+
+    Eliminating a vertex connects its remaining neighbors and the width
+    is the largest neighbor count seen at that point.  An ``observed``
+    vertex counts as a neighbor of others but contributes width 0 and
+    adds no fill edges.
+    """
+    n = graph.n
+    greedy = order is None
+    if not greedy and len(order) != n:
+        raise ValueError("ordering does not cover the graph")
+    adj = graph.copy().adj
+    obs = set(observed)
+    if greedy:
+        slots = [0] * n
+        gone = [False] * n
+        heap = [(len(s), v) for v, s in enumerate(adj)]
+        heapq.heapify(heap)
+    else:
+        slots = list(order.order)
+    width = 0
+    for slot in range(n - 1, -1, -1):
+        if greedy:
+            degree, v = heapq.heappop(heap)
+            while gone[v] or degree != len(adj[v]):
+                degree, v = heapq.heappop(heap)
+            gone[v] = True
+            slots[slot] = v
+        else:
+            v = slots[slot]
+        neighbors = adj[v]
+        fill = v not in obs
+        if fill:
+            width = max(width, len(neighbors))
+        for a in neighbors:
+            row = adj[a]
+            if fill:
+                row |= neighbors
+                row.discard(a)
+            row.discard(v)
+            if greedy:
+                heapq.heappush(heap, (len(row), a))
+        adj[v] = set()
+    return (Ordering(tuple(slots)) if greedy else order), width
+
+
 def min_degree_order(graph: UndirectedGraph) -> Ordering:
     """Greedy min-degree elimination ordering.
 
@@ -110,22 +162,7 @@ def min_degree_order(graph: UndirectedGraph) -> Ordering:
     to the latest unfilled slot, so eliminating the returned order
     last-to-first replays the greedy choices.
     """
-    work = graph.copy()
-    alive = set(range(graph.n))
-    slots: list[int] = [0] * graph.n
-    for slot in range(graph.n - 1, -1, -1):
-        v = min(alive, key=lambda u: (len(work.adj[u]), u))
-        slots[slot] = v
-        neighbors = list(work.adj[v])
-        for i, a in enumerate(neighbors):
-            for b in neighbors[i + 1:]:
-                work.adj[a].add(b)
-                work.adj[b].add(a)
-        for a in neighbors:
-            work.adj[a].discard(v)
-        work.adj[v].clear()
-        alive.discard(v)
-    return Ordering(tuple(slots))
+    return _eliminate(graph)[0]
 
 
 def induced_width(graph: UndirectedGraph, ordering: Ordering) -> int:
@@ -134,21 +171,7 @@ def induced_width(graph: UndirectedGraph, ordering: Ordering) -> int:
     Eliminating a vertex connects its not-yet-eliminated neighbors; the
     width is the largest neighbor count seen at elimination time.
     """
-    if len(ordering) != graph.n:
-        raise ValueError("ordering does not cover the graph")
-    work = graph.copy()
-    width = 0
-    for v in reversed(ordering.order):
-        neighbors = list(work.adj[v])
-        width = max(width, len(neighbors))
-        for i, a in enumerate(neighbors):
-            for b in neighbors[i + 1:]:
-                work.adj[a].add(b)
-                work.adj[b].add(a)
-        for a in neighbors:
-            work.adj[a].discard(v)
-        work.adj[v].clear()
-    return width
+    return _eliminate(graph, ordering)[1]
 
 
 def adjusted_induced_width(
@@ -160,28 +183,7 @@ def adjusted_induced_width(
     eliminated, but it still counts as a neighbor of the unobserved
     vertices around it.
     """
-    if len(ordering) != graph.n:
-        raise ValueError("ordering does not cover the graph")
-    obs = set(observed)
-    work = graph.copy()
-    width = 0
-    for v in reversed(ordering.order):
-        neighbors = list(work.adj[v])
-        if v not in obs:
-            width = max(width, len(neighbors))
-            for i, a in enumerate(neighbors):
-                for b in neighbors[i + 1:]:
-                    work.adj[a].add(b)
-                    work.adj[b].add(a)
-        for a in neighbors:
-            work.adj[a].discard(v)
-        work.adj[v].clear()
-    return width
-
-
-def ordering_for(net: BeliefNetwork, phi: CnfFormula) -> Ordering:
-    """Default ordering: min-degree on the augmented graph."""
-    return min_degree_order(augmented_graph(net, phi))
+    return _eliminate(graph, ordering, observed)[1]
 
 
 def parse_order(text: str, n: int) -> Ordering:
@@ -193,10 +195,6 @@ def parse_order(text: str, n: int) -> Ordering:
     if len(values) != n or sorted(values) != list(range(n)):
         raise ValueError(f"ordering must list each of 0..{n - 1} exactly once")
     return Ordering(values)
-
-
-def format_order(ordering: Ordering) -> str:
-    return " ".join(str(v) for v in ordering.order)
 
 
 def check_ordering(ordering: Sequence[int] | Ordering) -> Ordering:

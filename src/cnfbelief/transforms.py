@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Optional
 
 from .engine import EngineConfig, RunStats, elim_cpe
@@ -156,6 +157,8 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
         t0 = perf_counter()
         stats.result = brute_force_cpe(net, phi)
         stats.elapsed = perf_counter() - t0
+        if stats.result > 0.0:
+            stats.log_result = math.log(stats.result)
         return stats.result, stats
     raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
 
@@ -163,26 +166,35 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
 def belief_given_cnf(net: BeliefNetwork, phi: CnfFormula, var: int,
                      alg: str = "cpe", cfg: EngineConfig | None = None
                      ) -> Optional[tuple[float, float]]:
-    """P(var = 0 | phi), P(var = 1 | phi), or None when P(phi) = 0."""
+    """P(var = 0 | phi), P(var = 1 | phi), or None when P(phi) = 0.
+
+    Normalizes in the log domain, so the answer stays defined where
+    both joint probabilities underflow.
+    """
     if not 0 <= var < net.n:
         raise ValueError(f"variable {var} outside the network")
-    parts = []
+    logs = []
     for value in (0, 1):
         conditioned = phi.conjoin(
             CnfFormula([Clause([Literal(var, value == 1)])], (EVIDENCE,)))
-        parts.append(evaluate(net, conditioned, alg, cfg)[0])
-    total = parts[0] + parts[1]
-    if total == 0.0:
+        logs.append(evaluate(net, conditioned, alg, cfg)[1].log_result)
+    top = max(logs)
+    if top == -math.inf:
         return None
-    return parts[0] / total, parts[1] / total
+    p0, p1 = (math.exp(x - top) for x in logs)
+    return p0 / (p0 + p1), p1 / (p0 + p1)
 
 
 def conditional_cnf_probability(net: BeliefNetwork, phi: CnfFormula,
                                 psi: CnfFormula, alg: str = "cpe",
                                 cfg: EngineConfig | None = None) -> Optional[float]:
-    """P(phi | psi) = P(phi and psi) / P(psi), or None when P(psi) = 0."""
-    p_psi = evaluate(net, psi, alg, cfg)[0]
-    if p_psi == 0.0:
+    """P(phi | psi) = P(phi and psi) / P(psi), or None when P(psi) = 0.
+
+    The ratio is taken in the log domain, so it stays defined where
+    both probabilities underflow.
+    """
+    log_psi = evaluate(net, psi, alg, cfg)[1].log_result
+    if log_psi == -math.inf:
         return None
-    p_joint = evaluate(net, phi.conjoin(psi), alg, cfg)[0]
-    return p_joint / p_psi
+    log_joint = evaluate(net, phi.conjoin(psi), alg, cfg)[1].log_result
+    return math.exp(log_joint - log_psi)

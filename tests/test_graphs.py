@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cnfbelief import (
@@ -7,12 +9,14 @@ from cnfbelief import (
     UndirectedGraph,
     adjusted_induced_width,
     augmented_graph,
+    extract_clauses,
+    gen_network,
+    gen_query,
     induced_width,
     min_degree_order,
     moral_graph,
-    ordering_for,
 )
-from cnfbelief.graphs import check_ordering, format_order, parse_order
+from cnfbelief.graphs import check_ordering, parse_order
 
 from conftest import clause, formula
 
@@ -65,11 +69,6 @@ class TestOrdering:
 
     def test_position(self):
         assert Ordering((2, 0, 1)).position() == {2: 0, 0: 1, 1: 2}
-
-    def test_latest(self):
-        o = Ordering((2, 0, 1))
-        assert o.latest([0, 2]) == 0
-        assert o.latest([2, 1]) == 1
 
     def test_check_ordering_accepts_sequences(self):
         assert check_ordering([1, 0]) == Ordering((1, 0))
@@ -133,11 +132,6 @@ class TestWidth:
         assert o == Ordering((4, 3, 2, 1, 0, 5))
         assert induced_width(g, o) == 3
 
-    def test_ordering_for_uses_augmented_graph(self, pos_net, phi42):
-        assert ordering_for(pos_net, phi42) == min_degree_order(
-            augmented_graph(pos_net, phi42)
-        )
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             induced_width(star(), Ordering((0, 1)))
@@ -169,8 +163,7 @@ class TestAdjustedWidth:
 
 class TestOrderParsing:
     def test_round_trip(self):
-        o = Ordering((2, 0, 1))
-        assert parse_order(format_order(o), 3) == o
+        assert parse_order("2 0 1\n", 3) == Ordering((2, 0, 1))
 
     def test_rejects_bad_token(self):
         with pytest.raises(ValueError):
@@ -181,3 +174,111 @@ class TestOrderParsing:
             parse_order("0 1 1", 3)
         with pytest.raises(ValueError):
             parse_order("0 1", 3)
+
+
+# The quadratic greedy and the fill loops below are kept as the
+# reference the heap-driven elimination must reproduce exactly.
+
+def reference_min_degree_order(graph: UndirectedGraph) -> Ordering:
+    work = graph.copy()
+    alive = set(range(graph.n))
+    slots: list[int] = [0] * graph.n
+    for slot in range(graph.n - 1, -1, -1):
+        v = min(alive, key=lambda u: (len(work.adj[u]), u))
+        slots[slot] = v
+        neighbors = list(work.adj[v])
+        for i, a in enumerate(neighbors):
+            for b in neighbors[i + 1:]:
+                work.adj[a].add(b)
+                work.adj[b].add(a)
+        for a in neighbors:
+            work.adj[a].discard(v)
+        work.adj[v].clear()
+        alive.discard(v)
+    return Ordering(tuple(slots))
+
+
+def reference_adjusted_width(graph: UndirectedGraph, ordering: Ordering, observed=()) -> int:
+    obs = set(observed)
+    work = graph.copy()
+    width = 0
+    for v in reversed(ordering.order):
+        neighbors = list(work.adj[v])
+        if v not in obs:
+            width = max(width, len(neighbors))
+            for i, a in enumerate(neighbors):
+                for b in neighbors[i + 1:]:
+                    work.adj[a].add(b)
+                    work.adj[b].add(a)
+        for a in neighbors:
+            work.adj[a].discard(v)
+        work.adj[v].clear()
+    return width
+
+
+def seeded_cases():
+    """About 50 augmented graphs of generated instances; every third
+    one carries the network's extracted clauses too."""
+    for k in range(50):
+        rng = random.Random(9100 + k)
+        n = rng.randint(3, 60)
+        net = gen_network(n, rng.randint(1, 4), rng.choice((0.0, 0.3, 0.9)), seed=9100 + k)
+        phi = gen_query(net, rng.randint(0, n // 4), rng.randint(0, n // 3), seed=9200 + k)
+        if k % 3 == 0:
+            phi = phi.conjoin(extract_clauses(net))
+        observed = {c.unit_literal().var for c in phi.clauses if c.is_unit()}
+        yield k, augmented_graph(net, phi), observed
+
+
+def hand_built_cases():
+    complete = UndirectedGraph(6)
+    complete.add_clique(range(6))
+    return {
+        "empty": UndirectedGraph(0),
+        "single": UndirectedGraph(1),
+        "isolated": UndirectedGraph(5),
+        "isolated_and_edge": UndirectedGraph(5, [(1, 3)]),
+        "star": star(5),
+        "star_centered_last": UndirectedGraph(5, [(4, k) for k in range(4)]),
+        "cycle": UndirectedGraph(7, [(i, (i + 1) % 7) for i in range(7)]),
+        "complete": complete,
+        "two_triangles": UndirectedGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+    }
+
+
+class TestMatchesReference:
+    def test_seeded_augmented_graphs(self):
+        for k, g, observed in seeded_cases():
+            o = min_degree_order(g)
+            assert o == reference_min_degree_order(g), k
+            shuffled = list(range(g.n))
+            random.Random(k).shuffle(shuffled)
+            for order in (o, Ordering(tuple(shuffled))):
+                assert induced_width(g, order) == reference_adjusted_width(g, order), k
+                assert (adjusted_induced_width(g, order, observed)
+                        == reference_adjusted_width(g, order, observed)), k
+
+    @pytest.mark.parametrize("name", sorted(hand_built_cases()))
+    def test_hand_built_ties(self, name):
+        g = hand_built_cases()[name]
+        o = min_degree_order(g)
+        assert o == reference_min_degree_order(g)
+        assert induced_width(g, o) == reference_adjusted_width(g, o)
+        observed = set(range(0, g.n, 2))
+        assert (adjusted_induced_width(g, o, observed)
+                == reference_adjusted_width(g, o, observed))
+
+    def test_ties_go_to_the_smallest_index(self):
+        assert min_degree_order(UndirectedGraph(0)) == Ordering(())
+        # no edges: every degree is 0, so 0 is taken first into the last slot
+        assert min_degree_order(UndirectedGraph(4)) == Ordering((3, 2, 1, 0))
+        complete = UndirectedGraph(4)
+        complete.add_clique(range(4))
+        assert min_degree_order(complete) == Ordering((3, 2, 1, 0))
+        assert induced_width(complete, Ordering((3, 2, 1, 0))) == 3
+
+    def test_input_graph_is_left_alone(self):
+        g = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        before = g.edge_set()
+        induced_width(g, min_degree_order(g))
+        assert g.edge_set() == before

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cnfbelief import (
@@ -257,3 +259,56 @@ class TestConditionalCnfProbability:
             cond = conditional_cnf_probability(net, phi, psi)
             joint, _ = elim_cpe(net, phi.conjoin(psi))
             assert close_enough(cond * p_psi, joint), k
+
+
+def _family_prob(cpt: Cpt, values: dict[int, int]) -> float:
+    k = len(cpt.parents)
+    row = sum(values[p] << (k - 1 - j) for j, p in enumerate(cpt.parents))
+    p1 = cpt.table[row]
+    return p1 if values[cpt.child] else 1.0 - p1
+
+
+class TestUnderflow:
+    """Joint probabilities far below the float64 range: answers come
+    from RunStats.log_result, not from the underflowed product."""
+
+    def test_belief_on_probe_matches_markov_blanket(self):
+        net = gen_network(1200, 2, 0.0, seed=3)
+        phi = gen_query(net, 0, 1199, seed=4)
+        values = {c.unit_literal().var: int(c.unit_literal().positive) for c in phi.clauses}
+        (var,) = set(range(net.n)) - set(values)
+        weights = []
+        for x in (0, 1):
+            values[var] = x
+            weights.append(math.prod(_family_prob(cpt, values) for cpt in net.cpts
+                                     if cpt.child == var or var in cpt.parents))
+        dist = belief_given_cnf(net, phi, var)
+        assert dist is not None
+        assert close_enough(dist[0], weights[0] / sum(weights))
+        assert close_enough(dist[1], weights[1] / sum(weights))
+
+    def test_log_result_of_independent_roots_is_sum_of_log_priors(self):
+        net = gen_network(1200, 1, 0.0, seed=11)
+        phi = gen_query(net, 0, net.n, seed=12)
+        expected = math.fsum(
+            math.log(_family_prob(net.cpts[c.unit_literal().var],
+                                  {c.unit_literal().var: int(c.unit_literal().positive)}))
+            for c in phi.clauses)
+        assert math.exp(expected) == 0.0  # the plain product underflows here
+        for alg in ("cpe", "cpe-d", "hidden"):
+            _, stats = evaluate(net, phi, alg)
+            assert math.isclose(stats.log_result, expected, rel_tol=1e-12), alg
+
+    def test_log_result_is_minus_infinity_at_probability_zero(self, net2):
+        for alg in ALGORITHMS:
+            _, stats = evaluate(net2, formula(clause(1), clause(-1)), alg)
+            assert stats.result == 0.0
+            assert stats.log_result == -math.inf, alg
+
+    def test_conditional_survives_underflow(self):
+        net = gen_network(1200, 1, 0.0, seed=11)
+        psi = gen_query(net, 0, net.n - 1, seed=12)
+        (free,) = set(range(net.n)) - {c.unit_literal().var for c in psi.clauses}
+        phi = formula(clause(free + 1))
+        assert close_enough(conditional_cnf_probability(net, phi, psi),
+                            net.cpts[free].table[0])
