@@ -2,17 +2,11 @@
 networks, via bucket elimination with integrated clause propagation."""
 
 from .engine import (
-    Bucket,
-    BucketClause,
-    BucketSchedule,
     ContradictionError,
     EngineConfig,
     RunStats,
     TraceEntry,
     elim_cpe,
-    eliminate_bucket,
-    partition_buckets,
-    process_observed_bucket,
     run_trace,
 )
 from .fileio import ParseError, parse_dimacs, parse_network, serialize_cnf, serialize_network
@@ -34,15 +28,12 @@ from .model import (
     Factor,
     Literal,
     ModelError,
-    classify_cpt,
-    clause_status,
     close_enough,
-    cpt_lookup,
     cpt_to_factor,
     validate_network,
 )
-from .oracle import brute_force_cpe, enumerate_models
-from .resolution import apply_unit, bdr_step, resolve
+from .oracle import brute_force_cpe
+from .resolution import bdr_step, resolve
 from .transforms import (
     ALGORITHMS,
     belief_given_cnf,

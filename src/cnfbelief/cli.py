@@ -13,18 +13,12 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import EngineConfig, run_trace
+from .engine import EngineConfig
 from .fileio import ParseError, parse_dimacs, parse_network, serialize_cnf, serialize_network
 from .generator import RNG_ALGORITHM, gen_network, gen_query
-from .graphs import min_degree_order, moral_graph, parse_order
-from .model import EVIDENCE, Clause, CnfFormula, ModelError
-from .transforms import (
-    ALGORITHMS,
-    belief_given_cnf,
-    evaluate,
-    extract_clauses,
-    hidden_embed,
-)
+from .graphs import parse_order
+from .model import ModelError
+from .transforms import ALGORITHMS, belief_given_cnf, evaluate
 
 BENCH_COLUMNS = ["instance", "alg", "i_bound", "time_s", "mf", "C", "U", "F", "O", "result"]
 
@@ -60,12 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alg", choices=ALGORITHMS, default="cpe")
     common.add_argument("--i-bound", type=_i_bound, default=0, metavar="N|unbounded",
                         help="resolvent size cap for in-bucket resolution (default 0: off)")
-    common.add_argument("--order-file", help="explicit ordering, first-to-last")
     common.add_argument("--no-reorder", action="store_true",
                         help="disable promotion of unit-clause buckets")
 
     p_eval = sub.add_parser("eval", parents=[common],
                             help="print P(cnf) under the network")
+    p_eval.add_argument("--order-file",
+                        help="explicit ordering, first-to-last (cpe and cpe-d only)")
     p_eval.add_argument("--trace", action="store_true", help="print the bucket log first")
     p_eval.add_argument("--stats", choices=["human", "csv", "json"],
                         help="print run statistics after the probability")
@@ -102,33 +97,21 @@ def _load_inputs(args):
         if v >= net.n:
             raise ParseError(f"query variable {v + 1} unknown to the network")
     cfg = EngineConfig(i_bound=args.i_bound, dynamic_reorder=not args.no_reorder)
-    ordering = None
-    if args.order_file:
-        ordering = parse_order(Path(args.order_file).read_text(), net.n)
-    return net, phi, cfg, ordering
+    return net, phi, cfg
 
 
 def _cmd_eval(args) -> int:
-    net, phi, cfg, ordering = _load_inputs(args)
+    net, phi, cfg = _load_inputs(args)
+    ordering = None
+    if args.order_file:
+        ordering = parse_order(Path(args.order_file).read_text(), net.n)
+    if args.trace and args.alg == "brute":
+        print("error: --trace is not available for --alg brute", file=sys.stderr)
+        return 2
+    prob, stats = evaluate(net, phi, args.alg, cfg, ordering)
     if args.trace:
-        if args.alg == "brute":
-            print("error: --trace is not available for --alg brute", file=sys.stderr)
-            return 2
-        if args.alg == "cpe-d":
-            query = phi.conjoin(extract_clauses(net))
-            prob, stats, entries = run_trace(net, query, ordering, cfg)
-        elif args.alg == "hidden":
-            embedded, evidence = hidden_embed(net, phi)
-            units = CnfFormula([Clause([lit]) for lit in evidence],
-                               (EVIDENCE,) * len(evidence))
-            prob, stats, entries = run_trace(
-                embedded, units, min_degree_order(moral_graph(embedded)), cfg)
-        else:
-            prob, stats, entries = run_trace(net, phi, ordering, cfg)
-        for entry in entries:
+        for entry in stats.trace:
             print(entry.format())
-    else:
-        prob, stats = evaluate(net, phi, args.alg, cfg, ordering)
     print(format_probability(prob))
     if args.stats:
         _print_stats(stats, args.stats)
@@ -152,7 +135,7 @@ def _print_stats(stats, mode: str) -> None:
 
 
 def _cmd_belief(args) -> int:
-    net, phi, cfg, ordering = _load_inputs(args)
+    net, phi, cfg = _load_inputs(args)
     if not 0 <= args.var < net.n:
         print(f"error: variable {args.var} outside the network", file=sys.stderr)
         return 1

@@ -1,23 +1,26 @@
 """Bucket elimination over CPT factors and CNF clauses.
 
-All CPTs and clauses are partitioned into buckets along an elimination
-ordering (each item goes to the bucket of its latest-ordered variable)
-and the buckets are processed last-to-first:
+This module holds the package's one elimination pass, ``_Run``, behind
+``elim_cpe`` and ``run_trace``; every evaluator in ``transforms`` ends
+in it.  All CPTs and clauses are partitioned into buckets along an
+elimination ordering (each item goes to the bucket of its latest-ordered
+variable) and the buckets are processed last-to-first:
 
 * A bucket whose variable is forced by a unit clause is observed: its
   factors are restricted to the forced value and its clauses are
   unit-resolved, and the results are re-routed to lower buckets.
   Observation never grows a scope.
-* Any other bucket is summed out: the product of its factors, gated by
-  the indicator of its clauses, is summed over the bucket variable,
-  yielding a new factor over the remaining scope variables.  A bucket
-  holding only clauses yields the 0/1 indicator of their joint
-  satisfiability, which is required for correctness.
+* Any other bucket is summed out: its clauses first resolve on the
+  bucket variable (bounded directional resolution, ``i_bound``), then
+  the product of its factors, gated by the indicator of its clauses, is
+  summed over the bucket variable, yielding a new factor over the
+  remaining scope variables.
 
 With dynamic reordering (the default), a bucket that acquires a unit
 clause jumps ahead of the position-ordered queue; promoted buckets run
 in discovery order.  A global assignment of the observed values is
-maintained so that anything routed after an observation is restricted
+maintained so that anything routed after an observation is reduced
+(clauses, ``_Run._reduce``) or restricted (factors, ``_Run._restrict``)
 on the way, which keeps items out of already-processed buckets.
 
 The final probability is the product of the scalar factors that fall
@@ -56,7 +59,7 @@ from .model import (
     ModelError,
     cpt_to_factor,
 )
-from .resolution import apply_unit, bdr_step, resolve
+from .resolution import bdr_step
 
 
 class ContradictionError(Exception):
@@ -100,7 +103,8 @@ class RunStats:
     actually processed, when the run completed.  log_result is the
     natural log of the probability, summed from the scalar factors so
     that it stays finite where result underflows to 0; it is -inf when
-    the probability is exactly 0.
+    the probability is exactly 0.  trace is the ordered log of bucket
+    actions (empty for the brute-force path); as_dict() leaves it out.
     """
 
     result: float = 0.0
@@ -113,6 +117,7 @@ class RunStats:
     observed: int = 0
     width_static: Optional[int] = None
     width_posthoc: Optional[int] = None
+    trace: list["TraceEntry"] = field(default_factory=list, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -170,18 +175,6 @@ class Bucket:
             self.unit = lit
         self.clauses.append(BucketClause(clause, provenance, sum_exempt))
         return "added"
-
-
-@dataclass
-class BucketSchedule:
-    """Buckets plus the initial processing order (first entry first),
-    with unit-clause buckets promoted to the front in discovery order."""
-
-    order: list[int]
-    by_var: dict[int, Bucket]
-
-    def bucket(self, variable: int) -> Bucket:
-        return self.by_var[variable]
 
 
 @dataclass(frozen=True)
@@ -312,6 +305,33 @@ class _Run:
             else:
                 self._process_sum(bucket)
 
+    # -- the observed assignment ----------------------------------------
+
+    def _reduce(self, clause: Clause) -> Optional[Clause]:
+        """The clause under the observed assignment: None when it is
+        satisfied, the same object when no literal is assigned.  Raises
+        ContradictionError when every literal is falsified."""
+        lits: list[Literal] = []
+        for lit in clause.literals:
+            value = self.sigma.get(lit.var)
+            if value is None:
+                lits.append(lit)
+            elif lit.satisfied_by(value):
+                return None
+        if not lits:
+            raise ContradictionError(f"clause {clause} is falsified by the observations")
+        return clause if len(lits) == len(clause) else Clause(lits)
+
+    def _restrict(self, factor: Factor) -> Factor:
+        """The factor conditioned on the observed assignment; a table the
+        restriction materializes counts toward mf."""
+        stale = [w for w in factor.scope if w in self.sigma]
+        for w in stale:
+            factor = factor.restrict(w, self.sigma[w])
+        if stale:
+            self.stats.mf = max(self.stats.mf, factor.arity)
+        return factor
+
     # -- item routing ---------------------------------------------------
 
     def _place_factor(self, factor: Factor) -> None:
@@ -322,47 +342,42 @@ class _Run:
         assert home not in self.processed
         self.buckets[home].factors.append(factor)
 
-    def _route_factor(self, factor: Factor) -> None:
-        g = factor
-        for w in [w for w in factor.scope if w in self.sigma]:
-            g = g.restrict(w, self.sigma[w])
-        self._place_factor(g)
-
     def _install_clause(self, clause: Clause, provenance: str, sum_exempt: bool,
                         count: bool, collect: Optional[list[Clause]] = None) -> None:
-        """Reduce a clause by the observed assignment and file it.
-
-        Raises ContradictionError when the clause is falsified or lands
-        on a bucket holding the opposite unit.  When ``count`` is set,
-        kept clauses update the derived counters.
-        """
-        lits: list[Literal] = []
-        for lit in clause.sorted_literals():
-            value = self.sigma.get(lit.var)
-            if value is None:
-                lits.append(lit)
-            elif lit.satisfied_by(value):
-                return
-        if not lits:
-            raise ContradictionError(f"clause {clause} is falsified by the observations")
-        reduced = clause if len(lits) == len(clause) else Clause(lits)
-        home = max((l.var for l in lits), key=self.position.__getitem__)
-        assert home not in self.processed
-        status = self.buckets[home].add_clause(reduced, provenance, sum_exempt)
-        if status == "conflict":
-            raise ContradictionError(f"conflicting unit clauses on variable {home}")
-        if status != "added":
+        """Reduce a clause by the observed assignment and file it in the
+        bucket of its latest variable, promoting that bucket when the
+        clause is unit."""
+        reduced = self._reduce(clause)
+        if reduced is None:
             return
-        if count:
-            self.stats.derived_clauses += 1
-            if reduced.is_unit():
-                self.stats.derived_units += 1
-            if collect is not None:
-                collect.append(reduced)
-        if (reduced.is_unit() and self.cfg.dynamic_reorder
+        home = max((l.var for l in reduced.literals), key=self.position.__getitem__)
+        assert home not in self.processed
+        if (self._file(self.buckets[home], reduced, provenance, sum_exempt, count, collect)
+                and reduced.is_unit() and self.cfg.dynamic_reorder
                 and home not in self.promoted_set):
             self.promoted.append(home)
             self.promoted_set.add(home)
+
+    def _file(self, bucket: Bucket, clause: Clause, provenance: str, sum_exempt: bool,
+              count: bool, collect: Optional[list[Clause]]) -> bool:
+        """Add a reduced clause to ``bucket``; True when it was new.
+
+        Raises ContradictionError when it opposes the bucket's unit.
+        When ``count`` is set, a new clause updates the derived counters
+        and is appended to ``collect``.
+        """
+        status = bucket.add_clause(clause, provenance, sum_exempt)
+        if status == "conflict":
+            raise ContradictionError(f"conflicting unit clauses on variable {bucket.variable}")
+        if status != "added":
+            return False
+        if count:
+            self.stats.derived_clauses += 1
+            if clause.is_unit():
+                self.stats.derived_units += 1
+            if collect is not None:
+                collect.append(clause)
+        return True
 
     # -- bucket processing ----------------------------------------------
 
@@ -374,76 +389,32 @@ class _Run:
         surface the bucket variable's own unit clause, turning the
         bucket into an observation.
         """
-        kept: list[BucketClause] = []
-        for bc in bucket.clauses:
-            lits: list[Literal] = []
-            satisfied = False
-            for lit in bc.clause.sorted_literals():
-                value = self.sigma.get(lit.var)
-                if value is None:
-                    lits.append(lit)
-                elif lit.satisfied_by(value):
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if len(lits) == len(bc.clause):
-                kept.append(bc)
-                continue
-            if not lits:
-                raise ContradictionError(
-                    f"clause {bc.clause} is falsified by the observations")
-            reduced = Clause(lits)
-            twin = next((k for k in kept if k.clause.literals == reduced.literals), None)
-            if twin is not None:
-                if not bc.sum_exempt:
-                    twin.sum_exempt = False
-                continue
-            kept.append(BucketClause(reduced, DERIVED, bc.sum_exempt))
-            self.stats.derived_clauses += 1
-            collect.append(reduced)
-            if reduced.is_unit():
-                self.stats.derived_units += 1
-                lit = reduced.unit_literal()
-                if bucket.unit is not None and bucket.unit != lit:
-                    raise ContradictionError(
-                        f"conflicting unit clauses on variable {bucket.variable}")
-                bucket.unit = lit
-        bucket.clauses = kept
-
-    def _sweep_factors(self, bucket: Bucket) -> None:
-        swept = []
-        for f in bucket.factors:
-            stale = [w for w in f.scope if w in self.sigma]
-            if stale:
-                for w in stale:
-                    f = f.restrict(w, self.sigma[w])
-                self.stats.mf = max(self.stats.mf, f.arity)
-            swept.append(f)
-        bucket.factors = swept
+        clauses, bucket.clauses = bucket.clauses, []
+        for bc in clauses:
+            reduced = self._reduce(bc.clause)
+            if reduced is bc.clause:
+                bucket.clauses.append(bc)
+            elif reduced is not None:
+                try:
+                    self._file(bucket, reduced, DERIVED, bc.sum_exempt, True, collect)
+                except ContradictionError:
+                    # the sweep counts a unit it derives even when that
+                    # unit then opposes the one already found
+                    self.stats.derived_clauses += 1
+                    self.stats.derived_units += 1
+                    raise
 
     def _process_observed(self, bucket: Bucket,
                           derived: Optional[list[Clause]] = None) -> None:
-        unit = bucket.unit
-        value = 1 if unit.positive else 0
-        self.sigma[bucket.variable] = value
+        self.sigma[bucket.variable] = 1 if bucket.unit.positive else 0
         self.stats.observed += 1
         derived = derived if derived is not None else []
         for f in bucket.factors:
-            g = f
-            for w in [w for w in f.scope if w in self.sigma]:
-                g = g.restrict(w, self.sigma[w])
-            self.stats.mf = max(self.stats.mf, g.arity)
-            self._place_factor(g)
+            self._place_factor(self._restrict(f))
+        # every clause here mentions the bucket variable, which the
+        # assignment now fixes: each is satisfied or shortened
         for bc in bucket.clauses:
-            reduced = apply_unit(bc.clause, unit)
-            if reduced is None:
-                continue
-            if reduced.literals == bc.clause.literals:
-                # the clause does not mention the bucket variable; just re-route
-                self._install_clause(reduced, bc.provenance, bc.sum_exempt, count=False)
-                continue
-            self._install_clause(reduced, DERIVED, bc.sum_exempt, count=True,
+            self._install_clause(bc.clause, DERIVED, bc.sum_exempt, count=True,
                                  collect=derived)
         self.trace.append(TraceEntry(bucket.variable, "observe", (), tuple(derived)))
 
@@ -454,7 +425,7 @@ class _Run:
             # the sweep uncovered a unit on the bucket variable
             self._process_observed(bucket, derived)
             return
-        self._sweep_factors(bucket)
+        bucket.factors = [self._restrict(f) for f in bucket.factors]
         self._bdr(bucket, derived)
         include_exempt = self.cfg.extracted_clauses_in_sum
         constraints = [bc.clause for bc in bucket.clauses
@@ -467,29 +438,18 @@ class _Run:
         values = _bucket_lambda(bucket.factors, constraints, bucket.variable, scope)
         self.stats.mf = max(self.stats.mf, len(scope))
         self.trace.append(TraceEntry(bucket.variable, "sum", scope, tuple(derived)))
-        self._route_factor(Factor(scope, values))
+        self._place_factor(self._restrict(Factor(scope, values)))
 
     def _bdr(self, bucket: Bucket, collect: list[Clause]) -> None:
         # bounded directional resolution on the bucket variable; the
         # resolvent inherits sum exemption when either premise has it
-        bound = self.cfg.i_bound
-        if bound == 0 or len(bucket.clauses) < 2:
+        premises = bucket.clauses
+        if self.cfg.i_bound == 0 or len(premises) < 2:
             return
-        pos_lit = Literal(bucket.variable, True)
-        neg_lit = Literal(bucket.variable, False)
-        with_pos = [bc for bc in bucket.clauses if pos_lit in bc.clause.literals]
-        with_neg = [bc for bc in bucket.clauses if neg_lit in bc.clause.literals]
-        known = {bc.clause.literals for bc in bucket.clauses}
-        for cp in with_pos:
-            for cn in with_neg:
-                r = resolve(cp.clause, cn.clause, bucket.variable)
-                if r is None or (bound is not None and len(r) > bound):
-                    continue
-                if r.literals in known:
-                    continue
-                known.add(r.literals)
-                self._install_clause(r, DERIVED, cp.sum_exempt or cn.sum_exempt,
-                                     count=True, collect=collect)
+        for r, i, j in bdr_step([bc.clause for bc in premises], bucket.variable,
+                                self.cfg.i_bound):
+            self._install_clause(r, DERIVED, premises[i].sum_exempt or premises[j].sum_exempt,
+                                 count=True, collect=collect)
 
 
 def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg):
@@ -512,6 +472,7 @@ def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg):
     except ContradictionError:
         failed = True
     stats.elapsed = perf_counter() - t0
+    stats.trace = run.trace
     stats.result = 0.0 if failed else math.prod(run.scalars)
     if not failed and all(run.scalars):
         stats.log_result = math.fsum(map(math.log, run.scalars))
@@ -536,78 +497,3 @@ def run_trace(net: BeliefNetwork, phi: CnfFormula, ordering: Ordering | None = N
               cfg: EngineConfig | None = None) -> tuple[float, RunStats, list[TraceEntry]]:
     """elim_cpe plus the ordered log of bucket actions."""
     return _execute(net, phi, ordering, cfg)
-
-
-def partition_buckets(net: BeliefNetwork, phi: CnfFormula,
-                      ordering: Ordering) -> BucketSchedule:
-    """Distribute CPTs and clauses into buckets along ``ordering``.
-
-    The schedule's order puts buckets holding unit clauses first, in
-    clause discovery order, then the rest last-to-first.  Raises
-    ContradictionError for an empty clause or an opposing unit pair
-    (the query probability is 0 in both cases).
-    """
-    ordering = check_ordering(ordering)
-    if len(ordering) != net.n:
-        raise ModelError(f"ordering covers {len(ordering)} variables, network has {net.n}")
-    for v in phi.variables():
-        if not 0 <= v < net.n:
-            raise ModelError(f"clause variable {v} unknown to the network")
-    run = _Run(net, ordering, EngineConfig(dynamic_reorder=True), RunStats())
-    run.load(phi)
-    order = list(run.promoted) + [v for v in reversed(run.pending)
-                                  if v not in run.promoted_set]
-    return BucketSchedule(order=order, by_var=run.buckets)
-
-
-def eliminate_bucket(bucket: Bucket, cfg: EngineConfig | None = None
-                     ) -> tuple[Optional[Factor], list[Clause]]:
-    """Sum a unit-free bucket's variable out.
-
-    Returns the resulting factor (None when the bucket has nothing to
-    aggregate) and the bounded-resolution resolvents to route onward.
-    Clauses marked sum-exempt gate nothing unless the config includes
-    them; an all-zero factor is legal and simply propagates.
-    """
-    cfg = cfg if cfg is not None else EngineConfig()
-    if bucket.unit is not None:
-        raise ModelError("bucket has a unit clause; it must be observed, not summed")
-    if cfg.i_bound == 0:
-        derived: list[Clause] = []
-    else:
-        derived = bdr_step([bc.clause for bc in bucket.clauses], bucket.variable,
-                           cfg.i_bound)
-    constraints = [bc.clause for bc in bucket.clauses
-                   if cfg.extracted_clauses_in_sum or not bc.sum_exempt]
-    if not bucket.factors and not constraints:
-        return None, derived
-    scope = _sum_scope(bucket.variable, bucket.factors, constraints)
-    values = _bucket_lambda(bucket.factors, constraints, bucket.variable, scope)
-    return Factor(scope, values), derived
-
-
-def process_observed_bucket(bucket: Bucket, unit: Literal | None = None
-                            ) -> tuple[list[Factor], list[Clause], bool]:
-    """Instantiate an observed bucket's variable.
-
-    Returns the restricted factors, the unit-resolved clauses that
-    survive, and a contradiction flag (an empty resolvent appeared).
-    """
-    if unit is None:
-        unit = bucket.unit
-    if unit is None:
-        raise ModelError("bucket has no unit clause to observe")
-    value = 1 if unit.positive else 0
-    factors = [f.restrict(unit.var, value) if unit.var in f.scope else f
-               for f in bucket.factors]
-    resolvents: list[Clause] = []
-    contradiction = False
-    for bc in bucket.clauses:
-        reduced = apply_unit(bc.clause, unit)
-        if reduced is None:
-            continue
-        if reduced.is_empty():
-            contradiction = True
-            continue
-        resolvents.append(reduced)
-    return factors, resolvents, contradiction

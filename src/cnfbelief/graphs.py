@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import BeliefNetwork, CnfFormula
+from .model import BeliefNetwork, CnfFormula, ModelError
 
 
 class UndirectedGraph:
@@ -92,7 +92,7 @@ def augmented_graph(net: BeliefNetwork, phi: CnfFormula) -> UndirectedGraph:
     for clause in phi.clauses:
         vs = clause.variables()
         if any(not 0 <= v < net.n for v in vs):
-            raise ValueError(f"clause variable out of range in {clause}")
+            raise ModelError(f"clause variable out of range in {clause}")
         g.add_clique(vs)
     return g
 

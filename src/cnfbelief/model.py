@@ -17,21 +17,10 @@ Conventions shared by every module in this package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
-
-# clause status values
-SATISFIED = "satisfied"
-VIOLATED = "violated"
-UNIT = "unit"
-UNDETERMINED = "undetermined"
-
-# CPT classes
-POSITIVE = "positive"
-DETERMINISTIC = "deterministic"
-MIXED = "mixed"
 
 # clause provenance tags
 QUERY = "query"
@@ -121,26 +110,6 @@ class Clause:
         return "(" + " ".join(str(l.signed()) for l in self.sorted_literals()) + ")"
 
 
-def clause_status(clause: Clause, assignment: dict[int, int]) -> tuple[str, Optional[Literal]]:
-    """Evaluate ``clause`` under a partial assignment.
-
-    Returns one of SATISFIED, VIOLATED, UNIT, or UNDETERMINED, paired
-    with the forced literal when the status is UNIT and None otherwise.
-    """
-    free: list[Literal] = []
-    for lit in clause.literals:
-        value = assignment.get(lit.var)
-        if value is None:
-            free.append(lit)
-        elif lit.satisfied_by(value):
-            return SATISFIED, None
-    if not free:
-        return VIOLATED, None
-    if len(free) == 1:
-        return UNIT, free[0]
-    return UNDETERMINED, None
-
-
 @dataclass(frozen=True)
 class CnfFormula:
     """A conjunction of clauses, each carrying a provenance tag.
@@ -200,32 +169,6 @@ class Cpt:
     child: int
     parents: tuple[int, ...]
     table: tuple[float, ...]
-
-    def row_index(self, assignment: dict[int, int]) -> int:
-        idx = 0
-        for p in self.parents:
-            if p not in assignment:
-                raise ModelError(f"assignment is missing parent {p} of {self.child}")
-            idx = (idx << 1) | (1 if assignment[p] else 0)
-        return idx
-
-
-def cpt_lookup(cpt: Cpt, assignment: dict[int, int]) -> float:
-    """P(child = assignment[child] | parent values in assignment)."""
-    if cpt.child not in assignment:
-        raise ModelError(f"assignment is missing variable {cpt.child}")
-    p_one = cpt.table[cpt.row_index(assignment)]
-    return p_one if assignment[cpt.child] else 1.0 - p_one
-
-
-def classify_cpt(cpt: Cpt) -> str:
-    """POSITIVE if no row is 0/1, DETERMINISTIC if every row is, MIXED else."""
-    extreme = [v in (0.0, 1.0) for v in cpt.table]
-    if all(extreme):
-        return DETERMINISTIC
-    if not any(extreme):
-        return POSITIVE
-    return MIXED
 
 
 @dataclass(frozen=True)
@@ -328,10 +271,6 @@ class Factor:
         if self.scope:
             raise ModelError("factor is not a scalar")
         return float(self.values)
-
-    def lookup(self, assignment: dict[int, int]) -> float:
-        idx = tuple(assignment[v] for v in self.scope)
-        return float(self.values[idx])
 
 
 def cpt_to_factor(cpt: Cpt) -> Factor:

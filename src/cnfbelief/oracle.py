@@ -45,27 +45,3 @@ def brute_force_cpe(net: BeliefNetwork, phi: CnfFormula) -> float:
             weight *= p_one if bits[cpt.child] else 1.0 - p_one
         total += weight
     return total
-
-
-def enumerate_models(phi: CnfFormula, variables: Sequence[int]) -> list[tuple[int, ...]]:
-    """All assignments to ``variables`` (in the given order) satisfying phi.
-
-    Every clause variable must appear in ``variables``.
-    """
-    index = {v: i for i, v in enumerate(variables)}
-    if len(index) != len(variables):
-        raise ValueError("variables repeat")
-    for clause in phi.clauses:
-        for lit in clause.literals:
-            if lit.var not in index:
-                raise ValueError(f"clause variable {lit.var} not listed")
-    models = []
-    for bits in itertools.product((0, 1), repeat=len(variables)):
-        ok = True
-        for clause in phi.clauses:
-            if not any(bits[index[l.var]] == (1 if l.positive else 0) for l in clause.literals):
-                ok = False
-                break
-        if ok:
-            models.append(bits)
-    return models

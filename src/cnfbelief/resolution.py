@@ -1,26 +1,10 @@
-"""Clause-level inference: unit application and bounded resolution."""
+"""Clause-level inference: resolution and bounded directional resolution."""
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
 from .model import Clause, Literal, ModelError
-
-
-def apply_unit(clause: Clause, unit: Literal) -> Optional[Clause]:
-    """Reduce ``clause`` under the assignment that makes ``unit`` true.
-
-    Returns None when the clause is satisfied, the clause unchanged
-    when it does not mention the unit's variable, and otherwise the
-    clause with the falsified literal removed.  The result may be the
-    empty clause.
-    """
-    if unit in clause.literals:
-        return None
-    opposite = -unit
-    if opposite in clause.literals:
-        return Clause(clause.literals - {opposite})
-    return clause
 
 
 def resolve(c1: Clause, c2: Clause, var: int) -> Optional[Clause]:
@@ -43,25 +27,27 @@ def resolve(c1: Clause, c2: Clause, var: int) -> Optional[Clause]:
         return None
 
 
-def bdr_step(clauses: Iterable[Clause], pivot: int, bound: Optional[int]) -> list[Clause]:
+def bdr_step(clauses: Iterable[Clause], pivot: int, bound: Optional[int]
+             ) -> list[tuple[Clause, int, int]]:
     """Directional resolution over ``pivot`` with a width bound.
 
     Resolves every positive/negative pair on the pivot and keeps the
     non-tautological resolvents with at most ``bound`` literals (no
     limit when bound is None).  Resolvents equal to an input clause or
-    to an earlier resolvent are dropped.  Pair order follows the input
-    order, so the result is deterministic.
+    to an earlier resolvent are dropped.  Each kept resolvent comes
+    with the input indices of its positive and negative premise.  Pair
+    order follows the input order, so the result is deterministic.
     """
     pool = list(clauses)
     pos_lit = Literal(pivot, True)
     neg_lit = Literal(pivot, False)
-    with_pos = [c for c in pool if pos_lit in c.literals]
-    with_neg = [c for c in pool if neg_lit in c.literals]
+    with_pos = [i for i, c in enumerate(pool) if pos_lit in c.literals]
+    with_neg = [j for j, c in enumerate(pool) if neg_lit in c.literals]
     known = {c.literals for c in pool}
-    out: list[Clause] = []
-    for cp in with_pos:
-        for cn in with_neg:
-            r = resolve(cp, cn, pivot)
+    out: list[tuple[Clause, int, int]] = []
+    for i in with_pos:
+        for j in with_neg:
+            r = resolve(pool[i], pool[j], pivot)
             if r is None:
                 continue
             if bound is not None and len(r) > bound:
@@ -69,5 +55,5 @@ def bdr_step(clauses: Iterable[Clause], pivot: int, bound: Optional[int]) -> lis
             if r.literals in known:
                 continue
             known.add(r.literals)
-            out.append(r)
+            out.append((r, i, j))
     return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 from .engine import EngineConfig, RunStats, elim_cpe
 from .graphs import min_degree_order, moral_graph
@@ -143,7 +143,12 @@ ALGORITHMS = ("cpe", "cpe-d", "hidden", "brute")
 def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
              cfg: EngineConfig | None = None, ordering=None) -> tuple[float, RunStats]:
     """Uniform front door over the evaluators; ``alg`` is one of
-    ALGORITHMS.  The brute-force path reports only result and time."""
+    ALGORITHMS.  ``stats.trace`` holds the bucket log of the elimination
+    run.  An ``ordering`` applies to cpe and cpe-d only; the other
+    algorithms raise ValueError when given one.  The brute-force path
+    reports only result and time."""
+    if ordering is not None and alg in ("hidden", "brute"):
+        raise ValueError(f"algorithm {alg!r} takes no ordering; only cpe and cpe-d do")
     if alg == "cpe":
         return elim_cpe(net, phi, ordering, cfg)
     if alg == "cpe-d":

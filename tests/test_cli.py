@@ -72,6 +72,14 @@ class TestEval:
         assert code == 0
         assert capsys.readouterr().out == TRACE_42 + "0.381171500000\n"
 
+    def test_trace_for_every_elimination_algorithm(self, six_node_files, capsys):
+        net, cnf, _ = six_node_files
+        for alg in ("cpe-d", "hidden"):
+            assert run_cli(["eval", "--net", net, "--cnf", cnf, "--alg", alg, "--trace"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-1] == "0.381171500000"
+            assert lines[:-1] and all(line.startswith("bucket=") for line in lines[:-1])
+
     def test_trace_rejected_for_brute(self, two_node_files, capsys):
         net, cnf = two_node_files
         code = run_cli(["eval", "--net", net, "--cnf", cnf,
@@ -271,6 +279,21 @@ class TestErrorPaths:
         code = run_cli(["eval", "--net", net, "--cnf", cnf,
                         "--order-file", str(order)])
         assert code == 1
+
+    def test_belief_takes_no_order_file(self, six_node_files, capsys):
+        net, cnf, order = six_node_files
+        code = run_cli(["belief", "--net", net, "--cnf", cnf, "--var", "0",
+                        "--order-file", order])
+        assert code == 2
+        assert "--order-file" in capsys.readouterr().err
+
+    def test_order_file_refused_for_hidden_and_brute(self, six_node_files, capsys):
+        net, cnf, order = six_node_files
+        for alg in ("hidden", "brute"):
+            code = run_cli(["eval", "--net", net, "--cnf", cnf, "--alg", alg,
+                            "--order-file", order])
+            assert code == 1
+            assert "ordering" in capsys.readouterr().err
 
     def test_unknown_algorithm_is_a_usage_error(self, two_node_files):
         net, cnf = two_node_files

@@ -5,27 +5,21 @@ import pytest
 
 from cnfbelief import (
     BeliefNetwork,
-    Bucket,
     Clause,
     CnfFormula,
-    ContradictionError,
     Cpt,
     EngineConfig,
-    Factor,
-    Literal,
     ModelError,
     Ordering,
-    RunStats,
     TraceEntry,
     brute_force_cpe,
     close_enough,
     elim_cpe,
-    eliminate_bucket,
-    partition_buckets,
-    process_observed_bucket,
     run_trace,
 )
+from cnfbelief.engine import _bucket_lambda
 from cnfbelief.generator import gen_network, gen_query
+from cnfbelief.model import EXTRACTED
 
 from conftest import clause, formula
 
@@ -49,168 +43,177 @@ class TestEngineConfig:
 
 
 class TestPartition:
+    """Items are filed in the bucket of their latest variable and unit
+    buckets are promoted; seen through run_trace."""
+
     def test_items_land_in_latest_buckets(self, pos_net, phi42, d1):
-        sched = partition_buckets(pos_net, phi42, d1)
+        p, _, trace = run_trace(pos_net, phi42, ordering=d1)
+        assert close_enough(p, P_PHI42)
         # no unit clauses: processing order is simply last-to-first
-        assert sched.order == [5, 4, 3, 1, 2, 0]
-
-        def factor_scopes(v):
-            return sorted(f.scope for f in sched.bucket(v).factors)
-
-        def clause_sets(v):
-            return {bc.clause for bc in sched.bucket(v).clauses}
-
-        assert factor_scopes(5) == [(4, 3, 5)]
-        assert clause_sets(5) == {clause(4, 6)}
-        assert factor_scopes(4) == [(1, 2, 4)]
-        assert clause_sets(4) == set()
-        assert factor_scopes(3) == [(0, 1, 3)]
-        assert clause_sets(3) == {clause(-2, -4)}
-        assert factor_scopes(1) == [(0, 1)]
-        assert clause_sets(1) == {clause(2, 3)}
-        assert factor_scopes(2) == [(0, 2)]
-        assert factor_scopes(0) == [(0,)]
+        assert [t.bucket for t in trace] == [5, 4, 3, 1, 2, 0]
+        scopes = {t.bucket: t.scope for t in trace}
+        # bucket G: CPT (F, D, G) and clause (G or D)
+        assert scopes[5] == (4, 3)
+        # bucket D: CPT (A, B, D), clause (not D or not B), lambda (B, C, D)
+        assert scopes[3] == (0, 1, 2)
+        # bucket B: CPT (A, B), clause (B or C), lambda (A, B, C)
+        assert scopes[1] == (0, 2)
 
     def test_unit_buckets_jump_to_front(self, pos_net, phi42, d1):
         phi = phi42.conjoin(formula(clause(1)))  # unit on A, earliest in d1
-        sched = partition_buckets(pos_net, phi, d1)
-        assert sched.order == [0, 5, 4, 3, 1, 2]
-        assert sched.bucket(0).unit == Literal(0, True)
+        p, _, trace = run_trace(pos_net, phi, ordering=d1)
+        assert [t.bucket for t in trace] == [0, 5, 4, 3, 1, 2]
+        assert trace[0].action == "observe"
+        assert close_enough(p, brute_force_cpe(pos_net, phi))
 
     def test_promotion_follows_discovery_order(self, pos_net, d1):
-        phi = formula(clause(-6), clause(2))
-        sched = partition_buckets(pos_net, phi, d1)
-        assert sched.order[:2] == [5, 1]
+        _, _, trace = run_trace(pos_net, formula(clause(-6), clause(2)), ordering=d1)
+        assert [t.bucket for t in trace][:2] == [5, 1]
+        _, _, trace = run_trace(pos_net, formula(clause(2), clause(-6)), ordering=d1)
+        assert [t.bucket for t in trace][:2] == [1, 5]
 
     def test_empty_clause_contradicts(self, net2):
-        with pytest.raises(ContradictionError):
-            partition_buckets(net2, CnfFormula([Clause([])]), Ordering((0, 1)))
+        p, stats, trace = run_trace(net2, CnfFormula([Clause([])]), Ordering((0, 1)))
+        assert p == 0.0 and trace == []
+        assert stats.log_result == float("-inf")
 
     def test_opposing_units_contradict(self, net2):
-        with pytest.raises(ContradictionError):
-            partition_buckets(net2, formula(clause(1), clause(-1)), Ordering((0, 1)))
+        p, _, trace = run_trace(net2, formula(clause(1), clause(-1)), Ordering((0, 1)))
+        assert p == 0.0 and trace == []
 
     def test_foreign_variable_rejected(self, net2):
         with pytest.raises(ModelError):
-            partition_buckets(net2, formula(clause(7)), Ordering((0, 1)))
+            elim_cpe(net2, formula(clause(7)), Ordering((0, 1)))
 
     def test_short_ordering_rejected(self, pos_net, phi42):
         with pytest.raises(ModelError):
-            partition_buckets(pos_net, phi42, Ordering((0, 1, 2)))
+            elim_cpe(pos_net, phi42, Ordering((0, 1, 2)))
+
+
+def _roots(*priors: float) -> BeliefNetwork:
+    return BeliefNetwork(len(priors), tuple(Cpt(v, (), (p,)) for v, p in enumerate(priors)))
+
+
+# P=0, Q=1, R=2 as independent roots; ordering (P, R, Q) sums Q first,
+# with (P or Q) and (not Q or R) filed in its bucket
+PQR_ORDER = Ordering((0, 2, 1))
+PQR_CLAUSES = (clause(1, 2), clause(-2, 3))
 
 
 class TestEliminateBucket:
-    def test_clause_only_bucket_yields_indicator(self):
-        # variables P=0, Q=1, R=2; bucket on Q
-        bucket = Bucket(1)
-        bucket.add_clause(clause(1, 2))
-        bucket.add_clause(clause(-2, 3))
-        lam, derived = eliminate_bucket(bucket, EngineConfig(i_bound=2))
-        assert lam is not None
-        assert lam.scope == (0, 2)
-        np.testing.assert_allclose(lam.values, [[0.0, 1.0], [1.0, 1.0]])
-        assert derived == [clause(1, 3)]
+    """Summing a bucket out, through run_trace on small networks."""
 
-    def test_factor_bucket_with_clause_gate(self, pos_net):
-        from cnfbelief import cpt_to_factor
-        bucket = Bucket(5)
-        bucket.factors.append(cpt_to_factor(pos_net.cpts[5]))
-        bucket.add_clause(clause(6, 4))
-        lam, derived = eliminate_bucket(bucket)
-        assert lam is not None and lam.scope == (4, 3)
-        np.testing.assert_allclose(lam.values, [[0.9, 1.0], [0.35, 1.0]])
-        assert derived == []
+    def test_clause_only_bucket_yields_indicator(self):
+        # the engine never sums a bucket without factors (each variable's
+        # CPT reaches its bucket first), so the kernel is checked directly
+        values = _bucket_lambda([], list(PQR_CLAUSES), 1, (0, 2))
+        np.testing.assert_allclose(values, [[0.0, 1.0], [1.0, 1.0]])
+
+    def test_factor_bucket_with_clause_gate(self, pos_net, d1):
+        phi = formula(clause(6, 4))
+        p, _, trace = run_trace(pos_net, phi, ordering=d1)
+        assert (trace[0].bucket, trace[0].action) == (5, "sum")
+        assert trace[0].scope == (4, 3)
+        assert trace[0].derived == ()
+        assert close_enough(p, brute_force_cpe(pos_net, phi))
 
     def test_bound_zero_derives_nothing(self):
-        bucket = Bucket(1)
-        bucket.add_clause(clause(1, 2))
-        bucket.add_clause(clause(-2, 3))
-        _, derived = eliminate_bucket(bucket, EngineConfig(i_bound=0))
-        assert derived == []
+        net = _roots(0.3, 0.6, 0.2)
+        _, stats, trace = run_trace(net, formula(*PQR_CLAUSES), PQR_ORDER,
+                                    EngineConfig(i_bound=0))
+        assert trace[0].bucket == 1 and trace[0].derived == ()
+        assert stats.derived_clauses == 0
+        _, stats, trace = run_trace(net, formula(*PQR_CLAUSES), PQR_ORDER,
+                                    EngineConfig(i_bound=2))
+        assert trace[0].derived == (clause(1, 3),)
+        assert stats.derived_clauses == 1
 
     def test_bound_one_filters_binary_resolvent(self):
-        bucket = Bucket(1)
-        bucket.add_clause(clause(1, 2))
-        bucket.add_clause(clause(-2, 3))
-        _, derived = eliminate_bucket(bucket, EngineConfig(i_bound=1))
-        assert derived == []
+        net = _roots(0.3, 0.6, 0.2)
+        _, stats, trace = run_trace(net, formula(*PQR_CLAUSES), PQR_ORDER,
+                                    EngineConfig(i_bound=1))
+        assert trace[0].derived == ()
+        assert stats.derived_clauses == 0
 
-    def test_unit_bucket_refused(self):
-        bucket = Bucket(0)
-        bucket.add_clause(clause(1))
-        with pytest.raises(ModelError):
-            eliminate_bucket(bucket)
+    def test_unit_bucket_refused(self, pos_net, d1):
+        # a bucket holding a unit clause is observed, never summed
+        _, _, trace = run_trace(pos_net, formula(clause(-4), clause(4, 6)), ordering=d1)
+        assert [(t.bucket, t.action) for t in trace if t.bucket == 3] == [(3, "observe")]
 
-    def test_empty_bucket(self):
-        assert eliminate_bucket(Bucket(3)) == (None, [])
+    def test_empty_bucket(self, pos_net, phi42, d1):
+        # no bucket is ever empty: each variable's CPT reaches its bucket,
+        # so a completed run logs exactly one entry per variable
+        for phi in (CnfFormula([]), phi42, phi42.conjoin(formula(clause(-6)))):
+            _, _, trace = run_trace(pos_net, phi, ordering=d1)
+            assert sorted(t.bucket for t in trace) == list(range(6))
 
     def test_sum_exempt_clauses_resolve_but_do_not_gate(self):
-        bucket = Bucket(1)
-        bucket.add_clause(clause(1, 2), sum_exempt=True)
-        bucket.add_clause(clause(-2, 3), sum_exempt=True)
-        lam, derived = eliminate_bucket(bucket, EngineConfig(i_bound=2))
-        assert lam is None
-        assert derived == [clause(1, 3)]
+        net = _roots(0.3, 0.6, 0.2)
+        phi = CnfFormula(PQR_CLAUSES, (EXTRACTED, EXTRACTED))
+        p, stats, trace = run_trace(net, phi, PQR_ORDER, EngineConfig(i_bound=2))
+        assert trace[0].scope == ()
+        assert trace[0].derived == (clause(1, 3),)
+        assert stats.extracted == 2
+        # neither the inputs nor their exempt resolvent constrain the sum
+        assert close_enough(p, 1.0)
 
     def test_exempt_clauses_gate_when_configured(self):
-        bucket = Bucket(1)
-        bucket.add_clause(clause(1, 2), sum_exempt=True)
-        bucket.add_clause(clause(-2, 3), sum_exempt=True)
+        net = _roots(0.3, 0.6, 0.2)
+        phi = CnfFormula(PQR_CLAUSES, (EXTRACTED, EXTRACTED))
         cfg = EngineConfig(i_bound=2, extracted_clauses_in_sum=True)
-        lam, _ = eliminate_bucket(bucket, cfg)
-        assert lam is not None and lam.scope == (0, 2)
-        np.testing.assert_allclose(lam.values, [[0.0, 1.0], [1.0, 1.0]])
+        p, _, trace = run_trace(net, phi, PQR_ORDER, cfg)
+        assert trace[0].scope == (0, 2)
+        assert close_enough(p, brute_force_cpe(net, formula(*PQR_CLAUSES)))
 
-    def test_opposing_units_block_summation(self):
-        bucket = Bucket(1)
-        bucket.factors.append(Factor((1,), np.array([0.5, 0.5])))
-        assert bucket.add_clause(clause(2)) == "added"
-        assert bucket.add_clause(clause(-2)) == "conflict"
-        with pytest.raises(ModelError):
-            eliminate_bucket(bucket)
+    def test_opposing_units_block_summation(self, net2):
+        p, _, trace = run_trace(net2, formula(clause(2), clause(-2)), Ordering((0, 1)))
+        assert p == 0.0
+        assert not any(t.action == "sum" for t in trace)
 
-    def test_zero_rows_from_gating(self):
-        bucket = Bucket(1)
-        bucket.factors.append(Factor((0, 1), np.array([[0.5, 0.5], [0.5, 0.5]])))
-        bucket.add_clause(clause(1, 2))
-        lam, _ = eliminate_bucket(bucket)
-        np.testing.assert_allclose(lam.values, [0.5, 1.0])
+    def test_zero_rows_from_gating(self, net2):
+        # (A or B) and (A or not B) zero both rows of bucket B under A=0
+        phi = formula(clause(1, 2), clause(1, -2))
+        p, _, trace = run_trace(net2, phi, Ordering((0, 1)))
+        assert (trace[0].bucket, trace[0].scope) == (1, (0,))
+        assert close_enough(p, 0.6)
 
 
 class TestProcessObservedBucket:
-    def test_restrict_and_resolve(self):
-        bucket = Bucket(1)
-        bucket.factors.append(Factor((0, 1), np.array([[0.1, 0.9], [0.3, 0.7]])))
-        bucket.add_clause(clause(-2))
-        bucket.add_clause(clause(-2, 3))
-        bucket.add_clause(clause(2, 1))
-        factors, resolvents, contradiction = process_observed_bucket(bucket)
-        assert [f.scope for f in factors] == [(0,)]
-        np.testing.assert_allclose(factors[0].values, [0.1, 0.3])
-        assert resolvents == [clause(1)]
-        assert not contradiction
+    """Observing a bucket: restriction, unit resolution, contradiction."""
 
-    def test_contradiction_flag(self):
-        bucket = Bucket(1)
-        bucket.add_clause(clause(-2))
-        bucket.add_clause(clause(2))  # rejected as a conflict, not stored
-        assert bucket.unit == Literal(1, False)
-        bucket2 = Bucket(1)
-        bucket2.add_clause(clause(2))
-        _, resolvents, contradiction = process_observed_bucket(
-            bucket2, unit=Literal(1, False))
-        assert contradiction
-        assert resolvents == []
+    def test_restrict_and_resolve(self):
+        # P=0 root, Q=1 child of P, R=2 root; Q is processed first
+        net = BeliefNetwork(3, (Cpt(0, (), (0.4,)), Cpt(1, (0,), (0.9, 0.7)),
+                                Cpt(2, (), (0.5,))))
+        phi = formula(clause(-2), clause(-2, 3), clause(2, 1))
+        p, stats, trace = run_trace(net, phi, PQR_ORDER)
+        assert (trace[0].bucket, trace[0].action) == (1, "observe")
+        assert trace[0].derived == (clause(1),)
+        assert (trace[1].bucket, trace[1].action) == (0, "observe")
+        assert stats.mf == 1  # CPT (P, Q) restricted to (P,)
+        assert close_enough(p, brute_force_cpe(net, phi))
+        assert close_enough(p, 0.4 * 0.3)
+
+    def test_contradiction_flag(self, net2):
+        # observing A=0 then B=0 falsifies (A or B) in bucket B
+        phi = formula(clause(-1), clause(-2), clause(1, 2))
+        p, stats, trace = run_trace(net2, phi, Ordering((0, 1)))
+        assert p == 0.0
+        assert [(t.bucket, t.action) for t in trace] == [(0, "observe")]
+        assert stats.width_posthoc is None
 
     def test_explicit_unit_parameter(self):
-        bucket = Bucket(0)
-        bucket.factors.append(Factor((0,), np.array([0.25, 0.75])))
-        factors, _, _ = process_observed_bucket(bucket, unit=Literal(0, True))
-        assert factors[0].scalar() == 0.75
+        # observing a root leaves its prior as a scalar
+        p, stats, trace = run_trace(_roots(0.75), formula(clause(1)))
+        assert p == 0.75
+        assert [(t.bucket, t.action) for t in trace] == [(0, "observe")]
+        assert stats.mf == 0
 
-    def test_missing_unit_rejected(self):
-        with pytest.raises(ModelError):
-            process_observed_bucket(Bucket(0))
+    def test_missing_unit_rejected(self, pos_net, phi42, d1):
+        # without a unit clause no bucket is observed
+        _, stats, trace = run_trace(pos_net, phi42, ordering=d1)
+        assert stats.observed == 0
+        assert all(t.action == "sum" for t in trace)
 
 
 class TestElimCpeValues:

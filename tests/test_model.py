@@ -11,24 +11,15 @@ from cnfbelief import (
     Factor,
     Literal,
     ModelError,
-    classify_cpt,
+    Ordering,
+    brute_force_cpe,
     close_enough,
-    cpt_lookup,
     cpt_to_factor,
+    extract_clauses,
+    run_trace,
     validate_network,
 )
-from cnfbelief.model import (
-    DETERMINISTIC,
-    EVIDENCE,
-    MIXED,
-    POSITIVE,
-    QUERY,
-    SATISFIED,
-    UNDETERMINED,
-    UNIT,
-    VIOLATED,
-    clause_status,
-)
+from cnfbelief.model import EVIDENCE, QUERY
 
 from conftest import clause, formula
 
@@ -79,22 +70,35 @@ class TestClause:
 
 
 class TestClauseStatus:
-    def test_satisfied(self):
-        status, forced = clause_status(clause(1, 2), {0: 1})
-        assert status == SATISFIED and forced is None
+    """A clause's status under the observed assignment, as the engine
+    applies it: satisfied clauses vanish, violated ones make the query
+    impossible, unit ones force their literal, the rest keep gating."""
 
-    def test_violated(self):
-        status, forced = clause_status(clause(1, 2), {0: 0, 1: 0})
-        assert status == VIOLATED and forced is None
+    def test_satisfied(self, net2):
+        p, stats, trace = run_trace(net2, formula(clause(1), clause(1, 2)), Ordering((0, 1)))
+        assert [(t.bucket, t.action, t.scope) for t in trace] == [
+            (0, "observe", ()), (1, "sum", ())]
+        assert stats.derived_clauses == 0
+        assert close_enough(p, 0.6)
 
-    def test_unit_returns_forced_literal(self):
-        status, forced = clause_status(clause(1, -2), {0: 0})
-        assert status == UNIT
-        assert forced == Literal(1, False)
+    def test_violated(self, net2):
+        phi = formula(clause(-1), clause(1, 2), clause(1, -2))
+        p, stats, _ = run_trace(net2, phi, Ordering((0, 1)))
+        assert p == 0.0 and stats.log_result == -math.inf
 
-    def test_undetermined(self):
-        status, forced = clause_status(clause(1, 2, 3), {0: 0})
-        assert status == UNDETERMINED and forced is None
+    def test_unit_returns_forced_literal(self, net2):
+        p, _, trace = run_trace(net2, formula(clause(-1), clause(1, -2)), Ordering((0, 1)))
+        assert (trace[1].bucket, trace[1].action) == (1, "observe")
+        assert trace[1].derived == (clause(-2),)
+        assert close_enough(p, 0.4 * 0.8)
+
+    def test_undetermined(self, pos_net, d1):
+        phi = formula(clause(-1), clause(1, 2, 3))
+        p, _, trace = run_trace(pos_net, phi, ordering=d1)
+        entry = next(t for t in trace if t.bucket == 1)
+        assert entry.action == "sum"
+        assert entry.derived == (clause(2, 3),)
+        assert close_enough(p, brute_force_cpe(pos_net, phi))
 
 
 class TestCnfFormula:
@@ -123,20 +127,26 @@ class TestCnfFormula:
 
 class TestCpt:
     def test_row_index_first_parent_most_significant(self):
-        cpt = Cpt(5, (2, 0), (0.1, 0.2, 0.3, 0.4))
-        assert cpt.row_index({2: 1, 0: 0}) == 2
-        assert cpt.row_index({2: 0, 0: 1}) == 1
+        f = cpt_to_factor(Cpt(5, (2, 0), (0.1, 0.2, 0.3, 0.4)))
+        assert f.scope == (2, 0, 5)
+        assert f.values[1, 0, 1] == 0.3  # parent 2 = 1, parent 0 = 0: row 2
+        assert f.values[0, 1, 1] == 0.2  # parent 2 = 0, parent 0 = 1: row 1
 
     def test_lookup_complements(self):
-        cpt = Cpt(1, (0,), (0.2, 0.9))
-        assert cpt_lookup(cpt, {0: 1, 1: 1}) == 0.9
-        assert close_enough(cpt_lookup(cpt, {0: 1, 1: 0}), 0.1)
+        f = cpt_to_factor(Cpt(1, (0,), (0.2, 0.9)))
+        assert f.values[1, 1] == 0.9
+        assert close_enough(f.values[1, 0], 0.1)
 
     def test_classify(self):
-        assert classify_cpt(Cpt(0, (), (0.4,))) == POSITIVE
-        assert classify_cpt(Cpt(0, (), (1.0,))) == DETERMINISTIC
-        assert classify_cpt(Cpt(1, (0,), (0.0, 0.5))) == MIXED
-        assert classify_cpt(Cpt(1, (0,), (1.0, 0.0))) == DETERMINISTIC
+        # only the 0/1 entries of a CPT become extracted clauses
+        def extracted(*cpts):
+            return set(extract_clauses(BeliefNetwork(len(cpts), cpts)).clauses)
+
+        root = Cpt(0, (), (0.5,))
+        assert extracted(Cpt(0, (), (0.4,))) == set()
+        assert extracted(Cpt(0, (), (1.0,))) == {clause(1)}
+        assert extracted(root, Cpt(1, (0,), (0.0, 0.5))) == {clause(1, -2)}
+        assert extracted(root, Cpt(1, (0,), (1.0, 0.0))) == {clause(1, 2), clause(-1, -2)}
 
 
 class TestValidateNetwork:
@@ -195,8 +205,9 @@ class TestFactor:
         assert f.scope == (0, 1, 3)
         for a, b in rng_rows:
             for d in (0, 1):
-                want = cpt_lookup(cpt, {0: a, 1: b, 3: d})
-                assert close_enough(f.lookup({0: a, 1: b, 3: d}), want)
+                p_one = cpt.table[2 * a + b]
+                want = p_one if d else 1.0 - p_one
+                assert close_enough(f.values[a, b, d], want)
 
     def test_restrict_drops_axis(self):
         f = Factor((0, 2), np.array([[0.1, 0.9], [0.3, 0.7]]))

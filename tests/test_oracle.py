@@ -6,7 +6,6 @@ from cnfbelief import (
     Cpt,
     brute_force_cpe,
     close_enough,
-    enumerate_models,
 )
 from cnfbelief.oracle import MAX_BRUTE_VARS
 
@@ -59,22 +58,27 @@ def test_foreign_clause_variable_rejected(net2):
         brute_force_cpe(net2, formula(clause(9)))
 
 
+def _uniform(n: int) -> BeliefNetwork:
+    return BeliefNetwork(n, tuple(Cpt(v, (), (0.5,)) for v in range(n)))
+
+
 class TestEnumerateModels:
+    """The oracle's enumeration of models: on a uniform network P(phi)
+    is the model count over 2^n."""
+
     def test_disjunction_models(self):
-        models = enumerate_models(formula(clause(1, 2)), (0, 1))
-        assert models == [(0, 1), (1, 0), (1, 1)]
+        assert close_enough(brute_force_cpe(_uniform(2), formula(clause(1, 2))), 3 / 4)
 
     def test_variable_order_is_respected(self):
-        models = enumerate_models(formula(clause(1)), (1, 0))
-        assert models == [(0, 1), (1, 1)]
+        # assignment bits map to variables by id, not by clause position
+        net = BeliefNetwork(2, (Cpt(0, (), (0.9,)), Cpt(1, (), (0.2,))))
+        assert close_enough(brute_force_cpe(net, formula(clause(-2, 1))), 0.9 + 0.1 * 0.8)
+        assert close_enough(brute_force_cpe(net, formula(clause(2), clause(-1))), 0.1 * 0.2)
 
     def test_empty_formula_lists_everything(self):
-        assert len(enumerate_models(CnfFormula([]), (0, 1, 2))) == 8
+        assert close_enough(brute_force_cpe(_uniform(3), CnfFormula([])), 1.0)
+        assert close_enough(brute_force_cpe(_uniform(3), formula(clause(1), clause(2))), 2 / 8)
 
     def test_missing_variable_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_models(formula(clause(3)), (0, 1))
-
-    def test_repeated_variable_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_models(CnfFormula([]), (0, 0))
+            brute_force_cpe(_uniform(2), formula(clause(3)))

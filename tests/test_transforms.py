@@ -9,6 +9,7 @@ from cnfbelief import (
     Cpt,
     EngineConfig,
     Literal,
+    Ordering,
     belief_given_cnf,
     brute_force_cpe,
     close_enough,
@@ -19,6 +20,7 @@ from cnfbelief import (
     evaluate,
     extract_clauses,
     hidden_embed,
+    run_trace,
 )
 from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.model import EXTRACTED
@@ -208,6 +210,26 @@ class TestEvaluate:
     def test_unknown_algorithm(self, net2):
         with pytest.raises(ValueError):
             evaluate(net2, CnfFormula([]), "magic")
+
+    def test_stats_carry_the_trace(self, hyb_net, query_not_g, d1):
+        cfg = EngineConfig(i_bound=2)
+        _, stats = evaluate(hyb_net, query_not_g, "cpe", cfg, d1)
+        assert stats.trace == run_trace(hyb_net, query_not_g, d1, cfg)[2]
+        _, stats = evaluate(hyb_net, query_not_g, "cpe-d", cfg, d1)
+        extended = query_not_g.conjoin(extract_clauses(hyb_net))
+        assert stats.trace == run_trace(hyb_net, extended, d1, cfg)[2]
+        _, stats = evaluate(hyb_net, query_not_g, "hidden", cfg)
+        assert len(stats.trace) == hyb_net.n + len(query_not_g)
+        assert evaluate(hyb_net, query_not_g, "brute")[1].trace == []
+
+    def test_ordering_refused_where_it_cannot_apply(self, net2, d1):
+        ordering = Ordering((0, 1))
+        for alg in ("hidden", "brute"):
+            with pytest.raises(ValueError, match="ordering"):
+                evaluate(net2, formula(clause(1, 2)), alg, ordering=ordering)
+        for alg in ("cpe", "cpe-d"):
+            p, _ = evaluate(net2, formula(clause(1, 2)), alg, ordering=ordering)
+            assert close_enough(p, 0.68)
 
 
 class TestBeliefGivenCnf:
