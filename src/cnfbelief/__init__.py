@@ -4,6 +4,7 @@ networks, via bucket elimination with integrated clause propagation."""
 from .engine import (
     ContradictionError,
     EngineConfig,
+    ResourceLimitError,
     RunStats,
     TraceEntry,
     elim_cpe,

@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
-from .engine import EngineConfig
+from .engine import EngineConfig, ResourceLimitError
 from .fileio import ParseError, parse_dimacs, parse_network, serialize_cnf, serialize_network
 from .generator import RNG_ALGORITHM, gen_network, gen_query
 from .graphs import parse_order
@@ -119,8 +120,12 @@ def _cmd_eval(args) -> int:
 
 
 def _print_stats(stats, mode: str) -> None:
+    """Print ``stats.as_dict()``; json and human add ``log_result``
+    (null in JSON, -inf in human, at probability 0)."""
     values = stats.as_dict()
+    log_result = stats.log_result
     if mode == "json":
+        values["log_result"] = log_result if math.isfinite(log_result) else None
         print(json.dumps(values))
         return
     shown = dict(values)
@@ -131,6 +136,7 @@ def _print_stats(stats, mode: str) -> None:
         print(",".join(keys))
         print(",".join(str(shown[k]) for k in keys))
     else:
+        shown["log_result"] = f"{log_result:.12g}"
         print(" ".join(f"{k}={shown[k]}" for k in shown if k != "result"))
 
 
@@ -218,6 +224,9 @@ def run_cli(argv=None) -> int:
     except (ParseError, ModelError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -16,6 +16,14 @@ variable) and the buckets are processed last-to-first:
   summed over the bucket variable, yielding a new factor over the
   remaining scope variables.
 
+The sum is a contraction, ``_bucket_lambda``.  Each clause joins it as
+a 0/1 table over its own variables; the smaller operands are multiplied
+into one table that keeps the bucket variable, and one batched matrix
+product with the largest operand sums the variable out.  No table over
+the bucket's whole scope plus its variable is built unless the smaller
+operands span it.  An allocation that fails there raises
+``ResourceLimitError``, naming the bucket.
+
 With dynamic reordering (the default), a bucket that acquires a unit
 clause jumps ahead of the position-ordered queue; promoted buckets run
 in discovery order.  A global assignment of the observed values is
@@ -64,6 +72,17 @@ from .resolution import bdr_step
 
 class ContradictionError(Exception):
     """The clauses are unsatisfiable; the query probability is 0."""
+
+
+class ResourceLimitError(MemoryError):
+    """Summing out ``variable`` needs a table too large to allocate;
+    ``arity`` is the number of variables of the bucket's result."""
+
+    def __init__(self, variable: int, arity: int):
+        super().__init__(f"bucket {variable}: the table over its {arity} remaining "
+                         f"variables does not fit in memory")
+        self.variable = variable
+        self.arity = arity
 
 
 @dataclass(frozen=True)
@@ -180,8 +199,8 @@ class Bucket:
 @dataclass(frozen=True)
 class TraceEntry:
     """One processed bucket: action is "sum" (a factor was produced,
-    scope holds its variables), "observe" (the bucket variable was
-    instantiated), or "resolve" (clause work only, no factor)."""
+    scope holds its variables) or "observe" (the bucket variable was
+    instantiated)."""
 
     bucket: int
     action: str
@@ -214,50 +233,50 @@ def _sum_scope(pivot: int, factors: list[Factor], constraints: list[Clause]) -> 
     return tuple(scope)
 
 
-def _aligned(factor: Factor, axis: dict[int, int], ndim: int) -> np.ndarray:
-    """Transpose and reshape a factor's array to broadcast over the
-    full bucket scope laid out by ``axis``."""
-    perm = sorted(range(factor.arity), key=lambda i: axis[factor.scope[i]])
-    arr = factor.values.transpose(perm)
-    shape = [1] * ndim
-    for w in factor.scope:
-        shape[axis[w]] = 2
-    return arr.reshape(shape)
-
-
-def _clause_mask(clause: Clause, axis: dict[int, int], ndim: int) -> np.ndarray:
-    sat = np.zeros((2,) * ndim, dtype=bool)
-    for lit in clause.sorted_literals():
-        index: list = [slice(None)] * ndim
-        index[axis[lit.var]] = 1 if lit.positive else 0
-        sat[tuple(index)] = True
-    return sat
+def _indicator(clause: Clause) -> tuple[tuple[int, ...], np.ndarray]:
+    """A clause as a 0/1 table over its own variables: 0 only at the one
+    assignment that falsifies every literal."""
+    lits = clause.sorted_literals()
+    table = np.ones((2,) * len(lits))
+    table[tuple(0 if l.positive else 1 for l in lits)] = 0.0
+    return tuple(l.var for l in lits), table
 
 
 def _bucket_lambda(factors: list[Factor], constraints: list[Clause],
                    pivot: int, scope: tuple[int, ...]) -> np.ndarray:
-    """Sum the gated factor product over the pivot variable.
+    """Sum the clause-gated product of the factors over the pivot.
 
-    Returns the array over ``scope``.  Without factors the result is
-    the 0/1 indicator that some pivot value satisfies every constraint.
+    Every operand, factor or clause indicator, contains the pivot.  The
+    largest operand is B; the others are multiplied, smallest first,
+    into one table A laid out (shared, a-only, pivot), where shared are
+    A's variables that B also has.  One batched product (shared, a-only,
+    pivot) @ (shared, pivot, b-only) then sums the pivot out.  Returns a
+    view over ``scope``, in that order.
     """
-    full = scope + (pivot,)
-    axis = {w: i for i, w in enumerate(full)}
-    ndim = len(full)
-    acc: Optional[np.ndarray] = None
-    for f in factors:
-        part = _aligned(f, axis, ndim)
-        acc = part if acc is None else acc * part
-    if constraints:
-        mask = _clause_mask(constraints[0], axis, ndim)
-        for c in constraints[1:]:
-            mask &= _clause_mask(c, axis, ndim)
-        if acc is None:
-            return mask.any(axis=-1).astype(float)
-        acc = np.broadcast_to(acc, (2,) * ndim) * mask
-    else:
-        acc = np.broadcast_to(acc, (2,) * ndim)
-    return acc.sum(axis=-1)
+    assert factors, "a summed bucket holds a factor on its variable"
+    operands = [(f.scope, f.values) for f in factors] + [_indicator(c) for c in constraints]
+    operands.sort(key=lambda op: len(op[0]))
+    b_vars, b = operands.pop()
+    a_vars = {w for vs, _ in operands for w in vs} - {pivot}
+    shared = [w for w in b_vars if w in a_vars]
+    a_only = [w for w in scope if w in a_vars and w not in b_vars]
+    b_only = [w for w in b_vars if w != pivot and w not in a_vars]
+    layout = shared + a_only + [pivot]
+    axis = {w: i for i, w in enumerate(layout)}
+    a: Optional[np.ndarray] = None
+    for vs, values in operands:
+        shape = [1] * len(layout)
+        for w in vs:
+            shape[axis[w]] = 2
+        part = values.transpose(sorted(range(len(vs)), key=lambda i: axis[vs[i]])).reshape(shape)
+        a = part if a is None else a * part
+    if a is None:
+        a = np.ones(2)
+    s, m, n = 2 ** len(shared), 2 ** len(a_only), 2 ** len(b_only)
+    b_axes = [b_vars.index(w) for w in shared + [pivot] + b_only]
+    out = np.matmul(a.reshape(s, m, 2), b.transpose(b_axes).reshape(s, 2, n))
+    order = {w: i for i, w in enumerate(shared + a_only + b_only)}
+    return out.reshape((2,) * len(order)).transpose([order[w] for w in scope])
 
 
 class _Run:
@@ -430,12 +449,11 @@ class _Run:
         include_exempt = self.cfg.extracted_clauses_in_sum
         constraints = [bc.clause for bc in bucket.clauses
                        if include_exempt or not bc.sum_exempt]
-        if not bucket.factors and not constraints:
-            if derived:
-                self.trace.append(TraceEntry(bucket.variable, "resolve", (), tuple(derived)))
-            return
         scope = _sum_scope(bucket.variable, bucket.factors, constraints)
-        values = _bucket_lambda(bucket.factors, constraints, bucket.variable, scope)
+        try:
+            values = _bucket_lambda(bucket.factors, constraints, bucket.variable, scope)
+        except MemoryError as exc:
+            raise ResourceLimitError(bucket.variable, len(scope)) from exc
         self.stats.mf = max(self.stats.mf, len(scope))
         self.trace.append(TraceEntry(bucket.variable, "sum", scope, tuple(derived)))
         self._place_factor(self._restrict(Factor(scope, values)))

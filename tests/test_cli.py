@@ -1,9 +1,10 @@
 import csv
 import json
+import math
 
 import pytest
 
-from cnfbelief import serialize_cnf, serialize_network
+from cnfbelief import engine, serialize_cnf, serialize_network
 from cnfbelief.cli import BENCH_COLUMNS, format_probability, run_cli
 from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.fileio import parse_dimacs, parse_network
@@ -96,7 +97,8 @@ class TestEval:
         assert prob_line == "0.381171500000"
         stats = json.loads(stats_line)
         assert list(stats) == ["result", "time_s", "mf", "C", "U", "F", "O",
-                               "width_static", "width_posthoc"]
+                               "width_static", "width_posthoc", "log_result"]
+        assert stats["log_result"] == pytest.approx(math.log(0.3811715), rel=1e-9)
         assert stats["mf"] == 3
         assert stats["width_static"] == 3
         assert stats["O"] == 0
@@ -113,7 +115,17 @@ class TestEval:
         assert run_cli(["eval", "--net", net, "--cnf", cnf, "--stats", "human"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
         assert "mf=" in last and "time_s=" in last
-        assert "result=" not in last
+        assert last.endswith(f" log_result={math.log(0.68):.12g}")
+        assert not any(item.startswith("result=") for item in last.split())
+
+    def test_log_result_at_probability_zero(self, two_node_files, tmp_path, capsys):
+        net, _ = two_node_files
+        cnf = tmp_path / "contra.cnf"
+        cnf.write_text("p cnf 2 2\n1 0\n-1 0\n")
+        assert run_cli(["eval", "--net", net, "--cnf", str(cnf), "--stats", "json"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["log_result"] is None
+        assert run_cli(["eval", "--net", net, "--cnf", str(cnf), "--stats", "human"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(" log_result=-inf")
 
     def test_i_bound_unbounded(self, six_node_files, capsys):
         net, cnf, _ = six_node_files
@@ -294,6 +306,17 @@ class TestErrorPaths:
                             "--order-file", order])
             assert code == 1
             assert "ordering" in capsys.readouterr().err
+
+    def test_table_too_large_exits_three(self, six_node_files, monkeypatch, capsys):
+        def refuse(*args):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(engine, "_bucket_lambda", refuse)
+        net, cnf, order = six_node_files
+        for cmd in (["eval", "--order-file", order], ["belief", "--var", "0"]):
+            assert run_cli([*cmd, "--net", net, "--cnf", cnf]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: bucket ") and "does not fit in memory" in err
 
     def test_unknown_algorithm_is_a_usage_error(self, two_node_files):
         net, cnf = two_node_files

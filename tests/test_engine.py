@@ -9,12 +9,17 @@ from cnfbelief import (
     CnfFormula,
     Cpt,
     EngineConfig,
+    Factor,
+    Literal,
     ModelError,
     Ordering,
+    ResourceLimitError,
     TraceEntry,
     brute_force_cpe,
     close_enough,
     elim_cpe,
+    engine,
+    extract_clauses,
     run_trace,
 )
 from cnfbelief.engine import _bucket_lambda
@@ -103,11 +108,18 @@ PQR_CLAUSES = (clause(1, 2), clause(-2, 3))
 class TestEliminateBucket:
     """Summing a bucket out, through run_trace on small networks."""
 
-    def test_clause_only_bucket_yields_indicator(self):
-        # the engine never sums a bucket without factors (each variable's
-        # CPT reaches its bucket first), so the kernel is checked directly
-        values = _bucket_lambda([], list(PQR_CLAUSES), 1, (0, 2))
-        np.testing.assert_allclose(values, [[0.0, 1.0], [1.0, 1.0]])
+    def test_no_run_logs_a_resolve_entry(self):
+        # each variable's CPT reaches its bucket before the variable is
+        # summed, so no bucket is summed without a factor (the kernel
+        # asserts it) and no bucket ends in clause work alone
+        for k in range(30):
+            net = gen_network(5 + k % 6, 3, (0.0, 0.5, 0.9)[k % 3], 8100 + k)
+            phi = gen_query(net, c=2 + k % 4, e=k % 3, seed=9100 + k)
+            phi = phi.conjoin(extract_clauses(net))
+            for cfg in (EngineConfig(i_bound=None), EngineConfig(dynamic_reorder=False),
+                        EngineConfig(i_bound=2, extracted_clauses_in_sum=True)):
+                _, _, trace = run_trace(net, phi, cfg=cfg)
+                assert {t.action for t in trace} <= {"sum", "observe"}
 
     def test_factor_bucket_with_clause_gate(self, pos_net, d1):
         phi = formula(clause(6, 4))
@@ -417,3 +429,106 @@ class TestStatsAgainstOracle:
             phi = gen_query(net, c=3, e=1, seed=5400 + k)
             _, stats = elim_cpe(net, phi)
             assert stats.mf <= stats.width_static
+
+
+class TestResourceLimit:
+    def test_allocation_failure_names_the_bucket(self, pos_net, phi42, d1, monkeypatch):
+        def refuse(*args):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(engine, "_bucket_lambda", refuse)
+        with pytest.raises(ResourceLimitError) as info:
+            run_trace(pos_net, phi42, ordering=d1)
+        # bucket 5 (G) is summed first, into a table over (E, D)
+        assert (info.value.variable, info.value.arity) == (5, 2)
+        assert "bucket 5" in str(info.value) and "2 remaining" in str(info.value)
+        assert isinstance(info.value.__cause__, MemoryError)
+
+
+# The dense kernel this package used before the contraction kernel,
+# kept verbatim as the reference: it builds the full product over the
+# bucket scope plus the pivot, gates it with full-scope clause masks and
+# sums the pivot axis.
+
+def _aligned(factor: Factor, axis: dict[int, int], ndim: int) -> np.ndarray:
+    """Transpose and reshape a factor's array to broadcast over the
+    full bucket scope laid out by ``axis``."""
+    perm = sorted(range(factor.arity), key=lambda i: axis[factor.scope[i]])
+    arr = factor.values.transpose(perm)
+    shape = [1] * ndim
+    for w in factor.scope:
+        shape[axis[w]] = 2
+    return arr.reshape(shape)
+
+
+def _clause_mask(clause: Clause, axis: dict[int, int], ndim: int) -> np.ndarray:
+    sat = np.zeros((2,) * ndim, dtype=bool)
+    for lit in clause.sorted_literals():
+        index: list = [slice(None)] * ndim
+        index[axis[lit.var]] = 1 if lit.positive else 0
+        sat[tuple(index)] = True
+    return sat
+
+
+def _reference_bucket_lambda(factors: list[Factor], constraints: list[Clause],
+                             pivot: int, scope: tuple[int, ...]) -> np.ndarray:
+    """Sum the gated factor product over the pivot variable.
+
+    Returns the array over ``scope``.  Without factors the result is
+    the 0/1 indicator that some pivot value satisfies every constraint.
+    """
+    full = scope + (pivot,)
+    axis = {w: i for i, w in enumerate(full)}
+    ndim = len(full)
+    acc = None
+    for f in factors:
+        part = _aligned(f, axis, ndim)
+        acc = part if acc is None else acc * part
+    if constraints:
+        mask = _clause_mask(constraints[0], axis, ndim)
+        for c in constraints[1:]:
+            mask &= _clause_mask(c, axis, ndim)
+        if acc is None:
+            return mask.any(axis=-1).astype(float)
+        acc = np.broadcast_to(acc, (2,) * ndim) * mask
+    else:
+        acc = np.broadcast_to(acc, (2,) * ndim)
+    return acc.sum(axis=-1)
+
+
+def _random_bucket(rng: np.random.Generator, pivot_only: bool):
+    """A bucket as the engine hands it to the kernel: every factor and
+    clause contains the pivot; scopes are in random order."""
+    pivot = int(rng.integers(12))
+    others = [w for w in range(12) if w != pivot]
+    factors = []
+    for _ in range(int(rng.integers(1, 7))):
+        arity = 1 if pivot_only else int(rng.integers(1, 11))
+        scope = [pivot] + [int(w) for w in rng.choice(others, arity - 1, replace=False)]
+        rng.shuffle(scope)
+        values = rng.random((2,) * arity)
+        values[rng.random(values.shape) < 0.1] = 0.0
+        factors.append(Factor(tuple(scope), values))
+    constraints = []
+    for _ in range(int(rng.integers(0, 5))):
+        size = 1 if pivot_only else int(rng.integers(1, 4))
+        chosen = [pivot] + [int(w) for w in rng.choice(others, size - 1, replace=False)]
+        constraints.append(Clause(Literal(w, bool(rng.integers(2))) for w in chosen))
+    variables = {w for f in factors for w in f.scope} | {w for c in constraints for w in c.variables()}
+    scope = [w for w in variables if w != pivot]
+    rng.shuffle(scope)
+    return factors, constraints, pivot, tuple(scope)
+
+
+class TestKernelMatchesReference:
+    def test_random_buckets(self):
+        rng = np.random.default_rng(20031)
+        empty_scopes = 0
+        for k in range(240):
+            factors, constraints, pivot, scope = _random_bucket(rng, pivot_only=k % 8 == 0)
+            got = _bucket_lambda(factors, constraints, pivot, scope)
+            want = _reference_bucket_lambda(factors, constraints, pivot, scope)
+            assert got.shape == (2,) * len(scope), k
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"bucket {k}")
+            empty_scopes += not scope
+        assert empty_scopes >= 30
