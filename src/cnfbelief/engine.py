@@ -56,9 +56,7 @@ from .graphs import (
     min_degree_order,
 )
 from .model import (
-    DERIVED,
     EXTRACTED,
-    QUERY,
     BeliefNetwork,
     Clause,
     CnfFormula,
@@ -93,13 +91,10 @@ class EngineConfig:
     0 disables it (unit resolution in observed buckets always runs),
     None means unbounded.
     dynamic_reorder: promote buckets that acquire unit clauses.
-    extracted_clauses_in_sum: let clauses tagged "extracted" constrain
-    summations too, instead of serving resolution only.
     """
 
     i_bound: Optional[int] = 0
     dynamic_reorder: bool = True
-    extracted_clauses_in_sum: bool = False
 
     def __post_init__(self):
         if self.i_bound is not None and self.i_bound < 0:
@@ -153,47 +148,20 @@ class RunStats:
 
 
 @dataclass
-class BucketClause:
-    clause: Clause
-    provenance: str = QUERY
-    sum_exempt: bool = False
-
-
-@dataclass
 class Bucket:
     """All factors and clauses whose latest-ordered variable matches.
 
-    ``unit`` holds the forcing literal when a unit clause on the bucket
-    variable is present (at most one; a conflicting pair is reported by
-    add_clause instead of stored).
+    ``clauses`` maps each clause, in filing order, to its sum-exempt
+    flag: an exempt clause (extracted, or resolved from an exempt
+    premise) drives resolution but does not gate the sum.  ``unit``
+    holds the forcing literal when a unit clause on the bucket variable
+    is present (at most one; ``_Run._file`` refuses an opposing one).
     """
 
     variable: int
     factors: list[Factor] = field(default_factory=list)
-    clauses: list[BucketClause] = field(default_factory=list)
+    clauses: dict[Clause, bool] = field(default_factory=dict)
     unit: Optional[Literal] = None
-
-    def add_clause(self, clause: Clause, provenance: str = QUERY,
-                   sum_exempt: bool = False) -> str:
-        """Add a clause, deduplicating by literal set.
-
-        Returns "added", "duplicate", or "conflict" (a unit clause
-        opposing the one already present).  A duplicate that is not
-        sum-exempt strips the exemption from the stored copy, since a
-        constraining occurrence must constrain.
-        """
-        for bc in self.clauses:
-            if bc.clause.literals == clause.literals:
-                if not sum_exempt:
-                    bc.sum_exempt = False
-                return "duplicate"
-        if clause.is_unit():
-            lit = clause.unit_literal()
-            if self.unit is not None and self.unit != lit:
-                return "conflict"
-            self.unit = lit
-        self.clauses.append(BucketClause(clause, provenance, sum_exempt))
-        return "added"
 
 
 @dataclass(frozen=True)
@@ -307,7 +275,7 @@ class _Run:
         for clause, tag in phi.items():
             if tag == EXTRACTED:
                 extracted_seen.add(clause.literals)
-            self._install_clause(clause, tag, sum_exempt=(tag == EXTRACTED), count=False)
+            self._install_clause(clause, sum_exempt=(tag == EXTRACTED))
         self.stats.extracted = len(extracted_seen)
 
     def process_all(self) -> None:
@@ -361,8 +329,8 @@ class _Run:
         assert home not in self.processed
         self.buckets[home].factors.append(factor)
 
-    def _install_clause(self, clause: Clause, provenance: str, sum_exempt: bool,
-                        count: bool, collect: Optional[list[Clause]] = None) -> None:
+    def _install_clause(self, clause: Clause, sum_exempt: bool,
+                        collect: Optional[list[Clause]] = None) -> None:
         """Reduce a clause by the observed assignment and file it in the
         bucket of its latest variable, promoting that bucket when the
         clause is unit."""
@@ -371,31 +339,37 @@ class _Run:
             return
         home = max((l.var for l in reduced.literals), key=self.position.__getitem__)
         assert home not in self.processed
-        if (self._file(self.buckets[home], reduced, provenance, sum_exempt, count, collect)
+        if (self._file(self.buckets[home], reduced, sum_exempt, collect)
                 and reduced.is_unit() and self.cfg.dynamic_reorder
                 and home not in self.promoted_set):
             self.promoted.append(home)
             self.promoted_set.add(home)
 
-    def _file(self, bucket: Bucket, clause: Clause, provenance: str, sum_exempt: bool,
-              count: bool, collect: Optional[list[Clause]]) -> bool:
+    def _file(self, bucket: Bucket, clause: Clause, sum_exempt: bool,
+              collect: Optional[list[Clause]]) -> bool:
         """Add a reduced clause to ``bucket``; True when it was new.
 
-        Raises ContradictionError when it opposes the bucket's unit.
-        When ``count`` is set, a new clause updates the derived counters
-        and is appended to ``collect``.
+        A repeat keeps its place and loses its exemption unless this
+        occurrence is exempt too, since a constraining occurrence must
+        constrain.  A new unit sets the bucket's unit and raises
+        ContradictionError when it opposes the one there.  With
+        ``collect`` (derived clauses), a new clause updates the derived
+        counters and is appended to it.
         """
-        status = bucket.add_clause(clause, provenance, sum_exempt)
-        if status == "conflict":
-            raise ContradictionError(f"conflicting unit clauses on variable {bucket.variable}")
-        if status != "added":
+        if clause in bucket.clauses:
+            bucket.clauses[clause] &= sum_exempt
             return False
-        if count:
+        if clause.is_unit():
+            lit = clause.unit_literal()
+            if bucket.unit is not None and bucket.unit != lit:
+                raise ContradictionError(f"conflicting unit clauses on variable {bucket.variable}")
+            bucket.unit = lit
+        bucket.clauses[clause] = sum_exempt
+        if collect is not None:
             self.stats.derived_clauses += 1
             if clause.is_unit():
                 self.stats.derived_units += 1
-            if collect is not None:
-                collect.append(clause)
+            collect.append(clause)
         return True
 
     # -- bucket processing ----------------------------------------------
@@ -408,14 +382,15 @@ class _Run:
         surface the bucket variable's own unit clause, turning the
         bucket into an observation.
         """
-        clauses, bucket.clauses = bucket.clauses, []
-        for bc in clauses:
-            reduced = self._reduce(bc.clause)
-            if reduced is bc.clause:
-                bucket.clauses.append(bc)
+        clauses, bucket.clauses = bucket.clauses, {}
+        for c, exempt in clauses.items():
+            reduced = self._reduce(c)
+            if reduced is c:
+                # an earlier clause may have reduced to this one
+                bucket.clauses[c] = bucket.clauses.get(c, True) and exempt
             elif reduced is not None:
                 try:
-                    self._file(bucket, reduced, DERIVED, bc.sum_exempt, True, collect)
+                    self._file(bucket, reduced, exempt, collect)
                 except ContradictionError:
                     # the sweep counts a unit it derives even when that
                     # unit then opposes the one already found
@@ -432,9 +407,8 @@ class _Run:
             self._place_factor(self._restrict(f))
         # every clause here mentions the bucket variable, which the
         # assignment now fixes: each is satisfied or shortened
-        for bc in bucket.clauses:
-            self._install_clause(bc.clause, DERIVED, bc.sum_exempt, count=True,
-                                 collect=derived)
+        for c, exempt in bucket.clauses.items():
+            self._install_clause(c, exempt, derived)
         self.trace.append(TraceEntry(bucket.variable, "observe", (), tuple(derived)))
 
     def _process_sum(self, bucket: Bucket) -> None:
@@ -446,9 +420,7 @@ class _Run:
             return
         bucket.factors = [self._restrict(f) for f in bucket.factors]
         self._bdr(bucket, derived)
-        include_exempt = self.cfg.extracted_clauses_in_sum
-        constraints = [bc.clause for bc in bucket.clauses
-                       if include_exempt or not bc.sum_exempt]
+        constraints = [c for c, exempt in bucket.clauses.items() if not exempt]
         scope = _sum_scope(bucket.variable, bucket.factors, constraints)
         try:
             values = _bucket_lambda(bucket.factors, constraints, bucket.variable, scope)
@@ -461,13 +433,11 @@ class _Run:
     def _bdr(self, bucket: Bucket, collect: list[Clause]) -> None:
         # bounded directional resolution on the bucket variable; the
         # resolvent inherits sum exemption when either premise has it
-        premises = bucket.clauses
-        if self.cfg.i_bound == 0 or len(premises) < 2:
+        if self.cfg.i_bound == 0 or len(bucket.clauses) < 2:
             return
-        for r, i, j in bdr_step([bc.clause for bc in premises], bucket.variable,
-                                self.cfg.i_bound):
-            self._install_clause(r, DERIVED, premises[i].sum_exempt or premises[j].sum_exempt,
-                                 count=True, collect=collect)
+        premises, exempt = list(bucket.clauses), list(bucket.clauses.values())
+        for r, i, j in bdr_step(premises, bucket.variable, self.cfg.i_bound):
+            self._install_clause(r, exempt[i] or exempt[j], collect)
 
 
 def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg):

@@ -90,8 +90,9 @@ def elim_cpe_d(net: BeliefNetwork, phi: CnfFormula, ordering=None,
 
     The extracted clauses drive unit resolution, promotion, and bounded
     resolution but are exempt from summation constraints (they hold
-    with probability 1, so constraining with them is redundant); the
-    config flag extracted_clauses_in_sum flips that for comparison.
+    with probability 1, so constraining with them is redundant).  An
+    extracted clause that phi also holds constrains like any query
+    clause.
     """
     return elim_cpe(net, phi.conjoin(extract_clauses(net)), ordering, cfg)
 

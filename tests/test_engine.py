@@ -24,7 +24,7 @@ from cnfbelief import (
 )
 from cnfbelief.engine import _bucket_lambda
 from cnfbelief.generator import gen_network, gen_query
-from cnfbelief.model import EXTRACTED
+from cnfbelief.model import EXTRACTED, QUERY
 
 from conftest import clause, formula
 
@@ -37,7 +37,6 @@ class TestEngineConfig:
         cfg = EngineConfig()
         assert cfg.i_bound == 0
         assert cfg.dynamic_reorder
-        assert not cfg.extracted_clauses_in_sum
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -117,7 +116,7 @@ class TestEliminateBucket:
             phi = gen_query(net, c=2 + k % 4, e=k % 3, seed=9100 + k)
             phi = phi.conjoin(extract_clauses(net))
             for cfg in (EngineConfig(i_bound=None), EngineConfig(dynamic_reorder=False),
-                        EngineConfig(i_bound=2, extracted_clauses_in_sum=True)):
+                        EngineConfig(i_bound=2)):
                 _, _, trace = run_trace(net, phi, cfg=cfg)
                 assert {t.action for t in trace} <= {"sum", "observe"}
 
@@ -169,13 +168,17 @@ class TestEliminateBucket:
         # neither the inputs nor their exempt resolvent constrain the sum
         assert close_enough(p, 1.0)
 
-    def test_exempt_clauses_gate_when_configured(self):
+    def test_query_copy_strips_the_exemption(self):
+        # the same clauses filed as extracted and as query gate the sum,
+        # whichever occurrence is filed first
         net = _roots(0.3, 0.6, 0.2)
-        phi = CnfFormula(PQR_CLAUSES, (EXTRACTED, EXTRACTED))
-        cfg = EngineConfig(i_bound=2, extracted_clauses_in_sum=True)
-        p, _, trace = run_trace(net, phi, PQR_ORDER, cfg)
-        assert trace[0].scope == (0, 2)
-        assert close_enough(p, brute_force_cpe(net, formula(*PQR_CLAUSES)))
+        query = formula(*PQR_CLAUSES)
+        extracted = CnfFormula(PQR_CLAUSES, (EXTRACTED, EXTRACTED))
+        for phi in (query.conjoin(extracted), extracted.conjoin(query)):
+            p, stats, trace = run_trace(net, phi, PQR_ORDER, EngineConfig(i_bound=2))
+            assert trace[0].bucket == 1 and trace[0].scope == (0, 2)
+            assert stats.extracted == 2
+            assert close_enough(p, brute_force_cpe(net, query))
 
     def test_opposing_units_block_summation(self, net2):
         p, _, trace = run_trace(net2, formula(clause(2), clause(-2)), Ordering((0, 1)))
@@ -325,6 +328,18 @@ class TestStaleClauseSweep:
         assert close_enough(p, 0.08)
         assert stats.derived_units == 0
         assert stats.observed == 1
+
+    def test_swept_query_clause_keeps_gating(self):
+        # (A or B or X) is filed before the extracted (A or X); observing
+        # B=0 reduces it to (A or X) in the sweep, and that query
+        # occurrence must keep the merged clause gating the sum over X
+        phi = CnfFormula([clause(1, 2, 3), clause(-2), clause(1, 3)],
+                         (QUERY, QUERY, EXTRACTED))
+        net = _roots(0.3, 0.6, 0.2)
+        p, _, trace = run_trace(net, phi, Ordering((0, 1, 2)))
+        assert [(t.bucket, t.action, t.scope) for t in trace] == [
+            (1, "observe", ()), (2, "sum", (0,)), (0, "sum", ())]
+        assert close_enough(p, brute_force_cpe(net, phi))
 
     def test_swept_unit_appears_in_trace(self, net2):
         phi = formula(clause(-1), clause(1, 2))

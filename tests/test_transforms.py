@@ -122,11 +122,6 @@ class TestElimCpeD:
         assert close_enough(p_d, p)
         assert stats.extracted == 0
 
-    def test_extracted_in_sum_flag_is_result_neutral(self, hyb_net, query_not_g):
-        cfg = EngineConfig(extracted_clauses_in_sum=True)
-        p, _ = elim_cpe_d(hyb_net, query_not_g, cfg=cfg)
-        assert close_enough(p, 0.35395)
-
     def test_randomized_agreement_with_oracle(self):
         for k in range(15):
             net = gen_network(n=6 + k % 4, f=3, d=0.7, seed=3300 + k)
