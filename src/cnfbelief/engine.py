@@ -389,14 +389,7 @@ class _Run:
                 # an earlier clause may have reduced to this one
                 bucket.clauses[c] = bucket.clauses.get(c, True) and exempt
             elif reduced is not None:
-                try:
-                    self._file(bucket, reduced, exempt, collect)
-                except ContradictionError:
-                    # the sweep counts a unit it derives even when that
-                    # unit then opposes the one already found
-                    self.stats.derived_clauses += 1
-                    self.stats.derived_units += 1
-                    raise
+                self._file(bucket, reduced, exempt, collect)
 
     def _process_observed(self, bucket: Bucket,
                           derived: Optional[list[Clause]] = None) -> None:

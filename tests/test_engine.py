@@ -341,6 +341,16 @@ class TestStaleClauseSweep:
             (1, "observe", ()), (2, "sum", (0,)), (0, "sum", ())]
         assert close_enough(p, brute_force_cpe(net, phi))
 
+    def test_opposing_swept_units_count_once(self):
+        # with A=0 and B=0 observed, the sweep of bucket X derives (X)
+        # from (A or X), then (not X) from (B or not X), which ends the
+        # run; the counters cover the kept unit only
+        phi = formula(clause(-1), clause(-2), clause(1, 3), clause(2, -3))
+        p, stats, trace = run_trace(_roots(0.3, 0.6, 0.2), phi, Ordering((0, 1, 2)))
+        assert p == 0.0
+        assert [(t.bucket, t.action) for t in trace] == [(0, "observe"), (1, "observe")]
+        assert (stats.derived_clauses, stats.derived_units) == (1, 1)
+
     def test_swept_unit_appears_in_trace(self, net2):
         phi = formula(clause(-1), clause(1, 2))
         _, _, trace = run_trace(net2, phi, ordering=Ordering((0, 1)))

@@ -18,7 +18,7 @@ from cnfbelief import (
     run_trace,
 )
 
-GOLDEN_SHA256 = "e6ae042f523fabe6dc2f3d912ab2c40545e8d77f2a5f0bd4eead489a4c6d3284"
+GOLDEN_SHA256 = "dce8d40a8dd4416f132c6fb5c0afef12bd0800aa3622835ed1a6a33e3e7ef155"
 
 CONFIGS = (
     EngineConfig(),
