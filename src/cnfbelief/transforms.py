@@ -18,7 +18,6 @@ import math
 from typing import Optional
 
 from .engine import EngineConfig, RunStats, elim_cpe
-from .graphs import min_degree_order, moral_graph
 from .model import (
     EVIDENCE,
     EXTRACTED,
@@ -129,13 +128,13 @@ def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
 
     Plain variable elimination with evidence on the hidden children; no
     clause machinery runs, so the derived-clause counters stay 0.  The
-    ordering is min-degree on the embedded network's own graph.
+    ordering is the engine's default, min-degree on the embedded
+    network's own graph (unit clauses add no edges).
     """
     embedded, evidence = hidden_embed(net, phi)
     units = CnfFormula([Clause([lit]) for lit in evidence],
                        (EVIDENCE,) * len(evidence))
-    ordering = min_degree_order(moral_graph(embedded))
-    return elim_cpe(embedded, units, ordering, cfg)
+    return elim_cpe(embedded, units, cfg=cfg)
 
 
 ALGORITHMS = ("cpe", "cpe-d", "hidden", "brute")
