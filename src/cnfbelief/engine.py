@@ -386,8 +386,7 @@ class _Run:
         for c, exempt in clauses.items():
             reduced = self._reduce(c)
             if reduced is c:
-                # an earlier clause may have reduced to this one
-                bucket.clauses[c] = bucket.clauses.get(c, True) and exempt
+                self._file(bucket, c, exempt, None)  # refiled, not derived
             elif reduced is not None:
                 self._file(bucket, reduced, exempt, collect)
 
