@@ -63,6 +63,7 @@ from .model import (
     Factor,
     Literal,
     ModelError,
+    clause_table,
     cpt_to_factor,
 )
 from .resolution import bdr_step
@@ -201,15 +202,6 @@ def _sum_scope(pivot: int, factors: list[Factor], constraints: list[Clause]) -> 
     return tuple(scope)
 
 
-def _indicator(clause: Clause) -> tuple[tuple[int, ...], np.ndarray]:
-    """A clause as a 0/1 table over its own variables: 0 only at the one
-    assignment that falsifies every literal."""
-    lits = clause.sorted_literals()
-    table = np.ones((2,) * len(lits))
-    table[tuple(0 if l.positive else 1 for l in lits)] = 0.0
-    return tuple(l.var for l in lits), table
-
-
 def _bucket_lambda(factors: list[Factor], constraints: list[Clause],
                    pivot: int, scope: tuple[int, ...]) -> np.ndarray:
     """Sum the clause-gated product of the factors over the pivot.
@@ -222,7 +214,7 @@ def _bucket_lambda(factors: list[Factor], constraints: list[Clause],
     view over ``scope``, in that order.
     """
     assert factors, "a summed bucket holds a factor on its variable"
-    operands = [(f.scope, f.values) for f in factors] + [_indicator(c) for c in constraints]
+    operands = [(f.scope, f.values) for f in factors] + [clause_table(c) for c in constraints]
     operands.sort(key=lambda op: len(op[0]))
     b_vars, b = operands.pop()
     a_vars = {w for vs, _ in operands for w in vs} - {pivot}

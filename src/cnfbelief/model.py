@@ -286,6 +286,15 @@ def cpt_to_factor(cpt: Cpt) -> Factor:
     return Factor(scope, values.reshape((2,) * len(scope)))
 
 
+def clause_table(clause: Clause) -> tuple[tuple[int, ...], np.ndarray]:
+    """A clause as a 0/1 table over its own variables, ascending: 0 only
+    at the one assignment that falsifies every literal."""
+    lits = clause.sorted_literals()
+    table = np.ones((2,) * len(lits))
+    table[tuple(0 if l.positive else 1 for l in lits)] = 0.0
+    return tuple(l.var for l in lits), table
+
+
 def close_enough(a: float, b: float) -> bool:
     """Probability comparison used across tests and checks."""
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)

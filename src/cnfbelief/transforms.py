@@ -1,7 +1,9 @@
 """Network-level constructions around the elimination engine.
 
-* extract_clauses: turn the certain entries of deterministic and mixed
-  CPTs into clauses (minimal ones, so implied units surface).
+* extract_clauses: turn the 0/1 rows of deterministic and mixed CPTs
+  into clauses, the prime implicants of each table (the parent cubes
+  that force the child and stop doing so when any one parent is
+  freed), so implied units surface.
 * elim_cpe_d: run the engine with those clauses added for propagation
   only.
 * hidden_embed / elim_hidden: the baseline that compiles each query
@@ -13,9 +15,10 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Optional
+
+import numpy as np
 
 from .engine import EngineConfig, RunStats, elim_cpe
 from .model import (
@@ -26,60 +29,53 @@ from .model import (
     CnfFormula,
     Cpt,
     Literal,
+    clause_table,
 )
 from .oracle import brute_force_cpe
 
 
 def _implied_clauses(cpt: Cpt) -> list[Clause]:
-    """Clauses certain under one CPT.
+    """The prime implicants of one CPT's 0/1 rows, as clauses.
 
-    For each child value, the parent rows forcing it (probability
-    exactly 1) form a set of cubes; every minimal partial parent
-    assignment whose completions all force the child yields the clause
-    "those parent values imply the child value".  Minimality matters:
-    a full OR gate must surface the two-literal implications, not four
-    full-row clauses.
+    A cube (a partial parent assignment) implies a child value when
+    every row it covers holds exactly that value (1.0 for child 1, 0.0
+    for child 0); it is prime when freeing any one of its fixed parents
+    makes it stop implying (Quine 1952).  Each prime cube yields the
+    clause "those parent values imply the child value", child 1 first,
+    then by (size, positions, values).  Primality matters: a full OR
+    gate must surface the two-literal implications, not four full-row
+    clauses.
     """
     k = len(cpt.parents)
     out: list[Clause] = []
     for child_value in (1, 0):
-        wanted = 1.0 if child_value else 0.0
-        forced = {r for r in range(1 << k) if cpt.table[r] == wanted}
-        if not forced:
-            continue
-        kept: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for size in range(k + 1):
-            for positions in itertools.combinations(range(k), size):
-                for values in itertools.product((0, 1), repeat=size):
-                    fixed = dict(zip(positions, values))
-                    if any(all(fixed.get(p) == v for p, v in zip(ps, vs))
-                           for ps, vs in kept):
-                        continue  # a smaller implicant already covers this cube
-                    rows = range(1 << k)
-                    if all(r in forced for r in rows
-                           if all(((r >> (k - 1 - p)) & 1) == v for p, v in fixed.items())):
-                        kept.append((positions, values))
-        for positions, values in kept:
-            literals = [Literal(cpt.parents[p], positive=(v == 0))
-                        for p, v in zip(positions, values)]
+        # axis j indexed by parent j's value, plus index 2 for "free":
+        # the AND of its two values
+        implies = np.asarray(cpt.table).reshape((2,) * k) == child_value
+        for axis in range(k):
+            implies = np.concatenate([implies, implies.all(axis, keepdims=True)], axis)
+        prime = implies.copy()
+        for axis in range(k):
+            lead = (slice(None),) * axis
+            prime[lead + (slice(0, 2),)] &= ~implies[lead + (slice(2, 3),)]
+        cubes = [[(p, v) for p, v in enumerate(cube) if v != 2]
+                 for cube in np.argwhere(prime).tolist()]
+        cubes.sort(key=lambda fixed: (len(fixed), [p for p, _ in fixed], [v for _, v in fixed]))
+        for fixed in cubes:
+            literals = [Literal(cpt.parents[p], positive=(v == 0)) for p, v in fixed]
             literals.append(Literal(cpt.child, positive=(child_value == 1)))
             out.append(Clause(literals))
     return out
 
 
 def extract_clauses(net: BeliefNetwork) -> CnfFormula:
-    """All clauses certain under the network's CPTs, deduplicated,
-    tagged with extracted provenance.  Each has probability 1 under the
-    network, so conjoining them to a query never changes its
-    probability."""
-    clauses: list[Clause] = []
-    seen: set[frozenset] = set()
-    for cpt in net.cpts:
-        for clause in _implied_clauses(cpt):
-            if clause.literals in seen:
-                continue
-            seen.add(clause.literals)
-            clauses.append(clause)
+    """All clauses certain under the network's CPTs, tagged with
+    extracted provenance.  Each has probability 1 under the network, so
+    conjoining them to a query never changes its probability.  No clause
+    repeats: one CPT's primes are distinct, and a clause of CPT i holds
+    i's family, so two CPTs sharing one would each be a parent of the
+    other."""
+    clauses = [clause for cpt in net.cpts for clause in _implied_clauses(cpt)]
     return CnfFormula(clauses, (EXTRACTED,) * len(clauses))
 
 
@@ -101,7 +97,8 @@ def hidden_embed(net: BeliefNetwork, phi: CnfFormula
     """Compile each clause into a fresh child holding its truth table.
 
     The new variable's parents are the clause's variables (ascending)
-    and its CPT sets P(child=1 | row) to the clause's truth value;
+    and its CPT rows are ``clause_table``, the table the engine gates
+    sums with: P(child=1 | row) is the clause's truth value;
     asserting the clause means observing the child at 1.  Returns the
     grown network and those evidence literals.
     """
@@ -109,14 +106,8 @@ def hidden_embed(net: BeliefNetwork, phi: CnfFormula
     evidence: list[Literal] = []
     fresh = net.n
     for clause in phi.clauses:
-        parents = tuple(sorted(clause.variables()))
-        k = len(parents)
-        table = []
-        for row in range(1 << k):
-            row_value = {parents[j]: (row >> (k - 1 - j)) & 1 for j in range(k)}
-            sat = any(lit.satisfied_by(row_value[lit.var]) for lit in clause.literals)
-            table.append(1.0 if sat else 0.0)
-        cpts.append(Cpt(fresh, parents, tuple(table)))
+        parents, table = clause_table(clause)
+        cpts.append(Cpt(fresh, parents, tuple(table.ravel().tolist())))
         evidence.append(Literal(fresh, True))
         fresh += 1
     return BeliefNetwork(fresh, tuple(cpts), net.order_hint), evidence

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -72,8 +74,39 @@ class TestExtractClauses:
         assert list(extract_clauses(net0).clauses) == [clause(-1)]
 
     def test_near_deterministic_rows_do_not_count(self):
-        net = BeliefNetwork(1, (Cpt(0, (), (1.0 - 1e-12,)),))
-        assert extract_clauses(net).clauses == ()
+        # 1e-17 is not 0, though 1 - 1e-17 rounds to 1
+        for prior in (1.0 - 1e-12, 1e-17):
+            net = BeliefNetwork(1, (Cpt(0, (), (prior,)),))
+            assert extract_clauses(net).clauses == (), prior
+
+    def test_prime_implicants_of_random_tables(self):
+        # the definition, enumerated in (size, positions, values) order:
+        # a cube implies when every row it covers equals the child value
+        # exactly, and is prime when dropping no one fixed parent still
+        # implies; parents are shuffled so positions are not variables
+        rng = random.Random(6061)
+        for trial in range(90):
+            k = trial % 6
+            parents = tuple(rng.sample(range(k), k))
+            rows = tuple(rng.choice((0.0, 1.0, 0.5)) for _ in range(1 << k))
+            net = BeliefNetwork(k + 1, tuple(Cpt(i, (), (0.5,)) for i in range(k))
+                                + (Cpt(k, parents, rows),))
+            want = []
+            for child_value in (1, 0):
+                def implies(fixed):
+                    return all(rows[r] == child_value for r in range(1 << k)
+                               if all((r >> (k - 1 - p)) & 1 == v for p, v in fixed.items()))
+                for size in range(k + 1):
+                    for positions in itertools.combinations(range(k), size):
+                        for values in itertools.product((0, 1), repeat=size):
+                            fixed = dict(zip(positions, values))
+                            if implies(fixed) and not any(
+                                    implies({q: w for q, w in fixed.items() if q != p})
+                                    for p in fixed):
+                                want.append(Clause(
+                                    [Literal(parents[p], v == 0) for p, v in fixed.items()]
+                                    + [Literal(k, child_value == 1)]))
+            assert list(extract_clauses(net).clauses) == want, (parents, rows)
 
     def test_mixed_table_partial_extraction(self):
         # child forced only when the parent is 1
