@@ -254,7 +254,6 @@ class _Run:
         self.processed: set[int] = set()
         self.sequence: list[int] = []
         self.promoted: deque[int] = deque()
-        self.promoted_set: set[int] = set()
         self.pending: list[int] = list(ordering.order)
         self.trace: list[TraceEntry] = []
 
@@ -325,17 +324,15 @@ class _Run:
                         collect: Optional[list[Clause]] = None) -> None:
         """Reduce a clause by the observed assignment and file it in the
         bucket of its latest variable, promoting that bucket when the
-        clause is unit."""
+        clause is a new unit (``_file`` takes one at most once)."""
         reduced = self._reduce(clause)
         if reduced is None:
             return
         home = max((l.var for l in reduced.literals), key=self.position.__getitem__)
         assert home not in self.processed
         if (self._file(self.buckets[home], reduced, sum_exempt, collect)
-                and reduced.is_unit() and self.cfg.dynamic_reorder
-                and home not in self.promoted_set):
+                and reduced.is_unit() and self.cfg.dynamic_reorder):
             self.promoted.append(home)
-            self.promoted_set.add(home)
 
     def _file(self, bucket: Bucket, clause: Clause, sum_exempt: bool,
               collect: Optional[list[Clause]]) -> bool:
