@@ -26,9 +26,8 @@ import numpy as np
 QUERY = "query"
 EVIDENCE = "evidence"
 EXTRACTED = "extracted"
-DERIVED = "derived"
 
-PROVENANCE_TAGS = (QUERY, EVIDENCE, EXTRACTED, DERIVED)
+PROVENANCE_TAGS = (QUERY, EVIDENCE, EXTRACTED)
 
 
 class ModelError(ValueError):
@@ -114,8 +113,8 @@ class Clause:
 class CnfFormula:
     """A conjunction of clauses, each carrying a provenance tag.
 
-    Tags record where a clause came from (query, evidence, extracted,
-    derived) and default to "query".  The formula itself treats all
+    Tags record where a clause came from (query, evidence, extracted)
+    and default to "query".  The formula itself treats all
     clauses identically; provenance only matters to the elimination
     engine and to file serialization.
     """
