@@ -119,18 +119,25 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _formatted(stats) -> dict:
+    """``stats.as_dict()`` as printed: result to 12 significant
+    digits, time_s to milliseconds."""
+    values = stats.as_dict()
+    values["result"] = format_probability(values["result"])
+    values["time_s"] = f"{values['time_s']:.3f}"
+    return values
+
+
 def _print_stats(stats, mode: str) -> None:
     """Print ``stats.as_dict()``; json and human add ``log_result``
     (null in JSON, -inf in human, at probability 0)."""
-    values = stats.as_dict()
     log_result = stats.log_result
     if mode == "json":
+        values = stats.as_dict()
         values["log_result"] = log_result if math.isfinite(log_result) else None
         print(json.dumps(values))
         return
-    shown = dict(values)
-    shown["result"] = format_probability(values["result"])
-    shown["time_s"] = f"{values['time_s']:.3f}"
+    shown = _formatted(stats)
     if mode == "csv":
         keys = list(shown)
         print(",".join(keys))
@@ -188,25 +195,15 @@ def _cmd_bench(args) -> int:
                     bound = None
                 cfg = EngineConfig(i_bound=bound,
                                    dynamic_reorder=entry.get("reorder", True))
-                prob, stats = evaluate(net, phi, alg, cfg)
+                _, stats = evaluate(net, phi, alg, cfg)
                 if alg in ("cpe", "cpe-d"):
                     bound_cell = "unbounded" if bound is None else str(bound)
                 else:
                     bound_cell = "-"
-                rows.append({
-                    "instance": f"{name}-s{seed}",
-                    "alg": alg,
-                    "i_bound": bound_cell,
-                    "time_s": f"{stats.elapsed:.3f}",
-                    "mf": stats.mf,
-                    "C": stats.derived_clauses,
-                    "U": stats.derived_units,
-                    "F": stats.extracted,
-                    "O": stats.observed,
-                    "result": format_probability(prob),
-                })
+                rows.append({"instance": f"{name}-s{seed}", "alg": alg,
+                             "i_bound": bound_cell, **_formatted(stats)})
     with open(args.csv, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=BENCH_COLUMNS)
+        writer = csv.DictWriter(handle, fieldnames=BENCH_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     print(f"{len(rows)} rows -> {args.csv}")
