@@ -121,7 +121,7 @@ def _cmd_eval(args) -> int:
 
 def _formatted(stats) -> dict:
     """``stats.as_dict()`` as printed: result to 12 significant
-    digits, time_s to milliseconds."""
+    digits, time_s to the millisecond."""
     values = stats.as_dict()
     values["result"] = format_probability(values["result"])
     values["time_s"] = f"{values['time_s']:.3f}"

@@ -49,6 +49,8 @@ def _implied_clauses(cpt: Cpt) -> list[Clause]:
     k = len(cpt.parents)
     out: list[Clause] = []
     for child_value in (1, 0):
+        if child_value not in cpt.table:
+            continue  # no row holds it, so no cube implies it; skip the table work
         # axis j indexed by parent j's value, plus index 2 for "free":
         # the AND of its two values
         implies = np.asarray(cpt.table).reshape((2,) * k) == child_value
@@ -73,8 +75,8 @@ def extract_clauses(net: BeliefNetwork) -> CnfFormula:
     extracted provenance.  Each has probability 1 under the network, so
     conjoining them to a query never changes its probability.  No clause
     repeats: one CPT's primes are distinct, and a clause of CPT i holds
-    i's family, so two CPTs sharing one would each be a parent of the
-    other."""
+    i and otherwise only i's parents, so two CPTs sharing one would each
+    be a parent of the other."""
     clauses = [clause for cpt in net.cpts for clause in _implied_clauses(cpt)]
     return CnfFormula(clauses, (EXTRACTED,) * len(clauses))
 
