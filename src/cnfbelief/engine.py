@@ -62,7 +62,6 @@ from .model import (
     CnfFormula,
     Factor,
     Literal,
-    ModelError,
     clause_table,
     cpt_to_factor,
 )
@@ -427,9 +426,7 @@ def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg):
     if ordering is None:
         ordering = min_degree_order(aug)
     else:
-        ordering = check_ordering(ordering)
-        if len(ordering) != net.n:
-            raise ModelError(f"ordering covers {len(ordering)} variables, network has {net.n}")
+        ordering = check_ordering(ordering, net.n)
     stats = RunStats()
     stats.width_static = induced_width(aug, ordering)
     run = _Run(net, ordering, cfg, stats)
@@ -442,7 +439,7 @@ def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg):
         failed = True
     stats.elapsed = perf_counter() - t0
     stats.trace = run.trace
-    stats.result = 0.0 if failed else math.prod(run.scalars)
+    stats.result = 0.0 if failed else math.prod(run.scalars, start=1.0)
     if not failed and all(run.scalars):
         stats.log_result = math.fsum(map(math.log, run.scalars))
     if not failed and len(run.sequence) == net.n:

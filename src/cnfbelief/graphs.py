@@ -197,7 +197,10 @@ def parse_order(text: str, n: int) -> Ordering:
     return Ordering(values)
 
 
-def check_ordering(ordering: Sequence[int] | Ordering) -> Ordering:
-    if isinstance(ordering, Ordering):
-        return ordering
-    return Ordering(tuple(ordering))
+def check_ordering(ordering: Sequence[int] | Ordering, n: int) -> Ordering:
+    """``ordering`` as an Ordering; ModelError unless it covers 0..n-1."""
+    if not isinstance(ordering, Ordering):
+        ordering = Ordering(tuple(ordering))
+    if len(ordering) != n:
+        raise ModelError(f"ordering covers {len(ordering)} variables, network has {n}")
+    return ordering

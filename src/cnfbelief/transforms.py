@@ -9,6 +9,8 @@
 * hidden_embed / elim_hidden: the baseline that compiles each query
   clause into an evidence-fixed hidden variable and runs plain
   elimination.
+* evaluate: the one evaluator dispatch; it runs cpe, cpe-d and hidden
+  on the query's ancestral sub-network.
 * belief_given_cnf / conditional_cnf_probability: normalized queries on
   top of the raw evaluator.
 """
@@ -20,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import EngineConfig, RunStats, elim_cpe
+from .engine import EngineConfig, RunStats, TraceEntry, elim_cpe
+from .graphs import Ordering, check_ordering
 from .model import (
     EVIDENCE,
     EXTRACTED,
@@ -29,6 +32,7 @@ from .model import (
     CnfFormula,
     Cpt,
     Literal,
+    ModelError,
     clause_table,
 )
 from .oracle import brute_force_cpe
@@ -133,21 +137,60 @@ def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
 ALGORITHMS = ("cpe", "cpe-d", "hidden", "brute")
 
 
+def _relabel(clause: Clause, label) -> Clause:
+    return Clause(Literal(label[l.var], l.positive) for l in clause.literals)
+
+
+def _ancestral(net: BeliefNetwork, phi: CnfFormula
+               ) -> tuple[BeliefNetwork, CnfFormula, dict[int, int]]:
+    """The sub-network of phi's variables and all their ancestors, phi
+    over it, and ``label``, which maps each kept variable to its number
+    there: the kept variables in ascending order are 0..m-1.
+
+    P(phi) is the same on it.  Every other variable is barren: no
+    clause holds it or a descendant, so summing the barren variables
+    out, children first, turns each of their CPTs into 1 (Shachter
+    1986; Baker and Boult 1990).  Raises ModelError for a clause
+    variable outside the network.
+    """
+    for clause in phi.clauses:
+        if any(not 0 <= v < net.n for v in clause.variables()):
+            raise ModelError(f"clause variable out of range in {clause}")
+    kept = phi.variables()
+    stack = list(kept)
+    while stack:
+        for p in net.parents(stack.pop()):
+            if p not in kept:
+                kept.add(p)
+                stack.append(p)
+    label = {v: i for i, v in enumerate(sorted(kept))}
+    sub = BeliefNetwork(len(label), tuple(
+        Cpt(i, tuple(label[p] for p in net.parents(v)), net.cpts[v].table)
+        for v, i in label.items()))
+    return sub, CnfFormula([_relabel(c, label) for c in phi.clauses], phi.provenance), label
+
+
 def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
              cfg: EngineConfig | None = None, ordering=None) -> tuple[float, RunStats]:
     """Uniform front door over the evaluators; ``alg`` is one of
-    ALGORITHMS.  ``stats.trace`` holds the bucket log of the elimination
-    run.  An ``ordering`` applies to cpe and cpe-d only; the other
+    ALGORITHMS.
+
+    cpe, cpe-d and hidden run on the ancestral sub-network of phi's
+    variables (``_ancestral``), so mf, C, U, F, O and the widths
+    describe that sub-network.  ``stats.trace`` holds the bucket log of
+    the elimination run in the caller's variable numbers; hidden's
+    fresh variables are net.n, net.n + 1, ... as in ``hidden_embed``.
+    An ``ordering`` must cover the network and applies to cpe and
+    cpe-d only, projected onto the kept variables; the other
     algorithms raise ValueError when given one.  The brute-force path
-    reports only result and time."""
-    if ordering is not None and alg in ("hidden", "brute"):
-        raise ValueError(f"algorithm {alg!r} takes no ordering; only cpe and cpe-d do")
-    if alg == "cpe":
-        return elim_cpe(net, phi, ordering, cfg)
-    if alg == "cpe-d":
-        return elim_cpe_d(net, phi, ordering, cfg)
-    if alg == "hidden":
-        return elim_hidden(net, phi, cfg)
+    enumerates the whole network and reports only result and time.
+    ``elim_cpe``, ``elim_cpe_d``, ``elim_hidden`` and ``run_trace`` do
+    not prune.
+    """
+    if ordering is not None:
+        if alg in ("hidden", "brute"):
+            raise ValueError(f"algorithm {alg!r} takes no ordering; only cpe and cpe-d do")
+        ordering = check_ordering(ordering, net.n)
     if alg == "brute":
         from time import perf_counter
 
@@ -158,7 +201,22 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
         if stats.result > 0.0:
             stats.log_result = math.log(stats.result)
         return stats.result, stats
-    raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
+    if alg not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
+    sub, sub_phi, label = _ancestral(net, phi)
+    if ordering is not None:
+        ordering = Ordering(tuple(label[v] for v in ordering if v in label))
+    if alg == "cpe":
+        prob, stats = elim_cpe(sub, sub_phi, ordering, cfg)
+    elif alg == "cpe-d":
+        prob, stats = elim_cpe_d(sub, sub_phi, ordering, cfg)
+    else:
+        prob, stats = elim_hidden(sub, sub_phi, cfg)
+    caller = list(label) + list(range(net.n, net.n + len(phi)))
+    stats.trace = [TraceEntry(caller[e.bucket], e.action, tuple(caller[v] for v in e.scope),
+                              tuple(_relabel(c, caller) for c in e.derived))
+                   for e in stats.trace]
+    return prob, stats
 
 
 def belief_given_cnf(net: BeliefNetwork, phi: CnfFormula, var: int,

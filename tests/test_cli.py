@@ -81,6 +81,26 @@ class TestEval:
             assert lines[-1] == "0.381171500000"
             assert lines[:-1] and all(line.startswith("bucket=") for line in lines[:-1])
 
+    def test_trace_leaves_out_barren_variables(self, six_node_files, tmp_path, capsys):
+        # B or C: only A, B and C are ancestors; each order file is
+        # projected onto them and decides which of B and C goes first
+        net, _, order = six_node_files
+        cnf = tmp_path / "b_or_c.cnf"
+        cnf.write_text("p cnf 6 1\n2 3 0\n")
+        natural = tmp_path / "natural.order"
+        natural.write_text("0 1 2 3 4 5\n")
+        expected = {
+            order: "bucket=1 action=sum scope=0,2 derived=\n"
+                   "bucket=2 action=sum scope=0 derived=\n",
+            str(natural): "bucket=2 action=sum scope=0,1 derived=\n"
+                          "bucket=1 action=sum scope=0 derived=\n",
+        }
+        for path, lines in expected.items():
+            assert run_cli(["eval", "--net", net, "--cnf", str(cnf),
+                            "--order-file", path, "--trace"]) == 0
+            assert capsys.readouterr().out == (
+                lines + "bucket=0 action=sum scope= derived=\n0.874000000000\n")
+
     def test_trace_rejected_for_brute(self, two_node_files, capsys):
         net, cnf = two_node_files
         code = run_cli(["eval", "--net", net, "--cnf", cnf,
@@ -280,9 +300,22 @@ class TestErrorPaths:
     def test_query_variable_not_in_network(self, two_node_files, tmp_path, capsys):
         net, _ = two_node_files
         cnf = tmp_path / "big.cnf"
-        cnf.write_text("p cnf 5 1\n5 0\n")
-        assert run_cli(["eval", "--net", net, "--cnf", str(cnf)]) == 1
-        assert "unknown to the network" in capsys.readouterr().err
+        for text in ("p cnf 5 1\n5 0\n", "p cnf 5 2\n1 0\n5 0\n"):
+            cnf.write_text(text)
+            for alg in ("cpe", "cpe-d", "hidden"):
+                assert run_cli(["eval", "--net", net, "--cnf", str(cnf), "--alg", alg]) == 1
+                assert "unknown to the network" in capsys.readouterr().err
+
+    def test_order_file_must_cover_the_network(self, six_node_files, tmp_path, capsys):
+        # covers the query's ancestors (A, B, C) but not the network
+        net, _, _ = six_node_files
+        cnf = tmp_path / "b_or_c.cnf"
+        cnf.write_text("p cnf 6 1\n2 3 0\n")
+        order = tmp_path / "short.order"
+        order.write_text("0 1 2\n")
+        assert run_cli(["eval", "--net", net, "--cnf", str(cnf),
+                        "--order-file", str(order)]) == 1
+        assert "ordering must list each of 0..5" in capsys.readouterr().err
 
     def test_bad_order_file(self, two_node_files, tmp_path, capsys):
         net, cnf = two_node_files

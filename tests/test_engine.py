@@ -238,6 +238,14 @@ class TestElimCpeValues:
         p, _ = elim_cpe(pos_net, CnfFormula([]))
         assert close_enough(p, 1.0)
 
+    def test_empty_network_gives_float_one(self):
+        # no scalar falls out of the pass; the empty product is 1.0, not 1
+        p, stats = elim_cpe(BeliefNetwork(0, ()), CnfFormula([]))
+        assert type(p) is float and p == 1.0
+        assert type(stats.as_dict()["result"]) is float
+        assert stats.log_result == 0.0
+        assert stats.mf == 0 and stats.width_static == 0 and stats.width_posthoc == 0
+
     def test_two_node_disjunction(self, net2):
         p, _ = elim_cpe(net2, formula(clause(1, 2)))
         assert close_enough(p, 0.68)

@@ -18,7 +18,7 @@ from cnfbelief import (
     run_trace,
 )
 
-GOLDEN_SHA256 = "dce8d40a8dd4416f132c6fb5c0afef12bd0800aa3622835ed1a6a33e3e7ef155"
+GOLDEN_SHA256 = "31100c66b4969a8c6e88b71ac2dadfa07c4f2b46590b5900d97aba2635be98d7"
 
 CONFIGS = (
     EngineConfig(),
@@ -58,3 +58,10 @@ def golden_digest() -> str:
 
 def test_golden_runs_hash():
     assert golden_digest() == GOLDEN_SHA256
+
+
+if __name__ == "__main__":
+    # print the hashed lines, so two checkouts can be diffed line by line:
+    # PYTHONPATH=src python tests/test_golden_runs.py > golden.txt
+    for line in _golden_lines():
+        print(line)

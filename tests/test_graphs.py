@@ -5,6 +5,7 @@ import pytest
 from cnfbelief import (
     BeliefNetwork,
     Cpt,
+    ModelError,
     Ordering,
     UndirectedGraph,
     adjusted_induced_width,
@@ -71,9 +72,11 @@ class TestOrdering:
         assert Ordering((2, 0, 1)).position() == {2: 0, 0: 1, 1: 2}
 
     def test_check_ordering_accepts_sequences(self):
-        assert check_ordering([1, 0]) == Ordering((1, 0))
+        assert check_ordering([1, 0], 2) == Ordering((1, 0))
         o = Ordering((0, 1))
-        assert check_ordering(o) is o
+        assert check_ordering(o, 2) is o
+        with pytest.raises(ModelError, match="covers 2 variables, network has 3"):
+            check_ordering(o, 3)
 
 
 class TestInteractionGraphs:

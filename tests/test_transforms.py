@@ -11,7 +11,9 @@ from cnfbelief import (
     Cpt,
     EngineConfig,
     Literal,
+    ModelError,
     Ordering,
+    TraceEntry,
     belief_given_cnf,
     brute_force_cpe,
     close_enough,
@@ -29,6 +31,7 @@ from cnfbelief.model import EXTRACTED
 from cnfbelief.transforms import ALGORITHMS
 
 from conftest import clause, formula
+from test_golden_runs import CONFIGS as GOLDEN_CONFIGS
 
 
 class TestExtractClauses:
@@ -258,6 +261,136 @@ class TestEvaluate:
         for alg in ("cpe", "cpe-d"):
             p, _ = evaluate(net2, formula(clause(1, 2)), alg, ordering=ordering)
             assert close_enough(p, 0.68)
+
+
+def _ancestors_by_fixpoint(net: BeliefNetwork, phi: CnfFormula) -> list[int]:
+    """phi's variables and all their ancestors, ascending, grown over
+    every CPT until nothing changes."""
+    kept = phi.variables()
+    grown = True
+    while grown:
+        grown = False
+        for cpt in net.cpts:
+            if cpt.child in kept and not kept.issuperset(cpt.parents):
+                kept.update(cpt.parents)
+                grown = True
+    return sorted(kept)
+
+
+def _renumber(clause_: Clause, number) -> Clause:
+    return Clause(Literal(number[l.var], l.positive) for l in clause_)
+
+
+def _ancestral_instance(net: BeliefNetwork, phi: CnfFormula):
+    """The ancestral sub-network, renumbered 0..m-1 in ascending order,
+    phi over it, and the kept variables."""
+    kept = _ancestors_by_fixpoint(net, phi)
+    new = {v: i for i, v in enumerate(kept)}
+    sub = BeliefNetwork(len(kept), tuple(
+        Cpt(new[v], tuple(new[p] for p in net.cpts[v].parents), net.cpts[v].table)
+        for v in kept))
+    return sub, CnfFormula([_renumber(c, new) for c in phi.clauses], phi.provenance), kept
+
+
+class TestRelevancePruning:
+    """evaluate runs cpe, cpe-d and hidden on the query's ancestral
+    sub-network; elim_cpe, run_trace and brute_force_cpe see it all."""
+
+    def test_agreement_on_networks_with_barren_variables(self):
+        with_barren = 0
+        for k in range(24):
+            net = gen_network(n=8 + k % 5, f=3, d=(0.0, 0.5, 0.9)[k % 3], seed=9100 + k)
+            phi = gen_query(net, c=1 + k % 2, e=k % 2, seed=9200 + k)
+            with_barren += len(_ancestors_by_fixpoint(net, phi)) < net.n
+            want = brute_force_cpe(net, phi)
+            for cfg in GOLDEN_CONFIGS:
+                unpruned, _ = elim_cpe(net, phi, cfg=cfg)
+                assert close_enough(unpruned, want), (k, cfg)
+                for alg in ("cpe", "cpe-d", "hidden"):
+                    got, _ = evaluate(net, phi, alg, cfg)
+                    assert close_enough(got, want), (k, cfg, alg)
+            var = (5 * k) % net.n
+            psi = gen_query(net, c=1, e=1, seed=9300 + k)
+            p_psi = brute_force_cpe(net, psi)
+            for alg in ("cpe", "cpe-d", "hidden"):
+                dist = belief_given_cnf(net, phi, var, alg)
+                if want == 0.0:
+                    assert dist is None, (k, alg)
+                else:
+                    p1 = brute_force_cpe(net, phi.conjoin(formula(clause(var + 1))))
+                    assert close_enough(dist[1], p1 / want), (k, alg)
+                cond = conditional_cnf_probability(net, phi, psi, alg)
+                if p_psi == 0.0:
+                    assert cond is None, (k, alg)
+                else:
+                    joint = brute_force_cpe(net, phi.conjoin(psi))
+                    assert close_enough(cond, joint / p_psi), (k, alg)
+        assert with_barren >= 20, with_barren
+
+    def test_trace_is_the_sub_network_trace_in_caller_numbers(self):
+        cfg = EngineConfig(i_bound=2)
+        renumbered = {"bucket": 0, "scope": 0, "derived": 0, "fresh": 0}
+        for k in range(12):
+            net = gen_network(n=12, f=3, d=0.8, seed=9400 + k)
+            phi = gen_query(net, c=2, e=1, seed=9500 + k)
+            sub, sub_phi, kept = _ancestral_instance(net, phi)
+            barren = set(range(net.n)) - set(kept)
+            caller = kept + list(range(net.n, net.n + len(phi)))
+            order = list(range(net.n))
+            random.Random(k).shuffle(order)
+            projected = Ordering(tuple(kept.index(v) for v in order if v in kept))
+            embedded, evidence = hidden_embed(sub, sub_phi)
+            units = CnfFormula([Clause([lit]) for lit in evidence])
+            runs = (
+                (evaluate(net, phi, "cpe", cfg, order), run_trace(sub, sub_phi, projected, cfg)),
+                (evaluate(net, phi, "cpe-d", cfg, order),
+                 run_trace(sub, sub_phi.conjoin(extract_clauses(sub)), projected, cfg)),
+                (evaluate(net, phi, "hidden", cfg), run_trace(embedded, units, cfg=cfg)),
+            )
+            for (_, stats), (_, _, trace) in runs:
+                assert stats.trace == [
+                    TraceEntry(caller[e.bucket], e.action, tuple(caller[v] for v in e.scope),
+                               tuple(_renumber(c, caller) for c in e.derived))
+                    for e in trace], k
+                touched = {e.bucket for e in stats.trace}
+                touched |= {v for e in stats.trace for v in e.scope}
+                touched |= {v for e in stats.trace for c in e.derived for v in c.variables()}
+                assert not touched & barren, k
+                renumbered["bucket"] += sum(caller[e.bucket] != e.bucket for e in trace)
+                renumbered["scope"] += sum(caller[v] != v for e in trace for v in e.scope)
+                renumbered["derived"] += sum(caller[l.var] != l.var
+                                             for e in trace for c in e.derived for l in c)
+            (_, hidden_stats), _ = runs[2]
+            renumbered["fresh"] += sum(e.bucket >= net.n for e in hidden_stats.trace)
+        assert all(renumbered.values()), renumbered
+
+    def test_front_door_checks_see_the_whole_network(self, pos_net):
+        # A's ancestral set is A alone; the checks still cover all six variables
+        query = formula(clause(1))
+        for alg in ("cpe", "cpe-d", "hidden"):
+            for outside in (clause(-9), Clause([Literal(-1)])):
+                with pytest.raises(ModelError, match="out of range"):
+                    evaluate(pos_net, query.conjoin(formula(outside)), alg)
+        for alg in ("cpe", "cpe-d"):
+            with pytest.raises(ModelError, match="covers 1 variables, network has 6"):
+                evaluate(pos_net, query, alg, ordering=Ordering((0,)))
+
+    def test_empty_query_runs_on_the_empty_network(self, pos_net):
+        for alg in ("cpe", "cpe-d", "hidden"):
+            p, stats = evaluate(pos_net, CnfFormula([]), alg)
+            assert type(p) is float and p == 1.0, alg
+            assert type(stats.as_dict()["result"]) is float, alg
+            assert stats.log_result == 0.0, alg
+            assert stats.trace == [], alg
+
+    def test_deterministic_instance_that_asked_for_a_gib(self):
+        # unpruned, cpe-d asks numpy for a 1 GiB table here
+        net = gen_network(400, 4, 0.9, 24)
+        phi = gen_query(net, c=8, e=0, seed=25)
+        p_d, stats = evaluate(net, phi, "cpe-d")
+        assert stats.mf == 10
+        p, _ = evaluate(net, phi, "cpe")
+        assert close_enough(p_d, p)
 
 
 class TestBeliefGivenCnf:
