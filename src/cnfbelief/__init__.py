@@ -14,12 +14,10 @@ from .fileio import ParseError, parse_dimacs, parse_network, serialize_cnf, seri
 from .generator import gen_network, gen_query
 from .graphs import (
     Ordering,
-    UndirectedGraph,
     adjusted_induced_width,
     augmented_graph,
     induced_width,
     min_degree_order,
-    moral_graph,
 )
 from .model import (
     BeliefNetwork,

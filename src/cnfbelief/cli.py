@@ -149,9 +149,6 @@ def _print_stats(stats, mode: str) -> None:
 
 def _cmd_belief(args) -> int:
     net, phi, cfg = _load_inputs(args)
-    if not 0 <= args.var < net.n:
-        print(f"error: variable {args.var} outside the network", file=sys.stderr)
-        return 1
     dist = belief_given_cnf(net, phi, args.var, args.alg, cfg)
     if dist is None:
         print("undefined (the query has probability 0)")

@@ -408,7 +408,7 @@ class _Run:
             raise ResourceLimitError(bucket.variable, len(scope)) from exc
         self.stats.mf = max(self.stats.mf, len(scope))
         self.trace.append(TraceEntry(bucket.variable, "sum", scope, tuple(derived)))
-        self._place_factor(self._restrict(Factor(scope, values)))
+        self._place_factor(Factor(scope, values))
 
     def _bdr(self, bucket: Bucket, collect: list[Clause]) -> None:
         # bounded directional resolution on the bucket variable; the
@@ -440,9 +440,9 @@ def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg):
     stats.elapsed = perf_counter() - t0
     stats.trace = run.trace
     stats.result = 0.0 if failed else math.prod(run.scalars, start=1.0)
-    if not failed and all(run.scalars):
-        stats.log_result = math.fsum(map(math.log, run.scalars))
-    if not failed and len(run.sequence) == net.n:
+    if not failed:
+        if all(run.scalars):
+            stats.log_result = math.fsum(map(math.log, run.scalars))
         actual = Ordering(tuple(reversed(run.sequence)))
         stats.width_posthoc = adjusted_induced_width(aug, actual, run.sigma)
     return stats.result, stats, run.trace

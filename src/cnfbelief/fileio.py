@@ -53,7 +53,7 @@ def parse_network(text: str) -> BeliefNetwork:
         if keyword == "vars":
             if n is not None:
                 raise _fail(lineno, "duplicate vars line")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise _fail(lineno, "expected: vars <count>")
             n = int(fields[1])
             continue

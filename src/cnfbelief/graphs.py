@@ -1,7 +1,8 @@
 """Interaction graphs, elimination orderings, and induced width.
 
-The moral graph connects each variable to its CPT family; the augmented
-graph additionally clique-connects the variables of every clause.
+A graph on vertices 0..n-1 is its list of adjacency sets.  The
+augmented graph connects each variable to its CPT family (the moral
+graph) and clique-connects the variables of every clause.
 Orderings are stored first-to-last; elimination processes them
 last-to-first, which is also the direction induced width is measured
 in.
@@ -14,47 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .model import BeliefNetwork, CnfFormula, ModelError
-
-
-class UndirectedGraph:
-    """Simple undirected graph on vertices 0..n-1, no self-loops."""
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        self.n = n
-        self.adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            self.add_edge(u, v)
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError(f"self-loop on vertex {u}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) out of range")
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-
-    def add_clique(self, vertices: Iterable[int]) -> None:
-        vs = list(vertices)
-        for i, u in enumerate(vs):
-            for v in vs[i + 1:]:
-                if u != v:
-                    self.add_edge(u, v)
-
-    def neighbors(self, v: int) -> set[int]:
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(u, v) for u in range(self.n) for v in self.adj[u] if u < v}
-
-    def copy(self) -> "UndirectedGraph":
-        g = UndirectedGraph(self.n)
-        g.adj = [set(s) for s in self.adj]
-        return g
 
 
 @dataclass(frozen=True)
@@ -78,26 +38,24 @@ class Ordering:
         return {v: i for i, v in enumerate(self.order)}
 
 
-def moral_graph(net: BeliefNetwork) -> UndirectedGraph:
-    """Connect each variable with its parents and marry the parents."""
-    g = UndirectedGraph(net.n)
-    for v in net.variables():
-        g.add_clique(net.family(v))
-    return g
-
-
-def augmented_graph(net: BeliefNetwork, phi: CnfFormula) -> UndirectedGraph:
+def augmented_graph(net: BeliefNetwork, phi: CnfFormula) -> list[set[int]]:
     """Moral graph plus a clique over each clause's variables."""
-    g = moral_graph(net)
+    cliques = [net.family(v) for v in net.variables()]
     for clause in phi.clauses:
         vs = clause.variables()
         if any(not 0 <= v < net.n for v in vs):
             raise ModelError(f"clause variable out of range in {clause}")
-        g.add_clique(vs)
-    return g
+        cliques.append(vs)
+    adj: list[set[int]] = [set() for _ in range(net.n)]
+    for clique in cliques:
+        for v in clique:
+            adj[v].update(clique)
+    for v, row in enumerate(adj):
+        row.discard(v)
+    return adj
 
 
-def _eliminate(graph: UndirectedGraph, order: Ordering | None = None,
+def _eliminate(graph: list[set[int]], order: Ordering | None = None,
                observed: Iterable[int] = ()) -> tuple[Ordering, int]:
     """Eliminate every vertex last-to-first and return (order, width).
 
@@ -114,11 +72,11 @@ def _eliminate(graph: UndirectedGraph, order: Ordering | None = None,
     vertex counts as a neighbor of others but contributes width 0 and
     adds no fill edges.
     """
-    n = graph.n
+    n = len(graph)
     greedy = order is None
-    if not greedy and len(order) != n:
-        raise ValueError("ordering does not cover the graph")
-    adj = graph.copy().adj
+    if not greedy:
+        order = check_ordering(order, n)
+    adj = [set(s) for s in graph]
     obs = set(observed)
     if greedy:
         slots = [0] * n
@@ -153,7 +111,7 @@ def _eliminate(graph: UndirectedGraph, order: Ordering | None = None,
     return (Ordering(tuple(slots)) if greedy else order), width
 
 
-def min_degree_order(graph: UndirectedGraph) -> Ordering:
+def min_degree_order(graph: list[set[int]]) -> Ordering:
     """Greedy min-degree elimination ordering.
 
     Vertices are selected last-to-first: each step picks the minimum
@@ -165,7 +123,7 @@ def min_degree_order(graph: UndirectedGraph) -> Ordering:
     return _eliminate(graph)[0]
 
 
-def induced_width(graph: UndirectedGraph, ordering: Ordering) -> int:
+def induced_width(graph: list[set[int]], ordering: Ordering) -> int:
     """Width of the graph induced by eliminating last-to-first.
 
     Eliminating a vertex connects its not-yet-eliminated neighbors; the
@@ -175,7 +133,7 @@ def induced_width(graph: UndirectedGraph, ordering: Ordering) -> int:
 
 
 def adjusted_induced_width(
-    graph: UndirectedGraph, ordering: Ordering, observed: Iterable[int]
+    graph: list[set[int]], ordering: Ordering, observed: Iterable[int]
 ) -> int:
     """Induced width that treats observed vertices as already assigned.
 

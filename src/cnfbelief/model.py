@@ -42,9 +42,6 @@ class Literal:
     var: int
     positive: bool = True
 
-    def __neg__(self) -> "Literal":
-        return Literal(self.var, not self.positive)
-
     def satisfied_by(self, value: int) -> bool:
         return bool(value) == self.positive
 
@@ -224,17 +221,22 @@ def validate_network(net: BeliefNetwork) -> None:
         for value in cpt.table:
             if not (0.0 <= value <= 1.0) or math.isnan(value):
                 raise ModelError(f"variable {cpt.child}: probability {value} out of [0, 1]")
-    # cycle check: repeatedly strip variables whose parents are all stripped
-    remaining = set(net.variables())
-    changed = True
-    while changed and remaining:
-        changed = False
-        for v in sorted(remaining):
-            if all(p not in remaining for p in net.parents(v)):
-                remaining.discard(v)
-                changed = True
-    if remaining:
-        raise ModelError(f"cycle among variables {sorted(remaining)}")
+    # cycle check (Kahn): strip each variable once its parents are all
+    # stripped; what is left is every cycle member and every descendant
+    # of one
+    children: list[list[int]] = [[] for _ in range(net.n)]
+    unstripped = [len(cpt.parents) for cpt in net.cpts]
+    for cpt in net.cpts:
+        for p in cpt.parents:
+            children[p].append(cpt.child)
+    stripped = [v for v in net.variables() if not unstripped[v]]
+    for v in stripped:  # grows while it is walked
+        for c in children[v]:
+            unstripped[c] -= 1
+            if not unstripped[c]:
+                stripped.append(c)
+    if len(stripped) < net.n:
+        raise ModelError(f"cycle among variables {[v for v in net.variables() if unstripped[v]]}")
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,11 @@ class TestBelief:
         assert run_cli(["belief", "--net", net, "--cnf", cnf, "--var", "7"]) == 1
         assert "outside" in capsys.readouterr().err
 
+    def test_negative_variable(self, two_node_files, capsys):
+        net, cnf = two_node_files
+        assert run_cli(["belief", "--net", net, "--cnf", cnf, "--var", "-1"]) == 1
+        assert capsys.readouterr().err == "error: variable -1 outside the network\n"
+
 
 class TestGen:
     def test_writes_matching_instance(self, tmp_path, capsys):

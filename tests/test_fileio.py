@@ -1,6 +1,8 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnfbelief import (
     Clause,
@@ -47,6 +49,11 @@ class TestParseNetwork:
     def test_duplicate_vars_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_network("vars 2\nvars 2\n")
+
+    def test_vars_count_must_be_decimal(self):
+        # "²" is a digit to str.isdigit but not to int()
+        with pytest.raises(ParseError, match="expected: vars"):
+            parse_network("vars ²\n")
 
     def test_unknown_keyword(self):
         with pytest.raises(ParseError, match="unknown keyword"):
@@ -208,3 +215,43 @@ class TestSerializeCnf:
         text = serialize_cnf(CnfFormula([]))
         assert text == "p cnf 0 0\n"
         assert len(parse_dimacs(text)) == 0
+
+
+# Text built from each format's own vocabulary: keywords, numbers in
+# and out of range, float specials, comments and junk tokens.
+NUMBERS = st.integers(-3, 12).map(str)
+FLOATS = st.sampled_from(["0", "1", "0.5", "1.0", "-0.1", "1.5", "1e400", "nan", "inf", "-inf"])
+JUNK = st.sampled_from(["", "x", "#", "%", "c", "p", "0x1", "1.", "²", "--1", "+2", "\t"])
+
+
+def texts(first_tokens, tokens):
+    line = st.tuples(first_tokens, st.lists(tokens, max_size=6)).map(
+        lambda t: " ".join((t[0], *t[1])))
+    return st.lists(line, max_size=8).map("\n".join)
+
+
+NETWORK_TEXTS = texts(st.sampled_from(["vars", "parents", "cpt", "#", "# c"]) | JUNK,
+                      NUMBERS | FLOATS | JUNK)
+DIMACS_TEXTS = texts(st.sampled_from(["p cnf", "p", "c", "c evidence", "c extracted", "%"])
+                     | NUMBERS | JUNK,
+                     NUMBERS | FLOATS | JUNK)
+
+
+class TestMalformedInputRaisesOnlyParseError:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(NETWORK_TEXTS)
+    def test_parse_network(self, text):
+        try:
+            parse_network(text)
+        except ParseError:
+            pass
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(DIMACS_TEXTS)
+    def test_parse_dimacs(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                parse_dimacs(text)
+            except ParseError:
+                pass

@@ -1,13 +1,14 @@
+import itertools
 import random
 
 import pytest
 
 from cnfbelief import (
     BeliefNetwork,
+    CnfFormula,
     Cpt,
     ModelError,
     Ordering,
-    UndirectedGraph,
     adjusted_induced_width,
     augmented_graph,
     extract_clauses,
@@ -15,7 +16,6 @@ from cnfbelief import (
     gen_query,
     induced_width,
     min_degree_order,
-    moral_graph,
 )
 from cnfbelief.graphs import check_ordering, parse_order
 
@@ -27,38 +27,24 @@ POS_MORAL_EDGES = {
 }
 
 
-def star(n_leaves: int = 3) -> UndirectedGraph:
-    return UndirectedGraph(n_leaves + 1, [(0, k) for k in range(1, n_leaves + 1)])
+def graph(n: int, edges=()) -> list[set[int]]:
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
-class TestUndirectedGraph:
-    def test_edges_are_symmetric(self):
-        g = UndirectedGraph(3, [(0, 2)])
-        assert g.neighbors(0) == {2}
-        assert g.neighbors(2) == {0}
-        assert g.degree(1) == 0
+def complete(n: int) -> list[set[int]]:
+    return graph(n, itertools.combinations(range(n), 2))
 
-    def test_self_loop_rejected(self):
-        g = UndirectedGraph(2)
-        with pytest.raises(ValueError):
-            g.add_edge(1, 1)
 
-    def test_out_of_range_rejected(self):
-        g = UndirectedGraph(2)
-        with pytest.raises(ValueError):
-            g.add_edge(0, 2)
+def edge_set(g: list[set[int]]) -> set[tuple[int, int]]:
+    return {(u, v) for u, row in enumerate(g) for v in row if u < v}
 
-    def test_add_clique(self):
-        g = UndirectedGraph(4)
-        g.add_clique([0, 1, 3])
-        assert g.edge_set() == {(0, 1), (0, 3), (1, 3)}
 
-    def test_copy_is_independent(self):
-        g = UndirectedGraph(3, [(0, 1)])
-        h = g.copy()
-        h.add_edge(1, 2)
-        assert g.edge_set() == {(0, 1)}
-        assert h.edge_set() == {(0, 1), (1, 2)}
+def star(n_leaves: int = 3) -> list[set[int]]:
+    return graph(n_leaves + 1, [(0, k) for k in range(1, n_leaves + 1)])
 
 
 class TestOrdering:
@@ -81,10 +67,10 @@ class TestOrdering:
 
 class TestInteractionGraphs:
     def test_moral_graph_marries_parents(self, pos_net):
-        assert moral_graph(pos_net).edge_set() == POS_MORAL_EDGES
+        assert edge_set(augmented_graph(pos_net, CnfFormula([]))) == POS_MORAL_EDGES
 
     def test_moral_graph_two_nodes(self, net2):
-        assert moral_graph(net2).edge_set() == {(0, 1)}
+        assert edge_set(augmented_graph(net2, CnfFormula([]))) == {(0, 1)}
 
     def test_augmented_adds_clause_cliques(self):
         chain = BeliefNetwork(3, (
@@ -94,20 +80,25 @@ class TestInteractionGraphs:
         ))
         phi = formula(clause(1, 3))
         g = augmented_graph(chain, phi)
-        assert g.edge_set() == {(0, 1), (1, 2), (0, 2)}
+        assert edge_set(g) == {(0, 1), (1, 2), (0, 2)}
 
     def test_augmented_no_new_edges_when_clauses_follow_families(self, pos_net, phi42):
         # every clause scope of phi42 is already married by some family
-        assert augmented_graph(pos_net, phi42).edge_set() == POS_MORAL_EDGES
+        assert edge_set(augmented_graph(pos_net, phi42)) == POS_MORAL_EDGES
+
+    def test_augmented_has_no_self_loops(self, net2, pos_net, phi42):
+        # a unit clause is a one-vertex clique, and every family holds its child
+        for g in (augmented_graph(net2, formula(clause(-2))), augmented_graph(pos_net, phi42)):
+            assert all(v not in row for v, row in enumerate(g))
 
     def test_augmented_rejects_foreign_variables(self, net2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError):
             augmented_graph(net2, formula(clause(5)))
 
 
 class TestWidth:
     def test_cycle_has_width_two(self):
-        g = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        g = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert induced_width(g, Ordering((0, 1, 2, 3))) == 2
 
     def test_star_width_depends_on_ordering(self):
@@ -136,7 +127,7 @@ class TestWidth:
         assert induced_width(g, o) == 3
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError, match="covers 2 variables, network has 4"):
             induced_width(star(), Ordering((0, 1)))
 
 
@@ -154,7 +145,7 @@ class TestAdjustedWidth:
         assert adjusted_induced_width(g, o, {0}) == 1
 
     def test_observed_chain_middle(self):
-        g = UndirectedGraph(3, [(0, 1), (1, 2)])
+        g = graph(3, [(0, 1), (1, 2)])
         o = Ordering((2, 0, 1))
         assert induced_width(g, o) == 2
         assert adjusted_induced_width(g, o, {1}) == 0
@@ -182,40 +173,40 @@ class TestOrderParsing:
 # The quadratic greedy and the fill loops below are kept as the
 # reference the heap-driven elimination must reproduce exactly.
 
-def reference_min_degree_order(graph: UndirectedGraph) -> Ordering:
-    work = graph.copy()
-    alive = set(range(graph.n))
-    slots: list[int] = [0] * graph.n
-    for slot in range(graph.n - 1, -1, -1):
-        v = min(alive, key=lambda u: (len(work.adj[u]), u))
+def reference_min_degree_order(graph: list[set[int]]) -> Ordering:
+    work = [set(s) for s in graph]
+    alive = set(range(len(graph)))
+    slots: list[int] = [0] * len(graph)
+    for slot in range(len(graph) - 1, -1, -1):
+        v = min(alive, key=lambda u: (len(work[u]), u))
         slots[slot] = v
-        neighbors = list(work.adj[v])
+        neighbors = list(work[v])
         for i, a in enumerate(neighbors):
             for b in neighbors[i + 1:]:
-                work.adj[a].add(b)
-                work.adj[b].add(a)
+                work[a].add(b)
+                work[b].add(a)
         for a in neighbors:
-            work.adj[a].discard(v)
-        work.adj[v].clear()
+            work[a].discard(v)
+        work[v].clear()
         alive.discard(v)
     return Ordering(tuple(slots))
 
 
-def reference_adjusted_width(graph: UndirectedGraph, ordering: Ordering, observed=()) -> int:
+def reference_adjusted_width(graph: list[set[int]], ordering: Ordering, observed=()) -> int:
     obs = set(observed)
-    work = graph.copy()
+    work = [set(s) for s in graph]
     width = 0
     for v in reversed(ordering.order):
-        neighbors = list(work.adj[v])
+        neighbors = list(work[v])
         if v not in obs:
             width = max(width, len(neighbors))
             for i, a in enumerate(neighbors):
                 for b in neighbors[i + 1:]:
-                    work.adj[a].add(b)
-                    work.adj[b].add(a)
+                    work[a].add(b)
+                    work[b].add(a)
         for a in neighbors:
-            work.adj[a].discard(v)
-        work.adj[v].clear()
+            work[a].discard(v)
+        work[v].clear()
     return width
 
 
@@ -234,18 +225,16 @@ def seeded_cases():
 
 
 def hand_built_cases():
-    complete = UndirectedGraph(6)
-    complete.add_clique(range(6))
     return {
-        "empty": UndirectedGraph(0),
-        "single": UndirectedGraph(1),
-        "isolated": UndirectedGraph(5),
-        "isolated_and_edge": UndirectedGraph(5, [(1, 3)]),
+        "empty": graph(0),
+        "single": graph(1),
+        "isolated": graph(5),
+        "isolated_and_edge": graph(5, [(1, 3)]),
         "star": star(5),
-        "star_centered_last": UndirectedGraph(5, [(4, k) for k in range(4)]),
-        "cycle": UndirectedGraph(7, [(i, (i + 1) % 7) for i in range(7)]),
-        "complete": complete,
-        "two_triangles": UndirectedGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+        "star_centered_last": graph(5, [(4, k) for k in range(4)]),
+        "cycle": graph(7, [(i, (i + 1) % 7) for i in range(7)]),
+        "complete": complete(6),
+        "two_triangles": graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
     }
 
 
@@ -254,7 +243,7 @@ class TestMatchesReference:
         for k, g, observed in seeded_cases():
             o = min_degree_order(g)
             assert o == reference_min_degree_order(g), k
-            shuffled = list(range(g.n))
+            shuffled = list(range(len(g)))
             random.Random(k).shuffle(shuffled)
             for order in (o, Ordering(tuple(shuffled))):
                 assert induced_width(g, order) == reference_adjusted_width(g, order), k
@@ -267,21 +256,20 @@ class TestMatchesReference:
         o = min_degree_order(g)
         assert o == reference_min_degree_order(g)
         assert induced_width(g, o) == reference_adjusted_width(g, o)
-        observed = set(range(0, g.n, 2))
+        observed = set(range(0, len(g), 2))
         assert (adjusted_induced_width(g, o, observed)
                 == reference_adjusted_width(g, o, observed))
 
     def test_ties_go_to_the_smallest_index(self):
-        assert min_degree_order(UndirectedGraph(0)) == Ordering(())
+        assert min_degree_order(graph(0)) == Ordering(())
         # no edges: every degree is 0, so 0 is taken first into the last slot
-        assert min_degree_order(UndirectedGraph(4)) == Ordering((3, 2, 1, 0))
-        complete = UndirectedGraph(4)
-        complete.add_clique(range(4))
-        assert min_degree_order(complete) == Ordering((3, 2, 1, 0))
-        assert induced_width(complete, Ordering((3, 2, 1, 0))) == 3
+        assert min_degree_order(graph(4)) == Ordering((3, 2, 1, 0))
+        assert min_degree_order(complete(4)) == Ordering((3, 2, 1, 0))
+        assert induced_width(complete(4), Ordering((3, 2, 1, 0))) == 3
 
     def test_input_graph_is_left_alone(self):
-        g = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        before = g.edge_set()
+        g = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        before = [set(row) for row in g]
         induced_width(g, min_degree_order(g))
-        assert g.edge_set() == before
+        adjusted_induced_width(g, Ordering((0, 1, 2, 3)), {2})
+        assert g == before

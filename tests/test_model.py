@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnfbelief import (
     BeliefNetwork,
@@ -16,6 +19,7 @@ from cnfbelief import (
     close_enough,
     cpt_to_factor,
     extract_clauses,
+    parse_network,
     run_trace,
     validate_network,
 )
@@ -25,11 +29,6 @@ from conftest import clause, formula
 
 
 class TestLiteral:
-    def test_negation_flips_sign_only(self):
-        lit = Literal(3, True)
-        assert -lit == Literal(3, False)
-        assert -(-lit) == lit
-
     def test_signed_round_trip(self):
         for code in (1, -1, 7, -12):
             assert Literal.from_signed(code).signed() == code
@@ -195,6 +194,80 @@ class TestValidateNetwork:
         ))
         with pytest.raises(ModelError):
             validate_network(net)
+
+    def test_reverse_numbered_chain_is_linear(self):
+        # parents carry higher numbers than children, the worst case for
+        # a sweep in index order
+        n = 20_000
+        lines = [f"vars {n}", f"cpt {n - 1} 0.5"]
+        for v in range(n - 1):
+            lines += [f"parents {v} {v + 1}", f"cpt {v} 0.25 0.75"]
+        text = "\n".join(lines) + "\n"
+        t0 = time.perf_counter()
+        net = parse_network(text)
+        assert time.perf_counter() - t0 < 2.0
+        assert net.parents(0) == (1,)
+
+
+# The fixpoint sweep the cycle check replaced, kept as the reference for
+# the set of variables a cycle error must name.
+
+def reference_cycle_remainder(net: BeliefNetwork) -> list[int]:
+    remaining = set(net.variables())
+    changed = True
+    while changed and remaining:
+        changed = False
+        for v in sorted(remaining):
+            if all(p not in remaining for p in net.parents(v)):
+                remaining.discard(v)
+                changed = True
+    return sorted(remaining)
+
+
+@st.composite
+def relabelled_dags(draw):
+    """(parents, label): a DAG whose variable k has parents among
+    0..k-1, and a permutation that renames k to label[k]."""
+    n = draw(st.integers(1, 10))
+    parents = [draw(st.sets(st.integers(0, k - 1), max_size=3)) if k else set()
+               for k in range(n)]
+    label = draw(st.permutations(range(n)))
+    return parents, label
+
+
+def relabelled_network(parents, label) -> BeliefNetwork:
+    cpts = [None] * len(parents)
+    for k, ps in enumerate(parents):
+        family = tuple(sorted(label[p] for p in ps))
+        cpts[label[k]] = Cpt(label[k], family, (0.5,) * (1 << len(family)))
+    return BeliefNetwork(len(parents), tuple(cpts))
+
+
+class TestCycleCheckMatchesReference:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(relabelled_dags(), st.data())
+    def test_dag_passes_and_back_edge_names_the_fixpoint_remainder(self, dag, data):
+        parents, label = dag
+        validate_network(relabelled_network(parents, label))
+        # walk down from a variable with children to one of its
+        # descendants, then make that descendant its parent
+        with_children = [k for k in range(len(parents)) if any(k in ps for ps in parents)]
+        if not with_children:
+            return
+        top = data.draw(st.sampled_from(with_children))
+        bottom = top
+        while True:
+            children = [k for k, ps in enumerate(parents) if bottom in ps]
+            if not children or (bottom != top and data.draw(st.booleans())):
+                break
+            bottom = data.draw(st.sampled_from(children))
+        parents[top] = parents[top] | {bottom}
+        net = relabelled_network(parents, label)
+        expected = reference_cycle_remainder(net)
+        assert label[top] in expected and label[bottom] in expected
+        with pytest.raises(ModelError) as exc:
+            validate_network(net)
+        assert str(exc.value) == f"cycle among variables {expected}"
 
 
 class TestFactor:
