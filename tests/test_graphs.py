@@ -47,6 +47,17 @@ def star(n_leaves: int = 3) -> list[set[int]]:
     return graph(n_leaves + 1, [(0, k) for k in range(1, n_leaves + 1)])
 
 
+class TestUndirectedGraph:
+    def test_copy_is_independent(self, pos_net, phi42):
+        # each call builds fresh adjacency sets, so callers may mutate one
+        g = augmented_graph(pos_net, phi42)
+        h = augmented_graph(pos_net, phi42)
+        h[0].add(5)
+        h[5].add(0)
+        assert edge_set(g) == POS_MORAL_EDGES
+        assert edge_set(h) == POS_MORAL_EDGES | {(0, 5)}
+
+
 class TestOrdering:
     def test_must_be_permutation(self):
         with pytest.raises(ValueError):
