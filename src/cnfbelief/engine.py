@@ -35,6 +35,12 @@ The final probability is the product of the scalar factors that fall
 out of the bottom of the pass; its logarithm is also kept as the sum of
 their logs, which does not underflow.  Deriving the empty clause
 short-circuits the run to probability 0.
+
+A run given a query variable answers belief in the same pass (elim-bel;
+Dechter, "Bucket elimination: a unifying framework for reasoning", AIJ
+1999): the variable is ordered first, so its bucket comes last and is
+left unsummed.  Every factor left there is over the variable alone, and
+log P(phi, var = x) is the scalars' log plus the sum of their logs at x.
 """
 
 from __future__ import annotations
@@ -117,8 +123,11 @@ class RunStats:
     actually processed, when the run completed.  log_result is the
     natural log of the probability, summed from the scalar factors so
     that it stays finite where result underflows to 0; it is -inf when
-    the probability is exactly 0.  trace is the ordered log of bucket
-    actions (empty for the brute-force path); as_dict() leaves it out.
+    the probability is exactly 0.  log_joint, for a run given a query
+    variable, is (log P(phi, var=0), log P(phi, var=1)), both -inf when
+    P(phi) = 0; result and log_result are then their sum.  trace is the
+    ordered log of bucket actions (empty for the brute-force path).
+    as_dict() leaves out log_result, log_joint and trace.
     """
 
     result: float = 0.0
@@ -131,6 +140,7 @@ class RunStats:
     observed: int = 0
     width_static: Optional[int] = None
     width_posthoc: Optional[int] = None
+    log_joint: Optional[tuple[float, float]] = None
     trace: list["TraceEntry"] = field(default_factory=list, repr=False)
 
     def as_dict(self) -> dict:
@@ -167,8 +177,9 @@ class Bucket:
 @dataclass(frozen=True)
 class TraceEntry:
     """One processed bucket: action is "sum" (a factor was produced,
-    scope holds its variables) or "observe" (the bucket variable was
-    instantiated)."""
+    scope holds its variables), "observe" (the bucket variable was
+    instantiated) or "belief" (the query variable's bucket, left
+    unsummed; scope holds the variable)."""
 
     bucket: int
     action: str
@@ -238,12 +249,17 @@ def _bucket_lambda(factors: list[Factor], constraints: list[Clause],
     return out.reshape((2,) * len(order)).transpose([order[w] for w in scope])
 
 
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
 class _Run:
     """Mutable state of one elimination pass."""
 
     def __init__(self, net: BeliefNetwork, ordering: Ordering, cfg: EngineConfig,
-                 stats: RunStats):
+                 stats: RunStats, query: Optional[int] = None):
         self.net = net
+        self.query = query
         self.cfg = cfg
         self.stats = stats
         self.position = ordering.position()
@@ -279,8 +295,20 @@ class _Run:
             bucket = self.buckets[v]
             if bucket.unit is not None:
                 self._process_observed(bucket)
+            elif v == self.query:
+                # ordered first, so nothing follows; only units on v were
+                # filed here, and they would have made it observed
+                self.trace.append(TraceEntry(v, "belief", (v,), ()))
             else:
                 self._process_sum(bucket)
+
+    def log_joint(self) -> tuple[float, float]:
+        """log P(phi, query=0), log P(phi, query=1) after a completed run."""
+        base = math.fsum(map(_log, self.scalars))
+        if self.query in self.sigma:
+            return tuple(base if x == self.sigma[self.query] else -math.inf for x in (0, 1))
+        factors = self.buckets[self.query].factors
+        return tuple(base + math.fsum(_log(f.values[x]) for f in factors) for x in (0, 1))
 
     # -- the observed assignment ----------------------------------------
 
@@ -420,16 +448,19 @@ class _Run:
             self._install_clause(r, exempt[i] or exempt[j], collect)
 
 
-def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg):
+def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg, query: Optional[int] = None):
     cfg = cfg if cfg is not None else EngineConfig()
     aug = augmented_graph(net, phi)
     if ordering is None:
         ordering = min_degree_order(aug)
     else:
         ordering = check_ordering(ordering, net.n)
+    if query is not None:
+        # first in the ordering, eliminated last: the width grows by 1 at most
+        ordering = Ordering((query,) + tuple(v for v in ordering.order if v != query))
     stats = RunStats()
     stats.width_static = induced_width(aug, ordering)
-    run = _Run(net, ordering, cfg, stats)
+    run = _Run(net, ordering, cfg, stats, query)
     failed = False
     t0 = perf_counter()
     try:
@@ -445,6 +476,12 @@ def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg):
             stats.log_result = math.fsum(map(math.log, run.scalars))
         actual = Ordering(tuple(reversed(run.sequence)))
         stats.width_posthoc = adjusted_induced_width(aug, actual, run.sigma)
+    if query is not None:
+        stats.log_joint = (-math.inf, -math.inf) if failed else run.log_joint()
+        top = max(stats.log_joint)
+        stats.log_result = top if top == -math.inf else (
+            top + math.log(sum(math.exp(x - top) for x in stats.log_joint)))
+        stats.result = math.exp(stats.log_result)
     return stats.result, stats, run.trace
 
 

@@ -12,6 +12,10 @@ terminated by 0, `c` comments.  A comment `c evidence` (or
 `c extracted`) tags the next clause's provenance.  parse/serialize
 round-trip exactly; serialized clause literals are ascending by
 variable.
+
+Integers are ASCII digits with an optional minus; table entries are
+ASCII floats.  Python's int() and float() also take "_" separators, a
+"+" sign and other scripts' digits, so those are refused first.
 """
 
 from __future__ import annotations
@@ -40,6 +44,13 @@ def _fail(lineno: int, message: str) -> ParseError:
     return ParseError(f"line {lineno}: {message}")
 
 
+def _plain(text: str, plus: bool = False) -> bool:
+    """True when the numbers in ``text`` are in the formats' own forms:
+    ASCII, no "_", and no "+" unless ``plus`` (a float's sign or
+    exponent)."""
+    return text.isascii() and "_" not in text and (plus or "+" not in text)
+
+
 def parse_network(text: str) -> BeliefNetwork:
     n = None
     parents: dict[int, tuple[int, ...]] = {}
@@ -53,7 +64,7 @@ def parse_network(text: str) -> BeliefNetwork:
         if keyword == "vars":
             if n is not None:
                 raise _fail(lineno, "duplicate vars line")
-            if len(fields) != 2 or not fields[1].isdecimal():
+            if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
                 raise _fail(lineno, "expected: vars <count>")
             n = int(fields[1])
             continue
@@ -61,6 +72,8 @@ def parse_network(text: str) -> BeliefNetwork:
             raise _fail(lineno, "missing vars line before declarations")
         if keyword == "parents":
             try:
+                if not _plain(line):
+                    raise ValueError
                 child, *ps = (int(tok) for tok in fields[1:])
             except ValueError:
                 raise _fail(lineno, "parents takes integers") from None
@@ -71,6 +84,8 @@ def parse_network(text: str) -> BeliefNetwork:
             if len(fields) < 3:
                 raise _fail(lineno, "expected: cpt <child> <values...>")
             try:
+                if not (_plain(line, plus=True) and "+" not in fields[1]):
+                    raise ValueError
                 child = int(fields[1])
                 values = tuple(float(tok) for tok in fields[2:])
             except ValueError:
@@ -137,12 +152,16 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(fields) != 4 or fields[1] != "cnf":
                 raise _fail(lineno, "expected: p cnf <vars> <clauses>")
             try:
+                if not _plain(line):
+                    raise ValueError
                 n_vars, declared = int(fields[2]), int(fields[3])
             except ValueError:
                 raise _fail(lineno, "problem line counts must be integers") from None
             continue
         if declared is None:
             raise _fail(lineno, "clause before the problem line")
+        if not _plain(line):
+            raise _fail(lineno, f"bad literal in {line!r}")
         for tok in line.split():
             try:
                 code = int(tok)

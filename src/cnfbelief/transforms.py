@@ -9,10 +9,12 @@
 * hidden_embed / elim_hidden: the baseline that compiles each query
   clause into an evidence-fixed hidden variable and runs plain
   elimination.
-* evaluate: the one evaluator dispatch; it runs cpe, cpe-d and hidden
-  on the query's ancestral sub-network.
-* belief_given_cnf / conditional_cnf_probability: normalized queries on
-  top of the raw evaluator.
+* evaluate: the evaluator front door; it runs cpe, cpe-d and hidden
+  on the query's ancestral sub-network through ``_pruned_run``, the one
+  dispatch to the engine.
+* belief_given_cnf: P(var | phi) from one ``_pruned_run`` with var
+  eliminated last.
+* conditional_cnf_probability: P(phi | psi) from two evaluations.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import EngineConfig, RunStats, TraceEntry, elim_cpe
+from .engine import EngineConfig, RunStats, TraceEntry, _execute, elim_cpe
 from .graphs import Ordering, check_ordering
 from .model import (
     EVIDENCE,
@@ -95,7 +97,7 @@ def elim_cpe_d(net: BeliefNetwork, phi: CnfFormula, ordering=None,
     extracted clause that phi also holds constrains like any query
     clause.
     """
-    return elim_cpe(net, phi.conjoin(extract_clauses(net)), ordering, cfg)
+    return elim_cpe(*_engine_input(net, phi, "cpe-d"), ordering, cfg)
 
 
 def hidden_embed(net: BeliefNetwork, phi: CnfFormula
@@ -128,35 +130,46 @@ def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
     ordering is the engine's default, min-degree on the embedded
     network's own graph (unit clauses add no edges).
     """
-    embedded, evidence = hidden_embed(net, phi)
-    units = CnfFormula([Clause([lit]) for lit in evidence],
-                       (EVIDENCE,) * len(evidence))
-    return elim_cpe(embedded, units, cfg=cfg)
+    return elim_cpe(*_engine_input(net, phi, "hidden"), cfg=cfg)
 
 
 ALGORITHMS = ("cpe", "cpe-d", "hidden", "brute")
+
+
+def _engine_input(net: BeliefNetwork, phi: CnfFormula, alg: str
+                  ) -> tuple[BeliefNetwork, CnfFormula]:
+    """The network and formula the engine runs for cpe, cpe-d (phi plus
+    the extracted clauses) or hidden (the embedding and its evidence)."""
+    if alg == "cpe-d":
+        return net, phi.conjoin(extract_clauses(net))
+    if alg == "hidden":
+        embedded, evidence = hidden_embed(net, phi)
+        return embedded, CnfFormula([Clause([lit]) for lit in evidence],
+                                    (EVIDENCE,) * len(evidence))
+    return net, phi
 
 
 def _relabel(clause: Clause, label) -> Clause:
     return Clause(Literal(label[l.var], l.positive) for l in clause.literals)
 
 
-def _ancestral(net: BeliefNetwork, phi: CnfFormula
+def _ancestral(net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None
                ) -> tuple[BeliefNetwork, CnfFormula, dict[int, int]]:
-    """The sub-network of phi's variables and all their ancestors, phi
-    over it, and ``label``, which maps each kept variable to its number
-    there: the kept variables in ascending order are 0..m-1.
+    """The sub-network of phi's variables, ``var`` when given, and all
+    their ancestors, phi over it, and ``label``, which maps each kept
+    variable to its number there: the kept variables in ascending order
+    are 0..m-1.
 
-    P(phi) is the same on it.  Every other variable is barren: no
-    clause holds it or a descendant, so summing the barren variables
-    out, children first, turns each of their CPTs into 1 (Shachter
-    1986; Baker and Boult 1990).  Raises ModelError for a clause
-    variable outside the network.
+    P(phi) and P(phi, var) are the same on it.  Every other variable is
+    barren: no clause holds it or a descendant, so summing the barren
+    variables out, children first, turns each of their CPTs into 1
+    (Shachter 1986; Baker and Boult 1990).  Raises ModelError for a
+    clause variable outside the network.
     """
     for clause in phi.clauses:
         if any(not 0 <= v < net.n for v in clause.variables()):
             raise ModelError(f"clause variable out of range in {clause}")
-    kept = phi.variables()
+    kept = phi.variables() | ({var} if var is not None else set())
     stack = list(kept)
     while stack:
         for p in net.parents(stack.pop()):
@@ -201,22 +214,30 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
         if stats.result > 0.0:
             stats.log_result = math.log(stats.result)
         return stats.result, stats
+    stats = _pruned_run(net, phi, alg, cfg, ordering)
+    return stats.result, stats
+
+
+def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig | None,
+                ordering: Ordering | None = None, var: Optional[int] = None) -> RunStats:
+    """One engine run of cpe, cpe-d or hidden on the ancestral
+    sub-network of phi (and ``var``), with ``stats.trace`` in the
+    caller's numbers.  With ``var`` the engine eliminates it last and
+    fills ``stats.log_joint``; hidden's fresh variables are numbered
+    after the sub-network's, so var keeps its label there.
+    """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
-    sub, sub_phi, label = _ancestral(net, phi)
+    sub, sub_phi, label = _ancestral(net, phi, var)
     if ordering is not None:
         ordering = Ordering(tuple(label[v] for v in ordering if v in label))
-    if alg == "cpe":
-        prob, stats = elim_cpe(sub, sub_phi, ordering, cfg)
-    elif alg == "cpe-d":
-        prob, stats = elim_cpe_d(sub, sub_phi, ordering, cfg)
-    else:
-        prob, stats = elim_hidden(sub, sub_phi, cfg)
+    query = None if var is None else label[var]
+    _, stats, _ = _execute(*_engine_input(sub, sub_phi, alg), ordering, cfg, query)
     caller = list(label) + list(range(net.n, net.n + len(phi)))
     stats.trace = [TraceEntry(caller[e.bucket], e.action, tuple(caller[v] for v in e.scope),
                               tuple(_relabel(c, caller) for c in e.derived))
                    for e in stats.trace]
-    return prob, stats
+    return stats
 
 
 def belief_given_cnf(net: BeliefNetwork, phi: CnfFormula, var: int,
@@ -224,16 +245,19 @@ def belief_given_cnf(net: BeliefNetwork, phi: CnfFormula, var: int,
                      ) -> Optional[tuple[float, float]]:
     """P(var = 0 | phi), P(var = 1 | phi), or None when P(phi) = 0.
 
+    cpe, cpe-d and hidden make one elimination run on the ancestral
+    sub-network of phi and var, with var eliminated last (elim-bel;
+    Dechter 1999); brute calls the oracle once per value of var.
     Normalizes in the log domain, so the answer stays defined where
     both joint probabilities underflow.
     """
     if not 0 <= var < net.n:
         raise ValueError(f"variable {var} outside the network")
-    logs = []
-    for value in (0, 1):
-        conditioned = phi.conjoin(
-            CnfFormula([Clause([Literal(var, value == 1)])], (EVIDENCE,)))
-        logs.append(evaluate(net, conditioned, alg, cfg)[1].log_result)
+    if alg == "brute":
+        logs = [evaluate(net, phi.conjoin(CnfFormula([Clause([Literal(var, value == 1)])])),
+                         "brute")[1].log_result for value in (0, 1)]
+    else:
+        logs = _pruned_run(net, phi, alg, cfg, var=var).log_joint
     top = max(logs)
     if top == -math.inf:
         return None

@@ -55,6 +55,24 @@ class TestParseNetwork:
         with pytest.raises(ParseError, match="expected: vars"):
             parse_network("vars ²\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("vars \u0662\n", 1),                        # Arabic-Indic 2: str.isdecimal passes it
+        ("vars 2\ncpt 0 0.5\nparents +1 0\ncpt 1 0.2 0.9\n", 3),
+        ("vars 2\ncpt 0 0.5\nparents 1 0_0\ncpt 1 0.2 0.9\n", 3),
+        ("vars 1\ncpt 0_0 0.5\n", 2),
+        ("vars 1\ncpt +0 0.5\n", 2),
+        ("vars 1\ncpt 0 0_9e-1\n", 2),
+        ("vars 2\ncpt 0 0.5\ncpt 1 \u0660.5\n", 3),  # Arabic-Indic 0
+    ])
+    def test_numbers_outside_the_format(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}"):
+            parse_network(text)
+
+    def test_float_signs_and_exponents_still_parse(self):
+        net = parse_network("vars 1\ncpt 0 +5e-1\n")
+        assert net.cpts[0].table == (0.5,)
+        assert parse_network("vars 1\ncpt 0 1e+0 # a comment with + and _\n").cpts[0].table == (1.0,)
+
     def test_unknown_keyword(self):
         with pytest.raises(ParseError, match="unknown keyword"):
             parse_network("vars 1\nprior 0 0.5\n")
@@ -164,6 +182,17 @@ class TestParseDimacs:
         with pytest.raises(ParseError, match="bad literal"):
             parse_dimacs("p cnf 2 1\nx 0\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("p cnf 2 1\n-0_2 0\n", 2),            # int() reads it as -2
+        ("p cnf 2 1\n+1 0\n", 2),
+        ("p cnf 2 1\n\u0661 0\n", 2),           # Arabic-Indic 1
+        ("p cnf 1_0 1\n1 0\n", 1),
+        ("p cnf +2 1\n1 0\n", 1),
+    ])
+    def test_numbers_outside_the_format(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}"):
+            parse_dimacs(text)
+
     def test_unterminated_clause(self):
         with pytest.raises(ParseError, match="unterminated"):
             parse_dimacs("p cnf 2 1\n1 2\n")
@@ -221,7 +250,8 @@ class TestSerializeCnf:
 # and out of range, float specials, comments and junk tokens.
 NUMBERS = st.integers(-3, 12).map(str)
 FLOATS = st.sampled_from(["0", "1", "0.5", "1.0", "-0.1", "1.5", "1e400", "nan", "inf", "-inf"])
-JUNK = st.sampled_from(["", "x", "#", "%", "c", "p", "0x1", "1.", "²", "--1", "+2", "\t"])
+JUNK = st.sampled_from(["", "x", "#", "%", "c", "p", "0x1", "1.", "²", "--1", "+2", "\t",
+                        "_", "+", "1_0", "+1", "\u0661", "0_9e-1", "-0_2"])
 
 
 def texts(first_tokens, tokens):

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnfbelief import (
     BeliefNetwork,
@@ -26,6 +28,7 @@ from cnfbelief import (
     hidden_embed,
     run_trace,
 )
+from cnfbelief import engine, transforms
 from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.model import EXTRACTED
 from cnfbelief.transforms import ALGORITHMS
@@ -419,6 +422,104 @@ class TestBeliefGivenCnf:
             dist = belief_given_cnf(hyb_net, query_not_g, 3, alg=alg)
             assert close_enough(dist[0], reference[0]), alg
             assert close_enough(dist[1], reference[1]), alg
+
+
+def _belief_case(kind: str, n: int, f: int, d: float, seed: int):
+    """A network, phi and var for one kind of belief query; parents come
+    before children in generated networks, so n - 1 is no one's ancestor."""
+    rng = random.Random(seed)
+    net = gen_network(n, f, d, seed)
+    phi = gen_query(net, c=rng.randint(0, 2) if n >= 3 else 0, e=rng.randint(0, min(n, 2)),
+                    seed=seed + 1)
+    var = rng.randrange(n)
+    if kind == "inside" and len(phi):
+        var = rng.choice(sorted(phi.variables()))
+    elif kind == "outside":
+        var = n - 1
+        phi = CnfFormula([c for c in phi.clauses if var not in c.variables()])
+    elif kind == "unit":
+        phi = phi.conjoin(CnfFormula([Clause([Literal(var, rng.random() < 0.5)])]))
+    elif kind in ("extracted", "zero"):
+        # var's first row made deterministic, and phi sets its parents to
+        # that row: cpe-d's extracted clause then forces var, and "zero"
+        # asks for the other value, so P(phi) = 0
+        cpt = net.cpts[var]
+        forced = rng.random() < 0.5
+        cpts = list(net.cpts)
+        cpts[var] = Cpt(var, cpt.parents, (float(forced),) + cpt.table[1:])
+        net = BeliefNetwork(n, tuple(cpts))
+        units = [Clause([Literal(p, False)]) for p in cpt.parents]
+        if kind == "zero":
+            units.append(Clause([Literal(var, not forced)]))
+            var = rng.choice((var,) + cpt.parents)
+        phi = phi.conjoin(CnfFormula(units))
+    return net, phi, var
+
+
+class TestBeliefInOnePass:
+    """belief_given_cnf runs the engine once, with var eliminated last."""
+
+    def test_var_forced_where_phi_has_probability_zero(self):
+        # P(x1=1 | x0=0) = 0, so phi = {not x0, x1} has probability 0
+        net = BeliefNetwork(2, (Cpt(0, (), (0.5,)), Cpt(1, (0,), (0.0, 0.3))))
+        phi = formula(clause(-1), clause(2))
+        for alg in ("cpe", "cpe-d", "hidden"):
+            assert belief_given_cnf(net, phi, 0, alg) is None, alg
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["inside", "outside", "unit", "extracted", "zero", "any"]),
+           n=st.integers(1, 10), f=st.integers(1, 3), d=st.sampled_from([0.0, 0.5, 0.9]),
+           seed=st.integers(0, 10 ** 6))
+    def test_matches_the_oracle(self, kind, n, f, d, seed):
+        net, phi, var = _belief_case(kind, n, f, d, seed)
+        p_phi = brute_force_cpe(net, phi)
+        if kind == "zero":
+            assert p_phi == 0.0
+        p1 = brute_force_cpe(net, phi.conjoin(formula(clause(var + 1))))
+        for cfg in GOLDEN_CONFIGS:
+            for alg in ("cpe", "cpe-d", "hidden"):
+                dist = belief_given_cnf(net, phi, var, alg, cfg)
+                if p_phi == 0.0:
+                    assert dist is None, (cfg, alg)
+                else:
+                    assert close_enough(dist[1], p1 / p_phi), (cfg, alg)
+                    assert close_enough(dist[0], 1.0 - p1 / p_phi), (cfg, alg)
+
+    def test_one_engine_run_and_one_ordering_per_query(self, monkeypatch):
+        execute, order = transforms._execute, engine.min_degree_order
+        runs, orders = [], []
+
+        def counted_execute(*args, **kwargs):
+            out = execute(*args, **kwargs)
+            runs.append(out[1])
+            return out
+
+        def counted_order(*args, **kwargs):
+            orders.append(args)
+            return order(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, "_execute", counted_execute)
+        monkeypatch.setattr(engine, "min_degree_order", counted_order)
+        actions = set()
+        for k in range(12):
+            net = gen_network(30, 3, 0.3, seed=9600 + k)
+            phi = gen_query(net, c=2, e=4, seed=9700 + k)
+            var = (7 * k) % net.n
+            if k % 3 == 0:
+                phi = phi.conjoin(formula(clause(var + 1)))
+            runs.clear()
+            orders.clear()
+            dist = belief_given_cnf(net, phi, var, "cpe")
+            assert len(runs) == 1 and len(orders) == 1, k
+            if dist is None:
+                continue  # a contradiction may stop the run before var's bucket
+            trace = runs[0].trace  # in the caller's numbers once the run returns
+            mine = [i for i, e in enumerate(trace) if e.bucket == var]
+            assert len(mine) == 1, k
+            entry = trace[mine[0]]
+            assert mine[0] == len(trace) - 1 or entry.action == "observe", k
+            actions.add(entry.action)
+        assert actions == {"belief", "observe"}, actions
 
 
 class TestConditionalCnfProbability:
