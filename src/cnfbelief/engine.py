@@ -302,9 +302,9 @@ class _Run:
             else:
                 self._process_sum(bucket)
 
-    def log_joint(self) -> tuple[float, float]:
-        """log P(phi, query=0), log P(phi, query=1) after a completed run."""
-        base = math.fsum(map(_log, self.scalars))
+    def log_joint(self, base: float) -> tuple[float, float]:
+        """log P(phi, query=0), log P(phi, query=1) after a completed run,
+        given ``base``, the log of the product of the scalars."""
         if self.query in self.sigma:
             return tuple(base if x == self.sigma[self.query] else -math.inf for x in (0, 1))
         factors = self.buckets[self.query].factors
@@ -472,12 +472,11 @@ def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg, query: Optional
     stats.trace = run.trace
     stats.result = 0.0 if failed else math.prod(run.scalars, start=1.0)
     if not failed:
-        if all(run.scalars):
-            stats.log_result = math.fsum(map(math.log, run.scalars))
+        stats.log_result = math.fsum(map(_log, run.scalars))
         actual = Ordering(tuple(reversed(run.sequence)))
         stats.width_posthoc = adjusted_induced_width(aug, actual, run.sigma)
     if query is not None:
-        stats.log_joint = (-math.inf, -math.inf) if failed else run.log_joint()
+        stats.log_joint = (-math.inf, -math.inf) if failed else run.log_joint(stats.log_result)
         top = max(stats.log_joint)
         stats.log_result = top if top == -math.inf else (
             top + math.log(sum(math.exp(x - top) for x in stats.log_joint)))
