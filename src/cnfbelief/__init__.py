@@ -7,8 +7,6 @@ from .engine import (
     ResourceLimitError,
     RunStats,
     TraceEntry,
-    elim_cpe,
-    run_trace,
 )
 from .fileio import ParseError, parse_dimacs, parse_network, serialize_cnf, serialize_network
 from .generator import gen_network, gen_query
@@ -37,11 +35,13 @@ from .transforms import (
     ALGORITHMS,
     belief_given_cnf,
     conditional_cnf_probability,
+    elim_cpe,
     elim_cpe_d,
     elim_hidden,
     evaluate,
     extract_clauses,
     hidden_embed,
+    run_trace,
 )
 
 __version__ = "0.1.0"

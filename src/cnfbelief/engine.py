@@ -1,10 +1,11 @@
 """Bucket elimination over CPT factors and CNF clauses.
 
-This module holds the package's one elimination pass, ``_Run``, behind
-``elim_cpe`` and ``run_trace``; every evaluator in ``transforms`` ends
-in it.  All CPTs and clauses are partitioned into buckets along an
-elimination ordering (each item goes to the bucket of its latest-ordered
-variable) and the buckets are processed last-to-first:
+This module holds the package's one elimination pass, ``_Run``, and
+``_execute``, which orders, runs and measures it.  Its one caller is
+``transforms._pruned_run``, so every evaluator ends in it.  All CPTs
+and clauses are partitioned into buckets along an elimination ordering
+(each item goes to the bucket of its latest-ordered variable) and the
+buckets are processed last-to-first:
 
 * A bucket whose variable is forced by a unit clause is observed: its
   factors are restricted to the forced value and its clauses are
@@ -57,7 +58,6 @@ from .graphs import (
     Ordering,
     adjusted_induced_width,
     augmented_graph,
-    check_ordering,
     induced_width,
     min_degree_order,
 )
@@ -448,13 +448,16 @@ class _Run:
             self._install_clause(r, exempt[i] or exempt[j], collect)
 
 
-def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg, query: Optional[int] = None):
+def _execute(net: BeliefNetwork, phi: CnfFormula, ordering: Optional[Ordering],
+             cfg: Optional[EngineConfig], query: Optional[int] = None
+             ) -> tuple[float, RunStats, list[TraceEntry]]:
+    """One run: P(phi), its stats and its bucket trace.  ``ordering``,
+    already checked against ``net``, defaults to min-degree on the
+    clause-augmented graph."""
     cfg = cfg if cfg is not None else EngineConfig()
     aug = augmented_graph(net, phi)
     if ordering is None:
         ordering = min_degree_order(aug)
-    else:
-        ordering = check_ordering(ordering, net.n)
     if query is not None:
         # first in the ordering, eliminated last: the width grows by 1 at most
         ordering = Ordering((query,) + tuple(v for v in ordering.order if v != query))
@@ -483,19 +486,3 @@ def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg, query: Optional
         stats.result = math.exp(stats.log_result)
     return stats.result, stats, run.trace
 
-
-def elim_cpe(net: BeliefNetwork, phi: CnfFormula, ordering: Ordering | None = None,
-             cfg: EngineConfig | None = None) -> tuple[float, RunStats]:
-    """P(phi) by bucket elimination with clause propagation.
-
-    ``ordering`` defaults to min-degree on the clause-augmented graph.
-    An unsatisfiable query yields probability 0, not an error.
-    """
-    prob, stats, _ = _execute(net, phi, ordering, cfg)
-    return prob, stats
-
-
-def run_trace(net: BeliefNetwork, phi: CnfFormula, ordering: Ordering | None = None,
-              cfg: EngineConfig | None = None) -> tuple[float, RunStats, list[TraceEntry]]:
-    """elim_cpe plus the ordered log of bucket actions."""
-    return _execute(net, phi, ordering, cfg)

@@ -4,14 +4,14 @@
   into clauses, the prime implicants of each table (the parent cubes
   that force the child and stop doing so when any one parent is
   freed), so implied units surface.
-* elim_cpe_d: run the engine with those clauses added for propagation
-  only.
-* hidden_embed / elim_hidden: the baseline that compiles each query
-  clause into an evidence-fixed hidden variable and runs plain
-  elimination.
-* evaluate: the evaluator front door; it runs cpe, cpe-d and hidden
-  on the query's ancestral sub-network through ``_pruned_run``, the one
-  dispatch to the engine.
+* hidden_embed: the baseline that compiles each query clause into an
+  evidence-fixed hidden variable for plain elimination.
+* evaluate: the evaluator front door; it runs cpe, cpe-d (the query
+  plus the extracted clauses, for propagation only) and hidden (the
+  embedding) on the query's ancestral sub-network through
+  ``_pruned_run``, the one dispatch to the engine.
+* elim_cpe, run_trace, elim_cpe_d, elim_hidden: ``evaluate`` under the
+  paper's names.
 * belief_given_cnf: P(var | phi) from one ``_pruned_run`` with var
   eliminated last.
 * conditional_cnf_probability: P(phi | psi) from two evaluations.
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import EngineConfig, RunStats, TraceEntry, _execute, elim_cpe
+from .engine import EngineConfig, RunStats, TraceEntry, _execute
 from .graphs import Ordering, check_ordering
 from .model import (
     EVIDENCE,
@@ -89,7 +89,8 @@ def extract_clauses(net: BeliefNetwork) -> CnfFormula:
 
 def elim_cpe_d(net: BeliefNetwork, phi: CnfFormula, ordering=None,
                cfg: EngineConfig | None = None) -> tuple[float, RunStats]:
-    """elim_cpe over phi plus the network's extracted clauses.
+    """``evaluate(..., "cpe-d")``: elim_cpe over phi plus the extracted
+    clauses of its ancestral sub-network.
 
     The extracted clauses drive unit resolution, promotion, and bounded
     resolution but are exempt from summation constraints (they hold
@@ -97,7 +98,7 @@ def elim_cpe_d(net: BeliefNetwork, phi: CnfFormula, ordering=None,
     extracted clause that phi also holds constrains like any query
     clause.
     """
-    return elim_cpe(*_engine_input(net, phi, "cpe-d"), ordering, cfg)
+    return evaluate(net, phi, "cpe-d", cfg, ordering)
 
 
 def hidden_embed(net: BeliefNetwork, phi: CnfFormula
@@ -123,30 +124,18 @@ def hidden_embed(net: BeliefNetwork, phi: CnfFormula
 
 def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
                 cfg: EngineConfig | None = None) -> tuple[float, RunStats]:
-    """P(phi) via the hidden-variable embedding.
+    """``evaluate(..., "hidden")``: P(phi) via the hidden-variable
+    embedding of phi's ancestral sub-network.
 
     Plain variable elimination with evidence on the hidden children; no
     clause machinery runs, so the derived-clause counters stay 0.  The
     ordering is the engine's default, min-degree on the embedded
     network's own graph (unit clauses add no edges).
     """
-    return elim_cpe(*_engine_input(net, phi, "hidden"), cfg=cfg)
+    return evaluate(net, phi, "hidden", cfg)
 
 
 ALGORITHMS = ("cpe", "cpe-d", "hidden", "brute")
-
-
-def _engine_input(net: BeliefNetwork, phi: CnfFormula, alg: str
-                  ) -> tuple[BeliefNetwork, CnfFormula]:
-    """The network and formula the engine runs for cpe, cpe-d (phi plus
-    the extracted clauses) or hidden (the embedding and its evidence)."""
-    if alg == "cpe-d":
-        return net, phi.conjoin(extract_clauses(net))
-    if alg == "hidden":
-        embedded, evidence = hidden_embed(net, phi)
-        return embedded, CnfFormula([Clause([lit]) for lit in evidence],
-                                    (EVIDENCE,) * len(evidence))
-    return net, phi
 
 
 def _relabel(clause: Clause, label) -> Clause:
@@ -197,8 +186,6 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
     cpe-d only, projected onto the kept variables; the other
     algorithms raise ValueError when given one.  The brute-force path
     enumerates the whole network and reports only result and time.
-    ``elim_cpe``, ``elim_cpe_d``, ``elim_hidden`` and ``run_trace`` do
-    not prune.
     """
     if ordering is not None:
         if alg in ("hidden", "brute"):
@@ -232,12 +219,32 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
     if ordering is not None:
         ordering = Ordering(tuple(label[v] for v in ordering if v in label))
     query = None if var is None else label[var]
-    _, stats, _ = _execute(*_engine_input(sub, sub_phi, alg), ordering, cfg, query)
+    if alg == "cpe-d":
+        sub_phi = sub_phi.conjoin(extract_clauses(sub))
+    elif alg == "hidden":
+        sub, evidence = hidden_embed(sub, sub_phi)
+        sub_phi = CnfFormula([Clause([lit]) for lit in evidence], (EVIDENCE,) * len(evidence))
+    _, stats, _ = _execute(sub, sub_phi, ordering, cfg, query)
     caller = list(label) + list(range(net.n, net.n + len(phi)))
     stats.trace = [TraceEntry(caller[e.bucket], e.action, tuple(caller[v] for v in e.scope),
                               tuple(_relabel(c, caller) for c in e.derived))
                    for e in stats.trace]
     return stats
+
+
+def elim_cpe(net: BeliefNetwork, phi: CnfFormula, ordering: Ordering | None = None,
+             cfg: EngineConfig | None = None) -> tuple[float, RunStats]:
+    """``evaluate(..., "cpe")``: P(phi) by bucket elimination with clause
+    propagation.  An unsatisfiable query yields probability 0, not an
+    error."""
+    return evaluate(net, phi, "cpe", cfg, ordering)
+
+
+def run_trace(net: BeliefNetwork, phi: CnfFormula, ordering: Ordering | None = None,
+              cfg: EngineConfig | None = None) -> tuple[float, RunStats, list[TraceEntry]]:
+    """elim_cpe plus the ordered log of bucket actions (``stats.trace``)."""
+    prob, stats = elim_cpe(net, phi, ordering, cfg)
+    return prob, stats, stats.trace
 
 
 def belief_given_cnf(net: BeliefNetwork, phi: CnfFormula, var: int,

@@ -152,11 +152,14 @@ class TestEliminateBucket:
         assert [(t.bucket, t.action) for t in trace if t.bucket == 3] == [(3, "observe")]
 
     def test_empty_bucket(self, pos_net, phi42, d1):
-        # no bucket is ever empty: each variable's CPT reaches its bucket,
-        # so a completed run logs exactly one entry per variable
-        for phi in (CnfFormula([]), phi42, phi42.conjoin(formula(clause(-6)))):
+        # no bucket is ever empty: each kept variable's CPT reaches its
+        # bucket, so a completed run logs exactly one entry per variable
+        # of the query's ancestral set
+        for phi, kept in ((CnfFormula([]), []), (formula(clause(4)), [0, 1, 3]),
+                          (phi42, list(range(6))),
+                          (phi42.conjoin(formula(clause(-6))), list(range(6)))):
             _, _, trace = run_trace(pos_net, phi, ordering=d1)
-            assert sorted(t.bucket for t in trace) == list(range(6))
+            assert sorted(t.bucket for t in trace) == kept
 
     def test_sum_exempt_clauses_resolve_but_do_not_gate(self):
         net = _roots(0.3, 0.6, 0.2)
@@ -392,7 +395,8 @@ class TestTrace:
             Cpt(2, (1,), (0.4, 0.9)),
             Cpt(3, (2,), (0.5, 0.1)),
         ))
-        _, _, trace = run_trace(chain, CnfFormula([]), ordering=Ordering((0, 1, 2, 3)))
+        # the clause holds the last two variables, so all four are kept
+        _, _, trace = run_trace(chain, formula(clause(3, 4)), ordering=Ordering((0, 1, 2, 3)))
         assert [t.scope for t in trace] == [(2,), (1,), (0,), ()]
 
     def test_observation_entries(self, net2):

@@ -18,7 +18,7 @@ from cnfbelief import (
     run_trace,
 )
 
-GOLDEN_SHA256 = "31100c66b4969a8c6e88b71ac2dadfa07c4f2b46590b5900d97aba2635be98d7"
+GOLDEN_SHA256 = "f7421225e222c2381c092cd864a394f2072d8b515f906158700c673137dc211b"
 
 CONFIGS = (
     EngineConfig(),

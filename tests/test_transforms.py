@@ -296,8 +296,8 @@ def _ancestral_instance(net: BeliefNetwork, phi: CnfFormula):
 
 
 class TestRelevancePruning:
-    """evaluate runs cpe, cpe-d and hidden on the query's ancestral
-    sub-network; elim_cpe, run_trace and brute_force_cpe see it all."""
+    """Every entry point runs cpe, cpe-d and hidden on the query's
+    ancestral sub-network; brute_force_cpe sees the whole network."""
 
     def test_agreement_on_networks_with_barren_variables(self):
         with_barren = 0
@@ -307,8 +307,8 @@ class TestRelevancePruning:
             with_barren += len(_ancestors_by_fixpoint(net, phi)) < net.n
             want = brute_force_cpe(net, phi)
             for cfg in GOLDEN_CONFIGS:
-                unpruned, _ = elim_cpe(net, phi, cfg=cfg)
-                assert close_enough(unpruned, want), (k, cfg)
+                direct, _ = elim_cpe(net, phi, cfg=cfg)
+                assert close_enough(direct, want), (k, cfg)
                 for alg in ("cpe", "cpe-d", "hidden"):
                     got, _ = evaluate(net, phi, alg, cfg)
                     assert close_enough(got, want), (k, cfg, alg)
@@ -329,6 +329,31 @@ class TestRelevancePruning:
                     joint = brute_force_cpe(net, phi.conjoin(psi))
                     assert close_enough(cond, joint / p_psi), (k, alg)
         assert with_barren >= 20, with_barren
+
+    def test_every_entry_point_is_evaluate(self):
+        def seen(prob, stats):
+            fields = {k: v for k, v in stats.as_dict().items() if k != "time_s"}
+            return prob, fields, stats.log_result, stats.trace
+
+        with_barren = 0
+        for k in range(12):
+            net = gen_network(n=10 + k % 4, f=3, d=(0.0, 0.5, 0.9)[k % 3], seed=9800 + k)
+            phi = gen_query(net, c=1 + k % 2, e=k % 3, seed=9900 + k)
+            with_barren += len(_ancestors_by_fixpoint(net, phi)) < net.n
+            order = None
+            if k % 2:
+                order = list(range(net.n))
+                random.Random(k).shuffle(order)
+            for cfg in GOLDEN_CONFIGS:
+                prob, stats, trace = run_trace(net, phi, order, cfg)
+                assert trace == stats.trace, k
+                for alg, got in (("cpe", elim_cpe(net, phi, order, cfg)),
+                                 ("cpe", (prob, stats)),
+                                 ("cpe-d", elim_cpe_d(net, phi, order, cfg)),
+                                 ("hidden", elim_hidden(net, phi, cfg))):
+                    want = evaluate(net, phi, alg, cfg, None if alg == "hidden" else order)
+                    assert seen(*got) == seen(*want), (k, cfg, alg)
+        assert with_barren >= 10, with_barren
 
     def test_trace_is_the_sub_network_trace_in_caller_numbers(self):
         cfg = EngineConfig(i_bound=2)
@@ -387,13 +412,13 @@ class TestRelevancePruning:
             assert stats.trace == [], alg
 
     def test_deterministic_instance_that_asked_for_a_gib(self):
-        # unpruned, cpe-d asks numpy for a 1 GiB table here
+        # on the whole network, cpe-d asks numpy for a 1 GiB table here
         net = gen_network(400, 4, 0.9, 24)
         phi = gen_query(net, c=8, e=0, seed=25)
-        p_d, stats = evaluate(net, phi, "cpe-d")
-        assert stats.mf == 10
         p, _ = evaluate(net, phi, "cpe")
-        assert close_enough(p_d, p)
+        for p_d, stats in (evaluate(net, phi, "cpe-d"), elim_cpe_d(net, phi)):
+            assert stats.mf == 10
+            assert close_enough(p_d, p)
 
 
 class TestBeliefGivenCnf:
