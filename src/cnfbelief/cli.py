@@ -15,9 +15,15 @@ import sys
 from pathlib import Path
 
 from .engine import EngineConfig, ResourceLimitError
-from .fileio import ParseError, parse_dimacs, parse_network, serialize_cnf, serialize_network
+from .fileio import (
+    ParseError,
+    parse_dimacs,
+    parse_network,
+    parse_order,
+    serialize_cnf,
+    serialize_network,
+)
 from .generator import RNG_ALGORITHM, gen_network, gen_query
-from .graphs import parse_order
 from .model import ModelError
 from .transforms import ALGORITHMS, belief_given_cnf, evaluate
 

@@ -1,4 +1,5 @@
-"""Text formats: the line-oriented network file and DIMACS CNF.
+"""Text formats: the line-oriented network file, DIMACS CNF and the
+order file.
 
 Network format (# starts a comment anywhere):
 
@@ -13,6 +14,9 @@ terminated by 0, `c` comments.  A comment `c evidence` (or
 round-trip exactly; serialized clause literals are ascending by
 variable.
 
+Order file: 0-based variable numbers separated by whitespace,
+first-to-last, each of the network's variables exactly once.
+
 Integers are ASCII digits with an optional minus; table entries are
 ASCII floats.  Python's int() and float() also take "_" separators, a
 "+" sign and other scripts' digits, so those are refused first.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 
+from .graphs import Ordering
 from .model import (
     EVIDENCE,
     EXTRACTED,
@@ -189,6 +194,21 @@ def parse_dimacs(text: str) -> CnfFormula:
             stacklevel=2,
         )
     return CnfFormula(clauses, tags)
+
+
+def parse_order(text: str, n: int) -> Ordering:
+    """The ordering an order file lists over 0..n-1."""
+    values = []
+    for tok in text.split():
+        try:
+            if not _plain(tok):
+                raise ValueError
+            values.append(int(tok))
+        except ValueError:
+            raise ParseError(f"bad ordering token {tok!r}") from None
+    if sorted(values) != list(range(n)):
+        raise ParseError(f"ordering must list each of 0..{n - 1} exactly once")
+    return Ordering(tuple(values))
 
 
 def serialize_cnf(phi: CnfFormula, n_vars: int | None = None,

@@ -144,17 +144,6 @@ def adjusted_induced_width(
     return _eliminate(graph, ordering, observed)[1]
 
 
-def parse_order(text: str, n: int) -> Ordering:
-    """Read a whitespace-separated variable order (first-to-last)."""
-    try:
-        values = tuple(int(tok) for tok in text.split())
-    except ValueError as exc:
-        raise ValueError(f"bad ordering token: {exc}") from None
-    if len(values) != n or sorted(values) != list(range(n)):
-        raise ValueError(f"ordering must list each of 0..{n - 1} exactly once")
-    return Ordering(values)
-
-
 def check_ordering(ordering: Sequence[int] | Ordering, n: int) -> Ordering:
     """``ordering`` as an Ordering; ModelError unless it covers 0..n-1."""
     if not isinstance(ordering, Ordering):

@@ -13,6 +13,7 @@ from cnfbelief import (
     serialize_cnf,
     serialize_network,
 )
+from cnfbelief.fileio import parse_order
 from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.model import EVIDENCE, EXTRACTED, QUERY
 
@@ -262,6 +263,7 @@ def texts(first_tokens, tokens):
 
 NETWORK_TEXTS = texts(st.sampled_from(["vars", "parents", "cpt", "#", "# c"]) | JUNK,
                       NUMBERS | FLOATS | JUNK)
+ORDER_TEXTS = texts(NUMBERS | JUNK, NUMBERS | JUNK)
 DIMACS_TEXTS = texts(st.sampled_from(["p cnf", "p", "c", "c evidence", "c extracted", "%"])
                      | NUMBERS | JUNK,
                      NUMBERS | FLOATS | JUNK)
@@ -285,3 +287,11 @@ class TestMalformedInputRaisesOnlyParseError:
                 parse_dimacs(text)
             except ParseError:
                 pass
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(ORDER_TEXTS, st.integers(0, 4))
+    def test_parse_order(self, text, n):
+        try:
+            parse_order(text, n)
+        except ParseError:
+            pass

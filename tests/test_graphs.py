@@ -17,7 +17,8 @@ from cnfbelief import (
     induced_width,
     min_degree_order,
 )
-from cnfbelief.graphs import check_ordering, parse_order
+from cnfbelief.fileio import ParseError, parse_order
+from cnfbelief.graphs import check_ordering
 
 from conftest import clause, formula
 
@@ -171,13 +172,22 @@ class TestOrderParsing:
         assert parse_order("2 0 1\n", 3) == Ordering((2, 0, 1))
 
     def test_rejects_bad_token(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             parse_order("0 one 2", 3)
 
+    @pytest.mark.parametrize("text", [
+        "2 0_0 1",        # int() reads it as 0
+        "2 +0 1",
+        "\u0662 0 1",     # Arabic-Indic 2
+    ])
+    def test_rejects_numbers_outside_the_format(self, text):
+        with pytest.raises(ParseError, match="bad ordering token"):
+            parse_order(text, 3)
+
     def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             parse_order("0 1 1", 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             parse_order("0 1", 3)
 
 
