@@ -448,12 +448,8 @@ class _Run:
             self._install_clause(r, exempt[i] or exempt[j], collect)
 
 
-def _execute(net: BeliefNetwork, phi: CnfFormula, ordering: Optional[Ordering],
-             cfg: Optional[EngineConfig], query: Optional[int] = None
-             ) -> tuple[float, RunStats, list[TraceEntry]]:
-    """One run: P(phi), its stats and its bucket trace.  ``ordering``,
-    already checked against ``net``, defaults to min-degree on the
-    clause-augmented graph."""
+def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg, query: Optional[int] = None):
+    """(P(phi), stats, trace); a given ``ordering`` is already checked against ``net``."""
     cfg = cfg if cfg is not None else EngineConfig()
     aug = augmented_graph(net, phi)
     if ordering is None:

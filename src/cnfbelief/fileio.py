@@ -1,5 +1,4 @@
-"""Text formats: the line-oriented network file, DIMACS CNF and the
-order file.
+"""Text formats: network files, DIMACS CNF and order files.
 
 Network format (# starts a comment anywhere):
 

@@ -6,12 +6,10 @@
   freed), so implied units surface.
 * hidden_embed: the baseline that compiles each query clause into an
   evidence-fixed hidden variable for plain elimination.
-* evaluate: the evaluator front door; it runs cpe, cpe-d (the query
-  plus the extracted clauses, for propagation only) and hidden (the
-  embedding) on the query's ancestral sub-network through
-  ``_pruned_run``, the one dispatch to the engine.
-* elim_cpe, run_trace, elim_cpe_d, elim_hidden: ``evaluate`` under the
-  paper's names.
+* evaluate: the front door; cpe, cpe-d (phi plus the extracted clauses,
+  for propagation only) and hidden run on the query's ancestral
+  sub-network through ``_pruned_run``, the one dispatch to the engine.
+  elim_cpe, run_trace, elim_cpe_d and elim_hidden are calls of it.
 * belief_given_cnf: P(var | phi) from one ``_pruned_run`` with var
   eliminated last.
 * conditional_cnf_probability: P(phi | psi) from two evaluations.
@@ -89,8 +87,7 @@ def extract_clauses(net: BeliefNetwork) -> CnfFormula:
 
 def elim_cpe_d(net: BeliefNetwork, phi: CnfFormula, ordering=None,
                cfg: EngineConfig | None = None) -> tuple[float, RunStats]:
-    """``evaluate(..., "cpe-d")``: elim_cpe over phi plus the extracted
-    clauses of its ancestral sub-network.
+    """``evaluate(..., "cpe-d")``: elim_cpe over phi plus extracted clauses.
 
     The extracted clauses drive unit resolution, promotion, and bounded
     resolution but are exempt from summation constraints (they hold
@@ -124,8 +121,7 @@ def hidden_embed(net: BeliefNetwork, phi: CnfFormula
 
 def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
                 cfg: EngineConfig | None = None) -> tuple[float, RunStats]:
-    """``evaluate(..., "hidden")``: P(phi) via the hidden-variable
-    embedding of phi's ancestral sub-network.
+    """``evaluate(..., "hidden")``: P(phi) via the hidden-variable embedding.
 
     Plain variable elimination with evidence on the hidden children; no
     clause machinery runs, so the derived-clause counters stay 0.  The
@@ -235,8 +231,7 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
 def elim_cpe(net: BeliefNetwork, phi: CnfFormula, ordering: Ordering | None = None,
              cfg: EngineConfig | None = None) -> tuple[float, RunStats]:
     """``evaluate(..., "cpe")``: P(phi) by bucket elimination with clause
-    propagation.  An unsatisfiable query yields probability 0, not an
-    error."""
+    propagation; an unsatisfiable query yields probability 0."""
     return evaluate(net, phi, "cpe", cfg, ordering)
 
 
