@@ -1,11 +1,12 @@
 """Bucket elimination over CPT factors and CNF clauses.
 
 This module holds the package's one elimination pass, ``_Run``, and
-``_execute``, which orders, runs and measures it.  Its one caller is
-``transforms._pruned_run``, so every evaluator ends in it.  All CPTs
-and clauses are partitioned into buckets along an elimination ordering
-(each item goes to the bucket of its latest-ordered variable) and the
-buckets are processed last-to-first:
+``_execute``, which orders, runs and measures it over the CPTs of the
+variables it is given, in the network's own variable numbers.  Its one
+caller is ``transforms._pruned_run``, so every evaluator ends in it.
+Those CPTs and all clauses are partitioned into buckets along an
+elimination ordering (each item goes to the bucket of its
+latest-ordered variable) and the buckets are processed last-to-first:
 
 * A bucket whose variable is forced by a unit clause is observed: its
   factors are restricted to the forced value and its clauses are
@@ -50,7 +51,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -256,9 +257,8 @@ def _log(x: float) -> float:
 class _Run:
     """Mutable state of one elimination pass."""
 
-    def __init__(self, net: BeliefNetwork, ordering: Ordering, cfg: EngineConfig,
-                 stats: RunStats, query: Optional[int] = None):
-        self.net = net
+    def __init__(self, ordering: Ordering, cfg: EngineConfig, stats: RunStats,
+                 query: Optional[int] = None):
         self.query = query
         self.cfg = cfg
         self.stats = stats
@@ -272,11 +272,11 @@ class _Run:
         self.pending: list[int] = list(ordering.order)
         self.trace: list[TraceEntry] = []
 
-    def load(self, phi: CnfFormula) -> None:
+    def load(self, factors: Iterable[Factor], phi: CnfFormula) -> None:
         if phi.has_empty_clause():
             raise ContradictionError("query contains the empty clause")
-        for cpt in self.net.cpts:
-            self._place_factor(cpt_to_factor(cpt))
+        for factor in factors:
+            self._place_factor(factor)
         extracted_seen: set[frozenset] = set()
         for clause, tag in phi.items():
             if tag == EXTRACTED:
@@ -448,10 +448,13 @@ class _Run:
             self._install_clause(r, exempt[i] or exempt[j], collect)
 
 
-def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg, query: Optional[int] = None):
-    """(P(phi), stats, trace); a given ``ordering`` is already checked against ``net``."""
+def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, ordering, cfg,
+             query: Optional[int] = None):
+    """(P(phi), stats, trace) from the CPTs of ``variables``, which hold
+    every parent of each of them and every variable of phi; a given
+    ``ordering`` lists exactly them."""
     cfg = cfg if cfg is not None else EngineConfig()
-    aug = augmented_graph(net, phi)
+    aug = augmented_graph(net, phi, variables)
     if ordering is None:
         ordering = min_degree_order(aug)
     if query is not None:
@@ -459,11 +462,11 @@ def _execute(net: BeliefNetwork, phi: CnfFormula, ordering, cfg, query: Optional
         ordering = Ordering((query,) + tuple(v for v in ordering.order if v != query))
     stats = RunStats()
     stats.width_static = induced_width(aug, ordering)
-    run = _Run(net, ordering, cfg, stats, query)
+    run = _Run(ordering, cfg, stats, query)
     failed = False
     t0 = perf_counter()
     try:
-        run.load(phi)
+        run.load([cpt_to_factor(net.cpts[v]) for v in variables], phi)
         run.process_all()
     except ContradictionError:
         failed = True

@@ -7,9 +7,10 @@
 * hidden_embed: the baseline that compiles each query clause into an
   evidence-fixed hidden variable for plain elimination.
 * evaluate: the front door; cpe, cpe-d (phi plus the extracted clauses,
-  for propagation only) and hidden run on the query's ancestral
-  sub-network through ``_pruned_run``, the one dispatch to the engine.
-  elim_cpe, run_trace, elim_cpe_d and elim_hidden are calls of it.
+  for propagation only) and hidden run on the CPTs of the query's
+  ancestral variables, in the caller's variable numbers, through
+  ``_pruned_run``, the one dispatch to the engine.  elim_cpe,
+  run_trace, elim_cpe_d and elim_hidden are calls of it.
 * belief_given_cnf: P(var | phi) from one ``_pruned_run`` with var
   eliminated last.
 * conditional_cnf_probability: P(phi | psi) from two evaluations.
@@ -18,7 +19,7 @@
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -74,14 +75,16 @@ def _implied_clauses(cpt: Cpt) -> list[Clause]:
     return out
 
 
-def extract_clauses(net: BeliefNetwork) -> CnfFormula:
-    """All clauses certain under the network's CPTs, tagged with
-    extracted provenance.  Each has probability 1 under the network, so
+def extract_clauses(net: BeliefNetwork, variables: Iterable[int] | None = None) -> CnfFormula:
+    """All clauses certain under the CPTs of ``variables`` (the whole
+    network by default), in that order, tagged with extracted
+    provenance.  Each has probability 1 under the network, so
     conjoining them to a query never changes its probability.  No clause
     repeats: one CPT's primes are distinct, and a clause of CPT i holds
     i and otherwise only i's parents, so two CPTs sharing one would each
     be a parent of the other."""
-    clauses = [clause for cpt in net.cpts for clause in _implied_clauses(cpt)]
+    clauses = [clause for v in (net.variables() if variables is None else variables)
+               for clause in _implied_clauses(net.cpts[v])]
     return CnfFormula(clauses, (EXTRACTED,) * len(clauses))
 
 
@@ -134,22 +137,16 @@ def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
 ALGORITHMS = ("cpe", "cpe-d", "hidden", "brute")
 
 
-def _relabel(clause: Clause, label) -> Clause:
-    return Clause(Literal(label[l.var], l.positive) for l in clause.literals)
-
-
 def _ancestral(net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None
-               ) -> tuple[BeliefNetwork, CnfFormula, dict[int, int]]:
-    """The sub-network of phi's variables, ``var`` when given, and all
-    their ancestors, phi over it, and ``label``, which maps each kept
-    variable to its number there: the kept variables in ascending order
-    are 0..m-1.
+               ) -> tuple[int, ...]:
+    """phi's variables, ``var`` when given, and all their ancestors,
+    ascending.
 
-    P(phi) and P(phi, var) are the same on it.  Every other variable is
-    barren: no clause holds it or a descendant, so summing the barren
-    variables out, children first, turns each of their CPTs into 1
-    (Shachter 1986; Baker and Boult 1990).  Raises ModelError for a
-    clause variable outside the network.
+    P(phi) and P(phi, var) are the same over their CPTs alone.  Every
+    other variable is barren: no clause holds it or a descendant, so
+    summing the barren variables out, children first, turns each of
+    their CPTs into 1 (Shachter 1986; Baker and Boult 1990).  Raises
+    ModelError for a clause variable outside the network.
     """
     for clause in phi.clauses:
         if any(not 0 <= v < net.n for v in clause.variables()):
@@ -161,11 +158,7 @@ def _ancestral(net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None
             if p not in kept:
                 kept.add(p)
                 stack.append(p)
-    label = {v: i for i, v in enumerate(sorted(kept))}
-    sub = BeliefNetwork(len(label), tuple(
-        Cpt(i, tuple(label[p] for p in net.parents(v)), net.cpts[v].table)
-        for v, i in label.items()))
-    return sub, CnfFormula([_relabel(c, label) for c in phi.clauses], phi.provenance), label
+    return tuple(sorted(kept))
 
 
 def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
@@ -173,14 +166,14 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
     """Uniform front door over the evaluators; ``alg`` is one of
     ALGORITHMS.
 
-    cpe, cpe-d and hidden run on the ancestral sub-network of phi's
-    variables (``_ancestral``), so mf, C, U, F, O and the widths
-    describe that sub-network.  ``stats.trace`` holds the bucket log of
-    the elimination run in the caller's variable numbers; hidden's
-    fresh variables are net.n, net.n + 1, ... as in ``hidden_embed``.
-    An ``ordering`` must cover the network and applies to cpe and
-    cpe-d only, projected onto the kept variables; the other
-    algorithms raise ValueError when given one.  The brute-force path
+    cpe, cpe-d and hidden run on the CPTs of phi's variables and their
+    ancestors (``_ancestral``), so mf, C, U, F, O and the widths
+    describe that part of the network.  ``stats.trace`` holds the
+    bucket log of the elimination run, in the network's variable
+    numbers; hidden's fresh variables are net.n, net.n + 1, ... as in
+    ``hidden_embed``.  An ``ordering`` must list each of 0..n-1 once
+    and applies to cpe and cpe-d only, restricted to the kept
+    variables; the other algorithms raise ValueError when given one.  The brute-force path
     enumerates the whole network and reports only result and time.
     """
     if ordering is not None:
@@ -203,29 +196,23 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
 
 def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig | None,
                 ordering: Ordering | None = None, var: Optional[int] = None) -> RunStats:
-    """One engine run of cpe, cpe-d or hidden on the ancestral
-    sub-network of phi (and ``var``), with ``stats.trace`` in the
-    caller's numbers.  With ``var`` the engine eliminates it last and
-    fills ``stats.log_joint``; hidden's fresh variables are numbered
-    after the sub-network's, so var keeps its label there.
+    """One engine run of cpe, cpe-d or hidden over the CPTs of phi's
+    (and ``var``'s) ancestral variables.  With ``var`` the engine
+    eliminates it last and fills ``stats.log_joint``.
     """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
-    sub, sub_phi, label = _ancestral(net, phi, var)
+    kept = _ancestral(net, phi, var)
     if ordering is not None:
-        ordering = Ordering(tuple(label[v] for v in ordering if v in label))
-    query = None if var is None else label[var]
+        keep = set(kept)
+        ordering = Ordering(tuple(v for v in ordering if v in keep))
     if alg == "cpe-d":
-        sub_phi = sub_phi.conjoin(extract_clauses(sub))
+        phi = phi.conjoin(extract_clauses(net, kept))
     elif alg == "hidden":
-        sub, evidence = hidden_embed(sub, sub_phi)
-        sub_phi = CnfFormula([Clause([lit]) for lit in evidence], (EVIDENCE,) * len(evidence))
-    _, stats, _ = _execute(sub, sub_phi, ordering, cfg, query)
-    caller = list(label) + list(range(net.n, net.n + len(phi)))
-    stats.trace = [TraceEntry(caller[e.bucket], e.action, tuple(caller[v] for v in e.scope),
-                              tuple(_relabel(c, caller) for c in e.derived))
-                   for e in stats.trace]
-    return stats
+        net, evidence = hidden_embed(net, phi)
+        kept += tuple(lit.var for lit in evidence)
+        phi = CnfFormula([Clause([lit]) for lit in evidence], (EVIDENCE,) * len(evidence))
+    return _execute(net, kept, phi, ordering, cfg, var)[1]
 
 
 def elim_cpe(net: BeliefNetwork, phi: CnfFormula, ordering: Ordering | None = None,

@@ -28,23 +28,27 @@ POS_MORAL_EDGES = {
 }
 
 
-def graph(n: int, edges=()) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(n)]
+def graph(n: int, edges=()) -> dict[int, set[int]]:
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
     return adj
 
 
-def complete(n: int) -> list[set[int]]:
+def relabel(g: dict[int, set[int]], names) -> dict[int, set[int]]:
+    return {names[v]: {names[u] for u in row} for v, row in g.items()}
+
+
+def complete(n: int) -> dict[int, set[int]]:
     return graph(n, itertools.combinations(range(n), 2))
 
 
-def edge_set(g: list[set[int]]) -> set[tuple[int, int]]:
-    return {(u, v) for u, row in enumerate(g) for v in row if u < v}
+def edge_set(g: dict[int, set[int]]) -> set[tuple[int, int]]:
+    return {(u, v) for u, row in g.items() for v in row if u < v}
 
 
-def star(n_leaves: int = 3) -> list[set[int]]:
+def star(n_leaves: int = 3) -> dict[int, set[int]]:
     return graph(n_leaves + 1, [(0, k) for k in range(1, n_leaves + 1)])
 
 
@@ -61,10 +65,10 @@ class TestUndirectedGraph:
 
 class TestOrdering:
     def test_must_be_permutation(self):
-        with pytest.raises(ValueError):
-            Ordering((0, 0, 1))
-        with pytest.raises(ValueError):
-            Ordering((1, 2))
+        with pytest.raises(ModelError):
+            check_ordering((0, 0, 1), 3)
+        with pytest.raises(ModelError):
+            check_ordering((1, 2), 2)
 
     def test_position(self):
         assert Ordering((2, 0, 1)).position() == {2: 0, 0: 1, 1: 2}
@@ -101,7 +105,7 @@ class TestInteractionGraphs:
     def test_augmented_has_no_self_loops(self, net2, pos_net, phi42):
         # a unit clause is a one-vertex clique, and every family holds its child
         for g in (augmented_graph(net2, formula(clause(-2))), augmented_graph(pos_net, phi42)):
-            assert all(v not in row for v, row in enumerate(g))
+            assert all(v not in row for v, row in g.items())
 
     def test_augmented_rejects_foreign_variables(self, net2):
         with pytest.raises(ModelError):
@@ -141,6 +145,15 @@ class TestWidth:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ModelError, match="covers 2 variables, network has 4"):
             induced_width(star(), Ordering((0, 1)))
+
+    def test_order_must_list_the_graph_vertices(self):
+        g = relabel(graph(3, [(0, 1), (1, 2)]), (2, 5, 11))
+        assert induced_width(g, Ordering((5, 2, 11))) == 1
+        for order in ((2, 5), (2, 5, 11, 0), (0, 1, 2), (2, 5, 12)):
+            with pytest.raises(ModelError):
+                induced_width(g, Ordering(order))
+            with pytest.raises(ModelError):
+                adjusted_induced_width(g, Ordering(order), {5})
 
 
 class TestAdjustedWidth:
@@ -194,9 +207,9 @@ class TestOrderParsing:
 # The quadratic greedy and the fill loops below are kept as the
 # reference the heap-driven elimination must reproduce exactly.
 
-def reference_min_degree_order(graph: list[set[int]]) -> Ordering:
-    work = [set(s) for s in graph]
-    alive = set(range(len(graph)))
+def reference_min_degree_order(graph: dict[int, set[int]]) -> Ordering:
+    work = {v: set(s) for v, s in graph.items()}
+    alive = set(graph)
     slots: list[int] = [0] * len(graph)
     for slot in range(len(graph) - 1, -1, -1):
         v = min(alive, key=lambda u: (len(work[u]), u))
@@ -213,9 +226,9 @@ def reference_min_degree_order(graph: list[set[int]]) -> Ordering:
     return Ordering(tuple(slots))
 
 
-def reference_adjusted_width(graph: list[set[int]], ordering: Ordering, observed=()) -> int:
+def reference_adjusted_width(graph: dict[int, set[int]], ordering: Ordering, observed=()) -> int:
     obs = set(observed)
-    work = [set(s) for s in graph]
+    work = {v: set(s) for v, s in graph.items()}
     width = 0
     for v in reversed(ordering.order):
         neighbors = list(work[v])
@@ -264,7 +277,7 @@ class TestMatchesReference:
         for k, g, observed in seeded_cases():
             o = min_degree_order(g)
             assert o == reference_min_degree_order(g), k
-            shuffled = list(range(len(g)))
+            shuffled = list(g)
             random.Random(k).shuffle(shuffled)
             for order in (o, Ordering(tuple(shuffled))):
                 assert induced_width(g, order) == reference_adjusted_width(g, order), k
@@ -281,6 +294,21 @@ class TestMatchesReference:
         assert (adjusted_induced_width(g, o, observed)
                 == reference_adjusted_width(g, o, observed))
 
+    @pytest.mark.parametrize("name", sorted(hand_built_cases()))
+    def test_vertices_need_not_be_dense(self, name):
+        # the ascending relabelling keeps every tie, so the greedy
+        # makes the reference's choices under the new names
+        g = hand_built_cases()[name]
+        names = (2, 5, 11, 12, 20, 31, 40)[:len(g)]
+        sparse = relabel(g, names)
+        want = reference_min_degree_order(g)
+        o = min_degree_order(sparse)
+        assert o == Ordering(tuple(names[v] for v in want.order))
+        assert induced_width(sparse, o) == reference_adjusted_width(g, want)
+        observed = set(names[::2])
+        assert (adjusted_induced_width(sparse, o, observed)
+                == reference_adjusted_width(g, want, set(range(0, len(g), 2))))
+
     def test_ties_go_to_the_smallest_index(self):
         assert min_degree_order(graph(0)) == Ordering(())
         # no edges: every degree is 0, so 0 is taken first into the last slot
@@ -290,7 +318,7 @@ class TestMatchesReference:
 
     def test_input_graph_is_left_alone(self):
         g = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        before = [set(row) for row in g]
+        before = {v: set(row) for v, row in g.items()}
         induced_width(g, min_degree_order(g))
         adjusted_induced_width(g, Ordering((0, 1, 2, 3)), {2})
         assert g == before

@@ -247,8 +247,6 @@ class TestEvaluate:
 
     def test_stats_carry_the_trace(self, hyb_net, query_not_g, d1):
         cfg = EngineConfig(i_bound=2)
-        _, stats = evaluate(hyb_net, query_not_g, "cpe", cfg, d1)
-        assert stats.trace == run_trace(hyb_net, query_not_g, d1, cfg)[2]
         _, stats = evaluate(hyb_net, query_not_g, "cpe-d", cfg, d1)
         extended = query_not_g.conjoin(extract_clauses(hyb_net))
         assert stats.trace == run_trace(hyb_net, extended, d1, cfg)[2]
@@ -392,7 +390,7 @@ class TestRelevancePruning:
             renumbered["fresh"] += sum(e.bucket >= net.n for e in hidden_stats.trace)
         assert all(renumbered.values()), renumbered
 
-    def test_front_door_checks_see_the_whole_network(self, pos_net):
+    def test_front_door_checks_see_the_whole_network(self, pos_net, net2):
         # A's ancestral set is A alone; the checks still cover all six variables
         query = formula(clause(1))
         for alg in ("cpe", "cpe-d", "hidden"):
@@ -402,6 +400,8 @@ class TestRelevancePruning:
         for alg in ("cpe", "cpe-d"):
             with pytest.raises(ModelError, match="covers 1 variables, network has 6"):
                 evaluate(pos_net, query, alg, ordering=Ordering((0,)))
+            with pytest.raises(ModelError):
+                evaluate(net2, formula(clause(1)), alg, ordering=(1, 2))
 
     def test_empty_query_runs_on_the_empty_network(self, pos_net):
         for alg in ("cpe", "cpe-d", "hidden"):
@@ -516,7 +516,7 @@ class TestBeliefInOnePass:
 
         def counted_execute(*args, **kwargs):
             out = execute(*args, **kwargs)
-            runs.append(out[1])
+            runs.append(out)
             return out
 
         def counted_order(*args, **kwargs):
@@ -538,7 +538,8 @@ class TestBeliefInOnePass:
             assert len(runs) == 1 and len(orders) == 1, k
             if dist is None:
                 continue  # a contradiction may stop the run before var's bucket
-            trace = runs[0].trace  # in the caller's numbers once the run returns
+            _, stats, trace = runs[0]
+            assert trace == stats.trace, k
             mine = [i for i, e in enumerate(trace) if e.bucket == var]
             assert len(mine) == 1, k
             entry = trace[mine[0]]
