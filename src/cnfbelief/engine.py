@@ -450,9 +450,8 @@ class _Run:
 
 def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, ordering, cfg,
              query: Optional[int] = None):
-    """(P(phi), stats, trace) from the CPTs of ``variables``, which hold
-    every parent of each of them and every variable of phi; a given
-    ``ordering`` lists exactly them."""
+    """(P(phi), stats, trace) from the CPTs of ``variables``, which hold their own parents
+    and phi's variables; a given ``ordering`` lists exactly them."""
     cfg = cfg if cfg is not None else EngineConfig()
     aug = augmented_graph(net, phi, variables)
     if ordering is None:

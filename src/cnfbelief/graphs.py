@@ -44,12 +44,13 @@ def augmented_graph(net: BeliefNetwork, phi: CnfFormula,
     plus a clique over each clause's variables.  The variables must
     hold the parents of each of them; a clause variable outside them
     raises ModelError."""
-    adj: dict[int, set[int]] = {v: set() for v in (net.variables() if variables is None
-                                                    else variables)}
+    adj = {v: set() for v in (net.variables() if variables is None else variables)}
+    cliques = [net.family(v) for v in adj]
     for clause in phi.clauses:
-        if any(v not in adj for v in clause.variables()):
+        vs = clause.variables()
+        if any(v not in adj for v in vs):
             raise ModelError(f"clause variable out of range in {clause}")
-    cliques = [net.family(v) for v in adj] + [clause.variables() for clause in phi.clauses]
+        cliques.append(vs)
     for clique in cliques:
         for v in clique:
             adj[v].update(clique)
@@ -145,18 +146,16 @@ def adjusted_induced_width(
 
 
 def _covering(ordering: Sequence[int] | Ordering, variables: Collection[int]) -> Ordering:
-    """``ordering`` as an Ordering; ModelError unless it lists each of
-    ``variables`` exactly once."""
+    """``ordering`` as an Ordering; ModelError unless it lists each of ``variables`` once."""
     if not isinstance(ordering, Ordering):
         ordering = Ordering(tuple(ordering))
     if len(ordering) != len(variables):
         raise ModelError(f"ordering covers {len(ordering)} variables, network has {len(variables)}")
-    if not all(v in variables for v in ordering.order):
+    if not all(map(variables.__contains__, ordering.order)):
         raise ModelError(f"ordering lists a variable outside the network: {ordering.order}")
     return ordering
 
 
 def check_ordering(ordering: Sequence[int] | Ordering, n: int) -> Ordering:
-    """``ordering`` as an Ordering; ModelError unless it lists each of
-    0..n-1 exactly once."""
+    """``ordering`` as an Ordering; ModelError unless it lists each of 0..n-1 once."""
     return _covering(ordering, range(n))

@@ -173,8 +173,9 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
     numbers; hidden's fresh variables are net.n, net.n + 1, ... as in
     ``hidden_embed``.  An ``ordering`` must list each of 0..n-1 once
     and applies to cpe and cpe-d only, restricted to the kept
-    variables; the other algorithms raise ValueError when given one.  The brute-force path
-    enumerates the whole network and reports only result and time.
+    variables; the other algorithms raise ValueError when given one.
+    The brute-force path enumerates the whole network and reports only
+    result and time.
     """
     if ordering is not None:
         if alg in ("hidden", "brute"):
@@ -204,8 +205,7 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
     kept = _ancestral(net, phi, var)
     if ordering is not None:
-        keep = set(kept)
-        ordering = Ordering(tuple(v for v in ordering if v in keep))
+        ordering = Ordering(tuple(sorted(kept, key=ordering.position().__getitem__)))
     if alg == "cpe-d":
         phi = phi.conjoin(extract_clauses(net, kept))
     elif alg == "hidden":
