@@ -27,7 +27,6 @@ from .model import (
     ModelError,
     close_enough,
     cpt_to_factor,
-    validate_network,
 )
 from .oracle import brute_force_cpe
 from .resolution import bdr_step, resolve

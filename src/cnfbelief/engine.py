@@ -104,8 +104,10 @@ class EngineConfig:
     dynamic_reorder: bool = True
 
     def __post_init__(self):
-        if self.i_bound is not None and self.i_bound < 0:
-            raise ValueError("i_bound must be None (unbounded) or >= 0")
+        bound = self.i_bound
+        if bound is not None and (isinstance(bound, bool) or not isinstance(bound, int)
+                                  or bound < 0):
+            raise ValueError(f"i_bound must be None (unbounded) or an int >= 0, got {bound!r}")
 
 
 @dataclass

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 
-from .graphs import Ordering
+from .graphs import Ordering, check_ordering
 from .model import (
     EVIDENCE,
     EXTRACTED,
@@ -36,7 +36,6 @@ from .model import (
     Cpt,
     Literal,
     ModelError,
-    validate_network,
 )
 
 
@@ -113,11 +112,9 @@ def parse_network(text: str) -> BeliefNetwork:
         if not 0 <= child < n:
             raise ParseError(f"cpt line for unknown variable {child}")
     try:
-        net = BeliefNetwork(n, tuple(cpts))
-        validate_network(net)
+        return BeliefNetwork(n, tuple(cpts))
     except ModelError as exc:
         raise ParseError(str(exc)) from None
-    return net
 
 
 def serialize_network(net: BeliefNetwork, header: list[str] | None = None) -> str:
@@ -205,9 +202,10 @@ def parse_order(text: str, n: int) -> Ordering:
             values.append(int(tok))
         except ValueError:
             raise ParseError(f"bad ordering token {tok!r}") from None
-    if sorted(values) != list(range(n)):
-        raise ParseError(f"ordering must list each of 0..{n - 1} exactly once")
-    return Ordering(tuple(values))
+    try:
+        return check_ordering(values, n)
+    except ModelError:
+        raise ParseError(f"ordering must list each of 0..{n - 1} exactly once") from None
 
 
 def serialize_cnf(phi: CnfFormula, n_vars: int | None = None,

@@ -12,6 +12,8 @@ Conventions shared by every module in this package:
   (1,1) over (p1, p2).  A ``Factor`` stores its values as a numpy array
   of shape ``(2,) * len(scope)``, which reshapes to and from the flat
   lexicographic layout in C order.
+* A ``BeliefNetwork`` is a valid DAG model once built: its constructor
+  raises ModelError otherwise, so no later code checks it again.
 """
 
 from __future__ import annotations
@@ -174,6 +176,11 @@ class BeliefNetwork:
     ``cpts[i]`` must be the CPT whose child is i.  ``order_hint`` is an
     optional topological order retained from parsing or generation; the
     elimination code never requires it.
+
+    Construction raises ModelError unless the network is well formed:
+    n CPTs with ``cpts[i].child == i``, distinct parents in 0..n-1 other
+    than the child, ``2**len(parents)`` table rows, every entry in
+    [0, 1] (NaN refused), and no directed cycle.
     """
 
     n: int
@@ -186,6 +193,39 @@ class BeliefNetwork:
         for i, cpt in enumerate(self.cpts):
             if cpt.child != i:
                 raise ModelError(f"cpts[{i}] has child {cpt.child}")
+        for cpt in self.cpts:
+            if len(set(cpt.parents)) != len(cpt.parents):
+                raise ModelError(f"duplicate parents for variable {cpt.child}")
+            for p in cpt.parents:
+                if not 0 <= p < self.n:
+                    raise ModelError(f"parent {p} of {cpt.child} out of range")
+                if p == cpt.child:
+                    raise ModelError(f"variable {cpt.child} is its own parent")
+            if len(cpt.table) != 1 << len(cpt.parents):
+                raise ModelError(
+                    f"variable {cpt.child}: table has {len(cpt.table)} rows, "
+                    f"expected {1 << len(cpt.parents)}"
+                )
+            for value in cpt.table:
+                if not (0.0 <= value <= 1.0) or math.isnan(value):
+                    raise ModelError(f"variable {cpt.child}: probability {value} out of [0, 1]")
+        # cycle check (Kahn): strip each variable once its parents are all
+        # stripped; what is left is every cycle member and every descendant
+        # of one
+        children: list[list[int]] = [[] for _ in range(self.n)]
+        unstripped = [len(cpt.parents) for cpt in self.cpts]
+        for cpt in self.cpts:
+            for p in cpt.parents:
+                children[p].append(cpt.child)
+        stripped = [v for v in self.variables() if not unstripped[v]]
+        for v in stripped:  # grows while it is walked
+            for c in children[v]:
+                unstripped[c] -= 1
+                if not unstripped[c]:
+                    stripped.append(c)
+        if len(stripped) < self.n:
+            raise ModelError(
+                f"cycle among variables {[v for v in self.variables() if unstripped[v]]}")
 
     def parents(self, var: int) -> tuple[int, ...]:
         return self.cpts[var].parents
@@ -195,48 +235,6 @@ class BeliefNetwork:
 
     def variables(self) -> range:
         return range(self.n)
-
-
-def validate_network(net: BeliefNetwork) -> None:
-    """Raise ModelError unless ``net`` is a well-formed DAG model.
-
-    Checks variable ranges, parent tuples (distinct, acyclic), table
-    lengths and probability bounds.
-    """
-    for cpt in net.cpts:
-        if not 0 <= cpt.child < net.n:
-            raise ModelError(f"variable {cpt.child} out of range")
-        if len(set(cpt.parents)) != len(cpt.parents):
-            raise ModelError(f"duplicate parents for variable {cpt.child}")
-        for p in cpt.parents:
-            if not 0 <= p < net.n:
-                raise ModelError(f"parent {p} of {cpt.child} out of range")
-            if p == cpt.child:
-                raise ModelError(f"variable {cpt.child} is its own parent")
-        if len(cpt.table) != 1 << len(cpt.parents):
-            raise ModelError(
-                f"variable {cpt.child}: table has {len(cpt.table)} rows, "
-                f"expected {1 << len(cpt.parents)}"
-            )
-        for value in cpt.table:
-            if not (0.0 <= value <= 1.0) or math.isnan(value):
-                raise ModelError(f"variable {cpt.child}: probability {value} out of [0, 1]")
-    # cycle check (Kahn): strip each variable once its parents are all
-    # stripped; what is left is every cycle member and every descendant
-    # of one
-    children: list[list[int]] = [[] for _ in range(net.n)]
-    unstripped = [len(cpt.parents) for cpt in net.cpts]
-    for cpt in net.cpts:
-        for p in cpt.parents:
-            children[p].append(cpt.child)
-    stripped = [v for v in net.variables() if not unstripped[v]]
-    for v in stripped:  # grows while it is walked
-        for c in children[v]:
-            unstripped[c] -= 1
-            if not unstripped[c]:
-                stripped.append(c)
-    if len(stripped) < net.n:
-        raise ModelError(f"cycle among variables {[v for v in net.variables() if unstripped[v]]}")
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,21 @@ class TestEval:
         assert code == 0
         assert capsys.readouterr().out == "0.381171500000\n"
 
+    def test_bounded_resolution_keeps_the_probability(self, tmp_path, capsys):
+        prefix = str(tmp_path / "det")
+        assert run_cli(["gen", "--vars", "8", "--det-frac", "0.5", "--clauses", "3",
+                        "--seed", "2", "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        runs = {}
+        for bound in ("0", "2"):
+            assert run_cli(["eval", "--net", prefix + ".net", "--cnf", prefix + ".cnf",
+                            "--alg", "cpe-d", "--i-bound", bound, "--stats", "json"]) == 0
+            prob, stats = capsys.readouterr().out.splitlines()
+            runs[bound] = prob, json.loads(stats)["C"]
+        assert runs["2"][0] == runs["0"][0] == "0.743088246885"
+        # at i-bound 2 resolution derives clauses that i-bound 0 does not
+        assert runs["2"][1] > runs["0"][1]
+
     def test_no_reorder_flag(self, six_node_files, capsys):
         net, cnf, _ = six_node_files
         assert run_cli(["eval", "--net", net, "--cnf", cnf, "--no-reorder"]) == 0
@@ -276,6 +291,18 @@ class TestBench:
 
         assert strip(first) == strip(second)
 
+    @pytest.mark.parametrize("bound", ["2", 1.5, True, -1])
+    def test_i_bound_must_be_a_count(self, tmp_path, capsys, bound):
+        spec = {"batches": self.SPEC["batches"],
+                "algorithms": [{"alg": "cpe", "i_bound": bound}]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        csv_path = tmp_path / "out.csv"
+        code = run_cli(["bench", "--spec", str(spec_path), "--csv", str(csv_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: i_bound must be")
+        assert not csv_path.exists()
+
     def test_missing_spec_key(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps({"batches": []}))
@@ -362,8 +389,9 @@ class TestErrorPaths:
 
     def test_bad_i_bound_is_a_usage_error(self, two_node_files):
         net, cnf = two_node_files
-        assert run_cli(["eval", "--net", net, "--cnf", cnf,
-                        "--i-bound", "-3"]) == 2
+        for bound in ("-3", "x"):
+            assert run_cli(["eval", "--net", net, "--cnf", cnf,
+                            "--i-bound", bound]) == 2
 
     def test_no_arguments(self):
         assert run_cli([]) == 2

@@ -42,6 +42,11 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(i_bound=-1)
 
+    @pytest.mark.parametrize("bound", ["2", 1.5, True, False])
+    def test_bound_must_be_an_int(self, bound):
+        with pytest.raises(ValueError, match="i_bound must be"):
+            EngineConfig(i_bound=bound)
+
     def test_none_means_unbounded(self):
         assert EngineConfig(i_bound=None).i_bound is None
 

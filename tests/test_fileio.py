@@ -107,6 +107,19 @@ class TestParseNetwork:
         with pytest.raises(ParseError, match="unknown variable"):
             parse_network("vars 1\ncpt 0 0.5\nparents 3 0\ncpt 3 0.5 0.5\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("vars 2\ncpt 0 0.5\nparents 1 0\nparents 1 0\ncpt 1 0.2 0.9\n",
+         "line 4: duplicate parents line for variable 1"),
+        ("vars 1\ncpt 0\n", "line 2: expected: cpt <child> <values...>"),
+        ("vars 1\ncpt 0 0.5\ncpt 3 0.5\n", "cpt line for unknown variable 3"),
+        ("vars 2\ncpt 0 0.5\nparents 1 0 0\ncpt 1 0.1 0.2 0.3 0.4\n",
+         "duplicate parents for variable 1"),
+    ])
+    def test_error_message(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_network(text)
+        assert str(exc.value) == message
+
 
 class TestSerializeNetwork:
     def test_round_trip_fixtures(self, net2, pos_net, hyb_net):

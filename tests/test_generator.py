@@ -1,6 +1,6 @@
 import pytest
 
-from cnfbelief import validate_network
+from cnfbelief import BeliefNetwork
 from cnfbelief.generator import RNG_ALGORITHM, gen_network, gen_query
 from cnfbelief.model import EVIDENCE, QUERY
 
@@ -31,8 +31,7 @@ class TestGenNetwork:
         for n, f, d, seed in [(1, 1, 0.0, 0), (4, 2, 1.0, 3), (12, 4, 0.5, 9),
                               (8, 3, 0.25, 11)]:
             net = gen_network(n, f, d, seed)
-            validate_network(net)
-            assert net.n == n
+            assert BeliefNetwork(n, net.cpts, net.order_hint) == net
 
     def test_parents_precede_children(self):
         net = gen_network(15, 4, 0.3, seed=5)

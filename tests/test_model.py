@@ -21,7 +21,6 @@ from cnfbelief import (
     extract_clauses,
     parse_network,
     run_trace,
-    validate_network,
 )
 from cnfbelief.model import EVIDENCE, QUERY
 
@@ -150,50 +149,54 @@ class TestCpt:
 
 class TestValidateNetwork:
     def test_valid_network_passes(self, pos_net):
-        validate_network(pos_net)
+        assert BeliefNetwork(pos_net.n, pos_net.cpts) == pos_net
 
     def test_child_mismatch_rejected(self):
         with pytest.raises(ModelError):
             BeliefNetwork(2, (Cpt(1, (), (0.5,)), Cpt(0, (), (0.5,))))
 
     def test_parent_out_of_range(self):
-        net = BeliefNetwork.__new__(BeliefNetwork)
-        object.__setattr__(net, "n", 1)
-        object.__setattr__(net, "cpts", (Cpt(0, (3,), (0.5, 0.5)),))
         with pytest.raises(ModelError):
-            validate_network(net)
+            BeliefNetwork(1, (Cpt(0, (3,), (0.5, 0.5)),))
 
     def test_self_parent_rejected(self):
-        net = BeliefNetwork.__new__(BeliefNetwork)
-        object.__setattr__(net, "n", 1)
-        object.__setattr__(net, "cpts", (Cpt(0, (0,), (0.5, 0.5)),))
         with pytest.raises(ModelError):
-            validate_network(net)
+            BeliefNetwork(1, (Cpt(0, (0,), (0.5, 0.5)),))
 
     def test_table_length_must_match_parent_count(self):
-        net = BeliefNetwork(2, (Cpt(0, (), (0.5,)), Cpt(1, (0,), (0.2, 0.9))))
-        bad = BeliefNetwork.__new__(BeliefNetwork)
-        object.__setattr__(bad, "n", 2)
-        object.__setattr__(bad, "cpts", (net.cpts[0], Cpt(1, (0,), (0.2,))))
         with pytest.raises(ModelError):
-            validate_network(bad)
+            BeliefNetwork(2, (Cpt(0, (), (0.5,)), Cpt(1, (0,), (0.2,))))
 
     def test_probability_out_of_bounds(self):
-        net = BeliefNetwork.__new__(BeliefNetwork)
-        object.__setattr__(net, "n", 1)
-        object.__setattr__(net, "cpts", (Cpt(0, (), (1.5,)),))
         with pytest.raises(ModelError):
-            validate_network(net)
+            BeliefNetwork(1, (Cpt(0, (), (1.5,)),))
 
     def test_cycle_detected(self):
-        net = BeliefNetwork.__new__(BeliefNetwork)
-        object.__setattr__(net, "n", 2)
-        object.__setattr__(net, "cpts", (
-            Cpt(0, (1,), (0.5, 0.5)),
-            Cpt(1, (0,), (0.5, 0.5)),
-        ))
         with pytest.raises(ModelError):
-            validate_network(net)
+            BeliefNetwork(2, (Cpt(0, (1,), (0.5, 0.5)), Cpt(1, (0,), (0.5, 0.5))))
+
+    def test_wrong_cpt_count_rejected(self):
+        with pytest.raises(ModelError, match="expected 2 CPTs, got 1"):
+            BeliefNetwork(2, (Cpt(0, (), (0.5,)),))
+
+    def test_duplicate_parents_rejected(self):
+        with pytest.raises(ModelError, match="duplicate parents for variable 1"):
+            BeliefNetwork(2, (Cpt(0, (), (0.5,)), Cpt(1, (0, 0), (0.5,) * 4)))
+
+    @pytest.mark.parametrize("cpts, message", [
+        ((Cpt(0, (), (1.5,)),), "variable 0: probability 1.5 out of [0, 1]"),
+        ((Cpt(0, (1,), (0.5, 0.5)), Cpt(1, (0,), (0.5, 0.5))), "cycle among variables [0, 1]"),
+        ((Cpt(0, (), (0.5,)), Cpt(1, (-1,), (0.5, 0.5))), "parent -1 of 1 out of range"),
+        ((Cpt(0, (), (0.5,)), Cpt(1, (0,), (0.2,))),
+         "variable 1: table has 1 rows, expected 2"),
+    ], ids=["prior-1.5", "cycle", "parent-minus-1", "short-table"])
+    def test_networks_the_evaluators_would_misread_are_refused(self, cpts, message):
+        # unchecked, each reaches the evaluators: P(A=1) = 1.5 gives
+        # answers above 1, a cycle gets an answer, a parent of -1 gets
+        # different answers from cpe and brute, a short table an IndexError
+        with pytest.raises(ModelError) as exc:
+            BeliefNetwork(len(cpts), cpts)
+        assert str(exc.value) == message
 
     def test_reverse_numbered_chain_is_linear(self):
         # parents carry higher numbers than children, the worst case for
@@ -212,13 +215,14 @@ class TestValidateNetwork:
 # The fixpoint sweep the cycle check replaced, kept as the reference for
 # the set of variables a cycle error must name.
 
-def reference_cycle_remainder(net: BeliefNetwork) -> list[int]:
-    remaining = set(net.variables())
+def reference_cycle_remainder(parents: list[tuple[int, ...]]) -> list[int]:
+    """``parents[v]`` is the parent tuple of variable v."""
+    remaining = set(range(len(parents)))
     changed = True
     while changed and remaining:
         changed = False
         for v in sorted(remaining):
-            if all(p not in remaining for p in net.parents(v)):
+            if all(p not in remaining for p in parents[v]):
                 remaining.discard(v)
                 changed = True
     return sorted(remaining)
@@ -235,12 +239,12 @@ def relabelled_dags(draw):
     return parents, label
 
 
-def relabelled_network(parents, label) -> BeliefNetwork:
+def relabelled_cpts(parents, label) -> tuple[Cpt, ...]:
     cpts = [None] * len(parents)
     for k, ps in enumerate(parents):
         family = tuple(sorted(label[p] for p in ps))
         cpts[label[k]] = Cpt(label[k], family, (0.5,) * (1 << len(family)))
-    return BeliefNetwork(len(parents), tuple(cpts))
+    return tuple(cpts)
 
 
 class TestCycleCheckMatchesReference:
@@ -248,7 +252,7 @@ class TestCycleCheckMatchesReference:
     @given(relabelled_dags(), st.data())
     def test_dag_passes_and_back_edge_names_the_fixpoint_remainder(self, dag, data):
         parents, label = dag
-        validate_network(relabelled_network(parents, label))
+        BeliefNetwork(len(parents), relabelled_cpts(parents, label))
         # walk down from a variable with children to one of its
         # descendants, then make that descendant its parent
         with_children = [k for k in range(len(parents)) if any(k in ps for ps in parents)]
@@ -262,11 +266,11 @@ class TestCycleCheckMatchesReference:
                 break
             bottom = data.draw(st.sampled_from(children))
         parents[top] = parents[top] | {bottom}
-        net = relabelled_network(parents, label)
-        expected = reference_cycle_remainder(net)
+        cpts = relabelled_cpts(parents, label)
+        expected = reference_cycle_remainder([cpt.parents for cpt in cpts])
         assert label[top] in expected and label[bottom] in expected
         with pytest.raises(ModelError) as exc:
-            validate_network(net)
+            BeliefNetwork(len(cpts), cpts)
         assert str(exc.value) == f"cycle among variables {expected}"
 
 
