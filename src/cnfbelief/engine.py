@@ -2,7 +2,10 @@
 
 This module holds the package's one elimination pass, ``_Run``, and
 ``_execute``, which orders, runs and measures it over the CPTs of the
-variables it is given, in the network's own variable numbers.  Its one
+variables it is given, in the network's own variable numbers.  It may
+also be given bare vertices, variables whose CPTs are left out (belief's
+observed boundary variables), which join the graph and the ordering
+with no family of their own.  Its one
 caller is ``transforms._pruned_run``, so every evaluator ends in it.
 Those CPTs and all clauses are partitioned into buckets along an
 elimination ordering (each item goes to the bucket of its
@@ -43,6 +46,8 @@ Dechter, "Bucket elimination: a unifying framework for reasoning", AIJ
 1999): the variable is ordered first, so its bucket comes last and is
 left unsummed.  Every factor left there is over the variable alone, and
 log P(phi, var = x) is the scalars' log plus the sum of their logs at x.
+``transforms`` usually gives such a run only the variable's requisite
+part, so those logs are then off by a constant that normalizing cancels.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ class EngineConfig:
     i_bound: resolvent size cap for in-bucket directional resolution;
     0 disables it (unit resolution in observed buckets always runs),
     None means unbounded.
-    dynamic_reorder: promote buckets that acquire unit clauses.
+    dynamic_reorder: promote buckets that acquire unit clauses; a bool.
     """
 
     i_bound: Optional[int] = 0
@@ -108,6 +113,8 @@ class EngineConfig:
         if bound is not None and (isinstance(bound, bool) or not isinstance(bound, int)
                                   or bound < 0):
             raise ValueError(f"i_bound must be None (unbounded) or an int >= 0, got {bound!r}")
+        if not isinstance(self.dynamic_reorder, bool):
+            raise ValueError(f"dynamic_reorder must be a bool, got {self.dynamic_reorder!r}")
 
 
 @dataclass
@@ -127,8 +134,9 @@ class RunStats:
     natural log of the probability, summed from the scalar factors so
     that it stays finite where result underflows to 0; it is -inf when
     the probability is exactly 0.  log_joint, for a run given a query
-    variable, is (log P(phi, var=0), log P(phi, var=1)), both -inf when
-    P(phi) = 0; result and log_result are then their sum.  trace is the
+    variable, is (log P(phi, var=0), log P(phi, var=1)) over the CPTs
+    and clauses the run was given, both -inf when that P(phi) = 0;
+    result and log_result are then their sum.  trace is the
     ordered log of bucket actions (empty for the brute-force path).
     as_dict() leaves out log_result, log_joint and trace.
     """
@@ -451,11 +459,13 @@ class _Run:
 
 
 def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, ordering, cfg,
-             query: Optional[int] = None):
-    """(P(phi), stats, trace) from the CPTs of ``variables``, which hold their own parents
-    and phi's variables; a given ``ordering`` lists exactly them."""
+             query: Optional[int] = None, bare: tuple[int, ...] = ()):
+    """(P(phi), stats, trace) from the CPTs of ``variables``.  The
+    ``bare`` variables are vertices whose CPTs are not loaded; the two
+    together hold the parents of ``variables`` and phi's variables, and
+    a given ``ordering`` lists exactly them."""
     cfg = cfg if cfg is not None else EngineConfig()
-    aug = augmented_graph(net, phi, variables)
+    aug = augmented_graph(net, phi, variables, bare)
     if ordering is None:
         ordering = min_degree_order(aug)
     if query is not None:

@@ -27,10 +27,20 @@ from .model import (
 RNG_ALGORITHM = "python-random-mt19937"
 
 
+def _check_ints(**values) -> None:
+    """ValueError unless each value is an int (a bool is refused)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def gen_network(n: int, f: int, d: float, seed: int) -> BeliefNetwork:
     """Random network. Draw order per variable: parent count, parent
     sample, then per row: determinism coin, then either the polarity
     coin or the row probability (uniform on (0,1))."""
+    _check_ints(n=n, f=f, seed=seed)
+    if isinstance(d, bool) or not isinstance(d, (int, float)):
+        raise ValueError(f"d must be an int or float, got {d!r}")
     if n < 1:
         raise ValueError("need at least one variable")
     if f < 1:
@@ -59,6 +69,7 @@ def gen_query(net: BeliefNetwork, c: int, e: int, seed: int) -> CnfFormula:
     """Random query: c ternary clauses over distinct variables with
     random signs, then e observations on distinct variables (which may
     also appear in the clauses), tagged as evidence."""
+    _check_ints(c=c, e=e, seed=seed)
     if c < 0 or e < 0:
         raise ValueError("clause and observation counts must be nonnegative")
     if e > net.n:

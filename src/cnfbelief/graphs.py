@@ -39,13 +39,16 @@ class Ordering:
 
 
 def augmented_graph(net: BeliefNetwork, phi: CnfFormula,
-                    variables: Iterable[int] | None = None) -> dict[int, set[int]]:
+                    variables: Iterable[int] | None = None,
+                    bare: Iterable[int] = ()) -> dict[int, set[int]]:
     """Moral graph over ``variables`` (the whole network by default)
-    plus a clique over each clause's variables.  The variables must
-    hold the parents of each of them; a clause variable outside them
-    raises ModelError."""
+    plus a clique over each clause's variables.  ``bare`` vertices join
+    without their own families.  The vertices must hold the parents of
+    each of ``variables``; a clause variable outside them raises
+    ModelError."""
     adj = {v: set() for v in (net.variables() if variables is None else variables)}
     cliques = [net.family(v) for v in adj]
+    adj.update((v, set()) for v in bare)
     for clause in phi.clauses:
         vs = clause.variables()
         if any(v not in adj for v in vs):

@@ -12,7 +12,12 @@
   ``_pruned_run``, the one dispatch to the engine.  elim_cpe,
   run_trace, elim_cpe_d and elim_hidden are calls of it.
 * belief_given_cnf: P(var | phi) from one ``_pruned_run`` with var
-  eliminated last.
+  eliminated last, on var's requisite part (``_requisite``): after
+  phi's units are applied, only var's component of the unobserved
+  ancestral variables, the CPTs and clauses that meet it, and the units
+  of the observed variables they mention.  When var is observed, or
+  nothing shows that the dropped part has positive probability, the
+  run takes the whole ancestral set as ``evaluate`` does.
 * conditional_cnf_probability: P(phi | psi) from two evaluations.
 """
 
@@ -195,24 +200,102 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
     return stats.result, stats
 
 
+def _requisite(net: BeliefNetwork, phi: CnfFormula, var: int, kept: tuple[int, ...]
+               ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], CnfFormula]]:
+    """The part of the ancestral set ``kept`` that P(var | phi) needs:
+    (variables whose CPTs load, bare observed vertices, the clauses to
+    pass), or None when the whole set must run.
+
+    phi's units fix the observed variables and reduce its other clauses.
+    In the graph over the unobserved variables of ``kept``, whose edges
+    are the CPT families and the reduced clauses, var's component C is
+    all that P(phi, var = x) depends on: every other factor is a
+    constant that normalizing cancels (Shachter 1998; Lin and Druzdzel
+    1997).  The CPTs whose family meets C load; the clauses that touch C
+    pass, with the unit of each observed variable they or those CPTs
+    mention; an observed variable whose CPT is dropped is a bare vertex.
+    That constant must be nonzero, or the answer would not be None when
+    P(phi) = 0, so the shortcut is taken only with a witness that it is:
+    no opposing units, no clause falsified by them, every dropped CPT
+    strictly inside (0, 1), and a greedy assignment satisfying the
+    dropped clauses.  Without one, or when a unit observes var, it
+    returns None.
+    """
+    sigma: dict[int, bool] = {}
+    for clause in phi.clauses:
+        if clause.is_unit():
+            lit = clause.unit_literal()
+            if sigma.setdefault(lit.var, lit.positive) != lit.positive:
+                return None
+    if var in sigma:
+        return None
+    reduced: list[tuple[Clause, list[Literal]]] = []
+    for clause in phi.clauses:
+        if clause.is_unit() or any(sigma.get(l.var) == l.positive for l in clause.literals):
+            continue
+        free = [l for l in clause.literals if l.var not in sigma]
+        if not free:
+            return None
+        reduced.append((clause, free))
+    # hyperedges: the unobserved part of each CPT family, then of each clause
+    edges = [[u for u in net.family(v) if u not in sigma] for v in kept]
+    edges += [[l.var for l in free] for _, free in reduced]
+    incident: dict[int, list[int]] = {}
+    for i, edge in enumerate(edges):
+        for u in edge:
+            incident.setdefault(u, []).append(i)
+    component, stack, met = {var}, [var], set()
+    while stack:
+        for i in incident[stack.pop()]:
+            if i not in met:
+                met.add(i)
+                fresh = [u for u in edges[i] if u not in component]
+                component.update(fresh)
+                stack += fresh
+    loaded = tuple(v for i, v in enumerate(kept) if i in met)
+    if not all(0.0 < p < 1.0 for i, v in enumerate(kept) if i not in met
+               for p in net.cpts[v].table):
+        return None
+    assignment: dict[int, bool] = {}
+    passed: set[Clause] = set()
+    for i, (clause, free) in enumerate(reduced, len(kept)):
+        if i in met:
+            passed.add(clause)
+        elif not any(assignment.get(l.var) == l.positive for l in free):
+            choice = next((l for l in free if l.var not in assignment), None)
+            if choice is None:
+                return None
+            assignment[choice.var] = choice.positive
+    mentioned = {u for v in loaded for u in net.family(v) if u in sigma}
+    mentioned.update(u for clause in passed for u in clause.variables() if u in sigma)
+    bare = tuple(sorted(mentioned.difference(loaded)))
+    passed.update(Clause([Literal(u, sigma[u])]) for u in mentioned)
+    items = [(clause, tag) for clause, tag in phi.items() if clause in passed]
+    return loaded, bare, CnfFormula([c for c, _ in items], [t for _, t in items])
+
+
 def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig | None,
                 ordering: Ordering | None = None, var: Optional[int] = None) -> RunStats:
     """One engine run of cpe, cpe-d or hidden over the CPTs of phi's
     (and ``var``'s) ancestral variables.  With ``var`` the engine
-    eliminates it last and fills ``stats.log_joint``.
+    eliminates it last and fills ``stats.log_joint``, and the run is
+    cut to var's requisite part when ``_requisite`` finds one.
     """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
     kept = _ancestral(net, phi, var)
+    bare: tuple[int, ...] = ()
     if ordering is not None:
         ordering = Ordering(tuple(sorted(kept, key=ordering.position().__getitem__)))
+    elif var is not None:
+        kept, bare, phi = _requisite(net, phi, var, kept) or (kept, bare, phi)
     if alg == "cpe-d":
         phi = phi.conjoin(extract_clauses(net, kept))
     elif alg == "hidden":
         net, evidence = hidden_embed(net, phi)
         kept += tuple(lit.var for lit in evidence)
         phi = CnfFormula([Clause([lit]) for lit in evidence], (EVIDENCE,) * len(evidence))
-    return _execute(net, kept, phi, ordering, cfg, var)[1]
+    return _execute(net, kept, phi, ordering, cfg, var, bare)[1]
 
 
 def elim_cpe(net: BeliefNetwork, phi: CnfFormula, ordering: Ordering | None = None,
@@ -234,9 +317,10 @@ def belief_given_cnf(net: BeliefNetwork, phi: CnfFormula, var: int,
                      ) -> Optional[tuple[float, float]]:
     """P(var = 0 | phi), P(var = 1 | phi), or None when P(phi) = 0.
 
-    cpe, cpe-d and hidden make one elimination run on the ancestral
-    sub-network of phi and var, with var eliminated last (elim-bel;
-    Dechter 1999); brute calls the oracle once per value of var.
+    cpe, cpe-d and hidden make one elimination run with var eliminated
+    last (elim-bel; Dechter 1999), on var's requisite part when
+    ``_requisite`` finds one and on the ancestral sub-network of phi
+    and var otherwise; brute calls the oracle once per value of var.
     Normalizes in the log domain, so the answer stays defined where
     both joint probabilities underflow.
     """

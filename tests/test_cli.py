@@ -303,6 +303,35 @@ class TestBench:
         assert capsys.readouterr().err.startswith("error: i_bound must be")
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("flag", ["no", 1])
+    def test_reorder_must_be_a_bool(self, tmp_path, capsys, flag):
+        spec = {"batches": self.SPEC["batches"],
+                "algorithms": [{"alg": "cpe-d", "reorder": flag}]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        csv_path = tmp_path / "out.csv"
+        code = run_cli(["bench", "--spec", str(spec_path), "--csv", str(csv_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: dynamic_reorder must be a bool")
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", "8", "n must be an int"),
+        ("seeds", ["1"], "seed must be an int"),
+        ("d", "0.5", "d must be an int or float"),
+        ("c", True, "c must be an int"),
+    ])
+    def test_batch_fields_are_checked(self, tmp_path, capsys, field, value, message):
+        batch = {**self.SPEC["batches"][0], field: value}
+        spec = {"batches": [batch], "algorithms": [{"alg": "cpe"}]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        csv_path = tmp_path / "out.csv"
+        code = run_cli(["bench", "--spec", str(spec_path), "--csv", str(csv_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not csv_path.exists()
+
     def test_missing_spec_key(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps({"batches": []}))

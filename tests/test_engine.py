@@ -50,6 +50,11 @@ class TestEngineConfig:
     def test_none_means_unbounded(self):
         assert EngineConfig(i_bound=None).i_bound is None
 
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None])
+    def test_reorder_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match="dynamic_reorder must be a bool"):
+            EngineConfig(dynamic_reorder=flag)
+
 
 class TestPartition:
     """Items are filed in the bucket of their latest variable and unit

@@ -66,6 +66,15 @@ class TestGenNetwork:
         with pytest.raises(ValueError):
             gen_network(5, 3, 1.5, seed=0)
 
+    @pytest.mark.parametrize("args", [
+        ("8", 3, 0.5, 0), (8.0, 3, 0.5, 0), (True, 3, 0.5, 0), (8, "3", 0.5, 0),
+        (8, 3, "0.5", 0), (8, 3, True, 0), (8, 3, None, 0), (8, 3, 0.5, "1"),
+        (8, 3, 0.5, 1.0), (8, 3, 0.5, False),
+    ])
+    def test_parameter_types(self, args):
+        with pytest.raises(ValueError, match="must be an int"):
+            gen_network(*args)
+
 
 class TestGenQuery:
     def test_same_seed_same_query(self):
@@ -107,6 +116,12 @@ class TestGenQuery:
         tiny = gen_network(2, 2, 0.0, seed=1)
         with pytest.raises(ValueError):
             gen_query(tiny, 1, 0, seed=0)
+
+    @pytest.mark.parametrize("args", [("1", 0, 0), (1, 0.0, 0), (False, 0, 0), (1, 0, "2")])
+    def test_parameter_types(self, args):
+        net = gen_network(4, 2, 0.0, seed=1)
+        with pytest.raises(ValueError, match="must be an int"):
+            gen_query(net, *args)
 
 
 def test_rng_identifier_is_stable():

@@ -548,6 +548,136 @@ class TestBeliefInOnePass:
         assert actions == {"belief", "observe"}, actions
 
 
+def _disjoint_union(near: BeliefNetwork, far: BeliefNetwork) -> BeliefNetwork:
+    """The two networks side by side, far's variables shifted past near's."""
+    shifted = tuple(Cpt(c.child + near.n, tuple(p + near.n for p in c.parents), c.table)
+                    for c in far.cpts)
+    return BeliefNetwork(near.n + far.n, near.cpts + shifted)
+
+
+def _far_case(kind: str, seed: int):
+    """A network, phi and var where var's part and a far part share no
+    variable; every kind but "any" makes P(phi) = 0 through the far part
+    alone, with evidence that no belief run on var's part sees."""
+    rng = random.Random(seed)
+    near = gen_network(rng.randint(1, 6), rng.randint(1, 3), rng.choice([0.0, 0.5]), seed)
+    # "any" keeps the far part positive, so the shortcut can run
+    far = gen_network(rng.randint(3, 6), rng.randint(1, 3),
+                      0.0 if kind == "any" else rng.choice([0.0, 0.5, 0.9]), seed + 1)
+    phi = gen_query(near, rng.randint(0, 2) if near.n >= 3 else 0, rng.randint(0, min(near.n, 2)),
+                    seed + 2)
+
+    def lit(v: int, positive: bool) -> Clause:  # a unit on far's variable v
+        return Clause([Literal(near.n + v, positive)])
+
+    if kind == "any":
+        extra = [Clause(Literal(near.n + l.var, l.positive) for l in c.literals)
+                 for c in gen_query(far, rng.randint(0, 2), rng.randint(0, 2), seed + 3).clauses]
+    elif kind == "cpt":
+        # a far 0/1 entry contradicted by the evidence
+        w = rng.randrange(far.n)
+        cpt = far.cpts[w]
+        forced = rng.random() < 0.5
+        cpts = list(far.cpts)
+        cpts[w] = Cpt(w, cpt.parents, (float(forced),) + cpt.table[1:])
+        far = BeliefNetwork(far.n, tuple(cpts))
+        extra = [lit(p, False) for p in cpt.parents] + [lit(w, not forced)]
+    elif kind == "clause":
+        # a far clause every literal of which a unit falsifies
+        falsified = Clause(Literal(near.n + v, rng.random() < 0.5)
+                           for v in rng.sample(range(far.n), rng.randint(2, 3)))
+        extra = [falsified] + [lit(l.var - near.n, not l.positive) for l in falsified.literals]
+    elif kind == "opposing":
+        w = rng.randrange(far.n)
+        extra = [lit(w, True), lit(w, False)]
+    else:  # "reduced": clauses the units shorten to y and not y
+        x, y, z = (near.n + v for v in rng.sample(range(far.n), 3))
+        extra = [Clause([Literal(x), Literal(y)]), Clause([Literal(z), Literal(y, False)]),
+                 Clause([Literal(x, False)]), Clause([Literal(z, False)])]
+    return _disjoint_union(near, far), phi.conjoin(CnfFormula(extra)), rng.randrange(near.n)
+
+
+@pytest.fixture
+def loaded(monkeypatch):
+    """The variables of each ``_execute`` call, whose CPTs it loads."""
+    execute, runs = transforms._execute, []
+
+    def recorded(net, variables, *args, **kwargs):
+        runs.append(variables)
+        return execute(net, variables, *args, **kwargs)
+
+    monkeypatch.setattr(transforms, "_execute", recorded)
+    return runs
+
+
+class TestRequisiteBelief:
+    """Belief runs on var's requisite part: the component of var among
+    the unobserved ancestral variables once phi's units are applied."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(kind=st.sampled_from(["any", "cpt", "clause", "opposing", "reduced"]),
+           seed=st.integers(0, 10 ** 6))
+    def test_matches_the_oracle_when_the_far_part_is_zero(self, kind, seed):
+        net, phi, var = _far_case(kind, seed)
+        p_phi = brute_force_cpe(net, phi)
+        if kind != "any":
+            assert p_phi == 0.0
+        p1 = brute_force_cpe(net, phi.conjoin(formula(clause(var + 1))))
+        for cfg in GOLDEN_CONFIGS:
+            for alg in ("cpe", "cpe-d", "hidden"):
+                dist = belief_given_cnf(net, phi, var, alg, cfg)
+                if p_phi == 0.0:
+                    assert dist is None, (cfg, alg)
+                else:
+                    assert close_enough(dist[1], p1 / p_phi), (cfg, alg)
+                    assert close_enough(dist[0], 1.0 - p1 / p_phi), (cfg, alg)
+
+    @pytest.mark.parametrize("prior", [1.0, 0.0])
+    def test_a_zero_one_entry_in_a_dropped_cpt_takes_the_full_pass(self, loaded, prior):
+        # x0 -> x1 and x2 -> x3 with x1, x3 observed: var 0's part is
+        # x0, x1; x2's prior is dropped, and a 0/1 prior there is no
+        # witness that the dropped part is positive
+        net = BeliefNetwork(4, (Cpt(0, (), (0.3,)), Cpt(1, (0,), (0.2, 0.7)),
+                                Cpt(2, (), (prior,)), Cpt(3, (2,), (0.4, 0.6))))
+        phi = formula(clause(2), clause(4))
+        p1 = brute_force_cpe(net, phi.conjoin(formula(clause(1)))) / brute_force_cpe(net, phi)
+        for alg in ("cpe", "cpe-d"):
+            loaded.clear()
+            dist = belief_given_cnf(net, phi, 0, alg)
+            assert loaded == [(0, 1, 2, 3)], alg
+            assert close_enough(dist[1], p1) and close_enough(dist[0], 1.0 - p1), alg
+
+    def test_forest_query_loads_only_the_markov_blanket(self, loaded):
+        for s in range(3):
+            net = gen_network(2000, 2, 0, s)
+            rng = random.Random(s)
+            var = rng.choice([v for v in net.variables() if net.parents(v)
+                              and sum(v in c.parents for c in net.cpts) >= 2])
+            children = [c for c in net.cpts if var in c.parents]
+            blanket = set(net.parents(var)).union(
+                *({c.child, *c.parents} for c in children)) - {var}
+            others = sorted(set(net.variables()) - blanket - {var})
+            observed = sorted(blanket) + rng.sample(others, 200)
+            values = {u: rng.randrange(2) for u in observed}
+            free = [u for u in others if u not in values]
+            clauses = [Clause(Literal(u, rng.random() < 0.5) for u in rng.sample(free, 3))
+                       for _ in range(3)]
+            phi = CnfFormula(clauses + [Clause([Literal(u, values[u] == 1)]) for u in observed])
+            weights = []
+            for x in (0, 1):
+                values[var] = x
+                weights.append(math.prod(_family_prob(cpt, values)
+                                         for cpt in [net.cpts[var]] + children))
+            for alg in ("cpe", "cpe-d", "hidden"):
+                loaded.clear()
+                dist = belief_given_cnf(net, phi, var, alg)
+                # hidden also loads one CPT per passed clause, over variables n, n+1, ...
+                cpts = [v for v in loaded[0] if v < net.n]
+                assert len(loaded) == 1 and len(cpts) <= len(blanket) + 1, (s, alg)
+                assert close_enough(dist[0], weights[0] / sum(weights)), (s, alg)
+                assert close_enough(dist[1], weights[1] / sum(weights)), (s, alg)
+
+
 class TestConditionalCnfProbability:
     def test_two_node_conditional(self, net2):
         p = conditional_cnf_probability(net2, formula(clause(1)), formula(clause(1, 2)))
