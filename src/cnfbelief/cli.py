@@ -181,8 +181,16 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     spec = json.loads(Path(args.spec).read_text())
+    if not isinstance(spec, dict):
+        raise ValueError("bench spec must be a JSON object")
     batches = spec["batches"]
     algorithms = spec["algorithms"]
+    for key, items in (("batches", batches), ("algorithms", algorithms)):
+        if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+            raise ValueError(f"bench spec {key} must be a list of objects")
+    for batch in batches:
+        if not isinstance(batch["seeds"], list):
+            raise ValueError(f"bench batch seeds must be a list, got {batch['seeds']!r}")
     rows = []
     for batch in batches:
         name = batch.get("name") or (

@@ -9,7 +9,11 @@ with no family of their own.  Its one
 caller is ``transforms._pruned_run``, so every evaluator ends in it.
 Those CPTs and all clauses are partitioned into buckets along an
 elimination ordering (each item goes to the bucket of its
-latest-ordered variable) and the buckets are processed last-to-first:
+latest-ordered variable) and the buckets are processed last-to-first.
+The default ordering is min-degree on the augmented graph without
+phi's unit-clause variables, followed by those variables, sorted, so
+they are observed before anything is summed and the greedy orders the
+graph that evidence leaves (Dechter, AIJ 1999, below):
 
 * A bucket whose variable is forced by a unit clause is observed: its
   factors are restricted to the forced value and its clauses are
@@ -128,12 +132,16 @@ class RunStats:
     extracted counts distinct clauses with extracted provenance in the
     input; observed counts buckets processed by observation.
     width_static is the induced width of the clause-augmented graph
-    along the requested ordering; width_posthoc is the adjusted induced
-    width (observed variables discounted) along the order the run
-    actually processed, when the run completed.  log_result is the
-    natural log of the probability, summed from the scalar factors so
-    that it stays finite where result underflows to 0; it is -inf when
-    the probability is exactly 0.  log_joint, for a run given a query
+    along the run's ordering, in which phi's unit-clause variables add
+    no fill edges but still count their neighbours; it bounds mf when
+    dynamic reordering is off, and on small instances it can read
+    higher than the plain induced width that earlier versions
+    reported.  width_posthoc is the adjusted induced width (observed
+    variables discounted) along the order the run actually processed,
+    when the run completed.  log_result is the natural log of the
+    probability, summed from the scalar factors so that it stays finite
+    where result underflows to 0; it is -inf when the probability is
+    exactly 0.  log_joint, for a run given a query
     variable, is (log P(phi, var=0), log P(phi, var=1)) over the CPTs
     and clauses the run was given, both -inf when that P(phi) = 0;
     result and log_result are then their sum.  trace is the
@@ -466,13 +474,19 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
     a given ``ordering`` lists exactly them."""
     cfg = cfg if cfg is not None else EngineConfig()
     aug = augmented_graph(net, phi, variables, bare)
+    units = tuple(sorted({c.unit_literal().var for c in phi.clauses if c.is_unit()}))
     if ordering is None:
-        ordering = min_degree_order(aug)
+        # the units go last, so they are observed first and the greedy
+        # orders the graph that is left once they are
+        observed = set(units)
+        rest = {v: row - observed for v, row in aug.items() if v not in observed}
+        ordering = Ordering(min_degree_order(rest).order + units)
     if query is not None:
         # first in the ordering, eliminated last: the width grows by 1 at most
         ordering = Ordering((query,) + tuple(v for v in ordering.order if v != query))
     stats = RunStats()
-    stats.width_static = induced_width(aug, ordering)
+    # observing a unit restricts tables but never joins scopes
+    stats.width_static = induced_width(aug, ordering, units)
     run = _Run(ordering, cfg, stats, query)
     failed = False
     t0 = perf_counter()

@@ -63,7 +63,7 @@ def augmented_graph(net: BeliefNetwork, phi: CnfFormula,
 
 
 def _eliminate(graph: dict[int, set[int]], order: Ordering | None = None,
-               observed: Iterable[int] = ()) -> tuple[Ordering, int]:
+               unfilled: Iterable[int] = (), discount: bool = False) -> tuple[Ordering, int]:
     """Eliminate every vertex last-to-first and return (order, width).
 
     With ``order`` None the order is chosen greedily: each step takes
@@ -75,15 +75,15 @@ def _eliminate(graph: dict[int, set[int]], order: Ordering | None = None,
     O((n + fill) log n).  A given order must list every vertex once.
 
     Eliminating a vertex connects its remaining neighbors and the width
-    is the largest neighbor count seen at that point.  An ``observed``
-    vertex counts as a neighbor of others but contributes width 0 and
-    adds no fill edges.
+    is the largest neighbor count seen at that point.  An ``unfilled``
+    vertex counts as a neighbor of others but adds no fill edges; with
+    ``discount`` it also contributes width 0 (an observed vertex).
     """
     greedy = order is None
     if not greedy:
         order = _covering(order, graph)
     adj = {v: set(row) for v, row in graph.items()}
-    obs = set(observed)
+    no_fill = set(unfilled)
     if greedy:
         slots = [0] * len(adj)
         heap = [(len(row), v) for v, row in adj.items()]
@@ -100,8 +100,8 @@ def _eliminate(graph: dict[int, set[int]], order: Ordering | None = None,
         else:
             v = slots[slot]
         neighbors = adj.pop(v)
-        fill = v not in obs
-        if fill:
+        fill = v not in no_fill
+        if fill or not discount:
             width = max(width, len(neighbors))
         for a in neighbors:
             row = adj[a]
@@ -126,14 +126,16 @@ def min_degree_order(graph: dict[int, set[int]]) -> Ordering:
     return _eliminate(graph)[0]
 
 
-def induced_width(graph: dict[int, set[int]], ordering: Ordering) -> int:
+def induced_width(graph: dict[int, set[int]], ordering: Ordering,
+                  unfilled: Iterable[int] = ()) -> int:
     """Width of the graph induced by eliminating last-to-first.
 
-    Eliminating a vertex connects its not-yet-eliminated neighbors; the
-    width is the largest neighbor count seen at elimination time.  The
-    ordering must list every vertex once.
+    Eliminating a vertex connects its not-yet-eliminated neighbors,
+    unless it is one of ``unfilled``; the width is the largest neighbor
+    count seen at elimination time, ``unfilled`` vertices included.
+    The ordering must list every vertex once.
     """
-    return _eliminate(graph, ordering)[1]
+    return _eliminate(graph, ordering, unfilled)[1]
 
 
 def adjusted_induced_width(
@@ -145,7 +147,7 @@ def adjusted_induced_width(
     eliminated, but it still counts as a neighbor of the unobserved
     vertices around it.
     """
-    return _eliminate(graph, ordering, observed)[1]
+    return _eliminate(graph, ordering, observed, discount=True)[1]
 
 
 def _covering(ordering: Sequence[int] | Ordering, variables: Collection[int]) -> Ordering:

@@ -133,8 +133,8 @@ def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
 
     Plain variable elimination with evidence on the hidden children; no
     clause machinery runs, so the derived-clause counters stay 0.  The
-    ordering is the engine's default, min-degree on the embedded
-    network's own graph (unit clauses add no edges).
+    ordering is the engine's default: min-degree on the embedded
+    network's own graph without the observed children, which go last.
     """
     return evaluate(net, phi, "hidden", cfg)
 

@@ -332,6 +332,22 @@ class TestBench:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"batches": [{"n": 5, "f": 3, "d": 0.5, "seeds": 5}], "algorithms": [{"alg": "cpe"}]},
+         "bench batch seeds must be a list"),
+        ([{"n": 5, "f": 3, "d": 0.5, "seeds": [1]}], "bench spec must be a JSON object"),
+        ({"batches": [{"n": 5, "f": 3, "d": 0.5, "seeds": [1]}], "algorithms": ["cpe"]},
+         "bench spec algorithms must be a list of objects"),
+    ])
+    def test_malformed_spec_is_refused(self, tmp_path, capsys, spec, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        csv_path = tmp_path / "out.csv"
+        code = run_cli(["bench", "--spec", str(spec_path), "--csv", str(csv_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not csv_path.exists()
+
     def test_missing_spec_key(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps({"batches": []}))

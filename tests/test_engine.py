@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
@@ -17,14 +19,18 @@ from cnfbelief import (
     TraceEntry,
     brute_force_cpe,
     close_enough,
+    augmented_graph,
     elim_cpe,
     engine,
+    evaluate,
     extract_clauses,
+    min_degree_order,
     run_trace,
 )
 from cnfbelief.engine import _bucket_lambda
 from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.model import EXTRACTED, QUERY
+from cnfbelief.transforms import _ancestral
 
 from conftest import clause, formula
 
@@ -476,6 +482,59 @@ class TestStatsAgainstOracle:
             phi = gen_query(net, c=3, e=1, seed=5400 + k)
             _, stats = elim_cpe(net, phi)
             assert stats.mf <= stats.width_static
+
+
+class TestOrderingUnderEvidence:
+    """The default ordering leaves phi's unit variables to the end, so
+    they are observed before anything is summed, and width_static lets
+    them add no fill."""
+
+    def test_mf_bounded_by_static_width_without_reordering(self):
+        # cpe and cpe-d along the default and three random orderings,
+        # hidden along the default, at three bounds: 8,100 runs
+        runs = 0
+        for k in range(300):
+            rng = random.Random(6600 + k)
+            n = rng.randint(3, 30)
+            net = gen_network(n, rng.randint(1, 4), rng.choice((0.0, 0.3, 0.9)), seed=6600 + k)
+            phi = gen_query(net, rng.randint(0, n // 3), rng.randint(0, n // 2), seed=7600 + k)
+            orders = [None] + [Ordering(tuple(rng.sample(range(n), n))) for _ in range(3)]
+            runs_of = [("hidden", None)] + [(alg, o) for alg in ("cpe", "cpe-d") for o in orders]
+            for bound in (0, 2, None):
+                cfg = EngineConfig(i_bound=bound, dynamic_reorder=False)
+                for alg, order in runs_of:
+                    _, stats = evaluate(net, phi, alg, cfg, order)
+                    assert stats.mf <= stats.width_static, (k, alg, bound, order)
+                    runs += 1
+        assert runs == 8100
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_answer_as_the_evidence_blind_ordering(self, seed):
+        # the wide-tables structures, run along min-degree on the whole
+        # augmented graph, units included, which was the default before
+        net = gen_network(90, 4, 0, seed)
+        phi = gen_query(net, c=30, e=10, seed=seed + 1)
+        kept = _ancestral(net, phi)
+        blind = min_degree_order(augmented_graph(net, phi, kept)).order
+        blind += tuple(v for v in net.variables() if v not in blind)
+        p, stats = elim_cpe(net, phi)
+        q, blind_stats = elim_cpe(net, phi, ordering=Ordering(blind))
+        assert p > 0.0
+        assert math.isclose(p, q, rel_tol=1e-12, abs_tol=0.0)
+        assert math.isclose(stats.log_result, blind_stats.log_result, rel_tol=1e-12)
+
+    def test_evidence_heavy_query_stays_narrow(self):
+        # 2,000 of 4,000 variables observed: min-degree over the graph
+        # with them in asked for a 28-variable table here
+        net = gen_network(4000, 3, 0, 0)
+        phi = gen_query(net, c=0, e=2000, seed=1)
+        logs = []
+        for alg, cfg in (("cpe", EngineConfig()), ("cpe", EngineConfig(dynamic_reorder=False)),
+                         ("cpe-d", EngineConfig(i_bound=2))):
+            _, stats = evaluate(net, phi, alg, cfg)
+            assert stats.mf <= 12 and stats.width_static <= 12, (alg, cfg, stats)
+            logs.append(stats.log_result)
+        assert all(math.isclose(x, logs[0], rel_tol=0.0, abs_tol=1e-9) for x in logs), logs
 
 
 class TestResourceLimit:

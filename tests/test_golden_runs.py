@@ -18,7 +18,7 @@ from cnfbelief import (
     run_trace,
 )
 
-GOLDEN_SHA256 = "f7421225e222c2381c092cd864a394f2072d8b515f906158700c673137dc211b"
+GOLDEN_SHA256 = "7c60c763f644942585ce31bc6955b4390e5d555ce9ed4867ce92f3eeb2130547"
 
 CONFIGS = (
     EngineConfig(),

@@ -7,10 +7,12 @@ from cnfbelief import (
     BeliefNetwork,
     CnfFormula,
     Cpt,
+    EngineConfig,
     ModelError,
     Ordering,
     adjusted_induced_width,
     augmented_graph,
+    engine,
     extract_clauses,
     gen_network,
     gen_query,
@@ -226,14 +228,19 @@ def reference_min_degree_order(graph: dict[int, set[int]]) -> Ordering:
     return Ordering(tuple(slots))
 
 
-def reference_adjusted_width(graph: dict[int, set[int]], ordering: Ordering, observed=()) -> int:
+def reference_adjusted_width(graph: dict[int, set[int]], ordering: Ordering, observed=(),
+                             count_observed=False) -> int:
+    """Observed vertices add no fill; they count toward the width only
+    with ``count_observed`` (engine's width_static, where they are the
+    unit variables)."""
     obs = set(observed)
     work = {v: set(s) for v, s in graph.items()}
     width = 0
     for v in reversed(ordering.order):
         neighbors = list(work[v])
-        if v not in obs:
+        if v not in obs or count_observed:
             width = max(width, len(neighbors))
+        if v not in obs:
             for i, a in enumerate(neighbors):
                 for b in neighbors[i + 1:]:
                     work[a].add(b)
@@ -244,9 +251,13 @@ def reference_adjusted_width(graph: dict[int, set[int]], ordering: Ordering, obs
     return width
 
 
-def seeded_cases():
-    """About 50 augmented graphs of generated instances; every third
-    one carries the network's extracted clauses too."""
+def unit_variables(phi: CnfFormula) -> tuple[int, ...]:
+    return tuple(sorted({c.unit_literal().var for c in phi.clauses if c.is_unit()}))
+
+
+def seeded_instances():
+    """About 50 generated instances; every third query carries the
+    network's extracted clauses too."""
     for k in range(50):
         rng = random.Random(9100 + k)
         n = rng.randint(3, 60)
@@ -254,8 +265,14 @@ def seeded_cases():
         phi = gen_query(net, rng.randint(0, n // 4), rng.randint(0, n // 3), seed=9200 + k)
         if k % 3 == 0:
             phi = phi.conjoin(extract_clauses(net))
-        observed = {c.unit_literal().var for c in phi.clauses if c.is_unit()}
-        yield k, augmented_graph(net, phi), observed
+        yield k, net, phi
+
+
+def seeded_cases():
+    """The augmented graphs of the seeded instances, with the unit
+    variables as the observed set."""
+    for k, net, phi in seeded_instances():
+        yield k, augmented_graph(net, phi), set(unit_variables(phi))
 
 
 def hand_built_cases():
@@ -283,6 +300,8 @@ class TestMatchesReference:
                 assert induced_width(g, order) == reference_adjusted_width(g, order), k
                 assert (adjusted_induced_width(g, order, observed)
                         == reference_adjusted_width(g, order, observed)), k
+                assert (induced_width(g, order, observed)
+                        == reference_adjusted_width(g, order, observed, count_observed=True)), k
 
     @pytest.mark.parametrize("name", sorted(hand_built_cases()))
     def test_hand_built_ties(self, name):
@@ -293,6 +312,8 @@ class TestMatchesReference:
         observed = set(range(0, len(g), 2))
         assert (adjusted_induced_width(g, o, observed)
                 == reference_adjusted_width(g, o, observed))
+        assert (induced_width(g, o, observed)
+                == reference_adjusted_width(g, o, observed, count_observed=True))
 
     @pytest.mark.parametrize("name", sorted(hand_built_cases()))
     def test_vertices_need_not_be_dense(self, name):
@@ -322,3 +343,43 @@ class TestMatchesReference:
         induced_width(g, min_degree_order(g))
         adjusted_induced_width(g, Ordering((0, 1, 2, 3)), {2})
         assert g == before
+
+
+def default_ordering(net: BeliefNetwork, phi: CnfFormula) -> Ordering:
+    """The engine's default over the whole network: min-degree on the
+    augmented graph without phi's unit variables, then those, sorted."""
+    units = unit_variables(phi)
+    rest = {v: row.difference(units) for v, row in augmented_graph(net, phi).items()
+            if v not in units}
+    return Ordering(min_degree_order(rest).order + units)
+
+
+class TestEvidenceAwareOrdering:
+    """The engine's default ordering leaves phi's unit variables to the
+    end, so they are observed first, and width_static lets a unit add
+    no fill edges while still counting its neighbours."""
+
+    def test_default_ordering_ends_with_the_sorted_units(self):
+        cfg = EngineConfig(dynamic_reorder=False)
+        complete_runs = 0
+        for k, net, phi in seeded_instances():
+            want = default_ordering(net, phi)
+            # without reordering the buckets run last-to-first; a
+            # contradiction stops the run early, after a suffix of them
+            _, _, trace = engine._execute(net, tuple(net.variables()), phi, None, cfg)
+            processed = tuple(entry.bucket for entry in reversed(trace))
+            assert want.order[len(want) - len(processed):] == processed, k
+            complete_runs += len(processed) == len(want)
+        assert complete_runs >= 40
+
+    def test_width_static_matches_the_reference(self):
+        for k, net, phi in seeded_instances():
+            g = augmented_graph(net, phi)
+            units = unit_variables(phi)
+            rng = random.Random(k)
+            orders = [None] + [Ordering(tuple(rng.sample(list(g), len(g)))) for _ in range(3)]
+            for order in orders:
+                _, stats, _ = engine._execute(net, tuple(net.variables()), phi, order, None)
+                along = order if order is not None else default_ordering(net, phi)
+                assert stats.width_static == reference_adjusted_width(
+                    g, along, units, count_observed=True), (k, order)
