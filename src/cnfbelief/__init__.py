@@ -26,7 +26,7 @@ from .model import (
     Literal,
     ModelError,
     close_enough,
-    cpt_to_factor,
+    cpt_factors,
 )
 from .oracle import brute_force_cpe
 from .resolution import bdr_step, resolve

@@ -79,7 +79,7 @@ from .model import (
     Factor,
     Literal,
     clause_table,
-    cpt_to_factor,
+    cpt_factors,
 )
 from .resolution import bdr_step
 
@@ -491,7 +491,7 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
     failed = False
     t0 = perf_counter()
     try:
-        run.load([cpt_to_factor(net.cpts[v]) for v in variables], phi)
+        run.load(cpt_factors([net.cpts[v] for v in variables]), phi)
         run.process_all()
     except ContradictionError:
         failed = True

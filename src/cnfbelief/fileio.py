@@ -77,7 +77,7 @@ def parse_network(text: str) -> BeliefNetwork:
             try:
                 if not _plain(line):
                     raise ValueError
-                child, *ps = (int(tok) for tok in fields[1:])
+                child, *ps = map(int, fields[1:])
             except ValueError:
                 raise _fail(lineno, "parents takes integers") from None
             if child in parents:
@@ -90,7 +90,7 @@ def parse_network(text: str) -> BeliefNetwork:
                 if not (_plain(line, plus=True) and "+" not in fields[1]):
                     raise ValueError
                 child = int(fields[1])
-                values = tuple(float(tok) for tok in fields[2:])
+                values = tuple(map(float, fields[2:]))
             except ValueError:
                 raise _fail(lineno, "cpt takes a child id and float values") from None
             if child in tables:

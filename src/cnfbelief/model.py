@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -272,17 +272,32 @@ class Factor:
         return float(self.values)
 
 
-def cpt_to_factor(cpt: Cpt) -> Factor:
-    """View a CPT as a factor over (parents..., child).
+def stack_tables(cpts: Sequence[Cpt]) -> Iterator[tuple[int, list[int], np.ndarray]]:
+    """The CPTs grouped by parent count k, in order of first appearance:
+    (k, the group's indices into ``cpts``, ascending, and its tables as
+    one (N, 2**k) array, row i holding the table of cpts[indices[i]])."""
+    groups: dict[int, list[int]] = {}
+    for i, cpt in enumerate(cpts):
+        groups.setdefault(len(cpt.parents), []).append(i)
+    for k, where in groups.items():
+        yield k, where, np.array([cpts[i].table for i in where], dtype=float)
+
+
+def cpt_factors(cpts: Sequence[Cpt]) -> list[Factor]:
+    """View each CPT as a factor over (parents..., child), in order.
 
     The flat lexicographic table (rows over parents, P(child=1) stored,
     P(child=0) implied) expands to the shaped array in C order, so the
-    child becomes the last axis.
+    child becomes the last axis.  Each parent count takes one numpy pass,
+    and its factors are read-only views of one shared array.
     """
-    p_one = np.asarray(cpt.table, dtype=float)
-    values = np.stack([1.0 - p_one, p_one], axis=-1)
-    scope = cpt.parents + (cpt.child,)
-    return Factor(scope, values.reshape((2,) * len(scope)))
+    factors = [None] * len(cpts)
+    for k, where, p_one in stack_tables(cpts):
+        values = np.stack([1.0 - p_one, p_one], -1).reshape((-1,) + (2,) * (k + 1))
+        values.flags.writeable = False
+        for i, view in zip(where, values):
+            factors[i] = Factor(cpts[i].parents + (cpts[i].child,), view)
+    return factors
 
 
 def clause_table(clause: Clause) -> tuple[tuple[int, ...], np.ndarray]:

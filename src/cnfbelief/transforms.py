@@ -3,7 +3,9 @@
 * extract_clauses: turn the 0/1 rows of deterministic and mixed CPTs
   into clauses, the prime implicants of each table (the parent cubes
   that force the child and stop doing so when any one parent is
-  freed), so implied units surface.
+  freed), so implied units surface.  The tables with the same number
+  of parents are stacked and take one numpy pass, so the Python work
+  per CPT is building its clauses.
 * hidden_embed: the baseline that compiles each query clause into an
   evidence-fixed hidden variable for plain elimination.
 * evaluate: the front door; cpe, cpe-d (phi plus the extracted clauses,
@@ -40,56 +42,79 @@ from .model import (
     Literal,
     ModelError,
     clause_table,
+    stack_tables,
 )
 from .oracle import brute_force_cpe
 
 
-def _implied_clauses(cpt: Cpt) -> list[Clause]:
-    """The prime implicants of one CPT's 0/1 rows, as clauses.
+# cube-table cells (CPTs times 3**k) that one extraction pass stacks;
+# a CPT with more takes a pass of its own
+_PASS_CELLS = 1 << 20
 
-    A cube (a partial parent assignment) implies a child value when
-    every row it covers holds exactly that value (1.0 for child 1, 0.0
-    for child 0); it is prime when freeing any one of its fixed parents
-    makes it stop implying (Quine 1952).  Each prime cube yields the
-    clause "those parent values imply the child value", child 1 first,
-    then by (size, positions, values).  Primality matters: a full OR
-    gate must surface the two-literal implications, not four full-row
-    clauses.
-    """
-    k = len(cpt.parents)
-    out: list[Clause] = []
-    for child_value in (1, 0):
-        if child_value not in cpt.table:
-            continue  # no row holds it, so no cube implies it; skip the table work
-        # axis j indexed by parent j's value, plus index 2 for "free":
-        # the AND of its two values
-        implies = np.asarray(cpt.table).reshape((2,) * k) == child_value
-        for axis in range(k):
-            implies = np.concatenate([implies, implies.all(axis, keepdims=True)], axis)
-        prime = implies.copy()
-        for axis in range(k):
-            lead = (slice(None),) * axis
-            prime[lead + (slice(0, 2),)] &= ~implies[lead + (slice(2, 3),)]
-        cubes = [[(p, v) for p, v in enumerate(cube) if v != 2]
-                 for cube in np.argwhere(prime).tolist()]
-        cubes.sort(key=lambda fixed: (len(fixed), [p for p, _ in fixed], [v for _, v in fixed]))
-        for fixed in cubes:
-            literals = [Literal(cpt.parents[p], positive=(v == 0)) for p, v in fixed]
-            literals.append(Literal(cpt.child, positive=(child_value == 1)))
-            out.append(Clause(literals))
-    return out
+
+def _prime_rows(k: int, tables: np.ndarray) -> list[list[int]]:
+    """The prime cubes of the stacked (N, 2**k) tables, as rows (table
+    index, 0 for child 1 or 1 for child 0, then each parent's value or
+    2 for free), in ``extract_clauses`` order."""
+    # axes (table, child value 1 then 0, parent 1, ..., parent k); each
+    # parent axis gains index 2 for "free": the AND of its two values
+    rows = tables.reshape((-1, 1) + (2,) * k)
+    implies = np.concatenate([rows == 1.0, rows == 0.0], 1)
+    for axis in range(2, k + 2):
+        implies = np.concatenate([implies, implies.all(axis, keepdims=True)], axis)
+    prime = implies.copy()
+    for axis in range(2, k + 2):
+        lead = (slice(None),) * axis
+        prime[lead + (slice(0, 2),)] &= ~implies[lead + (slice(2, 3),)]
+    found = np.argwhere(prime)
+    cubes = found[:, 2:]
+    fixed = cubes != 2
+    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+    # one integer key orders the rows by table, child value, then (size,
+    # positions, values): same-size position lists ascend as their masks
+    # (first parent highest) descend, and over the same positions the
+    # values ascend as the mask of the parents at 1
+    key = ((found[:, 0] << 1) + found[:, 1]) * (k + 1) + fixed.sum(1)
+    key = (key << k) + ((1 << k) - 1 - fixed @ weights)
+    key = ((key << k) + (cubes == 1) @ weights).tolist()
+    found = found.tolist()
+    return [found[j] for j in sorted(range(len(found)), key=key.__getitem__)]
 
 
 def extract_clauses(net: BeliefNetwork, variables: Iterable[int] | None = None) -> CnfFormula:
     """All clauses certain under the CPTs of ``variables`` (the whole
     network by default), in that order, tagged with extracted
-    provenance.  Each has probability 1 under the network, so
-    conjoining them to a query never changes its probability.  No clause
-    repeats: one CPT's primes are distinct, and a clause of CPT i holds
-    i and otherwise only i's parents, so two CPTs sharing one would each
-    be a parent of the other."""
-    clauses = [clause for v in (net.variables() if variables is None else variables)
-               for clause in _implied_clauses(net.cpts[v])]
+    provenance: the prime implicants of each CPT's 0/1 rows.
+
+    A cube (a partial parent assignment) implies a child value when
+    every row it covers holds exactly that value (1.0 for child 1, 0.0
+    for child 0); it is prime when freeing any one of its fixed parents
+    makes it stop implying (Quine 1952).  Each prime cube yields the
+    clause "those parent values imply the child value"; a CPT's clauses
+    come child 1 first, then by (size, positions, values).  Primality
+    matters: a full OR gate must surface the two-literal implications,
+    not four full-row clauses.  The tables of each parent count are
+    stacked and take one numpy pass, split only where the stacked cube
+    tables would pass ``_PASS_CELLS`` cells.
+
+    Each clause has probability 1 under the network, so conjoining them
+    to a query never changes its probability.  No clause repeats: one
+    CPT's primes are distinct, and a clause of CPT i holds i and
+    otherwise only i's parents, so two CPTs sharing one would each be a
+    parent of the other.
+    """
+    cpts = [net.cpts[v] for v in (net.variables() if variables is None else variables)]
+    per_cpt: list[list[Clause]] = [[] for _ in cpts]
+    for k, where, tables in stack_tables(cpts):
+        step = max(1, _PASS_CELLS // 3 ** k)
+        for start in range(0, len(where), step):
+            for i, to_zero, *cube in _prime_rows(k, tables[start:start + step]):
+                cpt = cpts[where[start + i]]
+                literals = [Literal(cpt.parents[p], positive=(v == 0))
+                            for p, v in enumerate(cube) if v != 2]
+                literals.append(Literal(cpt.child, positive=not to_zero))
+                per_cpt[where[start + i]].append(Clause(literals))
+    clauses = [clause for group in per_cpt for clause in group]
     return CnfFormula(clauses, (EXTRACTED,) * len(clauses))
 
 

@@ -20,17 +20,20 @@ from cnfbelief import (
     brute_force_cpe,
     close_enough,
     augmented_graph,
+    belief_given_cnf,
     elim_cpe,
     engine,
     evaluate,
     extract_clauses,
     min_degree_order,
+    parse_network,
     run_trace,
+    serialize_network,
 )
 from cnfbelief.engine import _bucket_lambda
 from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.model import EXTRACTED, QUERY
-from cnfbelief.transforms import _ancestral
+from cnfbelief.transforms import _ancestral, _pruned_run
 
 from conftest import clause, formula
 
@@ -535,6 +538,53 @@ class TestOrderingUnderEvidence:
             assert stats.mf <= 12 and stats.width_static <= 12, (alg, cfg, stats)
             logs.append(stats.log_result)
         assert all(math.isclose(x, logs[0], rel_tol=0.0, abs_tol=1e-9) for x in logs), logs
+
+
+class TestLoadedFactors:
+    """The CPT factors a run loads, built one parent count at a time as
+    views of one shared array."""
+
+    def test_factors_match_each_table(self, monkeypatch):
+        net = gen_network(30, 5, 0.5, 8123)
+        assert {len(cpt.parents) for cpt in net.cpts} == set(range(5))
+        variables = tuple(random.Random(8123).sample(range(net.n), net.n))
+        loaded = []
+        load = engine._Run.load
+
+        def spy(run, factors, phi):
+            loaded.append(list(factors))
+            return load(run, loaded[-1], phi)
+
+        monkeypatch.setattr(engine._Run, "load", spy)
+        engine._execute(net, variables, CnfFormula([]), None, None)
+        [factors] = loaded
+        assert [f.scope for f in factors] == [net.family(v) for v in variables]
+        for v, f in zip(variables, factors):
+            table = net.cpts[v].table
+            want = np.empty((2,) * f.arity)
+            for r, row in enumerate(itertools.product((0, 1), repeat=f.arity - 1)):
+                want[row] = (1.0 - table[r], table[r])
+            np.testing.assert_array_equal(f.values, want)
+            assert not f.values.flags.writeable
+
+    @pytest.mark.parametrize("alg", ["cpe", "cpe-d", "hidden"])
+    def test_evaluating_twice_gives_the_same_run(self, alg):
+        net = parse_network(serialize_network(gen_network(40, 5, 0.5, 8124)))
+        phi = gen_query(net, c=4, e=2, seed=8125)
+        cfg = EngineConfig(i_bound=2)
+
+        def summary(stats):
+            counters = {k: v for k, v in stats.as_dict().items() if k != "time_s"}
+            return (stats.log_result, stats.log_joint, counters,
+                    [entry.format() for entry in stats.trace])
+
+        runs = [summary(evaluate(net, phi, alg, cfg)[1]) for _ in range(2)]
+        assert runs[0] == runs[1] and runs[0][0] > -math.inf
+        for var in (0, 17, 39):
+            beliefs = [belief_given_cnf(net, phi, var, alg, cfg) for _ in range(2)]
+            assert beliefs[0] == beliefs[1]
+            runs = [summary(_pruned_run(net, phi, alg, cfg, var=var)) for _ in range(2)]
+            assert runs[0] == runs[1]
 
 
 class TestResourceLimit:

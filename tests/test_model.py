@@ -17,7 +17,7 @@ from cnfbelief import (
     Ordering,
     brute_force_cpe,
     close_enough,
-    cpt_to_factor,
+    cpt_factors,
     extract_clauses,
     parse_network,
     run_trace,
@@ -125,13 +125,13 @@ class TestCnfFormula:
 
 class TestCpt:
     def test_row_index_first_parent_most_significant(self):
-        f = cpt_to_factor(Cpt(5, (2, 0), (0.1, 0.2, 0.3, 0.4)))
+        [f] = cpt_factors([Cpt(5, (2, 0), (0.1, 0.2, 0.3, 0.4))])
         assert f.scope == (2, 0, 5)
         assert f.values[1, 0, 1] == 0.3  # parent 2 = 1, parent 0 = 0: row 2
         assert f.values[0, 1, 1] == 0.2  # parent 2 = 0, parent 0 = 1: row 1
 
     def test_lookup_complements(self):
-        f = cpt_to_factor(Cpt(1, (0,), (0.2, 0.9)))
+        [f] = cpt_factors([Cpt(1, (0,), (0.2, 0.9))])
         assert f.values[1, 1] == 0.9
         assert close_enough(f.values[1, 0], 0.1)
 
@@ -278,7 +278,7 @@ class TestFactor:
     def test_cpt_to_factor_agrees_with_lookup(self, pos_net):
         rng_rows = [(a, b) for a in (0, 1) for b in (0, 1)]
         cpt = pos_net.cpts[3]  # D given A,B
-        f = cpt_to_factor(cpt)
+        [f] = cpt_factors([cpt])
         assert f.scope == (0, 1, 3)
         for a, b in rng_rows:
             for d in (0, 1):

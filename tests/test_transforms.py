@@ -37,6 +37,30 @@ from conftest import clause, formula
 from test_golden_runs import CONFIGS as GOLDEN_CONFIGS
 
 
+def reference_primes(cpt):
+    """One CPT's prime implicants by the definition, child 1 first, each
+    in (size, positions, values) order: a cube implies when every row it
+    covers equals the child value exactly, and is prime when dropping no
+    one fixed parent still implies."""
+    k, rows = len(cpt.parents), cpt.table
+    want = []
+    for child_value in (1, 0):
+        def implies(fixed):
+            return all(rows[r] == child_value for r in range(1 << k)
+                       if all((r >> (k - 1 - p)) & 1 == v for p, v in fixed.items()))
+        for size in range(k + 1):
+            for positions in itertools.combinations(range(k), size):
+                for values in itertools.product((0, 1), repeat=size):
+                    fixed = dict(zip(positions, values))
+                    if implies(fixed) and not any(
+                            implies({q: w for q, w in fixed.items() if q != p})
+                            for p in fixed):
+                        want.append(Clause(
+                            [Literal(cpt.parents[p], v == 0) for p, v in fixed.items()]
+                            + [Literal(cpt.child, child_value == 1)]))
+    return want
+
+
 class TestExtractClauses:
     def test_positive_network_yields_nothing(self, pos_net):
         assert extract_clauses(pos_net).clauses == ()
@@ -86,10 +110,7 @@ class TestExtractClauses:
             assert extract_clauses(net).clauses == (), prior
 
     def test_prime_implicants_of_random_tables(self):
-        # the definition, enumerated in (size, positions, values) order:
-        # a cube implies when every row it covers equals the child value
-        # exactly, and is prime when dropping no one fixed parent still
-        # implies; parents are shuffled so positions are not variables
+        # parents are shuffled so positions are not variables
         rng = random.Random(6061)
         for trial in range(90):
             k = trial % 6
@@ -97,22 +118,27 @@ class TestExtractClauses:
             rows = tuple(rng.choice((0.0, 1.0, 0.5)) for _ in range(1 << k))
             net = BeliefNetwork(k + 1, tuple(Cpt(i, (), (0.5,)) for i in range(k))
                                 + (Cpt(k, parents, rows),))
-            want = []
-            for child_value in (1, 0):
-                def implies(fixed):
-                    return all(rows[r] == child_value for r in range(1 << k)
-                               if all((r >> (k - 1 - p)) & 1 == v for p, v in fixed.items()))
-                for size in range(k + 1):
-                    for positions in itertools.combinations(range(k), size):
-                        for values in itertools.product((0, 1), repeat=size):
-                            fixed = dict(zip(positions, values))
-                            if implies(fixed) and not any(
-                                    implies({q: w for q, w in fixed.items() if q != p})
-                                    for p in fixed):
-                                want.append(Clause(
-                                    [Literal(parents[p], v == 0) for p, v in fixed.items()]
-                                    + [Literal(k, child_value == 1)]))
+            want = reference_primes(net.cpts[k])
             assert list(extract_clauses(net).clauses) == want, (parents, rows)
+
+    @pytest.mark.parametrize("cells", [None, 30])
+    @pytest.mark.parametrize("d", [0.5, 0.9])
+    @pytest.mark.parametrize("f", range(1, 7))
+    def test_prime_implicants_across_whole_networks(self, f, d, cells, monkeypatch):
+        # CPTs of every parent count 0..f-1, interleaved, in the order
+        # asked; with 30 cells a pass stacks at most 30 // 3**k tables
+        if cells is not None:
+            monkeypatch.setattr(transforms, "_PASS_CELLS", cells)
+        rng = random.Random(f * 10 + int(d * 10))
+        for s in range(4):
+            net = gen_network(40, f, d, 7100 + s)
+            assert {len(cpt.parents) for cpt in net.cpts} == set(range(f))
+            subsets = [None] + [rng.sample(range(net.n), rng.randrange(1, net.n + 1))
+                                for _ in range(3)]
+            for vs in subsets:
+                want = [c for v in (net.variables() if vs is None else vs)
+                        for c in reference_primes(net.cpts[v])]
+                assert list(extract_clauses(net, vs).clauses) == want, (s, vs)
 
     def test_mixed_table_partial_extraction(self):
         # child forced only when the parent is 1
