@@ -2,11 +2,11 @@
 
 This module holds the package's one elimination pass, ``_Run``, and
 ``_execute``, which orders, runs and measures it over the CPTs of the
-variables it is given, in the network's own variable numbers.  It may
-also be given bare vertices, variables whose CPTs are left out (belief's
-observed boundary variables), which join the graph and the ordering
-with no family of their own.  Its one
-caller is ``transforms._pruned_run``, so every evaluator ends in it.
+variables it is given, in the network's own variable numbers.  A
+parent or clause variable outside them (belief's observed boundary
+variables) is a vertex of the graph and the ordering with no CPT of its
+own.  Its one caller is ``transforms._pruned_run``, so every evaluator
+ends in it.
 Those CPTs and all clauses are partitioned into buckets along an
 elimination ordering (each item goes to the bucket of its
 latest-ordered variable) and the buckets are processed last-to-first.
@@ -135,13 +135,12 @@ class RunStats:
     along the run's ordering, in which phi's unit-clause variables add
     no fill edges but still count their neighbours; it bounds mf when
     dynamic reordering is off, and on small instances it can read
-    higher than the plain induced width that earlier versions
-    reported.  width_posthoc is the adjusted induced width (observed
-    variables discounted) along the order the run actually processed,
-    when the run completed.  log_result is the natural log of the
-    probability, summed from the scalar factors so that it stays finite
-    where result underflows to 0; it is -inf when the probability is
-    exactly 0.  log_joint, for a run given a query
+    higher than the plain induced width.  width_posthoc is the adjusted
+    induced width (observed variables discounted) along the order the
+    run actually processed, when the run completed.  log_result is the
+    natural log of the probability, summed from the scalar factors so
+    that it stays finite where result underflows to 0; it is -inf when
+    the probability is exactly 0.  log_joint, for a run given a query
     variable, is (log P(phi, var=0), log P(phi, var=1)) over the CPTs
     and clauses the run was given, both -inf when that P(phi) = 0;
     result and log_result are then their sum.  trace is the
@@ -285,7 +284,6 @@ class _Run:
         self.sigma: dict[int, int] = {}
         self.scalars: list[float] = []
         self.processed: set[int] = set()
-        self.sequence: list[int] = []
         self.promoted: deque[int] = deque()
         self.pending: list[int] = list(ordering.order)
         self.trace: list[TraceEntry] = []
@@ -309,7 +307,6 @@ class _Run:
                 # promoted earlier; promoted buckets always drain before pending
                 continue
             self.processed.add(v)
-            self.sequence.append(v)
             bucket = self.buckets[v]
             if bucket.unit is not None:
                 self._process_observed(bucket)
@@ -346,14 +343,16 @@ class _Run:
         return clause if len(lits) == len(clause) else Clause(lits)
 
     def _restrict(self, factor: Factor) -> Factor:
-        """The factor conditioned on the observed assignment; a table the
-        restriction materializes counts toward mf."""
-        stale = [w for w in factor.scope if w in self.sigma]
-        for w in stale:
-            factor = factor.restrict(w, self.sigma[w])
-        if stale:
-            self.stats.mf = max(self.stats.mf, factor.arity)
-        return factor
+        """The factor conditioned on the observed assignment, taken with
+        one basic index; a table the restriction materializes counts
+        toward mf.  The table is copied to C order, since the kernel's
+        matmul can round differently on a strided view."""
+        scope = tuple(w for w in factor.scope if w not in self.sigma)
+        if len(scope) == factor.arity:
+            return factor
+        self.stats.mf = max(self.stats.mf, len(scope))
+        index = tuple(self.sigma.get(w, slice(None)) for w in factor.scope)
+        return Factor(scope, factor.values[index].copy())
 
     # -- item routing ---------------------------------------------------
 
@@ -467,13 +466,14 @@ class _Run:
 
 
 def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, ordering, cfg,
-             query: Optional[int] = None, bare: tuple[int, ...] = ()):
+             query: Optional[int] = None):
     """(P(phi), stats, trace) from the CPTs of ``variables``.  The
-    ``bare`` variables are vertices whose CPTs are not loaded; the two
-    together hold the parents of ``variables`` and phi's variables, and
-    a given ``ordering`` lists exactly them."""
+    graph's vertices are those variables, their parents and phi's
+    variables; a parent or clause variable outside ``variables`` is a
+    vertex without a CPT.  A given ``ordering`` lists exactly the
+    vertices."""
     cfg = cfg if cfg is not None else EngineConfig()
-    aug = augmented_graph(net, phi, variables, bare)
+    aug = augmented_graph(net, phi, variables)
     units = tuple(sorted({c.unit_literal().var for c in phi.clauses if c.is_unit()}))
     if ordering is None:
         # the units go last, so they are observed first and the greedy
@@ -500,7 +500,8 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
     stats.result = 0.0 if failed else math.prod(run.scalars, start=1.0)
     if not failed:
         stats.log_result = math.fsum(map(_log, run.scalars))
-        actual = Ordering(tuple(reversed(run.sequence)))
+        # each processed bucket left exactly one trace entry
+        actual = Ordering(tuple(reversed([e.bucket for e in run.trace])))
         stats.width_posthoc = adjusted_induced_width(aug, actual, run.sigma)
     if query is not None:
         stats.log_joint = (-math.inf, -math.inf) if failed else run.log_joint(stats.log_result)

@@ -39,21 +39,19 @@ class Ordering:
 
 
 def augmented_graph(net: BeliefNetwork, phi: CnfFormula,
-                    variables: Iterable[int] | None = None,
-                    bare: Iterable[int] = ()) -> dict[int, set[int]]:
-    """Moral graph over ``variables`` (the whole network by default)
-    plus a clique over each clause's variables.  ``bare`` vertices join
-    without their own families.  The vertices must hold the parents of
-    each of ``variables``; a clause variable outside them raises
-    ModelError."""
-    adj = {v: set() for v in (net.variables() if variables is None else variables)}
-    cliques = [net.family(v) for v in adj]
-    adj.update((v, set()) for v in bare)
+                    variables: Iterable[int] | None = None) -> dict[int, set[int]]:
+    """Moral graph over the families of ``variables`` (the whole network
+    by default) plus a clique over each clause's variables.  The
+    vertices are the members of those cliques, so a parent or clause
+    variable outside ``variables`` joins without a family of its own.
+    A clause variable outside the network raises ModelError."""
+    cliques = [net.family(v) for v in (net.variables() if variables is None else variables)]
     for clause in phi.clauses:
         vs = clause.variables()
-        if any(v not in adj for v in vs):
+        if any(not 0 <= v < net.n for v in vs):
             raise ModelError(f"clause variable out of range in {clause}")
         cliques.append(vs)
+    adj = {v: set() for clique in cliques for v in clique}
     for clique in cliques:
         for v in clique:
             adj[v].update(clique)

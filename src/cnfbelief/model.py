@@ -260,12 +260,6 @@ class Factor:
     def arity(self) -> int:
         return len(self.scope)
 
-    def restrict(self, var: int, value: int) -> "Factor":
-        """Condition on var = value, dropping var from the scope."""
-        axis = self.scope.index(var)
-        new_scope = self.scope[:axis] + self.scope[axis + 1:]
-        return Factor(new_scope, np.take(self.values, value, axis=axis))
-
     def scalar(self) -> float:
         if self.scope:
             raise ModelError("factor is not a scalar")

@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .engine import EngineConfig, RunStats, TraceEntry, _execute
-from .graphs import Ordering, check_ordering
+from .graphs import Ordering, augmented_graph, check_ordering
 from .model import (
     EVIDENCE,
     EXTRACTED,
@@ -226,19 +226,18 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
 
 
 def _requisite(net: BeliefNetwork, phi: CnfFormula, var: int, kept: tuple[int, ...]
-               ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], CnfFormula]]:
-    """The part of the ancestral set ``kept`` that P(var | phi) needs:
-    (variables whose CPTs load, bare observed vertices, the clauses to
-    pass), or None when the whole set must run.
+               ) -> Optional[tuple[tuple[int, ...], CnfFormula]]:
+    """The part of the ancestral set ``kept`` (ascending) that P(var | phi) needs:
+    (variables whose CPTs load, the clauses to pass), or None when the
+    whole set must run.
 
     phi's units fix the observed variables and reduce its other clauses.
-    In the graph over the unobserved variables of ``kept``, whose edges
-    are the CPT families and the reduced clauses, var's component C is
-    all that P(phi, var = x) depends on: every other factor is a
-    constant that normalizing cancels (Shachter 1998; Lin and Druzdzel
-    1997).  The CPTs whose family meets C load; the clauses that touch C
-    pass, with the unit of each observed variable they or those CPTs
-    mention; an observed variable whose CPT is dropped is a bare vertex.
+    On the augmented graph of ``kept`` and the reduced clauses, var's
+    component C among the unobserved vertices is all that
+    P(phi, var = x) depends on: every other factor is a constant that
+    normalizing cancels (Shachter 1998; Lin and Druzdzel 1997).  The
+    CPTs of C and of its children load; the clauses that touch C pass,
+    with the unit of each observed variable they or those CPTs mention.
     That constant must be nonzero, or the answer would not be None when
     P(phi) = 0, so the shortcut is taken only with a witness that it is:
     no opposing units, no clause falsified by them, every dropped CPT
@@ -262,29 +261,23 @@ def _requisite(net: BeliefNetwork, phi: CnfFormula, var: int, kept: tuple[int, .
         if not free:
             return None
         reduced.append((clause, free))
-    # hyperedges: the unobserved part of each CPT family, then of each clause
-    edges = [[u for u in net.family(v) if u not in sigma] for v in kept]
-    edges += [[l.var for l in free] for _, free in reduced]
-    incident: dict[int, list[int]] = {}
-    for i, edge in enumerate(edges):
-        for u in edge:
-            incident.setdefault(u, []).append(i)
-    component, stack, met = {var}, [var], set()
+    graph = augmented_graph(net, CnfFormula([Clause(free) for _, free in reduced]), kept)
+    component, stack = {var}, [var]
     while stack:
-        for i in incident[stack.pop()]:
-            if i not in met:
-                met.add(i)
-                fresh = [u for u in edges[i] if u not in component]
-                component.update(fresh)
-                stack += fresh
-    loaded = tuple(v for i, v in enumerate(kept) if i in met)
-    if not all(0.0 < p < 1.0 for i, v in enumerate(kept) if i not in met
-               for p in net.cpts[v].table):
+        for u in graph[stack.pop()]:
+            if u not in component and u not in sigma:
+                component.add(u)
+                stack.append(u)
+    # a family that meets C has its child in C or beside it; sorted, as kept is
+    near = component.union(*(graph[u] for u in component))
+    loaded = tuple(sorted(v for v in near if v in component
+                          or not component.isdisjoint(net.parents(v))))
+    if not all(0.0 < p < 1.0 for v in set(kept).difference(loaded) for p in net.cpts[v].table):
         return None
     assignment: dict[int, bool] = {}
     passed: set[Clause] = set()
-    for i, (clause, free) in enumerate(reduced, len(kept)):
-        if i in met:
+    for clause, free in reduced:
+        if free[0].var in component:  # a clause's free variables are one clique
             passed.add(clause)
         elif not any(assignment.get(l.var) == l.positive for l in free):
             choice = next((l for l in free if l.var not in assignment), None)
@@ -293,10 +286,9 @@ def _requisite(net: BeliefNetwork, phi: CnfFormula, var: int, kept: tuple[int, .
             assignment[choice.var] = choice.positive
     mentioned = {u for v in loaded for u in net.family(v) if u in sigma}
     mentioned.update(u for clause in passed for u in clause.variables() if u in sigma)
-    bare = tuple(sorted(mentioned.difference(loaded)))
     passed.update(Clause([Literal(u, sigma[u])]) for u in mentioned)
     items = [(clause, tag) for clause, tag in phi.items() if clause in passed]
-    return loaded, bare, CnfFormula([c for c, _ in items], [t for _, t in items])
+    return loaded, CnfFormula([c for c, _ in items], [t for _, t in items])
 
 
 def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig | None,
@@ -309,18 +301,17 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
     kept = _ancestral(net, phi, var)
-    bare: tuple[int, ...] = ()
     if ordering is not None:
         ordering = Ordering(tuple(sorted(kept, key=ordering.position().__getitem__)))
     elif var is not None:
-        kept, bare, phi = _requisite(net, phi, var, kept) or (kept, bare, phi)
+        kept, phi = _requisite(net, phi, var, kept) or (kept, phi)
     if alg == "cpe-d":
         phi = phi.conjoin(extract_clauses(net, kept))
     elif alg == "hidden":
         net, evidence = hidden_embed(net, phi)
         kept += tuple(lit.var for lit in evidence)
         phi = CnfFormula([Clause([lit]) for lit in evidence], (EVIDENCE,) * len(evidence))
-    return _execute(net, kept, phi, ordering, cfg, var, bare)[1]
+    return _execute(net, kept, phi, ordering, cfg, var)[1]
 
 
 def elim_cpe(net: BeliefNetwork, phi: CnfFormula, ordering: Ordering | None = None,

@@ -113,6 +113,15 @@ class TestInteractionGraphs:
         with pytest.raises(ModelError):
             augmented_graph(net2, formula(clause(5)))
 
+    def test_augmented_adds_boundary_vertices_without_families(self, pos_net):
+        # F's family is B, C, F; the clause (C or D) adds D.  B and D join
+        # without their families, so A is no vertex and B, D are not joined
+        g = augmented_graph(pos_net, formula(clause(3, 4)), (4,))
+        assert set(g) == {1, 2, 3, 4}
+        assert edge_set(g) == {(1, 2), (1, 4), (2, 4), (2, 3)}
+        with pytest.raises(ModelError):
+            augmented_graph(pos_net, formula(clause(3, 7)), (4,))
+
 
 class TestWidth:
     def test_cycle_has_width_two(self):

@@ -22,6 +22,7 @@ from cnfbelief import (
     parse_network,
     run_trace,
 )
+from cnfbelief.engine import EngineConfig, RunStats, _Run
 from cnfbelief.model import EVIDENCE, QUERY
 
 from conftest import clause, formula
@@ -287,10 +288,17 @@ class TestFactor:
                 assert close_enough(f.values[a, b, d], want)
 
     def test_restrict_drops_axis(self):
+        # the engine conditions a factor on its observed variables at once
         f = Factor((0, 2), np.array([[0.1, 0.9], [0.3, 0.7]]))
-        g = f.restrict(2, 1)
+        run = _Run(Ordering((0, 1, 2)), EngineConfig(), RunStats())
+        assert run._restrict(f) is f
+        run.sigma[2] = 1
+        g = run._restrict(f)
         assert g.scope == (0,)
         np.testing.assert_allclose(g.values, [0.9, 0.7])
+        assert run.stats.mf == 1
+        run.sigma[0] = 1
+        assert run._restrict(f).scalar() == 0.7
 
     def test_scalar_factor(self):
         f = Factor((), np.array(0.25))

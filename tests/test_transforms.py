@@ -636,9 +636,60 @@ def loaded(monkeypatch):
     return runs
 
 
+def _hyperedge_walk(net: BeliefNetwork, phi: CnfFormula, var: int, kept):
+    """var's requisite part found without a graph: each kept family and
+    each clause phi's units leave open is a hyperedge over its
+    unobserved variables, and var's part grows by every edge it meets
+    until none is left.  Returns (the kept variables whose family it
+    meets, the open clauses it meets, phi's units as a dict)."""
+    sigma = {c.unit_literal().var: c.unit_literal().positive for c in phi.clauses if c.is_unit()}
+    edges = {("cpt", v): {u for u in net.family(v) if u not in sigma} for v in kept}
+    edges.update({("clause", c): {u for u in c.variables() if u not in sigma}
+                  for c in phi.clauses if not c.is_unit()
+                  and not any(sigma.get(l.var) == l.positive for l in c.literals)})
+    part, met = {var}, set()
+    while True:
+        reached = {key for key, edge in edges.items() if key not in met and edge & part}
+        if not reached:
+            break
+        met |= reached
+        part.update(*(edges[key] for key in reached))
+    return ({v for kind, v in met if kind == "cpt"},
+            {c for kind, c in met if kind == "clause"}, sigma)
+
+
 class TestRequisiteBelief:
     """Belief runs on var's requisite part: the component of var among
     the unobserved ancestral variables once phi's units are applied."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(n=st.integers(2, 30), f=st.integers(1, 4), d=st.sampled_from([0.0, 0.3, 0.9]),
+           c=st.integers(0, 5), seed=st.integers(0, 10 ** 6))
+    def test_matches_a_hyperedge_walk(self, n, f, d, c, seed):
+        rng = random.Random(seed)
+        net = gen_network(n, f, d, seed)
+        phi = gen_query(net, c=c if n >= 3 else 0, e=rng.randint(0, n // 2), seed=seed + 1)
+        var = rng.randrange(n)
+        kept = transforms._ancestral(net, phi, var)
+        cpts, clauses, sigma = _hyperedge_walk(net, phi, var, kept)
+        result = transforms._requisite(net, phi, var, kept)
+        if result is None:
+            # no witness that the dropped part is positive, or var observed
+            units = [cl.unit_literal() for cl in phi.clauses if cl.is_unit()]
+            open_ = [cl for cl in phi.clauses if not cl.is_unit()
+                     and not any(sigma.get(l.var) == l.positive for l in cl.literals)]
+            assert (var in sigma or len(set(units)) > len(sigma)
+                    or any(cl.variables() <= sigma.keys() for cl in open_)
+                    or any(p in (0.0, 1.0) for v in set(kept) - cpts for p in net.cpts[v].table)
+                    or any(cl not in clauses for cl in open_))
+            return
+        loaded, passed = result
+        assert loaded == tuple(v for v in kept if v in cpts)
+        mentioned = {u for v in cpts for u in net.family(v) if u in sigma}
+        mentioned.update(u for cl in clauses for u in cl.variables() if u in sigma)
+        assert list(passed.items()) == [
+            (cl, tag) for cl, tag in phi.items()
+            if cl in clauses or cl.is_unit() and cl.unit_literal().var in mentioned]
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(kind=st.sampled_from(["any", "cpt", "clause", "opposing", "reduced"]),
