@@ -10,10 +10,11 @@ ends in it.
 Those CPTs and all clauses are partitioned into buckets along an
 elimination ordering (each item goes to the bucket of its
 latest-ordered variable) and the buckets are processed last-to-first.
-The default ordering is min-degree on the augmented graph without
-phi's unit-clause variables, followed by those variables, sorted, so
-they are observed before anything is summed and the greedy orders the
-graph that evidence leaves (Dechter, AIJ 1999, below):
+One elimination pass over the augmented graph chooses the ordering
+and measures its width.  The default puts phi's unit-clause variables,
+sorted, in the last slots and fills the others by min degree, so they
+are observed before anything is summed and the greedy orders the graph
+that evidence leaves (Dechter, AIJ 1999, below):
 
 * A bucket whose variable is forced by a unit clause is observed: its
   factors are restricted to the forced value and its clauses are
@@ -47,9 +48,10 @@ short-circuits the run to probability 0.
 
 A run given a query variable answers belief in the same pass (elim-bel;
 Dechter, "Bucket elimination: a unifying framework for reasoning", AIJ
-1999): the variable is ordered first, so its bucket comes last and is
-left unsummed.  Every factor left there is over the variable alone, and
-log P(phi, var = x) is the scalars' log plus the sum of their logs at x.
+1999): the variable is pinned first and the greedy orders the rest
+around it, so its bucket comes last and is left unsummed.  Every
+factor left there is over the variable alone, and log P(phi, var = x)
+is the scalars' log plus the sum of their logs at x.
 ``transforms`` usually gives such a run only the variable's requisite
 part, so those logs are then off by a constant that normalizing cancels.
 """
@@ -64,13 +66,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .graphs import (
-    Ordering,
-    adjusted_induced_width,
-    augmented_graph,
-    induced_width,
-    min_degree_order,
-)
+from .graphs import Ordering, _eliminate, adjusted_induced_width, augmented_graph
 from .model import (
     EXTRACTED,
     BeliefNetwork,
@@ -133,7 +129,8 @@ class RunStats:
     input; observed counts buckets processed by observation.
     width_static is the induced width of the clause-augmented graph
     along the run's ordering, in which phi's unit-clause variables add
-    no fill edges but still count their neighbours; it bounds mf when
+    no fill edges but still count their neighbours, measured by the
+    same elimination pass that chose the ordering; it bounds mf when
     dynamic reordering is off, and on small instances it can read
     higher than the plain induced width.  width_posthoc is the adjusted
     induced width (observed variables discounted) along the order the
@@ -471,22 +468,18 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
     graph's vertices are those variables, their parents and phi's
     variables; a parent or clause variable outside ``variables`` is a
     vertex without a CPT.  A given ``ordering`` lists exactly the
-    vertices."""
+    vertices.  One elimination pass over the graph yields the ordering
+    and ``width_static``: a ``query`` goes first, and the given order
+    or else phi's unit variables, sorted, fill the last slots, so the
+    units are observed first and the greedy orders the graph they
+    leave, around the query."""
     cfg = cfg if cfg is not None else EngineConfig()
     aug = augmented_graph(net, phi, variables)
     units = tuple(sorted({c.unit_literal().var for c in phi.clauses if c.is_unit()}))
-    if ordering is None:
-        # the units go last, so they are observed first and the greedy
-        # orders the graph that is left once they are
-        observed = set(units)
-        rest = {v: row - observed for v, row in aug.items() if v not in observed}
-        ordering = Ordering(min_degree_order(rest).order + units)
-    if query is not None:
-        # first in the ordering, eliminated last: the width grows by 1 at most
-        ordering = Ordering((query,) + tuple(v for v in ordering.order if v != query))
+    tail = tuple(v for v in (units if ordering is None else ordering) if v != query)
     stats = RunStats()
     # observing a unit restricts tables but never joins scopes
-    stats.width_static = induced_width(aug, ordering, units)
+    ordering, stats.width_static = _eliminate(aug, tail, query, unfilled=units)
     run = _Run(ordering, cfg, stats, query)
     failed = False
     t0 = perf_counter()

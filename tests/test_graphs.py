@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnfbelief import (
     BeliefNetwork,
@@ -20,7 +22,8 @@ from cnfbelief import (
     min_degree_order,
 )
 from cnfbelief.fileio import ParseError, parse_order
-from cnfbelief.graphs import check_ordering
+from cnfbelief.graphs import _eliminate, check_ordering
+from cnfbelief.model import EXTRACTED, QUERY
 
 from conftest import clause, formula
 
@@ -121,6 +124,24 @@ class TestInteractionGraphs:
         assert edge_set(g) == {(1, 2), (1, 4), (2, 4), (2, 3)}
         with pytest.raises(ModelError):
             augmented_graph(pos_net, formula(clause(3, 7)), (4,))
+
+    def test_extracted_clauses_add_vertices_but_no_clique(self, pos_net):
+        # an extracted clause never joins a table; (A or G) and the unit
+        # (D) only make A, D and G vertices next to F's family
+        phi = CnfFormula([clause(1, 6), clause(4), clause(2, 3)],
+                         (EXTRACTED, EXTRACTED, QUERY))
+        g = augmented_graph(pos_net, phi, (4,))
+        assert set(g) == {0, 1, 2, 3, 4, 5}
+        assert edge_set(g) == {(1, 2), (1, 4), (2, 4)}
+        with pytest.raises(ModelError):
+            augmented_graph(pos_net, CnfFormula([clause(1, 7)], (EXTRACTED,)))
+
+    def test_extracted_cliques_lie_in_families(self):
+        # the clauses extract_clauses makes come from one CPT each
+        for k, net, phi in seeded_instances():
+            extracted = extract_clauses(net)
+            as_query = CnfFormula(extracted.clauses)
+            assert augmented_graph(net, extracted) == augmented_graph(net, as_query), k
 
 
 class TestWidth:
@@ -352,6 +373,63 @@ class TestMatchesReference:
         induced_width(g, min_degree_order(g))
         adjusted_induced_width(g, Ordering((0, 1, 2, 3)), {2})
         assert g == before
+
+
+@st.composite
+def graphs_and_units(draw):
+    """A graph on up to 12 vertices, its units, and a vertex to pin
+    first that is not one of them (None when every vertex is)."""
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    units = tuple(sorted(draw(st.sets(st.integers(0, n - 1))))) if n else ()
+    others = sorted(set(range(n)) - set(units))
+    first = draw(st.sampled_from(others)) if others else None
+    return graph(n, edges), units, first
+
+
+class TestOnePass:
+    """``_eliminate`` orders and measures in one pass: with the units as
+    its tail it gives the two steps it replaced, min-degree on the graph
+    without the units with the units appended, and the induced width
+    along that order."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(case=graphs_and_units())
+    def test_units_last_is_min_degree_on_the_rest(self, case):
+        g, units, _ = case
+        rest = {v: row.difference(units) for v, row in g.items() if v not in units}
+        ordering, width = _eliminate(g, units, None, units)
+        assert ordering == Ordering(min_degree_order(rest).order + units)
+        assert width == induced_width(g, ordering, units)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(case=graphs_and_units())
+    def test_pinned_vertex_goes_first(self, case):
+        g, units, first = case
+        if first is None:
+            return
+        ordering, width = _eliminate(g, units, first, units)
+        assert ordering.order[0] == first
+        assert ordering.order[len(g) - len(units):] == units
+        assert sorted(ordering) == sorted(g)
+        assert width == induced_width(g, ordering, units)
+
+    def test_belief_runs_put_the_query_first(self):
+        cfg = EngineConfig(dynamic_reorder=False)
+        complete_runs = 0
+        for k, net, phi in seeded_instances():
+            var = (7 * k) % net.n
+            _, stats, trace = engine._execute(net, tuple(net.variables()), phi, None, cfg, var)
+            if len(trace) < net.n:
+                continue  # a contradiction stopped the run
+            complete_runs += 1
+            # without reordering the buckets run last-to-first
+            ordering = Ordering(tuple(entry.bucket for entry in reversed(trace)))
+            assert ordering.order[0] == var, k
+            assert stats.width_static == induced_width(
+                augmented_graph(net, phi), ordering, unit_variables(phi)), k
+        assert complete_runs >= 30
 
 
 def default_ordering(net: BeliefNetwork, phi: CnfFormula) -> Ordering:

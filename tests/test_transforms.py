@@ -29,6 +29,7 @@ from cnfbelief import (
     run_trace,
 )
 from cnfbelief import engine, transforms
+from cnfbelief.fileio import parse_dimacs, parse_network
 from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.model import EXTRACTED
 from cnfbelief.transforms import ALGORITHMS
@@ -537,7 +538,7 @@ class TestBeliefInOnePass:
                     assert close_enough(dist[0], 1.0 - p1 / p_phi), (cfg, alg)
 
     def test_one_engine_run_and_one_ordering_per_query(self, monkeypatch):
-        execute, order = transforms._execute, engine.min_degree_order
+        execute, eliminate = transforms._execute, engine._eliminate
         runs, orders = [], []
 
         def counted_execute(*args, **kwargs):
@@ -545,12 +546,13 @@ class TestBeliefInOnePass:
             runs.append(out)
             return out
 
-        def counted_order(*args, **kwargs):
-            orders.append(args)
-            return order(*args, **kwargs)
+        def counted_eliminate(graph, tail, first, **kwargs):
+            out = eliminate(graph, tail, first, **kwargs)
+            orders.append((graph, tail, first, out[0]))
+            return out
 
         monkeypatch.setattr(transforms, "_execute", counted_execute)
-        monkeypatch.setattr(engine, "min_degree_order", counted_order)
+        monkeypatch.setattr(engine, "_eliminate", counted_eliminate)
         actions = set()
         for k in range(12):
             net = gen_network(30, 3, 0.3, seed=9600 + k)
@@ -562,6 +564,12 @@ class TestBeliefInOnePass:
             orders.clear()
             dist = belief_given_cnf(net, phi, var, "cpe")
             assert len(runs) == 1 and len(orders) == 1, k
+            # one greedy pass: the query pinned first, the units last,
+            # and the greedy's choices between them
+            graph, tail, first, ordering = orders[0]
+            assert first == var and ordering.order[0] == var, k
+            assert ordering.order[len(graph) - len(tail):] == tail, k
+            assert len(tail) + 1 < len(graph), k
             if dist is None:
                 continue  # a contradiction may stop the run before var's bucket
             _, stats, trace = runs[0]
@@ -753,6 +761,50 @@ class TestRequisiteBelief:
                 assert len(loaded) == 1 and len(cpts) <= len(blanket) + 1, (s, alg)
                 assert close_enough(dist[0], weights[0] / sum(weights)), (s, alg)
                 assert close_enough(dist[1], weights[1] / sum(weights)), (s, alg)
+
+
+# A (0) -> B (1) -> C (2), and two roots: X (3), certainly 1, and Z (4)
+FAMILYLESS_NET = """vars 5
+cpt 0 0.4
+parents 1 0
+cpt 1 0.3 0.8
+parents 2 1
+cpt 2 0.25 0.6
+cpt 3 1.0
+cpt 4 0.3
+"""
+# an extracted unit on B, and an extracted clause over B, X and Z, which
+# share no family; it holds with probability 1, since X does
+FAMILYLESS_CNF = """p cnf 5 2
+c extracted
+2 0
+c extracted
+-2 4 5 0
+"""
+
+
+class TestExtractedClauseOutsideFamilies:
+    """A file may tag any clause extracted.  Such a clause adds no clique
+    to the engine's graph, but its variables stay vertices."""
+
+    def test_eval_matches_the_oracle(self):
+        net, phi = parse_network(FAMILYLESS_NET), parse_dimacs(FAMILYLESS_CNF)
+        want = brute_force_cpe(net, phi)
+        for alg in ("cpe", "cpe-d", "hidden"):
+            for cfg in GOLDEN_CONFIGS:
+                assert close_enough(evaluate(net, phi, alg, cfg)[0], want), (alg, cfg)
+
+    def test_belief_matches_the_oracle(self):
+        net, phi = parse_network(FAMILYLESS_NET), parse_dimacs(FAMILYLESS_CNF)
+        # Z's requisite part is X and Z; B joins its run only through
+        # the extracted clauses, as a vertex with no edge
+        assert transforms._requisite(net, phi, 4, tuple(range(5)))[0] == (3, 4)
+        for var in range(net.n):
+            want = belief_given_cnf(net, phi, var, "brute")
+            for alg in ("cpe", "cpe-d", "hidden"):
+                for cfg in GOLDEN_CONFIGS:
+                    got = belief_given_cnf(net, phi, var, alg, cfg)
+                    assert all(map(close_enough, got, want)), (var, alg, cfg)
 
 
 class TestConditionalCnfProbability:
