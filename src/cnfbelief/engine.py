@@ -31,8 +31,15 @@ a 0/1 table over its own variables; the smaller operands are multiplied
 into one table that keeps the bucket variable, and one batched matrix
 product with the largest operand sums the variable out.  No table over
 the bucket's whole scope plus its variable is built unless the smaller
-operands span it.  An allocation that fails there raises
-``ResourceLimitError``, naming the bucket.
+operands span it.  A largest operand of more than 2**16 entries is read
+one block of at most 2**16 entries at a time, each block's product
+written into one preallocated result, so a sum holds that operand, the
+product of the others, the result and one block, and never a copy of
+the whole largest table.  An allocation that fails there raises
+``ResourceLimitError``, naming the bucket.  A summed or observed bucket
+drops its factors once its result or restrictions are placed, so a
+table is freed as soon as the bucket that consumes it is done; the
+query's bucket keeps its factors for ``log_joint``.
 
 With dynamic reordering (the default), a bucket that acquires a unit
 clause jumps ahead of the position-ordered queue; promoted buckets run
@@ -58,6 +65,7 @@ part, so those logs are then off by a constant that normalizing cancels.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -79,6 +87,11 @@ from .model import (
 )
 from .resolution import bdr_step
 
+# A summed bucket whose largest table has more variables than this is
+# contracted one block of at most 2**_BLOCK_ARITY entries (512 KB) at a
+# time.
+_BLOCK_ARITY = 16
+
 
 class ContradictionError(Exception):
     """The clauses are unsatisfiable; the query probability is 0."""
@@ -86,7 +99,10 @@ class ContradictionError(Exception):
 
 class ResourceLimitError(MemoryError):
     """Summing out ``variable`` needs a table too large to allocate;
-    ``arity`` is the number of variables of the bucket's result."""
+    ``arity`` is the number of variables of the bucket's result.  The
+    sum allocates that result, the product of the bucket's smaller
+    operands (at most twice the result) and one block of the largest,
+    so the result's size decides whether it fits."""
 
     def __init__(self, variable: int, arity: int):
         super().__init__(f"bucket {variable}: the table over its {arity} remaining "
@@ -181,6 +197,7 @@ class Bucket:
     premise) drives resolution but does not gate the sum.  ``unit``
     holds the forcing literal when a unit clause on the bucket variable
     is present (at most one; ``_Run._file`` refuses an opposing one).
+    ``factors`` is emptied once the bucket is summed or observed.
     """
 
     variable: int
@@ -235,8 +252,11 @@ def _bucket_lambda(factors: list[Factor], constraints: list[Clause],
     largest operand is B; the others are multiplied, smallest first,
     into one table A laid out (shared, a-only, pivot), where shared are
     A's variables that B also has.  One batched product (shared, a-only,
-    pivot) @ (shared, pivot, b-only) then sums the pivot out.  Returns a
-    view over ``scope``, in that order.
+    pivot) @ (shared, pivot, b-only) then sums the pivot out.  It reads
+    B one block of at most 2**_BLOCK_ARITY entries at a time and writes
+    each block's product into one preallocated result, so the sum holds
+    B, A, the result and one block, never a copy of the whole of B.
+    Returns a view over ``scope``, in that order.
     """
     assert factors, "a summed bucket holds a factor on its variable"
     operands = [(f.scope, f.values) for f in factors] + [clause_table(c) for c in constraints]
@@ -257,10 +277,21 @@ def _bucket_lambda(factors: list[Factor], constraints: list[Clause],
         a = part if a is None else a * part
     if a is None:
         a = np.ones(2)
-    s, m, n = 2 ** len(shared), 2 ** len(a_only), 2 ** len(b_only)
-    b_axes = [b_vars.index(w) for w in shared + [pivot] + b_only]
-    out = np.matmul(a.reshape(s, m, 2), b.transpose(b_axes).reshape(s, 2, n))
-    order = {w: i for i, w in enumerate(shared + a_only + b_only)}
+    # B is read one block at a time: each block fixes B's first shared,
+    # then b-only variables until at most _BLOCK_ARITY are left (none
+    # are fixed when B has no more).  B and the result put one length-2
+    # axis per fixed variable in front (A per fixed shared one), so a
+    # block is B[x] and its product goes to out[x].
+    fixed = (shared + b_only)[:max(0, len(b_vars) - _BLOCK_ARITY)]
+    ks = min(len(fixed), len(shared))
+    rows, m, cols = 2 ** (len(shared) - ks), 2 ** len(a_only), 2 ** (len(b_only) - len(fixed) + ks)
+    b = b.transpose([b_vars.index(w) for w in fixed + shared[ks:] + [pivot] + b_only[len(fixed) - ks:]])
+    a = a.reshape((2,) * ks + (rows, m, 2))
+    out = np.empty((2,) * len(fixed) + (rows, m, cols))
+    for x in itertools.product((0, 1), repeat=len(fixed)):
+        # the block's reshape is its one copy of B, freed when matmul returns
+        np.matmul(a[x[:ks]], b[x].reshape(rows, 2, cols), out=out[x])
+    order = {w: i for i, w in enumerate(fixed + shared[ks:] + a_only + b_only[len(fixed) - ks:])}
     return out.reshape((2,) * len(order)).transpose([order[w] for w in scope])
 
 
@@ -427,6 +458,7 @@ class _Run:
         derived = derived if derived is not None else []
         for f in bucket.factors:
             self._place_factor(self._restrict(f))
+        bucket.factors = []
         # every clause here mentions the bucket variable, which the
         # assignment now fixes: each is satisfied or shortened
         for c, exempt in bucket.clauses.items():
@@ -451,6 +483,7 @@ class _Run:
         self.stats.mf = max(self.stats.mf, len(scope))
         self.trace.append(TraceEntry(bucket.variable, "sum", scope, tuple(derived)))
         self._place_factor(Factor(scope, values))
+        bucket.factors = []
 
     def _bdr(self, bucket: Bucket, collect: list[Clause]) -> None:
         # bounded directional resolution on the bucket variable; the

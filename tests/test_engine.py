@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -688,3 +690,99 @@ class TestKernelMatchesReference:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"bucket {k}")
             empty_scopes += not scope
         assert empty_scopes >= 30
+
+    # (shared, a-only, b-only) variable counts and B's layout.  B, over
+    # the pivot, the shared and the b-only variables, has 17-20
+    # variables, so the kernel reads it in blocks: each fixes B's first
+    # arity - 16 shared variables, then b-only ones once those run out
+    @pytest.mark.parametrize("shared, a_only, b_only, layout, clauses", [
+        (4, 1, 13, "transposed", False),  # blocks over shared variables only
+        (3, 2, 13, "read-only", True),    # as cpt_factors gives B; a gating clause
+        (2, 1, 15, "transposed", False),  # every shared variable fixed, no b-only one
+        (2, 1, 17, "transposed", False),  # over shared, then b-only variables
+        (1, 0, 17, "read-only", False),   # the same from a read-only B
+        (0, 0, 16, "transposed", False),  # no shared variable: over b-only ones
+        (0, 0, 18, "alone", False),       # B is the only operand
+    ])
+    def test_blocked_buckets(self, shared, a_only, b_only, layout, clauses):
+        rng = np.random.default_rng(20032 + 100 * shared + b_only)
+        factors, constraints, pivot, scope = _wide_bucket(rng, shared, a_only, b_only, layout,
+                                                          clauses)
+        assert factors[0].arity > engine._BLOCK_ARITY
+        got = _bucket_lambda(factors, constraints, pivot, scope)
+        want = _reference_bucket_lambda(factors, constraints, pivot, scope)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _wide_bucket(rng: np.random.Generator, shared: int, a_only: int, b_only: int,
+                 layout: str, clauses: bool):
+    """A bucket whose largest factor B holds the pivot, ``shared``
+    variables the smaller factors also hold and ``b_only`` of its own.
+    B's values are a transposed (non-contiguous) view, or a read-only
+    row of a stacked array as ``cpt_factors`` gives; with layout
+    "alone" B is the only operand."""
+    pivot, *rest = (int(w) for w in rng.permutation(1 + shared + a_only + b_only))
+    common, own, b_own = rest[:shared], rest[shared:shared + a_only], rest[shared + a_only:]
+    b_scope = [pivot] + common + b_own
+    rng.shuffle(b_scope)
+    arity = len(b_scope)
+    if layout == "read-only":
+        stack = rng.random((2,) * (arity + 1))
+        stack.flags.writeable = False
+        values = stack[1]
+    else:
+        values = rng.random((2,) * arity).transpose(rng.permutation(arity))
+    factors = [Factor(tuple(b_scope), values)]
+    if layout != "alone":
+        half = (shared + a_only) // 2
+        for part in ((common + own)[:half], (common + own)[half:]):
+            factors.append(Factor((pivot, *part), rng.random((2,) * (1 + len(part)))))
+    constraints = [Clause([Literal(pivot, True)] + [Literal(w, False) for w in common[:2]])
+                   ] if clauses else []
+    scope = list(rest)
+    rng.shuffle(scope)
+    return factors, constraints, pivot, tuple(scope)
+
+
+class TestBoundedMemory:
+    def test_blocked_sum_copies_no_whole_table(self):
+        # B over 20 variables (8 MB) is a transposed view, so each
+        # block is copied into the matmul layout; A is over the pivot,
+        # the 2 shared and the 1 a-only variables, the result over 20
+        rng = np.random.default_rng(20033)
+        factors, _, pivot, scope = _wide_bucket(rng, 2, 1, 17, "transposed", False)
+        tracemalloc.start()
+        try:
+            got = _bucket_lambda(factors, [], pivot, scope)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        a_bytes, block = 2 ** 4 * 8, 2 ** engine._BLOCK_ARITY * 8
+        assert got.nbytes == 8 << 20
+        assert peak < got.nbytes + a_bytes + 2 * block, peak
+
+    def test_processed_buckets_free_their_tables(self, monkeypatch):
+        net = gen_network(40, 4, 0, 20034)
+        phi = gen_query(net, c=4, e=3, seed=20035)
+        produced, checked = [], []
+        kernel, process_all = engine._bucket_lambda, engine._Run.process_all
+
+        def spy(*args):
+            values = kernel(*args)
+            produced.append(weakref.ref(values))
+            return values
+
+        def check(run):
+            process_all(run)
+            kept = [f.values for f in run.buckets[run.query].factors]
+            alive = [ref() for ref in produced if ref() is not None]
+            checked.append((len(produced), len(alive), len(kept)))
+            # what outlives its bucket is only what the query's bucket holds
+            assert all(any(values is k for k in kept) for values in alive)
+
+        monkeypatch.setattr(engine, "_bucket_lambda", spy)
+        monkeypatch.setattr(engine._Run, "process_all", check)
+        _, stats, _ = engine._execute(net, tuple(range(net.n)), phi, None, None, query=0)
+        [(n_produced, n_alive, n_kept)] = checked
+        assert n_alive < n_produced and n_kept > 0
+        assert max(stats.log_joint) > -math.inf
