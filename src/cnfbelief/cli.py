@@ -27,7 +27,8 @@ from .generator import RNG_ALGORITHM, gen_network, gen_query
 from .model import ModelError
 from .transforms import ALGORITHMS, belief_given_cnf, evaluate
 
-BENCH_COLUMNS = ["instance", "alg", "i_bound", "time_s", "mf", "C", "U", "F", "O", "result"]
+BENCH_COLUMNS = ["instance", "alg", "i_bound", "time_s", "mf", "C", "U", "F", "O",
+                 "width_static", "width_posthoc", "log_result", "result"]
 
 
 def format_probability(p: float) -> str:
@@ -135,11 +136,12 @@ def _formatted(stats) -> dict:
 
 
 def _print_stats(stats, mode: str) -> None:
-    """Print ``stats.as_dict()``; json and human add ``log_result``
-    (null in JSON, -inf in human, at probability 0)."""
+    """Print ``stats.as_dict()``; json and human add ``entries_static``
+    and ``log_result`` (null in JSON, -inf in human, at probability 0)."""
     log_result = stats.log_result
     if mode == "json":
         values = stats.as_dict()
+        values["entries_static"] = stats.entries_static
         values["log_result"] = log_result if math.isfinite(log_result) else None
         print(json.dumps(values))
         return
@@ -149,6 +151,7 @@ def _print_stats(stats, mode: str) -> None:
         print(",".join(keys))
         print(",".join(str(shown[k]) for k in keys))
     else:
+        shown["entries_static"] = stats.entries_static
         shown["log_result"] = f"{log_result:.12g}"
         print(" ".join(f"{k}={shown[k]}" for k in shown if k != "result"))
 
@@ -212,7 +215,8 @@ def _cmd_bench(args) -> int:
                 else:
                     bound_cell = "-"
                 rows.append({"instance": f"{name}-s{seed}", "alg": alg,
-                             "i_bound": bound_cell, **_formatted(stats)})
+                             "i_bound": bound_cell, **_formatted(stats),
+                             "log_result": f"{stats.log_result:.12g}"})
     with open(args.csv, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=BENCH_COLUMNS, extrasaction="ignore")
         writer.writeheader()

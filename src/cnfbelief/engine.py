@@ -14,7 +14,10 @@ One elimination pass over the augmented graph chooses the ordering
 and measures its width.  The default puts phi's unit-clause variables,
 sorted, in the last slots and fills the others by min degree, so they
 are observed before anything is summed and the greedy orders the graph
-that evidence leaves (Dechter, AIJ 1999, below):
+that evidence leaves (Dechter, AIJ 1999, below).  When that order
+implies more than 2**_BLOCK_ARITY table entries per vertex, a second
+pass fills the same slots by min fill, and the order implying fewer
+entries is kept:
 
 * A bucket whose variable is forced by a unit clause is observed: its
   factors are restricted to the forced value and its clauses are
@@ -146,9 +149,14 @@ class RunStats:
     width_static is the induced width of the clause-augmented graph
     along the run's ordering, in which phi's unit-clause variables add
     no fill edges but still count their neighbours, measured by the
-    same elimination pass that chose the ordering; it bounds mf when
-    dynamic reordering is off, and on small instances it can read
-    higher than the plain induced width.  width_posthoc is the adjusted
+    same elimination pass that chose the ordering (the min-degree pass,
+    or the min-fill one where that was run and kept, see ``_execute``);
+    it bounds mf when dynamic reordering is off, and on small instances
+    it can read higher than the plain induced width.  entries_static is
+    the table entries that pass's ordering implies, 2**(neighbours + 1)
+    summed over its variables other than phi's units (a static
+    estimate: dynamic reordering and clause propagation can shrink the
+    tables a run builds).  width_posthoc is the adjusted
     induced width (observed variables discounted) along the order the
     run actually processed, when the run completed.  log_result is the
     natural log of the probability, summed from the scalar factors so
@@ -158,7 +166,8 @@ class RunStats:
     and clauses the run was given, both -inf when that P(phi) = 0;
     result and log_result are then their sum.  trace is the
     ordered log of bucket actions (empty for the brute-force path).
-    as_dict() leaves out log_result, log_joint and trace.
+    as_dict() leaves out log_result, entries_static, log_joint and
+    trace.
     """
 
     result: float = 0.0
@@ -171,6 +180,7 @@ class RunStats:
     observed: int = 0
     width_static: Optional[int] = None
     width_posthoc: Optional[int] = None
+    entries_static: Optional[int] = None
     log_joint: Optional[tuple[float, float]] = None
     trace: list["TraceEntry"] = field(default_factory=list, repr=False)
 
@@ -505,14 +515,29 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
     and ``width_static``: a ``query`` goes first, and the given order
     or else phi's unit variables, sorted, fill the last slots, so the
     units are observed first and the greedy orders the graph they
-    leave, around the query."""
+    leave, around the query.  A min-degree order that implies more
+    than 2**_BLOCK_ARITY table entries per vertex, with a slot left to
+    the greedy, gets a min-fill pass too, and the order implying fewer
+    entries is kept with its width."""
     cfg = cfg if cfg is not None else EngineConfig()
     aug = augmented_graph(net, phi, variables)
     units = tuple(sorted({c.unit_literal().var for c in phi.clauses if c.is_unit()}))
     tail = tuple(v for v in (units if ordering is None else ordering) if v != query)
     stats = RunStats()
     # observing a unit restricts tables but never joins scopes
-    ordering, stats.width_static = _eliminate(aug, tail, query, unfilled=units)
+    ordering, stats.width_static, stats.entries_static = _eliminate(aug, tail, query, unfilled=units)
+    # Min fill only where min degree's tables outgrow a kernel block per
+    # vertex.  Its pass costs about 25 us more per vertex and a saved
+    # entry about 3-8 ns, but below this line fewer entries did not mean
+    # less time: along min fill, wide-tables structures 1-11 (570-59,000
+    # entries per vertex; from 41% more to 54% fewer) ran 144 ms against
+    # 140 ms before the passes' cost, and structure 0 (215,000 per
+    # vertex) 15 against 120 ms.
+    if (stats.entries_static > len(aug) << _BLOCK_ARITY
+            and len(tail) + (query is not None) < len(aug)):
+        by_fill = _eliminate(aug, tail, query, unfilled=units, min_fill=True)
+        if by_fill[2] < stats.entries_static:
+            ordering, stats.width_static, stats.entries_static = by_fill
     run = _Run(ordering, cfg, stats, query)
     failed = False
     t0 = perf_counter()

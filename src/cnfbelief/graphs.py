@@ -7,9 +7,12 @@ graph) and clique-connects the variables of every clause but the
 extracted ones.  Orderings are stored first-to-last; elimination
 processes them last-to-first, which is also the direction induced
 width is measured in.  One pass, ``_eliminate``, both orders and
-measures: it completes a partial order greedily by min degree and
-returns the ordering with its induced width.  ``min_degree_order``,
-``induced_width`` and ``adjusted_induced_width`` are calls of it.
+measures: it completes a partial order greedily, by min degree or,
+when asked, by min fill, and returns the ordering with its induced
+width and the table entries it implies.  ``min_degree_order``,
+``induced_width`` and ``adjusted_induced_width`` are min-degree calls
+of it; the engine asks for min fill only where min degree's tables
+are large (``engine._execute``).
 """
 
 from __future__ import annotations
@@ -67,55 +70,116 @@ def augmented_graph(net: BeliefNetwork, phi: CnfFormula,
 
 
 def _eliminate(graph: dict[int, set[int]], tail: Sequence[int] = (), first: int | None = None,
-               unfilled: Iterable[int] = (), discount: bool = False) -> tuple[Ordering, int]:
-    """Eliminate every vertex last-to-first and return (order, width).
+               unfilled: Iterable[int] = (), discount: bool = False,
+               min_fill: bool = False) -> tuple[Ordering, int, int]:
+    """Eliminate every vertex last-to-first and return (order, width,
+    entries).
 
     The order is partly given: the distinct vertices of ``tail`` take
     the last slots in their given order, so they are eliminated first,
     and ``first``, when given, takes slot 0, so it is eliminated last.
-    The other slots are filled greedily, latest first: each step takes
-    the minimum degree vertex of the shrinking graph other than
-    ``first``, smallest vertex on ties.  Selection pops a lazy heap of
-    (degree, vertex) entries: eliminating a vertex pushes a fresh entry
-    for each neighbor, and a popped entry is skipped when its vertex is
-    gone or its degree is out of date, so the whole pass costs
-    O((n + fill) log n).  A ``tail`` that lists every vertex is a given
-    order.
+    The other slots are filled greedily, latest first, once the tail is
+    gone: each step takes the minimum degree vertex of the shrinking
+    graph other than ``first``, smallest vertex on ties, or with
+    ``min_fill`` the one whose elimination adds the fewest fill edges,
+    ties by degree and then vertex.  Selection pops a lazy heap of
+    (degree, vertex) or (fill, degree, vertex) entries: eliminating a
+    vertex pushes a fresh entry for each vertex whose score it changed,
+    and a popped entry is skipped when its vertex is gone or its score
+    is out of date, so a min-degree pass costs O((n + fill) log n).
+    Fill counts are updated, not rescanned (Kjaerulff 1990): only the
+    eliminated vertex's neighbors and the common neighbors of each fill
+    edge change.  A ``tail`` that lists every vertex is a given order.
 
     Eliminating a vertex connects its remaining neighbors and the width
     is the largest neighbor count seen at that point.  An ``unfilled``
-    vertex counts as a neighbor of others but adds no fill edges; with
-    ``discount`` it also contributes width 0 (an observed vertex).
+    vertex counts as a neighbor of others but adds no fill edges, so its
+    fill is 0; with ``discount`` it also contributes width 0 (an
+    observed vertex).  ``entries`` is the table entries the order
+    implies: 2**(neighbors + 1) summed over the vertices that fill.
     """
     adj = {v: set(row) for v, row in graph.items()}
     no_fill = set(unfilled)
     slots = [first] * (len(adj) - len(tail)) + list(tail)
     lo, hi = first is not None, len(adj) - len(tail)  # the slots the greedy fills
-    greedy = lo < hi
-    heap = [(len(row), v) for v, row in adj.items()] if greedy else []
-    heapq.heapify(heap)
-    width = 0
+    fill_in: dict[int, int] = {}  # min-fill: the edges eliminating each vertex would add
+
+    def key(u: int) -> tuple[int, ...]:
+        if min_fill:
+            return 0 if u in no_fill else fill_in[u], len(adj[u]), u
+        return len(adj[u]), u
+
+    heap: list[tuple[int, ...]] = []  # empty until the greedy's first slot
+    width = entries = 0
     for slot in range(len(slots) - 1, -1, -1):
         if lo <= slot < hi:
-            degree, v = heapq.heappop(heap)
-            while v not in adj or degree != len(adj[v]) or v == first:
-                degree, v = heapq.heappop(heap)
-            slots[slot] = v
+            if slot == hi - 1:  # the tail is gone: score what is left
+                if min_fill:
+                    fill_in = {u: _fill_in(adj, u) for u in adj}
+                heap = [key(u) for u in adj]
+                heapq.heapify(heap)
+            entry = heapq.heappop(heap)
+            while entry[-1] not in adj or entry[-1] == first or entry != key(entry[-1]):
+                entry = heapq.heappop(heap)
+            v = slots[slot] = entry[-1]
         else:
             v = slots[slot]
         neighbors = adj.pop(v)
         fill = v not in no_fill
         if fill or not discount:
             width = max(width, len(neighbors))
+        if fill:
+            entries += 2 << len(neighbors)
+        if heap and min_fill:
+            for u in _join_scored(adj, fill_in, v, neighbors, fill):
+                heapq.heappush(heap, key(u))
+        else:
+            for a in neighbors:
+                row = adj[a]
+                if fill:
+                    row |= neighbors
+                    row.discard(a)
+                row.discard(v)
+                if heap:
+                    heapq.heappush(heap, (len(row), a))
+    return Ordering(tuple(slots)), width, entries
+
+
+def _fill_in(adj: dict[int, set[int]], v: int) -> int:
+    """The pairs of v's neighbors that are not adjacent."""
+    row = adj[v]
+    return sum(len(row - adj[a]) - 1 for a in row) // 2
+
+
+def _join_scored(adj: dict[int, set[int]], fill_in: dict[int, int], v: int,
+                 neighbors: set[int], fill: bool) -> set[int]:
+    """Take v, already popped from ``adj``, out of its neighbors' rows,
+    joining them first when ``fill``, and keep ``fill_in`` exact by
+    adding each fill edge on its own; return the vertices whose fill or
+    degree changed."""
+    changed = set(neighbors)
+    if fill:
         for a in neighbors:
-            row = adj[a]
-            if fill:
-                row |= neighbors
-                row.discard(a)
-            row.discard(v)
-            if greedy:
-                heapq.heappush(heap, (len(row), a))
-    return Ordering(tuple(slots)), width
+            for b in neighbors - adj[a]:
+                if a < b:
+                    row_a, row_b = adj[a], adj[b]
+                    common = row_a & row_b
+                    # b meets a's neighbors, a meets b's, and the pair
+                    # stops counting for every common neighbor
+                    fill_in[a] += len(row_a) - len(common)
+                    fill_in[b] += len(row_b) - len(common)
+                    for c in common:
+                        fill_in[c] -= 1
+                    changed |= common
+                    row_a.add(b)
+                    row_b.add(a)
+    for a in neighbors:
+        row = adj[a]
+        # the pairs (v, x) leave a's count, x a neighbor of a but not of v
+        fill_in[a] -= len(row) - 1 - len(row & neighbors)
+        row.discard(v)
+    changed.discard(v)
+    return changed
 
 
 def min_degree_order(graph: dict[int, set[int]]) -> Ordering:

@@ -207,7 +207,7 @@ class BeliefNetwork:
                     f"expected {1 << len(cpt.parents)}"
                 )
             for value in cpt.table:
-                if not (0.0 <= value <= 1.0) or math.isnan(value):
+                if not (0.0 <= value <= 1.0):
                     raise ModelError(f"variable {cpt.child}: probability {value} out of [0, 1]")
         # cycle check (Kahn): strip each variable once its parents are all
         # stripped; what is left is every cycle member and every descendant

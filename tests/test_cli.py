@@ -117,7 +117,7 @@ class TestEval:
         assert prob_line == "0.381171500000"
         stats = json.loads(stats_line)
         assert list(stats) == ["result", "time_s", "mf", "C", "U", "F", "O",
-                               "width_static", "width_posthoc", "log_result"]
+                               "width_static", "width_posthoc", "entries_static", "log_result"]
         assert stats["log_result"] == pytest.approx(math.log(0.3811715), rel=1e-9)
         assert stats["mf"] == 3
         assert stats["width_static"] == 3
@@ -137,6 +137,15 @@ class TestEval:
         assert "mf=" in last and "time_s=" in last
         assert last.endswith(f" log_result={math.log(0.68):.12g}")
         assert not any(item.startswith("result=") for item in last.split())
+
+    def test_entries_static_json_and_human(self, two_node_files, capsys):
+        # the ordering eliminates one of the two adjacent variables with
+        # the other as its neighbour (2**2 entries), then the other (2**1)
+        net, cnf = two_node_files
+        assert run_cli(["eval", "--net", net, "--cnf", cnf, "--stats", "json"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["entries_static"] == 6
+        assert run_cli(["eval", "--net", net, "--cnf", cnf, "--stats", "human"]) == 0
+        assert " entries_static=6 log_result=" in capsys.readouterr().out.splitlines()[-1]
 
     def test_log_result_at_probability_zero(self, two_node_files, tmp_path, capsys):
         net, _ = two_node_files

@@ -34,6 +34,7 @@ from cnfbelief import (
 )
 from cnfbelief.engine import _bucket_lambda
 from cnfbelief.generator import gen_network, gen_query
+from cnfbelief.graphs import _eliminate
 from cnfbelief.model import EXTRACTED, QUERY
 from cnfbelief.transforms import _ancestral, _pruned_run
 
@@ -540,6 +541,59 @@ class TestOrderingUnderEvidence:
             assert stats.mf <= 12 and stats.width_static <= 12, (alg, cfg, stats)
             logs.append(stats.log_result)
         assert all(math.isclose(x, logs[0], rel_tol=0.0, abs_tol=1e-9) for x in logs), logs
+
+
+def wide_instance(seed):
+    """A wide-tables structure: its network, query, augmented graph and
+    units."""
+    net = gen_network(90, 4, 0.0, seed)
+    phi = gen_query(net, c=30, e=10, seed=seed + 1)
+    units = tuple(sorted({c.unit_literal().var for c in phi.clauses if c.is_unit()}))
+    return net, phi, augmented_graph(net, phi, _ancestral(net, phi)), units
+
+
+class TestMinFillPass:
+    """The engine runs a min-fill pass only when the min-degree order
+    implies more than 2**_BLOCK_ARITY table entries per vertex, and
+    keeps whichever order implies fewer."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        eliminate, calls = engine._eliminate, []
+
+        def recorded(*args, **kwargs):
+            out = eliminate(*args, **kwargs)
+            calls.append((kwargs.get("min_fill", False), out))
+            return out
+
+        monkeypatch.setattr(engine, "_eliminate", recorded)
+        return calls
+
+    def test_wide_structure_0_takes_the_min_fill_order(self, passes):
+        net, phi, aug, units = wide_instance(0)
+        md_order, md_width, md_entries = _eliminate(aug, units, None, unfilled=units)
+        assert md_width == 22 and md_entries > len(aug) << engine._BLOCK_ARITY
+        passes.clear()
+        p, stats = evaluate(net, phi, "cpe")
+        assert [min_fill for min_fill, _ in passes] == [False, True]
+        assert stats.width_static == 19 and stats.entries_static < md_entries
+        # along the min-degree order, given: no greedy slot, so one pass
+        passes.clear()
+        given = tuple(v for v in net.variables() if v not in aug) + md_order.order
+        q, md_stats = evaluate(net, phi, "cpe", ordering=Ordering(given))
+        assert [min_fill for min_fill, _ in passes] == [False]
+        assert (md_stats.width_static, md_stats.entries_static) == (md_width, md_entries)
+        assert stats.mf < md_stats.mf
+        assert math.isclose(p, q, rel_tol=1e-9, abs_tol=0.0)
+
+    @pytest.mark.parametrize("seed", range(1, 12))
+    def test_structures_below_the_threshold_keep_the_min_degree_order(self, passes, seed):
+        net, phi, aug, units = wide_instance(seed)
+        _, stats = evaluate(net, phi, "cpe")
+        [(min_fill, (order, width, entries))] = passes
+        assert not min_fill and entries <= len(aug) << engine._BLOCK_ARITY
+        assert order == _eliminate(aug, units, None, unfilled=units)[0]
+        assert (stats.width_static, stats.entries_static) == (width, entries)
 
 
 class TestLoadedFactors:

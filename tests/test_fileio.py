@@ -98,6 +98,10 @@ class TestParseNetwork:
         with pytest.raises(ParseError):
             parse_network("vars 1\ncpt 0 1.5\n")
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ParseError, match="probability nan out of"):
+            parse_network("vars 1\ncpt 0 nan\n")
+
     def test_cycle_rejected(self):
         text = "vars 2\nparents 0 1\ncpt 0 0.1 0.2\nparents 1 0\ncpt 1 0.3 0.4\n"
         with pytest.raises(ParseError, match="cycle"):

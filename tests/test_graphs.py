@@ -399,7 +399,7 @@ class TestOnePass:
     def test_units_last_is_min_degree_on_the_rest(self, case):
         g, units, _ = case
         rest = {v: row.difference(units) for v, row in g.items() if v not in units}
-        ordering, width = _eliminate(g, units, None, units)
+        ordering, width, _ = _eliminate(g, units, None, units)
         assert ordering == Ordering(min_degree_order(rest).order + units)
         assert width == induced_width(g, ordering, units)
 
@@ -409,7 +409,7 @@ class TestOnePass:
         g, units, first = case
         if first is None:
             return
-        ordering, width = _eliminate(g, units, first, units)
+        ordering, width, _ = _eliminate(g, units, first, units)
         assert ordering.order[0] == first
         assert ordering.order[len(g) - len(units):] == units
         assert sorted(ordering) == sorted(g)
@@ -430,6 +430,69 @@ class TestOnePass:
             assert stats.width_static == induced_width(
                 augmented_graph(net, phi), ordering, unit_variables(phi)), k
         assert complete_runs >= 30
+
+
+def reference_min_fill(graph: dict[int, set[int]], tail=(), first=None, unfilled=()):
+    """(order, width, entries) of ``_eliminate(..., min_fill=True)`` with
+    every remaining vertex's fill counted afresh at each step, ties by
+    (fill, degree, vertex); an unfilled vertex adds no fill, so it
+    scores 0.  A tail that lists every vertex is a given order."""
+    work = {v: set(s) for v, s in graph.items()}
+    no_fill = set(unfilled)
+    slots = [first] * (len(graph) - len(tail)) + list(tail)
+    lo, hi = first is not None, len(graph) - len(tail)
+
+    def score(u):
+        fill = 0 if u in no_fill else sum(
+            b not in work[a] for a, b in itertools.combinations(work[u], 2))
+        return fill, len(work[u]), u
+
+    width = entries = 0
+    for slot in range(len(slots) - 1, -1, -1):
+        if lo <= slot < hi:
+            slots[slot] = min((u for u in work if u != first), key=score)
+        v = slots[slot]
+        neighbors = work.pop(v)
+        width = max(width, len(neighbors))
+        if v not in no_fill:
+            entries += 2 ** (len(neighbors) + 1)
+            for a, b in itertools.combinations(neighbors, 2):
+                work[a].add(b)
+                work[b].add(a)
+        for a in neighbors:
+            work[a].discard(v)
+    return Ordering(tuple(slots)), width, entries
+
+
+class TestMinFill:
+    """``_eliminate(..., min_fill=True)`` updates fill counts as it adds
+    fill edges instead of rescanning, and must choose as a rescan does."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(case=graphs_and_units(), extra=st.sets(st.integers(0, 11)), pinned=st.booleans())
+    def test_incremental_fill_matches_a_rescan(self, case, extra, pinned):
+        g, units, first = case
+        first = first if pinned else None
+        # the units are the tail and unfilled; other unfilled vertices
+        # score fill 0 wherever the greedy meets them
+        unfilled = set(units) | (extra & set(g))
+        assert (_eliminate(g, units, first, unfilled, min_fill=True)
+                == reference_min_fill(g, units, first, unfilled))
+        # entries along the min-degree order, given in full
+        order, width, entries = _eliminate(g, units, first, unfilled)
+        assert reference_min_fill(g, order.order, None, unfilled) == (order, width, entries)
+
+    def test_fewest_fill_edges_first(self):
+        # every vertex but 2 and 3 has degree 3; min-degree takes 0,
+        # whose neighbours 1, 4, 5 need three fill edges, and ends at
+        # width 4; min-fill takes 1, whose neighbours need two (0-2, 0-3)
+        g = graph(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3),
+                      (2, 4), (2, 5), (3, 4), (3, 5)])
+        degree, fill = _eliminate(g), _eliminate(g, min_fill=True)
+        assert (degree[0].order[-1], degree[1]) == (0, 4)
+        assert (fill[0].order[-1], fill[1]) == (1, 3)
+        assert fill[2] < degree[2]
+        assert fill == reference_min_fill(g)
 
 
 def default_ordering(net: BeliefNetwork, phi: CnfFormula) -> Ordering:

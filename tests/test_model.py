@@ -186,11 +186,12 @@ class TestValidateNetwork:
 
     @pytest.mark.parametrize("cpts, message", [
         ((Cpt(0, (), (1.5,)),), "variable 0: probability 1.5 out of [0, 1]"),
+        ((Cpt(0, (), (math.nan,)),), "variable 0: probability nan out of [0, 1]"),
         ((Cpt(0, (1,), (0.5, 0.5)), Cpt(1, (0,), (0.5, 0.5))), "cycle among variables [0, 1]"),
         ((Cpt(0, (), (0.5,)), Cpt(1, (-1,), (0.5, 0.5))), "parent -1 of 1 out of range"),
         ((Cpt(0, (), (0.5,)), Cpt(1, (0,), (0.2,))),
          "variable 1: table has 1 rows, expected 2"),
-    ], ids=["prior-1.5", "cycle", "parent-minus-1", "short-table"])
+    ], ids=["prior-1.5", "prior-nan", "cycle", "parent-minus-1", "short-table"])
     def test_networks_the_evaluators_would_misread_are_refused(self, cpts, message):
         # unchecked, each reaches the evaluators: P(A=1) = 1.5 gives
         # answers above 1, a cycle gets an answer, a parent of -1 gets
