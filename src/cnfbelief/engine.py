@@ -53,8 +53,8 @@ on the way, which keeps items out of already-processed buckets.
 
 The final probability is the product of the scalar factors that fall
 out of the bottom of the pass; its logarithm is also kept as the sum of
-their logs, which does not underflow.  Deriving the empty clause
-short-circuits the run to probability 0.
+their logs, which does not underflow.  A falsified clause, the empty
+clause given or derived included, short-circuits the run to probability 0.
 
 A run given a query variable answers belief in the same pass (elim-bel;
 Dechter, "Bucket elimination: a unifying framework for reasoning", AIJ
@@ -140,10 +140,13 @@ class EngineConfig:
 class RunStats:
     """Counters reported by one evaluation.
 
-    mf is the largest arity of any factor the run materialized
-    (restricted tables and summation results; the input CPTs do not
-    count).  derived_clauses / derived_units count clauses produced by
-    unit resolution and bounded resolution that were actually kept;
+    elapsed (``time_s``) is the wall time of loading the factors and
+    clauses plus the elimination pass; ancestral pruning, extraction,
+    graph building, ordering and width_posthoc are outside it (brute
+    times its enumeration).  mf is the largest arity of any factor the
+    run materialized (restricted tables and summation results; the input
+    CPTs do not count).  derived_clauses / derived_units count clauses
+    produced by unit and bounded resolution that were actually kept;
     extracted counts distinct clauses with extracted provenance in the
     input; observed counts buckets processed by observation.
     width_static is the induced width of the clause-augmented graph
@@ -327,8 +330,6 @@ class _Run:
         self.trace: list[TraceEntry] = []
 
     def load(self, factors: Iterable[Factor], phi: CnfFormula) -> None:
-        if phi.has_empty_clause():
-            raise ContradictionError("query contains the empty clause")
         for factor in factors:
             self._place_factor(factor)
         extracted_seen: set[frozenset] = set()
@@ -368,7 +369,7 @@ class _Run:
     def _reduce(self, clause: Clause) -> Optional[Clause]:
         """The clause under the observed assignment: None when it is
         satisfied, the same object when no literal is assigned.  Raises
-        ContradictionError when every literal is falsified."""
+        ContradictionError when every literal is falsified (the empty clause)."""
         lits: list[Literal] = []
         for lit in clause.literals:
             value = self.sigma.get(lit.var)

@@ -16,9 +16,15 @@ variable.
 Order file: 0-based variable numbers separated by whitespace,
 first-to-last, each of the network's variables exactly once.
 
-Integers are ASCII digits with an optional minus; table entries are
-ASCII floats.  Python's int() and float() also take "_" separators, a
-"+" sign and other scripts' digits, so those are refused first.
+Counts (``vars``, ``p cnf``) are non-negative decimal: ASCII digits, no
+sign.  Other integers may also take a minus; table entries are ASCII floats.
+Python's int() and float() also take "_" separators, a "+" sign and
+other scripts' digits, so those are refused first.
+
+A ``ParseError`` found on one line of a network or DIMACS file starts
+``line N:``.  Whole-file errors carry no line: no ``vars`` or problem
+line, a variable with no ``cpt`` line, an unterminated clause, the
+checks ``BeliefNetwork`` runs, and every order-file error.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ from .model import (
 
 
 class ParseError(ValueError):
-    """Malformed input file; the message carries the line number."""
+    """Malformed input; the message starts ``line N:`` unless it is a
+    whole-file error (listed in the module docstring)."""
 
 
 def _fail(lineno: int, message: str) -> ParseError:
@@ -80,6 +87,8 @@ def parse_network(text: str) -> BeliefNetwork:
                 child, *ps = map(int, fields[1:])
             except ValueError:
                 raise _fail(lineno, "parents takes integers") from None
+            if not 0 <= child < n:
+                raise _fail(lineno, f"parents line for unknown variable {child}")
             if child in parents:
                 raise _fail(lineno, f"duplicate parents line for variable {child}")
             parents[child] = tuple(ps)
@@ -93,6 +102,8 @@ def parse_network(text: str) -> BeliefNetwork:
                 values = tuple(map(float, fields[2:]))
             except ValueError:
                 raise _fail(lineno, "cpt takes a child id and float values") from None
+            if not 0 <= child < n:
+                raise _fail(lineno, f"cpt line for unknown variable {child}")
             if child in tables:
                 raise _fail(lineno, f"duplicate cpt line for variable {child}")
             tables[child] = values
@@ -105,12 +116,6 @@ def parse_network(text: str) -> BeliefNetwork:
         if child not in tables:
             raise ParseError(f"variable {child} has no cpt line")
         cpts.append(Cpt(child, parents.get(child, ()), tables[child]))
-    for child in parents:
-        if not 0 <= child < n:
-            raise ParseError(f"parents line for unknown variable {child}")
-    for child in tables:
-        if not 0 <= child < n:
-            raise ParseError(f"cpt line for unknown variable {child}")
     try:
         return BeliefNetwork(n, tuple(cpts))
     except ModelError as exc:
@@ -152,12 +157,9 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise _fail(lineno, "duplicate problem line")
             if len(fields) != 4 or fields[1] != "cnf":
                 raise _fail(lineno, "expected: p cnf <vars> <clauses>")
-            try:
-                if not _plain(line):
-                    raise ValueError
-                n_vars, declared = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise _fail(lineno, "problem line counts must be integers") from None
+            if not all(f.isascii() and f.isdigit() for f in fields[2:]):
+                raise _fail(lineno, "problem line counts must be integers >= 0")
+            n_vars, declared = int(fields[2]), int(fields[3])
             continue
         if declared is None:
             raise _fail(lineno, "clause before the problem line")

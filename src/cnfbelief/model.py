@@ -91,9 +91,6 @@ class Clause:
     def variables(self) -> set[int]:
         return {lit.var for lit in self.literals}
 
-    def is_empty(self) -> bool:
-        return not self.literals
-
     def is_unit(self) -> bool:
         return len(self.literals) == 1
 
@@ -146,9 +143,6 @@ class CnfFormula:
         for clause in self.clauses:
             out |= clause.variables()
         return out
-
-    def has_empty_clause(self) -> bool:
-        return any(c.is_empty() for c in self.clauses)
 
     def conjoin(self, other: "CnfFormula") -> "CnfFormula":
         return CnfFormula(self.clauses + other.clauses, self.provenance + other.provenance)

@@ -139,7 +139,8 @@ def hidden_embed(net: BeliefNetwork, phi: CnfFormula
     and its CPT rows are ``clause_table``, the table the engine gates
     sums with: P(child=1 | row) is the clause's truth value;
     asserting the clause means observing the child at 1.  Returns the
-    grown network and those evidence literals.
+    grown network and those evidence literals.  An ``order_hint`` gains
+    the fresh children at its end, after their parents.
     """
     cpts = list(net.cpts)
     evidence: list[Literal] = []
@@ -149,7 +150,8 @@ def hidden_embed(net: BeliefNetwork, phi: CnfFormula
         cpts.append(Cpt(fresh, parents, tuple(table.ravel().tolist())))
         evidence.append(Literal(fresh, True))
         fresh += 1
-    return BeliefNetwork(fresh, tuple(cpts), net.order_hint), evidence
+    hint = None if net.order_hint is None else net.order_hint + tuple(range(net.n, fresh))
+    return BeliefNetwork(fresh, tuple(cpts), hint), evidence
 
 
 def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
@@ -158,8 +160,8 @@ def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
 
     Plain variable elimination with evidence on the hidden children; no
     clause machinery runs, so the derived-clause counters stay 0.  The
-    ordering is the engine's default: min-degree on the embedded
-    network's own graph without the observed children, which go last.
+    ordering is the engine's default on the embedded network's graph,
+    the observed children last (min degree or min fill, see ``_execute``).
     """
     return evaluate(net, phi, "hidden", cfg)
 

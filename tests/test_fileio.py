@@ -115,7 +115,9 @@ class TestParseNetwork:
         ("vars 2\ncpt 0 0.5\nparents 1 0\nparents 1 0\ncpt 1 0.2 0.9\n",
          "line 4: duplicate parents line for variable 1"),
         ("vars 1\ncpt 0\n", "line 2: expected: cpt <child> <values...>"),
-        ("vars 1\ncpt 0 0.5\ncpt 3 0.5\n", "cpt line for unknown variable 3"),
+        ("vars 1\ncpt 0 0.5\ncpt 3 0.5\n", "line 3: cpt line for unknown variable 3"),
+        ("vars 1\ncpt 0 0.5\nparents 3 0\n", "line 3: parents line for unknown variable 3"),
+        ("vars 1\ncpt -1 0.5\ncpt 0 0.5\n", "line 2: cpt line for unknown variable -1"),
         ("vars 2\ncpt 0 0.5\nparents 1 0 0\ncpt 1 0.1 0.2 0.3 0.4\n",
          "duplicate parents for variable 1"),
     ])
@@ -206,6 +208,8 @@ class TestParseDimacs:
         ("p cnf 2 1\n\u0661 0\n", 2),           # Arabic-Indic 1
         ("p cnf 1_0 1\n1 0\n", 1),
         ("p cnf +2 1\n1 0\n", 1),
+        ("p cnf -3 0\n", 1),                     # counts take no sign
+        ("c counts\np cnf 3 -1\n1 0\n", 2),
     ])
     def test_numbers_outside_the_format(self, text, line):
         with pytest.raises(ParseError, match=f"line {line}"):

@@ -112,9 +112,12 @@ class TestCnfFormula:
         assert both.clauses == (clause(1), clause(2))
         assert both.provenance == (QUERY, EVIDENCE)
 
-    def test_has_empty_clause(self):
-        assert CnfFormula([Clause([])]).has_empty_clause()
-        assert not formula(clause(1)).has_empty_clause()
+    def test_empty_clause_is_kept(self, net2):
+        # allowed and unsatisfiable; the engine refuses it as it files it
+        phi = CnfFormula([clause(1), Clause([])])
+        assert [len(c) for c in phi.clauses] == [1, 0]
+        assert str(phi.clauses[1]) == "()"
+        assert brute_force_cpe(net2, phi) == 0.0
 
     def test_variables(self):
         assert formula(clause(1, -3), clause(2)).variables() == {0, 1, 2}

@@ -54,7 +54,7 @@ class TestResolve:
 
     def test_resolving_units_gives_empty_clause(self):
         out = resolve(clause(4), clause(-4), 3)
-        assert out is not None and out.is_empty()
+        assert out is not None and len(out) == 0
 
 
 class TestBdrStep:

@@ -210,6 +210,15 @@ class TestHiddenEmbed:
         embedded, _ = hidden_embed(net2, formula(clause(1)))
         assert embedded.cpts[:2] == net2.cpts
 
+    def test_order_hint_gains_the_fresh_children(self, net2):
+        net = gen_network(n=6, f=3, d=0.4, seed=5)
+        embedded, _ = hidden_embed(net, gen_query(net, c=3, e=1, seed=6))
+        assert embedded.order_hint == tuple(range(10))
+        position = {v: i for i, v in enumerate(embedded.order_hint)}
+        assert all(position[p] < position[c.child] for c in embedded.cpts for p in c.parents)
+        assert net2.order_hint is None
+        assert hidden_embed(net2, formula(clause(1, 2)))[0].order_hint is None
+
     def test_no_clauses_no_growth(self, net2):
         embedded, evidence = hidden_embed(net2, CnfFormula([]))
         assert embedded.n == 2
