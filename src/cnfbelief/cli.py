@@ -136,12 +136,14 @@ def _formatted(stats) -> dict:
 
 
 def _print_stats(stats, mode: str) -> None:
-    """Print ``stats.as_dict()``; json and human add ``entries_static``
-    and ``log_result`` (null in JSON, -inf in human, at probability 0)."""
+    """Print ``stats.as_dict()``; json and human add ``entries_static``,
+    ``forced`` and ``log_result`` (null in JSON, -inf in human, at
+    probability 0)."""
     log_result = stats.log_result
     if mode == "json":
         values = stats.as_dict()
         values["entries_static"] = stats.entries_static
+        values["forced"] = stats.forced
         values["log_result"] = log_result if math.isfinite(log_result) else None
         print(json.dumps(values))
         return
@@ -152,6 +154,7 @@ def _print_stats(stats, mode: str) -> None:
         print(",".join(str(shown[k]) for k in keys))
     else:
         shown["entries_static"] = stats.entries_static
+        shown["forced"] = stats.forced
         shown["log_result"] = f"{log_result:.12g}"
         print(" ".join(f"{k}={shown[k]}" for k in shown if k != "result"))
 

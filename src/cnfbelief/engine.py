@@ -4,9 +4,10 @@ This module holds the package's one elimination pass, ``_Run``, and
 ``_execute``, which orders, runs and measures it over the CPTs of the
 variables it is given, in the network's own variable numbers.  A
 parent or clause variable outside them (belief's observed boundary
-variables) is a vertex of the graph and the ordering with no CPT of its
-own.  Its one caller is ``transforms._pruned_run``, so every evaluator
-ends in it.
+variables, or the variables cpe-d's unit propagation fixed) is a vertex
+of the graph and the ordering with no CPT of its own.  Its callers are
+``transforms._pruned_run`` and, for what cpe-d's unit propagation
+leaves, ``transforms._propagated_run``, so every evaluator ends in it.
 Those CPTs and all clauses are partitioned into buckets along an
 elimination ordering (each item goes to the bucket of its
 latest-ordered variable) and the buckets are processed last-to-first.
@@ -142,11 +143,12 @@ class RunStats:
 
     elapsed (``time_s``) is the wall time of loading the factors and
     clauses plus the elimination pass; ancestral pruning, extraction,
-    graph building, ordering and width_posthoc are outside it (brute
-    times its enumeration).  mf is the largest arity of any factor the
-    run materialized (restricted tables and summation results; the input
-    CPTs do not count).  derived_clauses / derived_units count clauses
-    produced by unit and bounded resolution that were actually kept;
+    cpe-d's unit propagation, graph building, ordering and
+    width_posthoc are outside it (brute times its enumeration).  mf is
+    the largest arity of any factor the run materialized (restricted
+    tables and summation results; the input CPTs do not count).
+    derived_clauses / derived_units count clauses produced by unit and
+    bounded resolution that were actually kept;
     extracted counts distinct clauses with extracted provenance in the
     input; observed counts buckets processed by observation.
     width_static is the induced width of the clause-augmented graph
@@ -169,8 +171,18 @@ class RunStats:
     and clauses the run was given, both -inf when that P(phi) = 0;
     result and log_result are then their sum.  trace is the
     ordered log of bucket actions (empty for the brute-force path).
-    as_dict() leaves out log_result, entries_static, log_joint and
-    trace.
+    forced counts the literals that cpe-d's unit propagation fixes
+    before elimination when no ordering is given (see
+    ``transforms._propagate``; 0 on every other run).  mf, C, U, O, the
+    widths, entries_static and trace then describe the engine's run on
+    the part propagation leaves, and F still counts every extracted
+    clause of the input.  A run that propagation answers 0 (a conflict,
+    or a forced CPT entry of 0) builds no graph: its mf, C, U, O,
+    width_static and entries_static are 0, width_posthoc is None and
+    its trace is empty.  An input holding the empty clause is answered
+    0 there before anything is read, so its F and forced are 0 too.
+    as_dict() leaves out log_result, entries_static, forced, log_joint
+    and trace.
     """
 
     result: float = 0.0
@@ -184,6 +196,7 @@ class RunStats:
     width_static: Optional[int] = None
     width_posthoc: Optional[int] = None
     entries_static: Optional[int] = None
+    forced: int = 0
     log_joint: Optional[tuple[float, float]] = None
     trace: list["TraceEntry"] = field(default_factory=list, repr=False)
 

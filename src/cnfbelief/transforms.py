@@ -13,6 +13,11 @@
   ancestral variables, in the caller's variable numbers, through
   ``_pruned_run``, the one dispatch to the engine.  elim_cpe,
   run_trace, elim_cpe_d and elim_hidden are calls of it.
+* _propagate: cpe-d's pre-pass when no ordering is given.  Unit
+  propagation over phi and the extracted clauses answers a conflict
+  with 0, turns each CPT whose family it fixes into an exact log
+  constant, and leaves the engine the other CPTs and the clauses it
+  does not satisfy, shortened.
 * belief_given_cnf: P(var | phi) from one ``_pruned_run`` with var
   eliminated last, on var's requisite part (``_requisite``): after
   phi's units are applied, only var's component of the unobserved
@@ -30,7 +35,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .engine import EngineConfig, RunStats, TraceEntry, _execute
+from .engine import EngineConfig, RunStats, TraceEntry, _execute, _log
 from .graphs import Ordering, augmented_graph, check_ordering
 from .model import (
     EVIDENCE,
@@ -126,7 +131,13 @@ def elim_cpe_d(net: BeliefNetwork, phi: CnfFormula, ordering=None,
     resolution but are exempt from summation constraints (they hold
     with probability 1, so constraining with them is redundant).  An
     extracted clause that phi also holds constrains like any query
-    clause.
+    clause.  Without an ``ordering``, unit propagation over all of them
+    runs first (``_propagate``): a conflict answers 0 with no engine
+    run, each CPT whose family it fixes is an exact constant, and the
+    engine eliminates only the rest, so mf, C, U, O, the widths and the
+    trace describe that run and ``stats.forced`` counts the literals
+    fixed up front.  Along a given ordering the engine runs on the
+    whole ancestral set.
     """
     return evaluate(net, phi, "cpe-d", cfg, ordering)
 
@@ -293,12 +304,111 @@ def _requisite(net: BeliefNetwork, phi: CnfFormula, var: int, kept: tuple[int, .
     return loaded, CnfFormula([c for c, _ in items], [t for _, t in items])
 
 
+def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
+               ) -> tuple[dict[int, bool], tuple[int, ...], CnfFormula, float]:
+    """P(phi) over the CPTs of ``kept`` (ascending) split by unit
+    propagation into an exact log constant and a residual problem:
+    (sigma, variables, clauses, log constant), P(phi) being the
+    constant's exp times P(clauses) over the CPTs of ``variables``.
+
+    sigma holds the literals that unit propagation over phi's clauses
+    forces, found with a queue over occurrence lists in which each
+    clause counts its literals not yet falsified (Davis and Putnam
+    1960); phi must not hold the empty clause.  Each CPT of ``kept``
+    whose whole family sigma fixes is one exact entry, and the constant
+    is the sum of their logs.  ``variables`` are the other variables of
+    ``kept``, ascending; ``clauses`` are the units of the forced
+    variables their CPTs mention, then phi's clauses that sigma leaves
+    unsatisfied, shortened to their free literals with their tags kept
+    (none is a unit).  A shortened extracted clause still holds with
+    probability 1 under its own CPT, which stays: a family that sigma
+    fixes whole leaves its clauses satisfied or falsified.  A conflict
+    or a forced entry of 0 gives the constant -inf, with no variables
+    and no clauses; sigma then holds what was forced before it.
+    """
+    clauses = [c.literals for c in phi.clauses]
+    nothing = (), CnfFormula([]), -math.inf
+    sigma: dict[int, bool] = {}
+    free = [len(c) for c in clauses]  # 0 once the clause is satisfied
+    occurs: dict[int, list[tuple[int, bool]]] = {}
+    for i, literals in enumerate(clauses):
+        for lit in literals:
+            occurs.setdefault(lit.var, []).append((i, lit.positive))
+    queue = [(lit.var, lit.positive) for literals in clauses if len(literals) == 1
+             for lit in literals]
+    while queue:
+        var, value = queue.pop()
+        if var in sigma:
+            if sigma[var] != value:
+                return (sigma, *nothing)
+            continue
+        sigma[var] = value
+        for i, positive in occurs.get(var, ()):
+            if not free[i]:
+                continue
+            if positive == value:
+                free[i] = 0
+                continue
+            free[i] -= 1
+            if not free[i]:
+                return (sigma, *nothing)
+            if free[i] == 1:
+                queue.append(next((l.var, l.positive) for l in clauses[i] if l.var not in sigma))
+    variables, logs = [], []
+    for v in kept:
+        cpt = net.cpts[v]
+        if v not in sigma or not all(p in sigma for p in cpt.parents):
+            variables.append(v)
+            continue
+        row = 0
+        for p in cpt.parents:
+            row = 2 * row + sigma[p]
+        logs.append(_log(cpt.table[row] if sigma[v] else 1.0 - cpt.table[row]))
+    constant = math.fsum(logs)
+    if constant == -math.inf:
+        return (sigma, *nothing)
+    mentioned = sorted({u for v in variables for u in net.family(v) if u in sigma})
+    items = [(Clause([Literal(u, sigma[u])]), EVIDENCE) for u in mentioned]
+    for (clause, tag), literals, left in zip(phi.items(), clauses, free):
+        if left == len(literals):
+            items.append((clause, tag))
+        elif left:
+            items.append((Clause(l for l in literals if l.var not in sigma), tag))
+    residual = CnfFormula([c for c, _ in items], [t for _, t in items])
+    return sigma, tuple(variables), residual, constant
+
+
+def _propagated_run(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula,
+                    cfg: EngineConfig | None) -> RunStats:
+    """cpe-d's run when no ordering is given: ``_propagate`` over phi
+    (the query plus the extracted clauses), then one engine run on the
+    residual, whose log result gains the constant.  A conflict, a
+    forced entry of 0 or the empty clause answers 0 with no engine run.
+    """
+    if any(not c.literals for c in phi.clauses):  # refused unread, as in the engine
+        return RunStats(width_static=0, entries_static=0)
+    sigma, variables, residual, constant = _propagate(net, kept, phi)
+    if constant == -math.inf:
+        stats = RunStats(width_static=0, entries_static=0)
+    else:
+        stats = _execute(net, variables, residual, None, cfg)[1]
+        stats.log_result += constant
+        stats.result = math.exp(stats.log_result)
+    stats.extracted = len({c.literals for c, tag in phi.items() if tag == EXTRACTED})
+    stats.forced = len(sigma)
+    return stats
+
+
 def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig | None,
                 ordering: Ordering | None = None, var: Optional[int] = None) -> RunStats:
     """One engine run of cpe, cpe-d or hidden over the CPTs of phi's
     (and ``var``'s) ancestral variables.  With ``var`` the engine
     eliminates it last and fills ``stats.log_joint``, and the run is
-    cut to var's requisite part when ``_requisite`` finds one.
+    cut to var's requisite part when ``_requisite`` finds one.  cpe-d
+    given neither an ordering nor ``var`` propagates units first and
+    runs the engine on the residual only (``_propagated_run``); along a
+    given ordering, and for belief, the engine takes phi and every
+    extracted clause of the kept CPTs.
     """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
@@ -309,6 +419,8 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
         kept, phi = _requisite(net, phi, var, kept) or (kept, phi)
     if alg == "cpe-d":
         phi = phi.conjoin(extract_clauses(net, kept))
+        if ordering is None and var is None:
+            return _propagated_run(net, kept, phi, cfg)
     elif alg == "hidden":
         net, evidence = hidden_embed(net, phi)
         kept += tuple(lit.var for lit in evidence)

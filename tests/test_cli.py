@@ -117,7 +117,8 @@ class TestEval:
         assert prob_line == "0.381171500000"
         stats = json.loads(stats_line)
         assert list(stats) == ["result", "time_s", "mf", "C", "U", "F", "O",
-                               "width_static", "width_posthoc", "entries_static", "log_result"]
+                               "width_static", "width_posthoc", "entries_static", "forced",
+                               "log_result"]
         assert stats["log_result"] == pytest.approx(math.log(0.3811715), rel=1e-9)
         assert stats["mf"] == 3
         assert stats["width_static"] == 3
@@ -145,7 +146,21 @@ class TestEval:
         assert run_cli(["eval", "--net", net, "--cnf", cnf, "--stats", "json"]) == 0
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["entries_static"] == 6
         assert run_cli(["eval", "--net", net, "--cnf", cnf, "--stats", "human"]) == 0
-        assert " entries_static=6 log_result=" in capsys.readouterr().out.splitlines()[-1]
+        assert " entries_static=6 forced=0 log_result=" in capsys.readouterr().out.splitlines()[-1]
+
+    def test_forced_json_and_human(self, tmp_path, hyb_net, query_not_g, capsys):
+        # not G forces F and D to 0 through G's extracted OR clauses
+        net, cnf = tmp_path / "hyb.net", tmp_path / "notg.cnf"
+        net.write_text(serialize_network(hyb_net))
+        cnf.write_text(serialize_cnf(query_not_g, n_vars=hyb_net.n))
+        args = ["eval", "--net", str(net), "--cnf", str(cnf), "--stats"]
+        for alg, forced in (("cpe-d", 3), ("cpe", 0)):
+            assert run_cli(args + ["json", "--alg", alg]) == 0
+            values = json.loads(capsys.readouterr().out.splitlines()[-1])
+            assert list(values)[-3:] == ["entries_static", "forced", "log_result"]
+            assert values["forced"] == forced
+            assert run_cli(args + ["human", "--alg", alg]) == 0
+            assert f" forced={forced} log_result=" in capsys.readouterr().out.splitlines()[-1]
 
     def test_log_result_at_probability_zero(self, two_node_files, tmp_path, capsys):
         net, _ = two_node_files

@@ -18,7 +18,7 @@ from cnfbelief import (
     run_trace,
 )
 
-GOLDEN_SHA256 = "7c60c763f644942585ce31bc6955b4390e5d555ce9ed4867ce92f3eeb2130547"
+GOLDEN_SHA256 = "8f204f545bbd16b9f6462dbd85f9c05a41a4d1b2f42d3f202b65a2e8a6294e54"
 
 CONFIGS = (
     EngineConfig(),

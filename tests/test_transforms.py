@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cnfbelief import (
@@ -195,6 +195,116 @@ class TestElimCpeD:
             want = brute_force_cpe(net, phi)
             got, _ = elim_cpe_d(net, phi)
             assert close_enough(got, want), k
+
+
+class TestPropagatedRun:
+    """cpe-d given no ordering propagates units over phi and the
+    extracted clauses, folds every CPT whose family that fixes into a
+    constant, and runs the engine on what is left."""
+
+    @staticmethod
+    def chain():
+        # A (0.3) -> B, which A = 1 forces to 1; B -> C and B -> D; E a root
+        return BeliefNetwork(5, (
+            Cpt(0, (), (0.3,)),
+            Cpt(1, (0,), (0.2, 1.0)),
+            Cpt(2, (1,), (0.25, 0.6)),
+            Cpt(3, (1,), (0.1, 0.35)),
+            Cpt(4, (), (0.45,)),
+        ))
+
+    def test_a_conflict_answers_zero_without_a_run(self, monkeypatch):
+        net = self.chain()
+        phi = formula(clause(1), clause(-2))
+        runs = []
+        monkeypatch.setattr(transforms, "_execute",
+                            lambda *args: runs.append(args) or engine._execute(*args))
+        p, stats = evaluate(net, phi, "cpe-d", EngineConfig(i_bound=2))
+        assert p == 0.0 and stats.log_result == -math.inf
+        assert brute_force_cpe(net, phi) == 0.0 and runs == []
+        assert stats.trace == [] and stats.width_posthoc is None
+        assert (stats.mf, stats.derived_clauses, stats.derived_units, stats.observed,
+                stats.width_static, stats.entries_static) == (0, 0, 0, 0, 0, 0)
+        # F counts the ancestral set's extracted clauses: B's one
+        assert stats.extracted == 1 and stats.forced >= 1
+        # cpe meets the same conflict inside its run
+        assert evaluate(net, phi, "cpe")[0] == 0.0
+
+    def test_a_forced_family_contributes_its_entry(self):
+        net = self.chain()
+        # A, then B by extraction, and C are forced: three constants,
+        # 0.3 * 1.0 * 0.6; D's CPT and E's stay, with B's unit
+        phi = formula(clause(1), clause(3), clause(4, 5))
+        p, stats = evaluate(net, phi, "cpe-d")
+        assert stats.forced == 3
+        assert close_enough(p, brute_force_cpe(net, phi))
+        assert close_enough(p, 0.3 * 0.6 * (1 - 0.65 * 0.55))
+        assert [(e.bucket, e.action) for e in stats.trace][0] == (1, "observe")
+        assert {e.bucket for e in stats.trace} == {1, 3, 4}
+        # only A, B and C forced, nothing left: the constant alone
+        p, stats = evaluate(net, formula(clause(1), clause(3)), "cpe-d")
+        assert stats.trace == [] and stats.forced == 3
+        assert math.isclose(stats.log_result, math.log(0.3) + math.log(0.6), rel_tol=1e-15)
+        assert close_enough(p, brute_force_cpe(net, formula(clause(1), clause(3))))
+
+    def test_a_forced_entry_of_zero_answers_zero(self):
+        # P(B = 1 | A = 1) = 0: the extracted clause (not A or not B)
+        # meets the conflict first, and without it the constant is -inf
+        net = BeliefNetwork(3, (Cpt(0, (), (0.3,)), Cpt(1, (0,), (0.2, 0.0)),
+                                Cpt(2, (1,), (0.5, 0.4))))
+        phi = formula(clause(1), clause(2), clause(3, -1))
+        sigma, variables, residual, constant = transforms._propagate(net, (0, 1, 2), phi)
+        assert constant == -math.inf and variables == () and len(residual) == 0
+        assert sigma == {0: True, 1: True, 2: True}
+        p, stats = evaluate(net, phi, "cpe-d")
+        assert p == 0.0 and stats.trace == [] and brute_force_cpe(net, phi) == 0.0
+
+    def test_a_given_ordering_runs_the_whole_ancestral_set(self):
+        # along a given ordering nothing is forced up front: the engine
+        # takes phi and every extracted clause, with these trace and
+        # counters (those of the engine alone, pinned)
+        net = gen_network(10, 3, 0.9, 71)
+        phi = gen_query(net, c=2, e=1, seed=72)
+        order = [6, 8, 9, 7, 5, 3, 0, 4, 1, 2]
+        cfg = EngineConfig(i_bound=2)
+        _, stats = evaluate(net, phi, "cpe-d", cfg, order)
+        assert [e.format() for e in stats.trace] == [
+            "bucket=3 action=observe scope= derived=",
+            "bucket=0 action=observe scope= derived=",
+            "bucket=2 action=observe scope= derived=6,10",
+            "bucket=7 action=observe scope= derived=10",
+            "bucket=9 action=observe scope= derived=",
+            "bucket=1 action=observe scope= derived=-2",
+            "bucket=5 action=sum scope= derived=",
+        ]
+        counters = {k: v for k, v in stats.as_dict().items() if k not in ("time_s", "result")}
+        assert counters == {"mf": 1, "C": 3, "U": 2, "F": 10, "O": 6,
+                            "width_static": 5, "width_posthoc": 0}
+        assert (stats.entries_static, stats.forced) == (22, 0)
+        assert math.isclose(stats.result, 0.45711294383311285, rel_tol=1e-12)
+        assert math.isclose(stats.log_result, -0.782824776755685, rel_tol=1e-12)
+        _, default = evaluate(net, phi, "cpe-d", cfg)
+        assert default.forced > 0 and default.extracted == 10
+        assert math.isclose(default.log_result, stats.log_result, rel_tol=1e-12)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 12), f=st.integers(1, 4), c=st.integers(0, 4),
+           e=st.integers(0, 4), seed=st.integers(0, 10 ** 6))
+    @example(n=12, f=4, c=4, e=2, seed=0)  # P = 0
+    @example(n=12, f=4, c=1, e=0, seed=0)  # P = 1
+    def test_matches_the_oracle_in_log_space(self, n, f, c, e, seed):
+        net = gen_network(n, f, 0.9, seed)
+        phi = gen_query(net, c=c if n >= 3 else 0, e=min(e, n), seed=seed + 1)
+        want = brute_force_cpe(net, phi)
+        for bound in (0, 2, None):
+            for reorder in (True, False):
+                p, stats = evaluate(net, phi, "cpe-d", EngineConfig(bound, reorder))
+                if want == 0.0:
+                    assert p == 0.0 and stats.log_result == -math.inf, (bound, reorder)
+                else:
+                    assert math.isclose(stats.log_result, math.log(want),
+                                        rel_tol=1e-9, abs_tol=1e-12), (bound, reorder)
+                    assert close_enough(p, want)
 
 
 class TestHiddenEmbed:
@@ -448,12 +558,14 @@ class TestRelevancePruning:
             assert stats.trace == [], alg
 
     def test_deterministic_instance_that_asked_for_a_gib(self):
-        # on the whole network, cpe-d asks numpy for a 1 GiB table here
+        # on the whole network, cpe-d asks numpy for a 1 GiB table here;
+        # on the ancestral set it ran at mf 10, and on what unit
+        # propagation leaves of that set it runs at mf 7
         net = gen_network(400, 4, 0.9, 24)
         phi = gen_query(net, c=8, e=0, seed=25)
         p, _ = evaluate(net, phi, "cpe")
         for p_d, stats in (evaluate(net, phi, "cpe-d"), elim_cpe_d(net, phi)):
-            assert stats.mf == 10
+            assert stats.mf == 7
             assert close_enough(p_d, p)
 
 
