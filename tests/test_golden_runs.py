@@ -18,7 +18,7 @@ from cnfbelief import (
     run_trace,
 )
 
-GOLDEN_SHA256 = "8f204f545bbd16b9f6462dbd85f9c05a41a4d1b2f42d3f202b65a2e8a6294e54"
+GOLDEN_SHA256 = "0254f8dd5fa5fc4efe57099d59804cd5a69dda4c9c6a8036d397dd00dbfae1f1"
 
 CONFIGS = (
     EngineConfig(),
@@ -42,6 +42,9 @@ def _golden_lines():
             for alg in ("cpe", "cpe-d", "hidden"):
                 prob, stats = evaluate(net, phi, alg, cfg)
                 yield f"{k} {i} {alg} {_stats_line(prob, stats)}"
+                if alg != "cpe":  # cpe's trace is run_trace's, below
+                    for entry in stats.trace:
+                        yield entry.format()
             for name, query in (("phi", phi), ("phi+extracted", extended)):
                 prob, stats, trace = run_trace(net, query, cfg=cfg)
                 yield f"{k} {i} trace {name} {_stats_line(prob, stats)}"
