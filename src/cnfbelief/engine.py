@@ -4,10 +4,9 @@ This module holds the package's one elimination pass, ``_Run``, and
 ``_execute``, which orders, runs and measures it over the CPTs of the
 variables it is given, in the network's own variable numbers.  A
 parent or clause variable outside them (belief's observed boundary
-variables, or the variables cpe-d's unit propagation fixed) is a vertex
-of the graph and the ordering with no CPT of its own.  Its callers are
-``transforms._pruned_run`` and, for what cpe-d's unit propagation
-leaves, ``transforms._propagated_run``, so every evaluator ends in it.
+variables, or the variables unit propagation fixed) is a vertex of the
+graph and the ordering with no CPT of its own.  Its one caller is
+``transforms._pruned_run``, so every evaluator ends in it.
 Those CPTs and all clauses are partitioned into buckets along an
 elimination ordering (each item goes to the bucket of its
 latest-ordered variable) and the buckets are processed last-to-first.
@@ -166,21 +165,22 @@ class RunStats:
     run actually processed, when the run completed.  log_result is the
     natural log of the probability, summed from the scalar factors so
     that it stays finite where result underflows to 0; it is -inf when
-    the probability is exactly 0.  log_joint, for a run given a query
-    variable, is (log P(phi, var=0), log P(phi, var=1)) over the CPTs
-    and clauses the run was given, both -inf when that P(phi) = 0;
-    result and log_result are then their sum.  trace is the
-    ordered log of bucket actions (empty for the brute-force path).
-    forced counts the literals that cpe-d's unit propagation fixes
-    before elimination when no ordering is given (see
+    the probability is exactly 0.  log_joint, for a belief run, is
+    (log P(phi, var=0), log P(phi, var=1)) over the CPTs and clauses
+    the engine was given (for a var that propagation forces, log_result
+    at its value and -inf at the other), both -inf when that P(phi) =
+    0; result and log_result are then their sum.  trace is the ordered
+    log of bucket actions (empty for the brute-force path).  forced
+    counts the literals that unit propagation fixes before elimination
+    on cpe-d runs given no ordering and on belief runs (see
     ``transforms._propagate``; 0 on every other run).  mf, C, U, O, the
     widths, entries_static and trace then describe the engine's run on
     the part propagation leaves, and F still counts every extracted
     clause of the input.  A run that propagation answers 0 (a conflict,
     or a forced CPT entry of 0) builds no graph: its mf, C, U, O,
     width_static and entries_static are 0, width_posthoc is None and
-    its trace is empty.  An input holding the empty clause is answered
-    0 there before anything is read, so its F and forced are 0 too.
+    its trace is empty.  So is a run of an input holding the empty
+    clause, answered 0 before anything is read, with F and forced 0.
     as_dict() leaves out log_result, entries_static, forced, log_joint
     and trace.
     """

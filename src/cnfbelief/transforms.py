@@ -13,18 +13,16 @@
   ancestral variables, in the caller's variable numbers, through
   ``_pruned_run``, the one dispatch to the engine.  elim_cpe,
   run_trace, elim_cpe_d and elim_hidden are calls of it.
-* _propagate: cpe-d's pre-pass when no ordering is given.  Unit
-  propagation over phi and the extracted clauses answers a conflict
-  with 0, turns each CPT whose family it fixes into an exact log
-  constant, and leaves the engine the other CPTs and the clauses it
-  does not satisfy, shortened.
-* belief_given_cnf: P(var | phi) from one ``_pruned_run`` with var
-  eliminated last, on var's requisite part (``_requisite``): after
-  phi's units are applied, only var's component of the unobserved
-  ancestral variables, the CPTs and clauses that meet it, and the units
-  of the observed variables they mention.  When var is observed, or
-  nothing shows that the dropped part has positive probability, the
-  run takes the whole ancestral set as ``evaluate`` does.
+* _propagate: the one pre-pass, for cpe-d when no ordering is given
+  and for belief under every algorithm.  Unit propagation over phi
+  (and cpe-d's extracted clauses) answers a conflict with 0, turns
+  each CPT whose family it fixes into an exact log constant, and
+  leaves the engine the other CPTs and the clauses it does not
+  satisfy, shortened.
+* belief_given_cnf: P(var | phi) from one ``_pruned_run`` after the
+  same pre-pass: var is eliminated last on its requisite part of the
+  residual (``_requisite``) when a witness shows the dropped part
+  positive, and on the whole residual otherwise.
 * conditional_cnf_probability: P(phi | psi) from two evaluations.
 """
 
@@ -132,12 +130,12 @@ def elim_cpe_d(net: BeliefNetwork, phi: CnfFormula, ordering=None,
     with probability 1, so constraining with them is redundant).  An
     extracted clause that phi also holds constrains like any query
     clause.  Without an ``ordering``, unit propagation over all of them
-    runs first (``_propagate``): a conflict answers 0 with no engine
-    run, each CPT whose family it fixes is an exact constant, and the
-    engine eliminates only the rest, so mf, C, U, O, the widths and the
-    trace describe that run and ``stats.forced`` counts the literals
-    fixed up front.  Along a given ordering the engine runs on the
-    whole ancestral set.
+    runs first (``_propagate``, the pre-pass belief also takes): a
+    conflict answers 0 with no engine run, each CPT whose family it
+    fixes is an exact constant, and the engine eliminates only the
+    rest, so mf, C, U, O, the widths and the trace describe that run
+    and ``stats.forced`` counts the literals fixed up front.  Along a
+    given ordering the engine runs on the whole ancestral set.
     """
     return evaluate(net, phi, "cpe-d", cfg, ordering)
 
@@ -238,69 +236,54 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
     return stats.result, stats
 
 
-def _requisite(net: BeliefNetwork, phi: CnfFormula, var: int, kept: tuple[int, ...]
+def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int, ...],
+               residual: CnfFormula, var: int
                ) -> Optional[tuple[tuple[int, ...], CnfFormula]]:
-    """The part of the ancestral set ``kept`` (ascending) that P(var | phi) needs:
-    (variables whose CPTs load, the clauses to pass), or None when the
-    whole set must run.
+    """The part of ``_propagate``'s residual (the CPTs of ``variables``,
+    ascending, and the clauses ``residual``, given the forced literals
+    ``sigma``, var not among them) that P(var | phi) needs: (variables
+    whose CPTs load, the clauses to pass), or None when all must run.
 
-    phi's units fix the observed variables and reduce its other clauses.
-    On the augmented graph of ``kept`` and the reduced clauses, var's
-    component C among the unobserved vertices is all that
-    P(phi, var = x) depends on: every other factor is a constant that
-    normalizing cancels (Shachter 1998; Lin and Druzdzel 1997).  The
-    CPTs of C and of its children load; the clauses that touch C pass,
-    with the unit of each observed variable they or those CPTs mention.
-    That constant must be nonzero, or the answer would not be None when
-    P(phi) = 0, so the shortcut is taken only with a witness that it is:
-    no opposing units, no clause falsified by them, every dropped CPT
-    strictly inside (0, 1), and a greedy assignment satisfying the
-    dropped clauses.  Without one, or when a unit observes var, it
-    returns None.
+    On the augmented graph of the residual, var's component C among the
+    unforced vertices is all that P(phi, var = x) depends on: every
+    other factor is a constant that normalizing cancels (Shachter 1998;
+    Lin and Druzdzel 1997).  The CPTs of C and of its children load; the
+    clauses over C pass, with the unit of each forced variable those
+    CPTs mention.  That constant must be nonzero, or the answer would
+    not be None when P(phi) = 0, so the cut needs a witness that it is:
+    every dropped CPT strictly inside (0, 1), and a greedy assignment
+    satisfying the dropped clauses.  A family that propagation fixed is
+    an exact constant already and needs none.
     """
-    sigma: dict[int, bool] = {}
-    for clause in phi.clauses:
-        if clause.is_unit():
-            lit = clause.unit_literal()
-            if sigma.setdefault(lit.var, lit.positive) != lit.positive:
-                return None
-    if var in sigma:
-        return None
-    reduced: list[tuple[Clause, list[Literal]]] = []
-    for clause in phi.clauses:
-        if clause.is_unit() or any(sigma.get(l.var) == l.positive for l in clause.literals):
-            continue
-        free = [l for l in clause.literals if l.var not in sigma]
-        if not free:
-            return None
-        reduced.append((clause, free))
-    graph = augmented_graph(net, CnfFormula([Clause(free) for _, free in reduced]), kept)
+    # every clause a clique, extracted or not; past the units, which
+    # are forced, a clause's literals are all unforced
+    graph = augmented_graph(net, CnfFormula(residual.clauses), variables)
     component, stack = {var}, [var]
     while stack:
         for u in graph[stack.pop()]:
             if u not in component and u not in sigma:
                 component.add(u)
                 stack.append(u)
-    # a family that meets C has its child in C or beside it; sorted, as kept is
+    # a family that meets C has its child in C or beside it; sorted, as variables is
     near = component.union(*(graph[u] for u in component))
     loaded = tuple(sorted(v for v in near if v in component
                           or not component.isdisjoint(net.parents(v))))
-    if not all(0.0 < p < 1.0 for v in set(kept).difference(loaded) for p in net.cpts[v].table):
+    if not all(0.0 < p < 1.0 for v in set(variables).difference(loaded)
+               for p in net.cpts[v].table):
         return None
+    mentioned = {u for v in loaded for u in net.family(v) if u in sigma}
     assignment: dict[int, bool] = {}
-    passed: set[Clause] = set()
-    for clause, free in reduced:
-        if free[0].var in component:  # a clause's free variables are one clique
-            passed.add(clause)
-        elif not any(assignment.get(l.var) == l.positive for l in free):
-            choice = next((l for l in free if l.var not in assignment), None)
+    items = []
+    for clause, tag in residual.items():
+        u = next(iter(clause.literals)).var  # a clause is over C or outside it
+        if u in component or u in mentioned:
+            items.append((clause, tag))
+        elif u not in sigma and not any(assignment.get(l.var) == l.positive
+                                        for l in clause.literals):
+            choice = next((l for l in clause.literals if l.var not in assignment), None)
             if choice is None:
                 return None
             assignment[choice.var] = choice.positive
-    mentioned = {u for v in loaded for u in net.family(v) if u in sigma}
-    mentioned.update(u for clause in passed for u in clause.variables() if u in sigma)
-    passed.update(Clause([Literal(u, sigma[u])]) for u in mentioned)
-    items = [(clause, tag) for clause, tag in phi.items() if clause in passed]
     return loaded, CnfFormula([c for c, _ in items], [t for _, t in items])
 
 
@@ -318,7 +301,8 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
     whose whole family sigma fixes is one exact entry, and the constant
     is the sum of their logs.  ``variables`` are the other variables of
     ``kept``, ascending; ``clauses`` are the units of the forced
-    variables their CPTs mention, then phi's clauses that sigma leaves
+    variables their CPTs mention (phi's own unit clause where it has
+    one), tagged evidence, then phi's clauses that sigma leaves
     unsatisfied, shortened to their free literals with their tags kept
     (none is a unit).  A shortened extracted clause still holds with
     probability 1 under its own CPT, which stays: a family that sigma
@@ -334,6 +318,8 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
     for i, literals in enumerate(clauses):
         for lit in literals:
             occurs.setdefault(lit.var, []).append((i, lit.positive))
+    units = {lit.var: clause for clause in phi.clauses if len(clause) == 1
+             for lit in clause.literals}
     queue = [(lit.var, lit.positive) for literals in clauses if len(literals) == 1
              for lit in literals]
     while queue:
@@ -368,7 +354,7 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
     if constant == -math.inf:
         return (sigma, *nothing)
     mentioned = sorted({u for v in variables for u in net.family(v) if u in sigma})
-    items = [(Clause([Literal(u, sigma[u])]), EVIDENCE) for u in mentioned]
+    items = [(units.get(u) or Clause([Literal(u, sigma[u])]), EVIDENCE) for u in mentioned]
     for (clause, tag), literals, left in zip(phi.items(), clauses, free):
         if left == len(literals):
             items.append((clause, tag))
@@ -378,54 +364,53 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
     return sigma, tuple(variables), residual, constant
 
 
-def _propagated_run(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula,
-                    cfg: EngineConfig | None) -> RunStats:
-    """cpe-d's run when no ordering is given: ``_propagate`` over phi
-    (the query plus the extracted clauses), then one engine run on the
-    residual, whose log result gains the constant.  A conflict, a
-    forced entry of 0 or the empty clause answers 0 with no engine run.
-    """
-    if any(not c.literals for c in phi.clauses):  # refused unread, as in the engine
-        return RunStats(width_static=0, entries_static=0)
-    sigma, variables, residual, constant = _propagate(net, kept, phi)
-    if constant == -math.inf:
-        stats = RunStats(width_static=0, entries_static=0)
-    else:
-        stats = _execute(net, variables, residual, None, cfg)[1]
-        stats.log_result += constant
-        stats.result = math.exp(stats.log_result)
-    stats.extracted = len({c.literals for c, tag in phi.items() if tag == EXTRACTED})
-    stats.forced = len(sigma)
-    return stats
-
-
 def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig | None,
                 ordering: Ordering | None = None, var: Optional[int] = None) -> RunStats:
     """One engine run of cpe, cpe-d or hidden over the CPTs of phi's
-    (and ``var``'s) ancestral variables.  With ``var`` the engine
-    eliminates it last and fills ``stats.log_joint``, and the run is
-    cut to var's requisite part when ``_requisite`` finds one.  cpe-d
-    given neither an ordering nor ``var`` propagates units first and
-    runs the engine on the residual only (``_propagated_run``); along a
-    given ordering, and for belief, the engine takes phi and every
-    extracted clause of the kept CPTs.
+    (and ``var``'s) ancestral variables, cpe-d's with their extracted
+    clauses; the empty clause answers 0 before anything is read.  cpe-d
+    given no ordering, and belief, propagate units first
+    (``_propagate``): a conflict or a forced entry of 0 answers 0 with
+    no engine run, and the engine runs on the residual.  Belief then
+    eliminates var last on its requisite part (``_requisite``) or the
+    whole residual, filling ``stats.log_joint``; a var that propagation
+    forces gets one unpinned run of the whole residual instead.
     """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
     kept = _ancestral(net, phi, var)
+    answered = RunStats(width_static=0, entries_static=0,
+                        log_joint=None if var is None else (-math.inf, -math.inf))
+    if any(not c.literals for c in phi.clauses):  # refused unread, as in the engine
+        return answered
     if ordering is not None:
         ordering = Ordering(tuple(sorted(kept, key=ordering.position().__getitem__)))
-    elif var is not None:
-        kept, phi = _requisite(net, phi, var, kept) or (kept, phi)
     if alg == "cpe-d":
         phi = phi.conjoin(extract_clauses(net, kept))
-        if ordering is None and var is None:
-            return _propagated_run(net, kept, phi, cfg)
-    elif alg == "hidden":
+    propagates = ordering is None and (alg == "cpe-d" or var is not None)
+    if propagates:
+        answered.extracted = len({c.literals for c, tag in phi.items() if tag == EXTRACTED})
+        sigma, kept, phi, constant = _propagate(net, kept, phi)
+        answered.forced = len(sigma)
+        if constant == -math.inf:
+            return answered
+        if var is not None and var not in sigma:
+            kept, phi = _requisite(net, sigma, kept, phi, var) or (kept, phi)
+    query = None if propagates and var in sigma else var
+    if alg == "hidden":
         net, evidence = hidden_embed(net, phi)
         kept += tuple(lit.var for lit in evidence)
         phi = CnfFormula([Clause([lit]) for lit in evidence], (EVIDENCE,) * len(evidence))
-    return _execute(net, kept, phi, ordering, cfg, var)[1]
+    stats = _execute(net, kept, phi, ordering, cfg, query)[1]
+    if propagates:
+        stats.extracted, stats.forced = answered.extracted, answered.forced
+        if var is None:
+            stats.log_result += constant
+            stats.result = math.exp(stats.log_result)
+        elif query is None:  # var forced: the joint is the run's at var's value
+            stats.log_joint = tuple(stats.log_result if sigma[var] == x else -math.inf
+                                    for x in (False, True))
+    return stats
 
 
 def elim_cpe(net: BeliefNetwork, phi: CnfFormula, ordering: Ordering | None = None,
@@ -447,10 +432,12 @@ def belief_given_cnf(net: BeliefNetwork, phi: CnfFormula, var: int,
                      ) -> Optional[tuple[float, float]]:
     """P(var = 0 | phi), P(var = 1 | phi), or None when P(phi) = 0.
 
-    cpe, cpe-d and hidden make one elimination run with var eliminated
-    last (elim-bel; Dechter 1999), on var's requisite part when
-    ``_requisite`` finds one and on the ancestral sub-network of phi
-    and var otherwise; brute calls the oracle once per value of var.
+    cpe, cpe-d and hidden take ``_pruned_run``'s pre-pass: a conflict
+    answers None with no engine run, a var that propagation forces has
+    the point mass at its value unless the residual's run finds
+    P(phi) = 0, and any other var is eliminated last in one run
+    (elim-bel; Dechter 1999), on its requisite part when ``_requisite``
+    finds one.  brute calls the oracle once per value of var.
     Normalizes in the log domain, so the answer stays defined where
     both joint probabilities underflow.
     """

@@ -297,8 +297,9 @@ class TestElimCpeValues:
 
     @pytest.mark.parametrize("alg", ["cpe", "cpe-d", "hidden"])
     def test_empty_clause_ends_the_run_as_it_is_filed(self, alg):
-        # filed after units, clauses and an extracted clause: cpe and cpe-d
-        # count, restrict and trace nothing before the engine refuses it
+        # filed after units, clauses and an extracted clause: no algorithm
+        # counts, restricts, propagates or traces anything before the
+        # empty clause is refused, hidden's compiling it into a child included
         net = gen_network(12, 3, 0.5, 3)
         query = gen_query(net, 3, 2, 4)
         extracted = extract_clauses(net).clauses[0]
@@ -306,13 +307,9 @@ class TestElimCpeValues:
         p, stats = evaluate(net, phi, alg)
         assert p == 0.0 and stats.log_result == -math.inf
         assert belief_given_cnf(net, phi, 0, alg) is None
-        if alg == "hidden":
-            # the clause is a fresh child whose CPT is 0, observed like the others
-            empty = net.n + len(phi) - 1
-            assert (empty, "observe") in [(t.bucket, t.action) for t in stats.trace]
-        else:
-            assert stats.trace == [] and stats.mf == 0 and stats.extracted == 0
-            assert stats.width_posthoc is None
+        assert stats.trace == [] and stats.mf == 0
+        assert stats.extracted == 0 and stats.forced == 0
+        assert stats.width_posthoc is None
 
     def test_conditioning_by_units(self, pos_net):
         # P(not G and B) should match the oracle and observe two buckets

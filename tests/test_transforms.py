@@ -1,9 +1,10 @@
 import itertools
 import math
 import random
+from typing import Optional
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cnfbelief import (
@@ -674,7 +675,7 @@ class TestBeliefInOnePass:
 
         monkeypatch.setattr(transforms, "_execute", counted_execute)
         monkeypatch.setattr(engine, "_eliminate", counted_eliminate)
-        actions = set()
+        actions, outcomes = set(), set()
         for k in range(12):
             net = gen_network(30, 3, 0.3, seed=9600 + k)
             phi = gen_query(net, c=2, e=4, seed=9700 + k)
@@ -684,13 +685,37 @@ class TestBeliefInOnePass:
             runs.clear()
             orders.clear()
             dist = belief_given_cnf(net, phi, var, "cpe")
+            sigma = _unit_fixpoint(phi)
+            if sigma is None or 0.0 in _fixed_entries(
+                    net, sigma, transforms._ancestral(net, phi, var)).values():
+                # propagation answers P(phi) = 0: no run and no ordering
+                assert dist is None and runs == [] and orders == [], k
+                outcomes.add("answered")
+                continue
             assert len(runs) == 1 and len(orders) == 1, k
-            # one greedy pass: the query pinned first, the units last,
-            # and the greedy's choices between them
+            # one greedy pass: the units last, and the greedy's choices
+            # before them
             graph, tail, first, ordering = orders[0]
-            assert first == var and ordering.order[0] == var, k
             assert ordering.order[len(graph) - len(tail):] == tail, k
+            if var in sigma:
+                # one run of the whole residual, var not pinned: the point
+                # mass at var's forced value unless that run finds P(phi) = 0
+                assert first is None, k
+                _, stats, _ = runs[0]
+                assert dist == ((0.0, 1.0) if sigma[var] else (1.0, 0.0)) or (
+                    dist is None and stats.log_result == -math.inf), k
+                outcomes.add("forced")
+                # the engine given var pinned anyway observes its bucket
+                kept = transforms._ancestral(net, phi, var)
+                _, pinned, trace = execute(net, kept, phi, None, None, var)
+                assert [e.action for e in trace if e.bucket == var] == ["observe"], k
+                assert (dist is None) == (max(pinned.log_joint) == -math.inf), k
+                actions.add("observe")
+                continue
+            # the query pinned first
+            assert first == var and ordering.order[0] == var, k
             assert len(tail) + 1 < len(graph), k
+            outcomes.add("pinned")
             if dist is None:
                 continue  # a contradiction may stop the run before var's bucket
             _, stats, trace = runs[0]
@@ -701,6 +726,7 @@ class TestBeliefInOnePass:
             assert mine[0] == len(trace) - 1 or entry.action == "observe", k
             actions.add(entry.action)
         assert actions == {"belief", "observe"}, actions
+        assert outcomes == {"answered", "forced", "pinned"}, outcomes
 
 
 def _disjoint_union(near: BeliefNetwork, far: BeliefNetwork) -> BeliefNetwork:
@@ -765,17 +791,51 @@ def loaded(monkeypatch):
     return runs
 
 
-def _hyperedge_walk(net: BeliefNetwork, phi: CnfFormula, var: int, kept):
-    """var's requisite part found without a graph: each kept family and
-    each clause phi's units leave open is a hyperedge over its
-    unobserved variables, and var's part grows by every edge it meets
-    until none is left.  Returns (the kept variables whose family it
-    meets, the open clauses it meets, phi's units as a dict)."""
-    sigma = {c.unit_literal().var: c.unit_literal().positive for c in phi.clauses if c.is_unit()}
+def _unit_fixpoint(phi: CnfFormula) -> Optional[dict[int, bool]]:
+    """The literals unit propagation over phi forces, by whole passes
+    until one forces nothing new: a clause that none of them satisfies
+    and that has one literal left forces it.  None on a conflict, a
+    clause with every literal falsified."""
+    sigma: dict[int, bool] = {}
+    grew = True
+    while grew:
+        grew = False
+        for cl in phi.clauses:
+            if any(sigma.get(l.var) == l.positive for l in cl.literals):
+                continue
+            left = [l for l in cl.literals if l.var not in sigma]
+            if not left:
+                return None
+            if len(left) == 1:
+                sigma[left[0].var] = left[0].positive
+                grew = True
+    return sigma
+
+
+def _fixed_entries(net: BeliefNetwork, sigma: dict[int, bool], kept) -> dict[int, float]:
+    """The entry at sigma of each kept CPT whose whole family sigma fixes."""
+    entries = {}
+    for v in kept:
+        cpt = net.cpts[v]
+        if set(net.family(v)) <= sigma.keys():
+            p = cpt.table[sum(sigma[u] << i for i, u in enumerate(reversed(cpt.parents)))]
+            entries[v] = p if sigma[v] else 1.0 - p
+    return entries
+
+
+def _hyperedge_walk(net: BeliefNetwork, phi: CnfFormula, sigma: dict[int, bool], var: int,
+                    kept):
+    """var's requisite part found without a graph, given the forced
+    literals sigma: each kept family and each clause sigma leaves open
+    is a hyperedge over its unforced variables, and var's part grows by
+    every edge it meets until none is left.  Returns (the kept
+    variables whose family it meets, the open clauses it meets, each
+    shortened to its unforced literals)."""
     edges = {("cpt", v): {u for u in net.family(v) if u not in sigma} for v in kept}
-    edges.update({("clause", c): {u for u in c.variables() if u not in sigma}
-                  for c in phi.clauses if not c.is_unit()
-                  and not any(sigma.get(l.var) == l.positive for l in c.literals)})
+    for c in phi.clauses:
+        if not any(sigma.get(l.var) == l.positive for l in c.literals):
+            free = Clause(l for l in c.literals if l.var not in sigma)
+            edges[("clause", free)] = free.variables()
     part, met = {var}, set()
     while True:
         reached = {key for key, edge in edges.items() if key not in met and edge & part}
@@ -784,7 +844,44 @@ def _hyperedge_walk(net: BeliefNetwork, phi: CnfFormula, var: int, kept):
         met |= reached
         part.update(*(edges[key] for key in reached))
     return ({v for kind, v in met if kind == "cpt"},
-            {c for kind, c in met if kind == "clause"}, sigma)
+            {c for kind, c in met if kind == "clause"})
+
+
+def _det_case(kind: str, n: int, f: int, seed: int):
+    """A network with 90% deterministic rows, phi and var for one kind
+    of belief query.  "forced": a unit and a two-literal clause force
+    var; "conflict": a unit and a two-literal clause force var against
+    a third clause's unit; "fixed": var is z of six variables beside
+    the network, w -> y, q -> r and z -> t, where phi observes w at its
+    0/1 prior, y, r and t, so propagation fixes the families of w and y
+    and only a cut leaves q and r out; "unsat": the same, but with r
+    free and every two-literal clause over q and r, which no unit
+    propagation refutes, so P(phi) = 0 and no cut may drop them."""
+    rng = random.Random(seed)
+    net = gen_network(n, f, 0.9, seed)
+    phi = gen_query(net, c=rng.randint(0, 2) if n >= 3 else 0, e=rng.randint(0, min(n, 2)),
+                    seed=seed + 1)
+    var = rng.randrange(n)
+    u = rng.choice([v for v in range(n) if v != var])
+    value = rng.random() < 0.5
+    if kind in ("forced", "conflict"):
+        extra = [Clause([Literal(u)]), Clause([Literal(u, False), Literal(var, value)])]
+        if kind == "conflict":
+            extra.append(Clause([Literal(var, not value)]))
+        phi = phi.conjoin(CnfFormula(extra))
+    elif kind in ("fixed", "unsat"):
+        m, prior = n, float(value)
+        net = _disjoint_union(net, BeliefNetwork(6, (
+            Cpt(0, (), (prior,)), Cpt(1, (0,), (0.3, 0.6)), Cpt(2, (), (0.5,)),
+            Cpt(3, (2,), (0.1, 0.8)), Cpt(4, (), (0.45,)), Cpt(5, (4,), (0.2, 0.7)))))
+        observed = (1, 3, 5) if kind == "fixed" else (1, 5)
+        phi = CnfFormula([Clause([Literal(m, value)])] + [
+            Clause([Literal(m + v, rng.random() < 0.5)]) for v in observed])
+        if kind == "unsat":
+            phi = phi.conjoin(CnfFormula(Clause([Literal(m + 2, a), Literal(m + 3, b)])
+                                         for a in (False, True) for b in (False, True)))
+        var = m + 4
+    return net, phi, var
 
 
 class TestRequisiteBelief:
@@ -800,24 +897,37 @@ class TestRequisiteBelief:
         phi = gen_query(net, c=c if n >= 3 else 0, e=rng.randint(0, n // 2), seed=seed + 1)
         var = rng.randrange(n)
         kept = transforms._ancestral(net, phi, var)
-        cpts, clauses, sigma = _hyperedge_walk(net, phi, var, kept)
-        result = transforms._requisite(net, phi, var, kept)
+        sigma = _unit_fixpoint(phi)
+        forced, variables, residual, constant = transforms._propagate(net, kept, phi)
+        if sigma is None:  # a conflict
+            assert constant == -math.inf and variables == () and len(residual) == 0
+            return
+        assert forced == sigma
+        entries = _fixed_entries(net, sigma, kept)
+        if 0.0 in entries.values():
+            assert constant == -math.inf and variables == () and len(residual) == 0
+            return
+        assert math.isclose(constant, sum(map(math.log, entries.values())), abs_tol=1e-12)
+        assert variables == tuple(v for v in kept if v not in entries)
+        open_ = {Clause(l for l in cl.literals if l.var not in sigma) for cl in phi.clauses
+                 if not any(sigma.get(l.var) == l.positive for l in cl.literals)}
+        assert {cl for cl in residual.clauses if not cl.is_unit()} == open_
+        assert {cl.unit_literal() for cl in residual.clauses if cl.is_unit()} == {
+            Literal(u, sigma[u]) for v in variables for u in net.family(v) if u in sigma}
+        if var in sigma:
+            return  # belief makes one run of the whole residual
+        cpts, clauses = _hyperedge_walk(net, phi, sigma, var, variables)
+        result = transforms._requisite(net, sigma, variables, residual, var)
         if result is None:
-            # no witness that the dropped part is positive, or var observed
-            units = [cl.unit_literal() for cl in phi.clauses if cl.is_unit()]
-            open_ = [cl for cl in phi.clauses if not cl.is_unit()
-                     and not any(sigma.get(l.var) == l.positive for l in cl.literals)]
-            assert (var in sigma or len(set(units)) > len(sigma)
-                    or any(cl.variables() <= sigma.keys() for cl in open_)
-                    or any(p in (0.0, 1.0) for v in set(kept) - cpts for p in net.cpts[v].table)
+            # no witness that the dropped part is positive
+            assert (any(p in (0.0, 1.0) for v in set(variables) - cpts for p in net.cpts[v].table)
                     or any(cl not in clauses for cl in open_))
             return
         loaded, passed = result
-        assert loaded == tuple(v for v in kept if v in cpts)
+        assert loaded == tuple(v for v in variables if v in cpts)
         mentioned = {u for v in cpts for u in net.family(v) if u in sigma}
-        mentioned.update(u for cl in clauses for u in cl.variables() if u in sigma)
         assert list(passed.items()) == [
-            (cl, tag) for cl, tag in phi.items()
+            (cl, tag) for cl, tag in residual.items()
             if cl in clauses or cl.is_unit() and cl.unit_literal().var in mentioned]
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -838,19 +948,57 @@ class TestRequisiteBelief:
                     assert close_enough(dist[1], p1 / p_phi), (cfg, alg)
                     assert close_enough(dist[0], 1.0 - p1 / p_phi), (cfg, alg)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["any", "forced", "conflict", "fixed", "unsat"]),
+           n=st.integers(2, 8),
+           f=st.integers(1, 3), seed=st.integers(0, 10 ** 6))
+    @example(kind="forced", n=8, f=3, seed=1)  # var forced through a two-literal clause
+    @example(kind="conflict", n=8, f=3, seed=2)  # propagation meets a conflict
+    @example(kind="fixed", n=8, f=3, seed=3)  # a dropped family fixed at a 0/1 entry
+    @example(kind="unsat", n=8, f=3, seed=4)  # dropped clauses with no model
+    def test_matches_the_oracle_on_deterministic_networks(self, loaded, kind, n, f, seed):
+        net, phi, var = _det_case(kind, n, f, seed)
+        p_phi = brute_force_cpe(net, phi)
+        p1 = brute_force_cpe(net, phi.conjoin(formula(clause(var + 1))))
+        for cfg in GOLDEN_CONFIGS:
+            for alg in ("cpe", "cpe-d", "hidden"):
+                loaded.clear()
+                dist = belief_given_cnf(net, phi, var, alg, cfg)
+                if p_phi == 0.0:
+                    assert dist is None, (cfg, alg)
+                else:
+                    assert close_enough(dist[1], p1 / p_phi), (cfg, alg)
+                    assert close_enough(dist[0], 1.0 - p1 / p_phi), (cfg, alg)
+                # the CPTs each run loads; hidden's clause children left out
+                cpts = [tuple(v for v in run if v < net.n) for run in loaded]
+                if kind == "conflict":
+                    assert p_phi == 0.0 and cpts == [], (cfg, alg)
+                elif kind == "fixed":
+                    # w and y are constants, and the cut leaves q and r out
+                    assert cpts == [(var, var + 1)], (cfg, alg)
+                elif kind == "unsat":
+                    # the greedy finds no model of the clauses over q and
+                    # r, so the whole residual runs
+                    assert p_phi == 0.0 and cpts == [(var - 2, var - 1, var, var + 1)], (cfg, alg)
+                else:
+                    assert len(cpts) <= 1, (cfg, alg)
+
     @pytest.mark.parametrize("prior", [1.0, 0.0])
     def test_a_zero_one_entry_in_a_dropped_cpt_takes_the_full_pass(self, loaded, prior):
         # x0 -> x1 and x2 -> x3 with x1, x3 observed: var 0's part is
-        # x0, x1; x2's prior is dropped, and a 0/1 prior there is no
-        # witness that the dropped part is positive
+        # x0, x1; under cpe x2's prior is dropped, and a 0/1 prior there
+        # is no witness that the dropped part is positive.  cpe-d's
+        # extracted unit on x2 and the evidence on x3 fix both their
+        # families, which become exact constants and need no witness
         net = BeliefNetwork(4, (Cpt(0, (), (0.3,)), Cpt(1, (0,), (0.2, 0.7)),
                                 Cpt(2, (), (prior,)), Cpt(3, (2,), (0.4, 0.6))))
         phi = formula(clause(2), clause(4))
         p1 = brute_force_cpe(net, phi.conjoin(formula(clause(1)))) / brute_force_cpe(net, phi)
-        for alg in ("cpe", "cpe-d"):
+        for alg, want in (("cpe", (0, 1, 2, 3)), ("cpe-d", (0, 1))):
             loaded.clear()
             dist = belief_given_cnf(net, phi, 0, alg)
-            assert loaded == [(0, 1, 2, 3)], alg
+            assert loaded == [want], alg
             assert close_enough(dist[1], p1) and close_enough(dist[0], 1.0 - p1), alg
 
     def test_forest_query_loads_only_the_markov_blanket(self, loaded):
@@ -917,9 +1065,10 @@ class TestExtractedClauseOutsideFamilies:
 
     def test_belief_matches_the_oracle(self):
         net, phi = parse_network(FAMILYLESS_NET), parse_dimacs(FAMILYLESS_CNF)
-        # Z's requisite part is X and Z; B joins its run only through
-        # the extracted clauses, as a vertex with no edge
-        assert transforms._requisite(net, phi, 4, tuple(range(5)))[0] == (3, 4)
+        # Z's requisite part is X and Z: propagation forces B, which
+        # leaves the extracted clause (X or Z)
+        sigma, variables, residual, _ = transforms._propagate(net, tuple(range(5)), phi)
+        assert transforms._requisite(net, sigma, variables, residual, 4)[0] == (3, 4)
         for var in range(net.n):
             want = belief_given_cnf(net, phi, var, "brute")
             for alg in ("cpe", "cpe-d", "hidden"):
