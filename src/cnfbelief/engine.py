@@ -142,14 +142,15 @@ class RunStats:
 
     elapsed (``time_s``) is the wall time of loading the factors and
     clauses plus the elimination pass; ancestral pruning, extraction,
-    cpe-d's unit propagation, graph building, ordering and
-    width_posthoc are outside it (brute times its enumeration).  mf is
+    unit propagation, graph building, ordering and width_posthoc are
+    outside it (brute times its enumeration).  mf is
     the largest arity of any factor the run materialized (restricted
     tables and summation results; the input CPTs do not count).
     derived_clauses / derived_units count clauses produced by unit and
     bounded resolution that were actually kept;
-    extracted counts distinct clauses with extracted provenance in the
-    input; observed counts buckets processed by observation.
+    extracted (F) counts distinct clauses with extracted provenance in
+    the input (for cpe-d, with the ancestral CPTs'), before any run;
+    observed counts buckets processed by observation.
     width_static is the induced width of the clause-augmented graph
     along the run's ordering, in which phi's unit-clause variables add
     no fill edges but still count their neighbours, measured by the
@@ -172,13 +173,12 @@ class RunStats:
     0; result and log_result are then their sum.  trace is the ordered
     log of bucket actions (empty for the brute-force path).  forced
     counts the literals that unit propagation fixes before elimination
-    on cpe-d runs given no ordering and on belief runs (see
+    on cpe-d runs and on belief runs, along any ordering (see
     ``transforms._propagate``; 0 on every other run).  mf, C, U, O, the
     widths, entries_static and trace then describe the engine's run on
-    the part propagation leaves, and F still counts every extracted
-    clause of the input.  A run that propagation answers 0 (a conflict,
-    or a forced CPT entry of 0) builds no graph: its mf, C, U, O,
-    width_static and entries_static are 0, width_posthoc is None and
+    the part propagation leaves.  A run that propagation answers 0 (a
+    conflict, or a forced CPT entry of 0) builds no graph: its mf, C, U,
+    O, width_static and entries_static are 0, width_posthoc is None and
     its trace is empty.  So is a run of an input holding the empty
     clause, answered 0 before anything is read, with F and forced 0.
     as_dict() leaves out log_result, entries_static, forced, log_joint
@@ -345,12 +345,8 @@ class _Run:
     def load(self, factors: Iterable[Factor], phi: CnfFormula) -> None:
         for factor in factors:
             self._place_factor(factor)
-        extracted_seen: set[frozenset] = set()
         for clause, tag in phi.items():
-            if tag == EXTRACTED:
-                extracted_seen.add(clause.literals)
             self._install_clause(clause, sum_exempt=(tag == EXTRACTED))
-        self.stats.extracted = len(extracted_seen)
 
     def process_all(self) -> None:
         while self.promoted or self.pending:
@@ -524,8 +520,9 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
     """(P(phi), stats, trace) from the CPTs of ``variables``.  The
     graph's vertices are those variables, their parents and phi's
     variables; a parent or clause variable outside ``variables`` is a
-    vertex without a CPT.  A given ``ordering`` lists exactly the
-    vertices.  One elimination pass over the graph yields the ordering
+    vertex without a CPT.  A given ``ordering`` is followed over the
+    graph's vertices; the variables it lists outside the graph are
+    dropped.  One elimination pass over the graph yields the ordering
     and ``width_static``: a ``query`` goes first, and the given order
     or else phi's unit variables, sorted, fill the last slots, so the
     units are observed first and the greedy orders the graph they
@@ -536,7 +533,7 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
     cfg = cfg if cfg is not None else EngineConfig()
     aug = augmented_graph(net, phi, variables)
     units = tuple(sorted({c.unit_literal().var for c in phi.clauses if c.is_unit()}))
-    tail = tuple(v for v in (units if ordering is None else ordering) if v != query)
+    tail = tuple(v for v in (units if ordering is None else ordering) if v in aug and v != query)
     stats = RunStats()
     # observing a unit restricts tables but never joins scopes
     ordering, stats.width_static, stats.entries_static = _eliminate(aug, tail, query, unfilled=units)

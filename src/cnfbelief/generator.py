@@ -62,7 +62,7 @@ def gen_network(n: int, f: int, d: float, seed: int) -> BeliefNetwork:
                     p = rng.random()
                 table.append(p)
         cpts.append(Cpt(child, parents, tuple(table)))
-    return BeliefNetwork(n, tuple(cpts), order_hint=tuple(range(n)))
+    return BeliefNetwork(n, tuple(cpts))
 
 
 def gen_query(net: BeliefNetwork, c: int, e: int, seed: int) -> CnfFormula:

@@ -188,16 +188,14 @@ def min_degree_order(graph: dict[int, set[int]]) -> Ordering:
     return _eliminate(graph)[0]
 
 
-def induced_width(graph: dict[int, set[int]], ordering: Ordering,
-                  unfilled: Iterable[int] = ()) -> int:
+def induced_width(graph: dict[int, set[int]], ordering: Ordering) -> int:
     """Width of the graph induced by eliminating last-to-first.
 
-    Eliminating a vertex connects its not-yet-eliminated neighbors,
-    unless it is one of ``unfilled``; the width is the largest neighbor
-    count seen at elimination time, ``unfilled`` vertices included.
-    The ordering must list every vertex once.
+    Eliminating a vertex connects its not-yet-eliminated neighbors; the
+    width is the largest neighbor count seen at elimination time.  The
+    ordering must list every vertex once.
     """
-    return _eliminate(graph, _covering(ordering, graph).order, None, unfilled)[1]
+    return _eliminate(graph, _covering(ordering, graph).order)[1]
 
 
 def adjusted_induced_width(

@@ -168,8 +168,8 @@ class BeliefNetwork:
     """A directed acyclic model over binary variables 0..n-1.
 
     ``cpts[i]`` must be the CPT whose child is i.  ``order_hint`` is an
-    optional topological order retained from parsing or generation; the
-    elimination code never requires it.
+    optional topological order a caller may keep with the network;
+    nothing in this package sets or reads it.
 
     Construction raises ModelError unless the network is well formed:
     n CPTs with ``cpts[i].child == i``, distinct parents in 0..n-1 other

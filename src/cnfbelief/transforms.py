@@ -13,12 +13,13 @@
   ancestral variables, in the caller's variable numbers, through
   ``_pruned_run``, the one dispatch to the engine.  elim_cpe,
   run_trace, elim_cpe_d and elim_hidden are calls of it.
-* _propagate: the one pre-pass, for cpe-d when no ordering is given
-  and for belief under every algorithm.  Unit propagation over phi
-  (and cpe-d's extracted clauses) answers a conflict with 0, turns
-  each CPT whose family it fixes into an exact log constant, and
-  leaves the engine the other CPTs and the clauses it does not
-  satisfy, shortened.
+* _propagate: the one pre-pass, for cpe-d and for belief under every
+  algorithm, along the default or a given ordering.  Unit propagation
+  over phi (and cpe-d's extracted clauses) answers a conflict with 0,
+  turns each CPT whose family it fixes into an exact log constant, and
+  leaves the other CPTs and the clauses it does not satisfy,
+  shortened; the engine gets those with the unit of each forced
+  variable the CPTs it loads mention.
 * belief_given_cnf: P(var | phi) from one ``_pruned_run`` after the
   same pre-pass: var is eliminated last on its requisite part of the
   residual (``_requisite``) when a witness shows the dropped part
@@ -129,13 +130,15 @@ def elim_cpe_d(net: BeliefNetwork, phi: CnfFormula, ordering=None,
     resolution but are exempt from summation constraints (they hold
     with probability 1, so constraining with them is redundant).  An
     extracted clause that phi also holds constrains like any query
-    clause.  Without an ``ordering``, unit propagation over all of them
-    runs first (``_propagate``, the pre-pass belief also takes): a
-    conflict answers 0 with no engine run, each CPT whose family it
-    fixes is an exact constant, and the engine eliminates only the
-    rest, so mf, C, U, O, the widths and the trace describe that run
-    and ``stats.forced`` counts the literals fixed up front.  Along a
-    given ordering the engine runs on the whole ancestral set.
+    clause.  Unit propagation over all of them runs first
+    (``_propagate``, the pre-pass belief also takes): a conflict
+    answers 0 with no engine run, each CPT whose family it fixes is an
+    exact constant, and the engine eliminates only the rest, along
+    ``ordering`` when one is given, so mf, C, U, O, the widths and the
+    trace describe that run and ``stats.forced`` counts the literals
+    fixed up front.  The elimination over phi plus the extracted
+    clauses with no pre-pass is ``run_trace(net,
+    phi.conjoin(extract_clauses(net)), ordering)``.
     """
     return evaluate(net, phi, "cpe-d", cfg, ordering)
 
@@ -148,8 +151,7 @@ def hidden_embed(net: BeliefNetwork, phi: CnfFormula
     and its CPT rows are ``clause_table``, the table the engine gates
     sums with: P(child=1 | row) is the clause's truth value;
     asserting the clause means observing the child at 1.  Returns the
-    grown network and those evidence literals.  An ``order_hint`` gains
-    the fresh children at its end, after their parents.
+    grown network and those evidence literals.
     """
     cpts = list(net.cpts)
     evidence: list[Literal] = []
@@ -159,8 +161,7 @@ def hidden_embed(net: BeliefNetwork, phi: CnfFormula
         cpts.append(Cpt(fresh, parents, tuple(table.ravel().tolist())))
         evidence.append(Literal(fresh, True))
         fresh += 1
-    hint = None if net.order_hint is None else net.order_hint + tuple(range(net.n, fresh))
-    return BeliefNetwork(fresh, tuple(cpts), hint), evidence
+    return BeliefNetwork(fresh, tuple(cpts)), evidence
 
 
 def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
@@ -213,8 +214,9 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
     bucket log of the elimination run, in the network's variable
     numbers; hidden's fresh variables are net.n, net.n + 1, ... as in
     ``hidden_embed``.  An ``ordering`` must list each of 0..n-1 once
-    and applies to cpe and cpe-d only, restricted to the kept
-    variables; the other algorithms raise ValueError when given one.
+    and applies to cpe and cpe-d only, which follow it over the
+    variables their engine run keeps; the other algorithms raise
+    ValueError when given one.
     The brute-force path enumerates the whole network and reports only
     result and time.
     """
@@ -247,16 +249,14 @@ def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int,
     On the augmented graph of the residual, var's component C among the
     unforced vertices is all that P(phi, var = x) depends on: every
     other factor is a constant that normalizing cancels (Shachter 1998;
-    Lin and Druzdzel 1997).  The CPTs of C and of its children load; the
-    clauses over C pass, with the unit of each forced variable those
-    CPTs mention.  That constant must be nonzero, or the answer would
-    not be None when P(phi) = 0, so the cut needs a witness that it is:
-    every dropped CPT strictly inside (0, 1), and a greedy assignment
-    satisfying the dropped clauses.  A family that propagation fixed is
-    an exact constant already and needs none.
+    Lin and Druzdzel 1997).  The CPTs of C and of its children load and
+    the clauses over C pass.  That constant must be nonzero, or the
+    answer would not be None when P(phi) = 0, so the cut needs a
+    witness that it is: every dropped CPT strictly inside (0, 1), and a
+    greedy assignment satisfying the dropped clauses.  A family that
+    propagation fixed is an exact constant already and needs none.
     """
-    # every clause a clique, extracted or not; past the units, which
-    # are forced, a clause's literals are all unforced
+    # every clause a clique, extracted or not; its literals are all unforced
     graph = augmented_graph(net, CnfFormula(residual.clauses), variables)
     component, stack = {var}, [var]
     while stack:
@@ -271,15 +271,12 @@ def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int,
     if not all(0.0 < p < 1.0 for v in set(variables).difference(loaded)
                for p in net.cpts[v].table):
         return None
-    mentioned = {u for v in loaded for u in net.family(v) if u in sigma}
     assignment: dict[int, bool] = {}
     items = []
     for clause, tag in residual.items():
-        u = next(iter(clause.literals)).var  # a clause is over C or outside it
-        if u in component or u in mentioned:
+        if next(iter(clause.literals)).var in component:  # a clause is over C or outside it
             items.append((clause, tag))
-        elif u not in sigma and not any(assignment.get(l.var) == l.positive
-                                        for l in clause.literals):
+        elif not any(assignment.get(l.var) == l.positive for l in clause.literals):
             choice = next((l for l in clause.literals if l.var not in assignment), None)
             if choice is None:
                 return None
@@ -292,7 +289,8 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
     """P(phi) over the CPTs of ``kept`` (ascending) split by unit
     propagation into an exact log constant and a residual problem:
     (sigma, variables, clauses, log constant), P(phi) being the
-    constant's exp times P(clauses) over the CPTs of ``variables``.
+    constant's exp times P(clauses) over the CPTs of ``variables``
+    with each forced variable they mention at its value in sigma.
 
     sigma holds the literals that unit propagation over phi's clauses
     forces, found with a queue over occurrence lists in which each
@@ -300,9 +298,7 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
     1960); phi must not hold the empty clause.  Each CPT of ``kept``
     whose whole family sigma fixes is one exact entry, and the constant
     is the sum of their logs.  ``variables`` are the other variables of
-    ``kept``, ascending; ``clauses`` are the units of the forced
-    variables their CPTs mention (phi's own unit clause where it has
-    one), tagged evidence, then phi's clauses that sigma leaves
+    ``kept``, ascending; ``clauses`` are phi's clauses that sigma leaves
     unsatisfied, shortened to their free literals with their tags kept
     (none is a unit).  A shortened extracted clause still holds with
     probability 1 under its own CPT, which stays: a family that sigma
@@ -318,8 +314,6 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
     for i, literals in enumerate(clauses):
         for lit in literals:
             occurs.setdefault(lit.var, []).append((i, lit.positive))
-    units = {lit.var: clause for clause in phi.clauses if len(clause) == 1
-             for lit in clause.literals}
     queue = [(lit.var, lit.positive) for literals in clauses if len(literals) == 1
              for lit in literals]
     while queue:
@@ -353,8 +347,7 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
     constant = math.fsum(logs)
     if constant == -math.inf:
         return (sigma, *nothing)
-    mentioned = sorted({u for v in variables for u in net.family(v) if u in sigma})
-    items = [(units.get(u) or Clause([Literal(u, sigma[u])]), EVIDENCE) for u in mentioned]
+    items = []
     for (clause, tag), literals, left in zip(phi.items(), clauses, free):
         if left == len(literals):
             items.append((clause, tag))
@@ -368,13 +361,15 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
                 ordering: Ordering | None = None, var: Optional[int] = None) -> RunStats:
     """One engine run of cpe, cpe-d or hidden over the CPTs of phi's
     (and ``var``'s) ancestral variables, cpe-d's with their extracted
-    clauses; the empty clause answers 0 before anything is read.  cpe-d
-    given no ordering, and belief, propagate units first
-    (``_propagate``): a conflict or a forced entry of 0 answers 0 with
-    no engine run, and the engine runs on the residual.  Belief then
-    eliminates var last on its requisite part (``_requisite``) or the
-    whole residual, filling ``stats.log_joint``; a var that propagation
-    forces gets one unpinned run of the whole residual instead.
+    clauses, whose distinct ones ``stats.extracted`` counts; the empty
+    clause answers 0 before anything is read.  cpe-d and belief
+    propagate units first (``_propagate``): a conflict or a forced
+    entry of 0 answers 0 with no engine run, and the engine runs on the
+    residual, given as evidence units the forced variables its CPTs
+    mention, sorted.  Belief eliminates var last on its requisite part
+    (``_requisite``) or the whole residual, filling
+    ``stats.log_joint``; a var that propagation forces gets one
+    unpinned run of the whole residual instead.
     """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
@@ -383,27 +378,28 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
                         log_joint=None if var is None else (-math.inf, -math.inf))
     if any(not c.literals for c in phi.clauses):  # refused unread, as in the engine
         return answered
-    if ordering is not None:
-        ordering = Ordering(tuple(sorted(kept, key=ordering.position().__getitem__)))
     if alg == "cpe-d":
         phi = phi.conjoin(extract_clauses(net, kept))
-    propagates = ordering is None and (alg == "cpe-d" or var is not None)
+    answered.extracted = len({c.literals for c, tag in phi.items() if tag == EXTRACTED})
+    propagates = alg == "cpe-d" or var is not None
     if propagates:
-        answered.extracted = len({c.literals for c, tag in phi.items() if tag == EXTRACTED})
         sigma, kept, phi, constant = _propagate(net, kept, phi)
         answered.forced = len(sigma)
         if constant == -math.inf:
             return answered
         if var is not None and var not in sigma:
             kept, phi = _requisite(net, sigma, kept, phi, var) or (kept, phi)
+        mentioned = sorted({u for v in kept for u in net.family(v) if u in sigma})
+        phi = CnfFormula([Clause([Literal(u, sigma[u])]) for u in mentioned],
+                         (EVIDENCE,) * len(mentioned)).conjoin(phi)
     query = None if propagates and var in sigma else var
     if alg == "hidden":
         net, evidence = hidden_embed(net, phi)
         kept += tuple(lit.var for lit in evidence)
         phi = CnfFormula([Clause([lit]) for lit in evidence], (EVIDENCE,) * len(evidence))
     stats = _execute(net, kept, phi, ordering, cfg, query)[1]
+    stats.extracted, stats.forced = answered.extracted, answered.forced
     if propagates:
-        stats.extracted, stats.forced = answered.extracted, answered.forced
         if var is None:
             stats.log_result += constant
             stats.result = math.exp(stats.log_result)

@@ -240,9 +240,7 @@ class TestGen:
         assert out == [str(prefix) + ".net", str(prefix) + ".cnf"]
         net = parse_network((tmp_path / "inst9.net").read_text())
         phi = parse_dimacs((tmp_path / "inst9.cnf").read_text())
-        wanted = gen_network(6, 3, 0.5, seed=9)
-        # order_hint is not part of the file format
-        assert (net.n, net.cpts) == (wanted.n, wanted.cpts)
+        assert net == gen_network(6, 3, 0.5, seed=9)
         assert phi == gen_query(net, 2, 1, seed=10)
 
     def test_same_seed_same_bytes(self, tmp_path, capsys):

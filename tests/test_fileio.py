@@ -137,7 +137,7 @@ class TestSerializeNetwork:
             net = gen_network(9, 3, 0.5, seed=seed)
             again = parse_network(serialize_network(net))
             # full-precision floats survive the trip exactly
-            assert again.cpts == net.cpts
+            assert again == net
 
     def test_header_lines(self, net2):
         text = serialize_network(net2, header=["alpha", "beta"])

@@ -31,7 +31,7 @@ class TestGenNetwork:
         for n, f, d, seed in [(1, 1, 0.0, 0), (4, 2, 1.0, 3), (12, 4, 0.5, 9),
                               (8, 3, 0.25, 11)]:
             net = gen_network(n, f, d, seed)
-            assert BeliefNetwork(n, net.cpts, net.order_hint) == net
+            assert BeliefNetwork(n, net.cpts) == net
 
     def test_parents_precede_children(self):
         net = gen_network(15, 4, 0.3, seed=5)

@@ -18,7 +18,7 @@ from cnfbelief import (
     run_trace,
 )
 
-GOLDEN_SHA256 = "0254f8dd5fa5fc4efe57099d59804cd5a69dda4c9c6a8036d397dd00dbfae1f1"
+GOLDEN_SHA256 = "5957c88315d32cef9e434f0f76922cbd6f41675838f8f51b8b96a3d76ce8c40a"
 
 CONFIGS = (
     EngineConfig(),

@@ -35,7 +35,7 @@ from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.model import EXTRACTED
 from cnfbelief.transforms import ALGORITHMS
 
-from conftest import clause, formula
+from conftest import A, B, C, D, F, clause, formula
 from test_golden_runs import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -175,8 +175,12 @@ class TestElimCpeD:
         assert stats.extracted == 4
 
     def test_propagation_shrinks_tables(self, hyb_net, query_not_g, d1):
-        _, with_clauses = elim_cpe_d(hyb_net, query_not_g, ordering=d1)
+        # the paper's cpe-d inside the buckets: cpe on phi plus the
+        # extracted clauses, with no pre-pass
+        extended = query_not_g.conjoin(extract_clauses(hyb_net))
+        _, with_clauses, _ = run_trace(hyb_net, extended, d1)
         _, plain = elim_cpe(hyb_net, query_not_g, ordering=d1)
+        assert with_clauses.derived_clauses == 2
         assert with_clauses.mf == 2
         assert plain.mf == 3
         assert with_clauses.derived_units == 2
@@ -199,9 +203,9 @@ class TestElimCpeD:
 
 
 class TestPropagatedRun:
-    """cpe-d given no ordering propagates units over phi and the
-    extracted clauses, folds every CPT whose family that fixes into a
-    constant, and runs the engine on what is left."""
+    """cpe-d propagates units over phi and the extracted clauses, folds
+    every CPT whose family that fixes into a constant, and runs the
+    engine on what is left, along the default or a given ordering."""
 
     @staticmethod
     def chain():
@@ -260,46 +264,55 @@ class TestPropagatedRun:
         p, stats = evaluate(net, phi, "cpe-d")
         assert p == 0.0 and stats.trace == [] and brute_force_cpe(net, phi) == 0.0
 
-    def test_a_given_ordering_runs_the_whole_ancestral_set(self):
-        # along a given ordering nothing is forced up front: the engine
-        # takes phi and every extracted clause, with these trace and
-        # counters (those of the engine alone, pinned)
+    def test_a_given_ordering_runs_the_residual(self):
+        # along a given ordering the pre-pass runs too: the engine
+        # eliminates only what propagation leaves, in the given order
         net = gen_network(10, 3, 0.9, 71)
         phi = gen_query(net, c=2, e=1, seed=72)
         order = [6, 8, 9, 7, 5, 3, 0, 4, 1, 2]
         cfg = EngineConfig(i_bound=2)
         _, stats = evaluate(net, phi, "cpe-d", cfg, order)
+        kept = transforms._ancestral(net, phi)
+        sigma, variables, _, _ = transforms._propagate(
+            net, kept, phi.conjoin(extract_clauses(net, kept)))
+        assert stats.forced == len(sigma) == 6
+        # the unforced CPTs' buckets, and the forced variables they
+        # mention, observed
+        mentioned = {u for v in variables for u in net.family(v) if u in sigma}
         assert [e.format() for e in stats.trace] == [
-            "bucket=3 action=observe scope= derived=",
             "bucket=0 action=observe scope= derived=",
-            "bucket=2 action=observe scope= derived=6,10",
-            "bucket=7 action=observe scope= derived=10",
-            "bucket=9 action=observe scope= derived=",
-            "bucket=1 action=observe scope= derived=-2",
             "bucket=5 action=sum scope= derived=",
         ]
+        assert all(e.bucket in mentioned if e.action == "observe" else e.bucket in variables
+                   for e in stats.trace)
         counters = {k: v for k, v in stats.as_dict().items() if k not in ("time_s", "result")}
-        assert counters == {"mf": 1, "C": 3, "U": 2, "F": 10, "O": 6,
-                            "width_static": 5, "width_posthoc": 0}
-        assert (stats.entries_static, stats.forced) == (22, 0)
+        assert counters == {"mf": 1, "C": 0, "U": 0, "F": 10, "O": 1,
+                            "width_static": 1, "width_posthoc": 0}
+        assert stats.entries_static == 2
         assert math.isclose(stats.result, 0.45711294383311285, rel_tol=1e-12)
         assert math.isclose(stats.log_result, -0.782824776755685, rel_tol=1e-12)
         _, default = evaluate(net, phi, "cpe-d", cfg)
-        assert default.forced > 0 and default.extracted == 10
+        assert default.forced == stats.forced and default.extracted == 10
         assert math.isclose(default.log_result, stats.log_result, rel_tol=1e-12)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(n=st.integers(1, 12), f=st.integers(1, 4), c=st.integers(0, 4),
-           e=st.integers(0, 4), seed=st.integers(0, 10 ** 6))
-    @example(n=12, f=4, c=4, e=2, seed=0)  # P = 0
-    @example(n=12, f=4, c=1, e=0, seed=0)  # P = 1
-    def test_matches_the_oracle_in_log_space(self, n, f, c, e, seed):
+           e=st.integers(0, 4), seed=st.integers(0, 10 ** 6),
+           shuffle=st.none() | st.integers(0, 10 ** 6))
+    @example(n=12, f=4, c=4, e=2, seed=0, shuffle=None)  # P = 0
+    @example(n=12, f=4, c=1, e=0, seed=0, shuffle=None)  # P = 1
+    @example(n=12, f=4, c=1, e=0, seed=0, shuffle=1)  # P = 1 along a given ordering
+    def test_matches_the_oracle_in_log_space(self, n, f, c, e, seed, shuffle):
         net = gen_network(n, f, 0.9, seed)
         phi = gen_query(net, c=c if n >= 3 else 0, e=min(e, n), seed=seed + 1)
+        order = None
+        if shuffle is not None:  # a given ordering: a permutation of 0..n-1
+            order = list(range(n))
+            random.Random(shuffle).shuffle(order)
         want = brute_force_cpe(net, phi)
         for bound in (0, 2, None):
             for reorder in (True, False):
-                p, stats = evaluate(net, phi, "cpe-d", EngineConfig(bound, reorder))
+                p, stats = evaluate(net, phi, "cpe-d", EngineConfig(bound, reorder), order)
                 if want == 0.0:
                     assert p == 0.0 and stats.log_result == -math.inf, (bound, reorder)
                 else:
@@ -320,15 +333,6 @@ class TestHiddenEmbed:
     def test_original_cpts_untouched(self, net2):
         embedded, _ = hidden_embed(net2, formula(clause(1)))
         assert embedded.cpts[:2] == net2.cpts
-
-    def test_order_hint_gains_the_fresh_children(self, net2):
-        net = gen_network(n=6, f=3, d=0.4, seed=5)
-        embedded, _ = hidden_embed(net, gen_query(net, c=3, e=1, seed=6))
-        assert embedded.order_hint == tuple(range(10))
-        position = {v: i for i, v in enumerate(embedded.order_hint)}
-        assert all(position[p] < position[c.child] for c in embedded.cpts for p in c.parents)
-        assert net2.order_hint is None
-        assert hidden_embed(net2, formula(clause(1, 2)))[0].order_hint is None
 
     def test_no_clauses_no_growth(self, net2):
         embedded, evidence = hidden_embed(net2, CnfFormula([]))
@@ -394,12 +398,31 @@ class TestEvaluate:
 
     def test_stats_carry_the_trace(self, hyb_net, query_not_g, d1):
         cfg = EngineConfig(i_bound=2)
+        # not G forces F and D to 0 and folds G's CPT; D and F are
+        # observed, then the rest is summed along d1
         _, stats = evaluate(hyb_net, query_not_g, "cpe-d", cfg, d1)
-        extended = query_not_g.conjoin(extract_clauses(hyb_net))
-        assert stats.trace == run_trace(hyb_net, extended, d1, cfg)[2]
+        assert [(e.bucket, e.action) for e in stats.trace] == [
+            (D, "observe"), (F, "observe"), (B, "sum"), (C, "sum"), (A, "sum")]
         _, stats = evaluate(hyb_net, query_not_g, "hidden", cfg)
         assert len(stats.trace) == hyb_net.n + len(query_not_g)
         assert evaluate(hyb_net, query_not_g, "brute")[1].trace == []
+
+    def test_f_counts_the_extracted_clauses_under_every_algorithm(self):
+        net = gen_network(10, 3, 0.9, 71)
+        phi = gen_query(net, 2, 1, 72).conjoin(extract_clauses(net))
+        assert len(set(c for c, tag in phi.items() if tag == EXTRACTED)) == 13
+        for alg in ("cpe", "cpe-d", "hidden"):
+            assert evaluate(net, phi, alg)[1].extracted == 13, alg
+            assert transforms._pruned_run(net, phi, alg, None, var=0).extracted == 13, alg
+
+    def test_f_survives_a_conflict_met_while_loading(self):
+        # the golden set's k = 4: the engine's run meets the conflict
+        # before it has filed every clause
+        net = gen_network(10, 3, 0.5, 3004)
+        phi = gen_query(net, c=4, e=4, seed=4004).conjoin(extract_clauses(net))
+        prob, stats, trace = run_trace(net, phi)
+        assert prob == 0.0 and trace == [] and stats.width_posthoc is None
+        assert stats.extracted == len(set(c for c, tag in phi.items() if tag == EXTRACTED)) == 10
 
     def test_ordering_refused_where_it_cannot_apply(self, net2, d1):
         ordering = Ordering((0, 1))
@@ -515,12 +538,13 @@ class TestRelevancePruning:
             embedded, evidence = hidden_embed(sub, sub_phi)
             units = CnfFormula([Clause([lit]) for lit in evidence])
             runs = (
-                (evaluate(net, phi, "cpe", cfg, order), run_trace(sub, sub_phi, projected, cfg)),
+                (evaluate(net, phi, "cpe", cfg, order),
+                 run_trace(sub, sub_phi, projected, cfg)[2]),
                 (evaluate(net, phi, "cpe-d", cfg, order),
-                 run_trace(sub, sub_phi.conjoin(extract_clauses(sub)), projected, cfg)),
-                (evaluate(net, phi, "hidden", cfg), run_trace(embedded, units, cfg=cfg)),
+                 evaluate(sub, sub_phi, "cpe-d", cfg, projected)[1].trace),
+                (evaluate(net, phi, "hidden", cfg), run_trace(embedded, units, cfg=cfg)[2]),
             )
-            for (_, stats), (_, _, trace) in runs:
+            for (_, stats), trace in runs:
                 assert stats.trace == [
                     TraceEntry(caller[e.bucket], e.action, tuple(caller[v] for v in e.scope),
                                tuple(_renumber(c, caller) for c in e.derived))
@@ -911,9 +935,8 @@ class TestRequisiteBelief:
         assert variables == tuple(v for v in kept if v not in entries)
         open_ = {Clause(l for l in cl.literals if l.var not in sigma) for cl in phi.clauses
                  if not any(sigma.get(l.var) == l.positive for l in cl.literals)}
-        assert {cl for cl in residual.clauses if not cl.is_unit()} == open_
-        assert {cl.unit_literal() for cl in residual.clauses if cl.is_unit()} == {
-            Literal(u, sigma[u]) for v in variables for u in net.family(v) if u in sigma}
+        assert set(residual.clauses) == open_
+        assert not any(cl.is_unit() for cl in residual.clauses)
         if var in sigma:
             return  # belief makes one run of the whole residual
         cpts, clauses = _hyperedge_walk(net, phi, sigma, var, variables)
@@ -925,10 +948,7 @@ class TestRequisiteBelief:
             return
         loaded, passed = result
         assert loaded == tuple(v for v in variables if v in cpts)
-        mentioned = {u for v in cpts for u in net.family(v) if u in sigma}
-        assert list(passed.items()) == [
-            (cl, tag) for cl, tag in residual.items()
-            if cl in clauses or cl.is_unit() and cl.unit_literal().var in mentioned]
+        assert list(passed.items()) == [(cl, tag) for cl, tag in residual.items() if cl in clauses]
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(kind=st.sampled_from(["any", "cpt", "clause", "opposing", "reduced"]),
