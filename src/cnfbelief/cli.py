@@ -101,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_inputs(args):
     net = parse_network(Path(args.net).read_text())
     phi = parse_dimacs(Path(args.cnf).read_text())
-    for v in phi.variables():
-        if v >= net.n:
-            raise ParseError(f"query variable {v + 1} unknown to the network")
     cfg = EngineConfig(i_bound=args.i_bound, dynamic_reorder=not args.no_reorder)
     return net, phi, cfg
 

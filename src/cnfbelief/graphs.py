@@ -51,15 +51,13 @@ def augmented_graph(net: BeliefNetwork, phi: CnfFormula,
     vertices are the members of those cliques, so a parent or clause
     variable outside ``variables`` joins without a family of its own.
     An extracted clause never joins a table, so its variables join as
-    vertices with no clique.  A clause variable outside the network
-    raises ModelError."""
+    vertices with no clique.  No variable is checked against the
+    network: the front door (``transforms._ancestral``) has refused
+    one outside it before any graph is built."""
     cliques = [net.family(v) for v in (net.variables() if variables is None else variables)]
     loose: list[set[int]] = []
     for clause, tag in phi.items():
-        vs = clause.variables()
-        if any(not 0 <= v < net.n for v in vs):
-            raise ModelError(f"clause variable out of range in {clause}")
-        (loose if tag == EXTRACTED else cliques).append(vs)
+        (loose if tag == EXTRACTED else cliques).append(clause.variables())
     adj = {v: set() for clique in cliques + loose for v in clique}
     for clique in cliques:
         for v in clique:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .model import BeliefNetwork, Clause, CnfFormula
+from .model import BeliefNetwork, Clause, CnfFormula, ModelError
 
 MAX_BRUTE_VARS = 25
 
@@ -22,14 +22,15 @@ def _satisfies(bits: Sequence[int], clause: Clause) -> bool:
 def brute_force_cpe(net: BeliefNetwork, phi: CnfFormula) -> float:
     """P(phi) summed over every complete assignment.
 
-    Guarded to small networks; enumeration is exponential in n.
+    A clause variable outside the network raises ModelError, before
+    the size guard: enumeration is exponential in n, so networks of
+    more than MAX_BRUTE_VARS variables raise ValueError.
     """
+    for v in phi.variables():
+        if not 0 <= v < net.n:
+            raise ModelError(f"variable {v} outside the network")
     if net.n > MAX_BRUTE_VARS:
         raise ValueError(f"refusing exhaustive enumeration for n={net.n} > {MAX_BRUTE_VARS}")
-    for clause in phi.clauses:
-        for lit in clause.literals:
-            if not 0 <= lit.var < net.n:
-                raise ValueError(f"clause variable {lit.var} outside the network")
     clauses = phi.clauses
     cpts = net.cpts
     total = 0.0

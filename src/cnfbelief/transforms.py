@@ -187,13 +187,15 @@ def _ancestral(net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None
     P(phi) and P(phi, var) are the same over their CPTs alone.  Every
     other variable is barren: no clause holds it or a descendant, so
     summing the barren variables out, children first, turns each of
-    their CPTs into 1 (Shachter 1986; Baker and Boult 1990).  Raises
-    ModelError for a clause variable outside the network.
+    their CPTs into 1 (Shachter 1986; Baker and Boult 1990).  Every
+    cpe, cpe-d and hidden run reads the network here first, so this is
+    where a variable of phi, or ``var``, outside the network raises
+    ModelError, before the walk indexes by it.
     """
-    for clause in phi.clauses:
-        if any(not 0 <= v < net.n for v in clause.variables()):
-            raise ModelError(f"clause variable out of range in {clause}")
     kept = phi.variables() | ({var} if var is not None else set())
+    for v in kept:
+        if not 0 <= v < net.n:
+            raise ModelError(f"variable {v} outside the network")
     stack = list(kept)
     while stack:
         for p in net.parents(stack.pop()):
@@ -319,8 +321,6 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
     while queue:
         var, value = queue.pop()
         if var in sigma:
-            if sigma[var] != value:
-                return (sigma, *nothing)
             continue
         sigma[var] = value
         for i, positive in occurs.get(var, ()):
@@ -433,12 +433,12 @@ def belief_given_cnf(net: BeliefNetwork, phi: CnfFormula, var: int,
     the point mass at its value unless the residual's run finds
     P(phi) = 0, and any other var is eliminated last in one run
     (elim-bel; Dechter 1999), on its requisite part when ``_requisite``
-    finds one.  brute calls the oracle once per value of var.
+    finds one.  brute calls the oracle once per value of var, with var
+    as a unit, so either path refuses a var outside the network where it
+    refuses a clause variable (``_ancestral``, ``brute_force_cpe``).
     Normalizes in the log domain, so the answer stays defined where
     both joint probabilities underflow.
     """
-    if not 0 <= var < net.n:
-        raise ValueError(f"variable {var} outside the network")
     if alg == "brute":
         logs = [evaluate(net, phi.conjoin(CnfFormula([Clause([Literal(var, value == 1)])])),
                          "brute")[1].log_result for value in (0, 1)]

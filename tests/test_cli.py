@@ -403,7 +403,7 @@ class TestErrorPaths:
             cnf.write_text(text)
             for alg in ("cpe", "cpe-d", "hidden"):
                 assert run_cli(["eval", "--net", net, "--cnf", str(cnf), "--alg", alg]) == 1
-                assert "unknown to the network" in capsys.readouterr().err
+                assert capsys.readouterr().err == "error: variable 4 outside the network\n"
 
     def test_order_file_must_cover_the_network(self, six_node_files, tmp_path, capsys):
         # covers the query's ancestors (A, B, C) but not the network

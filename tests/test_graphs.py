@@ -112,18 +112,12 @@ class TestInteractionGraphs:
         for g in (augmented_graph(net2, formula(clause(-2))), augmented_graph(pos_net, phi42)):
             assert all(v not in row for v, row in g.items())
 
-    def test_augmented_rejects_foreign_variables(self, net2):
-        with pytest.raises(ModelError):
-            augmented_graph(net2, formula(clause(5)))
-
     def test_augmented_adds_boundary_vertices_without_families(self, pos_net):
         # F's family is B, C, F; the clause (C or D) adds D.  B and D join
         # without their families, so A is no vertex and B, D are not joined
         g = augmented_graph(pos_net, formula(clause(3, 4)), (4,))
         assert set(g) == {1, 2, 3, 4}
         assert edge_set(g) == {(1, 2), (1, 4), (2, 4), (2, 3)}
-        with pytest.raises(ModelError):
-            augmented_graph(pos_net, formula(clause(3, 7)), (4,))
 
     def test_extracted_clauses_add_vertices_but_no_clique(self, pos_net):
         # an extracted clause never joins a table; (A or G) and the unit
@@ -133,8 +127,6 @@ class TestInteractionGraphs:
         g = augmented_graph(pos_net, phi, (4,))
         assert set(g) == {0, 1, 2, 3, 4, 5}
         assert edge_set(g) == {(1, 2), (1, 4), (2, 4)}
-        with pytest.raises(ModelError):
-            augmented_graph(pos_net, CnfFormula([clause(1, 7)], (EXTRACTED,)))
 
     def test_extracted_cliques_lie_in_families(self):
         # the clauses extract_clauses makes come from one CPT each

@@ -566,7 +566,7 @@ class TestRelevancePruning:
         query = formula(clause(1))
         for alg in ("cpe", "cpe-d", "hidden"):
             for outside in (clause(-9), Clause([Literal(-1)])):
-                with pytest.raises(ModelError, match="out of range"):
+                with pytest.raises(ModelError, match="outside the network"):
                     evaluate(pos_net, query.conjoin(formula(outside)), alg)
         for alg in ("cpe", "cpe-d"):
             with pytest.raises(ModelError, match="covers 1 variables, network has 6"):
