@@ -149,7 +149,10 @@ class RunStats:
     derived_clauses / derived_units count clauses produced by unit and
     bounded resolution that were actually kept;
     extracted (F) counts distinct clauses with extracted provenance in
-    the input (for cpe-d, with the ancestral CPTs'), before any run;
+    the input (for cpe-d, with the ancestral CPTs'), before any run; a
+    caller's clause of two or more literals keeps that tag only where
+    one CPT makes it certain (``transforms._certified``), so F counts
+    only those;
     observed counts buckets processed by observation.
     width_static is the induced width of the clause-augmented graph
     along the run's ordering, in which phi's unit-clause variables add

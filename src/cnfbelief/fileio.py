@@ -9,7 +9,9 @@ Network format (# starts a comment anywhere):
 
 DIMACS: `p cnf <n> <m>` header, clauses as signed 1-based integers
 terminated by 0, `c` comments.  A comment `c evidence` (or
-`c extracted`) tags the next clause's provenance.  parse/serialize
+`c extracted`) tags the next clause's provenance.  A line starting
+`%` ends the clause list: SATLIB files end with `%` and a lone `0`,
+which would otherwise read as the empty clause.  parse/serialize
 round-trip exactly; serialized clause literals are ascending by
 variable.
 
@@ -144,7 +146,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     pending_tag = QUERY
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line:
             continue
         if line.startswith("c"):
             tag = line[1:].strip().lower()

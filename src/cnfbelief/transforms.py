@@ -39,6 +39,7 @@ from .graphs import Ordering, augmented_graph, check_ordering
 from .model import (
     EVIDENCE,
     EXTRACTED,
+    QUERY,
     BeliefNetwork,
     Clause,
     CnfFormula,
@@ -357,13 +358,26 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
     return sigma, tuple(variables), residual, constant
 
 
+def _certified(net: BeliefNetwork, clause: Clause) -> bool:
+    """True when one CPT makes ``clause`` certain: its family holds all
+    the clause's variables and it gives probability 0 to every row that
+    falsifies the clause, that is, one of its ``extract_clauses``
+    clauses (its prime implicants) is a subset of the clause."""
+    variables = clause.variables()
+    owners = [v for v in variables if variables.issubset(net.family(v))]
+    return any(e.literals <= clause.literals for e in extract_clauses(net, owners).clauses)
+
+
 def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig | None,
                 ordering: Ordering | None = None, var: Optional[int] = None) -> RunStats:
     """One engine run of cpe, cpe-d or hidden over the CPTs of phi's
     (and ``var``'s) ancestral variables, cpe-d's with their extracted
     clauses, whose distinct ones ``stats.extracted`` counts; the empty
-    clause answers 0 before anything is read.  cpe-d and belief
-    propagate units first (``_propagate``): a conflict or a forced
+    clause answers 0 before anything is read.  A caller's clause of two
+    or more literals tagged extracted, which the engine lets propagate
+    but never gate a sum, keeps that tag only where ``_certified``
+    shows it certain, and runs as a query clause otherwise.  cpe-d and
+    belief propagate units first (``_propagate``): a conflict or a forced
     entry of 0 answers 0 with no engine run, and the engine runs on the
     residual, given as evidence units the forced variables its CPTs
     mention, sorted.  Belief eliminates var last on its requisite part
@@ -378,6 +392,10 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
                         log_joint=None if var is None else (-math.inf, -math.inf))
     if any(not c.literals for c in phi.clauses):  # refused unread, as in the engine
         return answered
+    if EXTRACTED in phi.provenance:  # the tag exempts from gating only a certain clause
+        phi = CnfFormula(phi.clauses, [QUERY if tag == EXTRACTED and len(c) > 1
+                                       and not _certified(net, c) else tag
+                                       for c, tag in phi.items()])
     if alg == "cpe-d":
         phi = phi.conjoin(extract_clauses(net, kept))
     answered.extracted = len({c.literals for c, tag in phi.items() if tag == EXTRACTED})

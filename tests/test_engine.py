@@ -183,13 +183,14 @@ class TestEliminateBucket:
             _, _, trace = run_trace(pos_net, phi, ordering=d1)
             assert sorted(t.bucket for t in trace) == kept
 
+    # The engine itself: the front door passes a caller's uncertain
+    # clause tagged extracted as a query clause (TestCertifiedTag).
     def test_sum_exempt_clauses_resolve_but_do_not_gate(self):
         net = _roots(0.3, 0.6, 0.2)
         phi = CnfFormula(PQR_CLAUSES, (EXTRACTED, EXTRACTED))
-        p, stats, trace = run_trace(net, phi, PQR_ORDER, EngineConfig(i_bound=2))
+        p, _, trace = engine._execute(net, (0, 1, 2), phi, PQR_ORDER, EngineConfig(i_bound=2))
         assert trace[0].scope == ()
         assert trace[0].derived == (clause(1, 3),)
-        assert stats.extracted == 2
         # neither the inputs nor their exempt resolvent constrain the sum
         assert close_enough(p, 1.0)
 
@@ -200,9 +201,9 @@ class TestEliminateBucket:
         query = formula(*PQR_CLAUSES)
         extracted = CnfFormula(PQR_CLAUSES, (EXTRACTED, EXTRACTED))
         for phi in (query.conjoin(extracted), extracted.conjoin(query)):
-            p, stats, trace = run_trace(net, phi, PQR_ORDER, EngineConfig(i_bound=2))
+            p, _, trace = engine._execute(net, (0, 1, 2), phi, PQR_ORDER,
+                                          EngineConfig(i_bound=2))
             assert trace[0].bucket == 1 and trace[0].scope == (0, 2)
-            assert stats.extracted == 2
             assert close_enough(p, brute_force_cpe(net, query))
 
     def test_opposing_units_block_summation(self, net2):

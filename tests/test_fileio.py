@@ -163,8 +163,16 @@ class TestParseDimacs:
         assert phi.provenance == (QUERY,)
 
     def test_percent_lines_skipped(self):
-        phi = parse_dimacs("p cnf 2 1\n%\n1 2 0\n%\n")
-        assert len(phi) == 1
+        # a % line ends the clause list: it and every line after it are skipped
+        phi = parse_dimacs("p cnf 2 1\n1 2 0\n%\n-1 0\nnot a clause\n")
+        assert phi.clauses == (clause(1, 2),)
+
+    def test_satlib_trailer_is_no_clause(self):
+        # SATLIB files end with "%" and a lone 0, which is no empty clause
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n")
+        assert phi.clauses == (clause(1, -2), clause(2, 3))
 
     def test_clause_may_span_lines(self):
         phi = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")

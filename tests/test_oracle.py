@@ -4,6 +4,7 @@ from cnfbelief import (
     BeliefNetwork,
     CnfFormula,
     Cpt,
+    ModelError,
     brute_force_cpe,
     close_enough,
 )
@@ -54,8 +55,11 @@ def test_size_guard():
 
 
 def test_foreign_clause_variable_rejected(net2):
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError, match="^variable 8 outside the network$"):
         brute_force_cpe(net2, formula(clause(9)))
+    # before the size guard, so a large network names the variable too
+    with pytest.raises(ModelError, match="^variable 30 outside the network$"):
+        brute_force_cpe(_uniform(MAX_BRUTE_VARS + 1), formula(clause(1, -31)))
 
 
 def _uniform(n: int) -> BeliefNetwork:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -30,7 +31,8 @@ from cnfbelief import (
     run_trace,
 )
 from cnfbelief import engine, transforms
-from cnfbelief.fileio import parse_dimacs, parse_network
+from cnfbelief.cli import run_cli
+from cnfbelief.fileio import parse_dimacs, parse_network, serialize_network
 from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.model import EXTRACTED
 from cnfbelief.transforms import ALGORITHMS
@@ -594,6 +596,71 @@ class TestRelevancePruning:
             assert close_enough(p_d, p)
 
 
+OUTSIDE = 9  # no variable of net2, which has 0 and 1
+OUTSIDE_QUERIES = {
+    "(x or foreign)": "p cnf 10 1\n1 10 0\n",
+    # the unit x satisfies the clause, so the check cannot wait for propagation
+    "x and (x or foreign)": "p cnf 10 2\n1 0\n1 10 0\n",
+    "x, belief of foreign": "p cnf 2 1\n1 0\n",
+}
+
+
+@pytest.mark.parametrize("entry, alg, query", [
+    (entry, alg, query)
+    for entry in ("evaluate", "belief", "conditional", "cnfbelief eval", "cnfbelief belief")
+    for alg in ALGORITHMS for query in OUTSIDE_QUERIES
+    if entry.endswith("belief") or "belief" not in query])
+def test_outside_variable_is_refused_at_every_entry_point(entry, alg, query, net2,
+                                                          tmp_path, capsys):
+    # one type and one message, whichever path reads the variable first
+    message = f"variable {OUTSIDE} outside the network"
+    var = OUTSIDE if "belief" in query else 0
+    text = OUTSIDE_QUERIES[query]
+    if entry.startswith("cnfbelief"):
+        net_path, cnf_path = tmp_path / "two.net", tmp_path / "query.cnf"
+        net_path.write_text(serialize_network(net2))
+        cnf_path.write_text(text)
+        command = entry.split()[1]
+        argv = [command, "--net", str(net_path), "--cnf", str(cnf_path), "--alg", alg]
+        assert run_cli(argv + (["--var", str(var)] if command == "belief" else [])) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        return
+    phi = parse_dimacs(text)
+    call = {"evaluate": lambda: evaluate(net2, phi, alg),
+            "belief": lambda: belief_given_cnf(net2, phi, var, alg),
+            "conditional": lambda: conditional_cnf_probability(net2, phi, formula(clause(2)), alg)}
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        call[entry]()
+
+
+class TestCertifiedTag:
+    """A caller's clause tagged extracted is exempt from gating sums only
+    when one CPT makes it certain; otherwise it runs as a query clause."""
+
+    def test_uncertain_extracted_clause_gates_the_sum(self):
+        net = parse_network("vars 2\ncpt 0 0.5\ncpt 1 0.5\n")
+        phi = parse_dimacs("p cnf 2 1\nc extracted\n1 2 0\n")
+        for alg in ALGORITHMS:
+            p, stats = evaluate(net, phi, alg)
+            assert close_enough(p, 0.75), alg
+            assert stats.extracted == 0, alg
+
+    def test_certified_extracted_clause_keeps_its_tag(self):
+        # B's CPT gives B = 0 probability 0 under A = 1, so (not A or B) is certain
+        net = parse_network("vars 2\ncpt 0 0.5\nparents 1 0\ncpt 1 0.5 1.0\n")
+        phi = parse_dimacs("p cnf 2 1\nc extracted\n-1 2 0\n")
+        for alg in ("cpe", "cpe-d", "hidden"):
+            p, stats = evaluate(net, phi, alg)
+            assert close_enough(p, 1.0), alg
+            assert stats.extracted == 1, alg
+
+    def test_every_extracted_clause_is_certified(self):
+        for seed in range(40):
+            net = gen_network(12, 4, 0.9, seed)
+            assert all(map(functools.partial(transforms._certified, net),
+                           extract_clauses(net).clauses)), seed
+
+
 class TestBeliefGivenCnf:
     def test_two_node_posterior(self, net2):
         dist = belief_given_cnf(net2, formula(clause(1, 2)), 0)
@@ -1073,8 +1140,9 @@ c extracted
 
 
 class TestExtractedClauseOutsideFamilies:
-    """A file may tag any clause extracted.  Such a clause adds no clique
-    to the engine's graph, but its variables stay vertices."""
+    """A file may tag any clause extracted.  This one holds with
+    probability 1 but shares no family, so no CPT certifies it and it
+    runs as a query clause; the answers still match the oracle."""
 
     def test_eval_matches_the_oracle(self):
         net, phi = parse_network(FAMILYLESS_NET), parse_dimacs(FAMILYLESS_CNF)
