@@ -376,7 +376,8 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
     clause answers 0 before anything is read.  A caller's clause of two
     or more literals tagged extracted, which the engine lets propagate
     but never gate a sum, keeps that tag only where ``_certified``
-    shows it certain, and runs as a query clause otherwise.  cpe-d and
+    shows it certain, and runs as a query clause otherwise (a unit is
+    observed, never summed over, so its tag changes nothing).  cpe-d and
     belief propagate units first (``_propagate``): a conflict or a forced
     entry of 0 answers 0 with no engine run, and the engine runs on the
     residual, given as evidence units the forced variables its CPTs
