@@ -56,33 +56,42 @@ def _fail(lineno: int, message: str) -> ParseError:
     return ParseError(f"line {lineno}: {message}")
 
 
-def _plain(text: str, plus: bool = False) -> bool:
+def _plain(text: str) -> bool:
     """True when the numbers in ``text`` are in the formats' own forms:
-    ASCII, no "_", and no "+" unless ``plus`` (a float's sign or
-    exponent)."""
-    return text.isascii() and "_" not in text and (plus or "+" not in text)
+    ASCII, no "_" and no "+"."""
+    return text.isascii() and "_" not in text and "+" not in text
 
 
 def parse_network(text: str) -> BeliefNetwork:
     n = None
     parents: dict[int, tuple[int, ...]] = {}
     tables: dict[int, tuple[float, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
         fields = line.split()
-        keyword = fields[0]
-        if keyword == "vars":
-            if n is not None:
-                raise _fail(lineno, "duplicate vars line")
-            if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
-                raise _fail(lineno, "expected: vars <count>")
-            n = int(fields[1])
+        if not fields:
             continue
-        if n is None:
+        keyword = fields[0]
+        if n is None and keyword != "vars":
             raise _fail(lineno, "missing vars line before declarations")
-        if keyword == "parents":
+        if keyword == "cpt":
+            if len(fields) < 3:
+                raise _fail(lineno, "expected: cpt <child> <values...>")
+            try:
+                # a float's sign or exponent may take "+", the child may not
+                if not (line.isascii() and "_" not in line and "+" not in fields[1]):
+                    raise ValueError
+                child = int(fields[1])
+                values = tuple(map(float, fields[2:]))
+            except ValueError:
+                raise _fail(lineno, "cpt takes a child id and float values") from None
+            if not 0 <= child < n:
+                raise _fail(lineno, f"cpt line for unknown variable {child}")
+            if child in tables:
+                raise _fail(lineno, f"duplicate cpt line for variable {child}")
+            tables[child] = values
+        elif keyword == "parents":
             try:
                 if not _plain(line):
                     raise ValueError
@@ -94,32 +103,20 @@ def parse_network(text: str) -> BeliefNetwork:
             if child in parents:
                 raise _fail(lineno, f"duplicate parents line for variable {child}")
             parents[child] = tuple(ps)
-        elif keyword == "cpt":
-            if len(fields) < 3:
-                raise _fail(lineno, "expected: cpt <child> <values...>")
-            try:
-                if not (_plain(line, plus=True) and "+" not in fields[1]):
-                    raise ValueError
-                child = int(fields[1])
-                values = tuple(map(float, fields[2:]))
-            except ValueError:
-                raise _fail(lineno, "cpt takes a child id and float values") from None
-            if not 0 <= child < n:
-                raise _fail(lineno, f"cpt line for unknown variable {child}")
-            if child in tables:
-                raise _fail(lineno, f"duplicate cpt line for variable {child}")
-            tables[child] = values
+        elif keyword == "vars":
+            if n is not None:
+                raise _fail(lineno, "duplicate vars line")
+            if len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
+                raise _fail(lineno, "expected: vars <count>")
+            n = int(fields[1])
         else:
             raise _fail(lineno, f"unknown keyword {keyword!r}")
     if n is None:
         raise ParseError("missing vars line")
-    cpts = []
-    for child in range(n):
-        if child not in tables:
-            raise ParseError(f"variable {child} has no cpt line")
-        cpts.append(Cpt(child, parents.get(child, ()), tables[child]))
+    if len(tables) < n:
+        raise ParseError(f"variable {next(c for c in range(n) if c not in tables)} has no cpt line")
     try:
-        return BeliefNetwork(n, tuple(cpts))
+        return BeliefNetwork(n, tuple([Cpt(c, parents.get(c, ()), tables[c]) for c in range(n)]))
     except ModelError as exc:
         raise ParseError(str(exc)) from None
 
@@ -144,19 +141,19 @@ def parse_dimacs(text: str) -> CnfFormula:
     tags: list[str] = []
     pending: list[Literal] = []
     pending_tag = QUERY
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("%"):
-            break
-        if not line:
-            continue
-        if line.startswith("c"):
-            tag = line[1:].strip().lower()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        lead = line.lstrip()[:1]
+        if lead == "c":
+            tag = line.strip()[1:].strip().lower()
             if tag in _TAG_COMMENTS:
                 pending_tag = _TAG_COMMENTS[tag]
             continue
-        if line.startswith("p"):
-            fields = line.split()
+        if lead == "%":
+            break
+        if not lead:
+            continue
+        fields = line.split()
+        if lead == "p":
             if declared is not None:
                 raise _fail(lineno, "duplicate problem line")
             if len(fields) != 4 or fields[1] != "cnf":
@@ -167,14 +164,20 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if declared is None:
             raise _fail(lineno, "clause before the problem line")
-        if not _plain(line):
-            raise _fail(lineno, f"bad literal in {line!r}")
-        for tok in line.split():
+        if not (line.isascii() and "_" not in line and "+" not in line):
+            raise _fail(lineno, f"bad literal in {line.strip()!r}")
+        for tok in fields:
             try:
                 code = int(tok)
             except ValueError:
                 raise _fail(lineno, f"bad literal {tok!r}") from None
-            if code == 0:
+            if 0 < code <= n_vars:
+                pending.append(Literal(code - 1, True))
+            elif 0 < -code <= n_vars:
+                pending.append(Literal(-code - 1, False))
+            elif code:
+                raise _fail(lineno, f"literal {code} exceeds declared {n_vars} variables")
+            else:
                 try:
                     clauses.append(Clause(pending))
                 except ModelError as exc:
@@ -182,10 +185,6 @@ def parse_dimacs(text: str) -> CnfFormula:
                 tags.append(pending_tag)
                 pending = []
                 pending_tag = QUERY
-                continue
-            if abs(code) > n_vars:
-                raise _fail(lineno, f"literal {code} exceeds declared {n_vars} variables")
-            pending.append(Literal.from_signed(code))
     if pending:
         raise ParseError("unterminated clause at end of file")
     if declared is None:

@@ -12,6 +12,9 @@ Conventions shared by every module in this package:
   (1,1) over (p1, p2).  A ``Factor`` stores its values as a numpy array
   of shape ``(2,) * len(scope)``, which reshapes to and from the flat
   lexicographic layout in C order.
+* ``Literal`` and ``Cpt`` are ``NamedTuple``s, so every input builds,
+  hashes and sorts them in C: they unpack (``var, positive = lit``) and
+  compare equal to plain tuples of their fields.
 * A ``BeliefNetwork`` is a valid DAG model once built: its constructor
   raises ModelError otherwise, so no later code checks it again.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,10 +39,10 @@ class ModelError(ValueError):
     """Raised for structurally invalid networks, CPTs, or clauses."""
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class Literal(NamedTuple):
     """A variable paired with a polarity.  ``positive=True`` means the
-    literal is satisfied when the variable is 1."""
+    literal is satisfied when the variable is 1.  Literals order by
+    variable, then negative before positive."""
 
     var: int
     positive: bool = True
@@ -49,7 +52,8 @@ class Literal:
 
     def signed(self) -> int:
         """1-based signed integer form (negative for negated literals)."""
-        return self.var + 1 if self.positive else -(self.var + 1)
+        var, positive = self
+        return var + 1 if positive else -(var + 1)
 
     @classmethod
     def from_signed(cls, code: int) -> "Literal":
@@ -72,11 +76,9 @@ class Clause:
 
     def __init__(self, literals: Iterable[Literal]):
         lits = frozenset(literals)
-        seen = {}
-        for lit in lits:
-            if seen.get(lit.var, lit.positive) != lit.positive:
-                raise ModelError(f"tautological clause on variable {lit.var}")
-            seen[lit.var] = lit.positive
+        if len(lits) > 1 and len({var for var, _ in lits}) != len(lits):
+            var = next(var for var, positive in lits if Literal(var, not positive) in lits)
+            raise ModelError(f"tautological clause on variable {var}")
         object.__setattr__(self, "literals", lits)
 
     def __len__(self) -> int:
@@ -86,10 +88,10 @@ class Clause:
         return iter(self.sorted_literals())
 
     def sorted_literals(self) -> tuple[Literal, ...]:
-        return tuple(sorted(self.literals, key=lambda l: (l.var, l.positive)))
+        return tuple(sorted(self.literals))
 
     def variables(self) -> set[int]:
-        return {lit.var for lit in self.literals}
+        return {var for var, _ in self.literals}
 
     def is_unit(self) -> bool:
         return len(self.literals) == 1
@@ -126,9 +128,9 @@ class CnfFormula:
             tags = tuple(provenance)
         if len(tags) != len(cls):
             raise ModelError("provenance length does not match clause count")
-        for tag in tags:
-            if tag not in PROVENANCE_TAGS:
-                raise ModelError(f"unknown provenance tag {tag!r}")
+        if not set(tags).issubset(PROVENANCE_TAGS):
+            tag = next(tag for tag in tags if tag not in PROVENANCE_TAGS)
+            raise ModelError(f"unknown provenance tag {tag!r}")
         object.__setattr__(self, "clauses", cls)
         object.__setattr__(self, "provenance", tags)
 
@@ -139,17 +141,13 @@ class CnfFormula:
         return iter(zip(self.clauses, self.provenance))
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for clause in self.clauses:
-            out |= clause.variables()
-        return out
+        return {var for clause in self.clauses for var, _ in clause.literals}
 
     def conjoin(self, other: "CnfFormula") -> "CnfFormula":
         return CnfFormula(self.clauses + other.clauses, self.provenance + other.provenance)
 
 
-@dataclass(frozen=True)
-class Cpt:
+class Cpt(NamedTuple):
     """Conditional probability table for one binary variable.
 
     ``table[r]`` is P(child = 1 | parent row r) where the row index
@@ -174,7 +172,9 @@ class BeliefNetwork:
     Construction raises ModelError unless the network is well formed:
     n CPTs with ``cpts[i].child == i``, distinct parents in 0..n-1 other
     than the child, ``2**len(parents)`` table rows, every entry in
-    [0, 1] (NaN refused), and no directed cycle.
+    [0, 1] (NaN refused), and no directed cycle.  The CPTs are checked
+    in index order and the first faulty one is reported; a cycle is
+    reported only when every CPT passes.
     """
 
     n: int
@@ -182,42 +182,40 @@ class BeliefNetwork:
     order_hint: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if len(self.cpts) != self.n:
-            raise ModelError(f"expected {self.n} CPTs, got {len(self.cpts)}")
-        for i, cpt in enumerate(self.cpts):
-            if cpt.child != i:
-                raise ModelError(f"cpts[{i}] has child {cpt.child}")
-        for cpt in self.cpts:
-            if len(set(cpt.parents)) != len(cpt.parents):
-                raise ModelError(f"duplicate parents for variable {cpt.child}")
-            for p in cpt.parents:
-                if not 0 <= p < self.n:
-                    raise ModelError(f"parent {p} of {cpt.child} out of range")
-                if p == cpt.child:
-                    raise ModelError(f"variable {cpt.child} is its own parent")
-            if len(cpt.table) != 1 << len(cpt.parents):
+        n = self.n
+        if len(self.cpts) != n:
+            raise ModelError(f"expected {n} CPTs, got {len(self.cpts)}")
+        children: list[list[int]] = [[] for _ in range(n)]
+        for i, (child, parents, table) in enumerate(self.cpts):
+            if child != i:
+                raise ModelError(f"cpts[{i}] has child {child}")
+            if len(set(parents)) != len(parents):
+                raise ModelError(f"duplicate parents for variable {child}")
+            for p in parents:
+                if not 0 <= p < n:
+                    raise ModelError(f"parent {p} of {child} out of range")
+                if p == child:
+                    raise ModelError(f"variable {child} is its own parent")
+                children[p].append(child)
+            if len(table) != 1 << len(parents):
                 raise ModelError(
-                    f"variable {cpt.child}: table has {len(cpt.table)} rows, "
-                    f"expected {1 << len(cpt.parents)}"
+                    f"variable {child}: table has {len(table)} rows, "
+                    f"expected {1 << len(parents)}"
                 )
-            for value in cpt.table:
+            for value in table:
                 if not (0.0 <= value <= 1.0):
-                    raise ModelError(f"variable {cpt.child}: probability {value} out of [0, 1]")
+                    raise ModelError(f"variable {child}: probability {value} out of [0, 1]")
         # cycle check (Kahn): strip each variable once its parents are all
         # stripped; what is left is every cycle member and every descendant
         # of one
-        children: list[list[int]] = [[] for _ in range(self.n)]
         unstripped = [len(cpt.parents) for cpt in self.cpts]
-        for cpt in self.cpts:
-            for p in cpt.parents:
-                children[p].append(cpt.child)
         stripped = [v for v in self.variables() if not unstripped[v]]
         for v in stripped:  # grows while it is walked
             for c in children[v]:
                 unstripped[c] -= 1
                 if not unstripped[c]:
                     stripped.append(c)
-        if len(stripped) < self.n:
+        if len(stripped) < n:
             raise ModelError(
                 f"cycle among variables {[v for v in self.variables() if unstripped[v]]}")
 
