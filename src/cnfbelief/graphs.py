@@ -51,10 +51,12 @@ def augmented_graph(net: BeliefNetwork, phi: CnfFormula,
     vertices are the members of those cliques, so a parent or clause
     variable outside ``variables`` joins without a family of its own.
     An extracted clause never joins a table, so its variables join as
-    vertices with no clique.  No variable is checked against the
-    network: the front door (``transforms._ancestral``) has refused
-    one outside it before any graph is built."""
-    cliques = [net.family(v) for v in (net.variables() if variables is None else variables)]
+    vertices with no clique.  A variable of ``variables`` outside the
+    network raises ModelError.  Clause variables are not checked: the
+    front door (``transforms._ancestral``) has refused one outside the
+    network before any graph is built."""
+    cliques = [net.family(v)
+               for v in (net.variables() if variables is None else net.check(variables))]
     loose: list[set[int]] = []
     for clause, tag in phi.items():
         (loose if tag == EXTRACTED else cliques).append(clause.variables())

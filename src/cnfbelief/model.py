@@ -219,6 +219,16 @@ class BeliefNetwork:
             raise ModelError(
                 f"cycle among variables {[v for v in self.variables() if unstripped[v]]}")
 
+    def check(self, variables: Iterable[int]) -> tuple[int, ...]:
+        """``variables`` as a tuple.  The first one outside 0..n-1 raises
+        ModelError, so no caller indexes ``cpts`` by it (a negative one
+        would read another variable's CPT)."""
+        variables = tuple(variables)
+        if variables and (min(variables) < 0 or max(variables) >= self.n):
+            v = next(v for v in variables if not 0 <= v < self.n)
+            raise ModelError(f"variable {v} outside the network")
+        return variables
+
     def parents(self, var: int) -> tuple[int, ...]:
         return self.cpts[var].parents
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .model import BeliefNetwork, Clause, CnfFormula, ModelError
+from .model import BeliefNetwork, Clause, CnfFormula
 
 MAX_BRUTE_VARS = 25
 
@@ -26,9 +26,7 @@ def brute_force_cpe(net: BeliefNetwork, phi: CnfFormula) -> float:
     the size guard: enumeration is exponential in n, so networks of
     more than MAX_BRUTE_VARS variables raise ValueError.
     """
-    for v in phi.variables():
-        if not 0 <= v < net.n:
-            raise ModelError(f"variable {v} outside the network")
+    net.check(phi.variables())
     if net.n > MAX_BRUTE_VARS:
         raise ValueError(f"refusing exhaustive enumeration for n={net.n} > {MAX_BRUTE_VARS}")
     clauses = phi.clauses

@@ -45,7 +45,6 @@ from .model import (
     CnfFormula,
     Cpt,
     Literal,
-    ModelError,
     clause_table,
     stack_tables,
 )
@@ -108,7 +107,8 @@ def extract_clauses(net: BeliefNetwork, variables: Iterable[int] | None = None) 
     otherwise only i's parents, so two CPTs sharing one would each be a
     parent of the other.
     """
-    cpts = [net.cpts[v] for v in (net.variables() if variables is None else variables)]
+    cpts = [net.cpts[v]
+            for v in (net.variables() if variables is None else net.check(variables))]
     per_cpt: list[list[Clause]] = [[] for _ in cpts]
     for k, where, tables in stack_tables(cpts):
         step = max(1, _PASS_CELLS // 3 ** k)
@@ -194,10 +194,7 @@ def _ancestral(net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None
     ModelError, before the walk indexes by it.
     """
     kept = phi.variables() | ({var} if var is not None else set())
-    for v in kept:
-        if not 0 <= v < net.n:
-            raise ModelError(f"variable {v} outside the network")
-    stack = list(kept)
+    stack = list(net.check(kept))
     while stack:
         for p in net.parents(stack.pop()):
             if p not in kept:

@@ -17,6 +17,7 @@ from cnfbelief import (
     ModelError,
     Ordering,
     TraceEntry,
+    augmented_graph,
     belief_given_cnf,
     brute_force_cpe,
     close_enough,
@@ -632,7 +633,18 @@ def test_outside_variable_is_refused_at_every_entry_point(entry, alg, query, net
         call[entry]()
 
 
-class TestCertifiedTag:
+@pytest.mark.parametrize("where", ["low", "high"])
+@pytest.mark.parametrize("function", [
+    lambda net, variables: extract_clauses(net, variables),
+    lambda net, variables: augmented_graph(net, CnfFormula([]), variables),
+], ids=["extract_clauses", "augmented_graph"])
+def test_public_variable_lists_are_refused_outside_the_network(function, where):
+    # -1 used to read variable n-1's CPT from the end of the tuple, n
+    # raised a bare IndexError
+    net = gen_network(6, 3, 0.9, 1)
+    v = -1 if where == "low" else net.n
+    with pytest.raises(ModelError, match=f"^variable {v} outside the network$"):
+        function(net, [0, v])
     """A caller's clause tagged extracted is exempt from gating sums only
     when one CPT makes it certain; otherwise it runs as a query clause."""
 
