@@ -24,9 +24,11 @@ Python's int() and float() also take "_" separators, a "+" sign and
 other scripts' digits, so those are refused first.
 
 A ``ParseError`` found on one line of a network or DIMACS file starts
-``line N:``.  Whole-file errors carry no line: no ``vars`` or problem
-line, a variable with no ``cpt`` line, an unterminated clause, the
-checks ``BeliefNetwork`` runs, and every order-file error.
+``line N:``; each line is read once, so the first faulty line in the
+file is the one reported, before any whole-file error.  Whole-file
+errors carry no line: no ``vars`` or problem line, a variable with no
+``cpt`` line, an unterminated clause, the checks ``BeliefNetwork``
+runs, and every order-file error.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ def _fail(lineno: int, message: str) -> ParseError:
 
 def _plain(text: str) -> bool:
     """True when the numbers in ``text`` are in the formats' own forms:
-    ASCII, no "_" and no "+"."""
-    return text.isascii() and "_" not in text and "+" not in text
+    ASCII, no "_" and no "+".  Whitespace around ``text`` does not count."""
+    return (text.isascii() or text.strip().isascii()) and "_" not in text and "+" not in text
 
 
 def parse_network(text: str) -> BeliefNetwork:
@@ -79,8 +81,9 @@ def parse_network(text: str) -> BeliefNetwork:
             if len(fields) < 3:
                 raise _fail(lineno, "expected: cpt <child> <values...>")
             try:
-                # a float's sign or exponent may take "+", the child may not
-                if not (line.isascii() and "_" not in line and "+" not in fields[1]):
+                # _plain, but a float's sign or exponent may take "+"
+                if not ((line.isascii() or line.strip().isascii()) and "_" not in line
+                        and "+" not in fields[1]):
                     raise ValueError
                 child = int(fields[1])
                 values = tuple(map(float, fields[2:]))
@@ -164,7 +167,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if declared is None:
             raise _fail(lineno, "clause before the problem line")
-        if not (line.isascii() and "_" not in line and "+" not in line):
+        if not _plain(line):
             raise _fail(lineno, f"bad literal in {line.strip()!r}")
         for tok in fields:
             try:
