@@ -324,3 +324,61 @@ class TestMalformedInputRaisesOnlyParseError:
             parse_order(text, n)
         except ParseError:
             pass
+
+
+class TestParserBoundary:
+    """Each parser reads a line once: the first fault in the file is the
+    one reported, line faults before the network's own checks, and
+    layout and comments never change what a file means."""
+
+    def test_network_reports_its_first_faulty_line(self):
+        text = "vars 2\ncpt 0 0.5\ncpt 0 0.4\nparents 1 0\nprior 1 0.5\n"
+        with pytest.raises(ParseError, match="^line 3: duplicate cpt line for variable 0$"):
+            parse_network(text)
+
+    def test_dimacs_reports_its_first_faulty_line(self):
+        with pytest.raises(ParseError, match="^line 2: literal 4 exceeds declared 3 variables$"):
+            parse_dimacs("p cnf 3 2\n4 0\n1 0\nx 0\n")
+
+    def test_only_whitespace_inside_a_line_must_be_ascii(self):
+        assert parse_network("vars 1\u00a0\ncpt 0 0.5\u3000\n").cpts[0].table == (0.5,)
+        assert parse_dimacs("p cnf 1 1\n\u00a01 0\u00a0\n").clauses == (clause(1),)
+        with pytest.raises(ParseError, match="^line 2: cpt takes"):
+            parse_network("vars 1\ncpt 0\u00a00.5\n")
+        with pytest.raises(ParseError, match="^line 2: bad literal in"):
+            parse_dimacs("p cnf 1 1\n1\u00a00\n")
+
+    def test_a_line_fault_comes_before_a_network_fault(self):
+        # variable 0's probability 1.5 is refused only once every line reads
+        with pytest.raises(ParseError, match="^line 4: unknown keyword 'prior'$"):
+            parse_network("vars 2\ncpt 0 1.5\ncpt 1 0.5\nprior 1 0.5\n")
+        with pytest.raises(ParseError, match="^variable 0: probability 1.5 out of"):
+            parse_network("vars 2\ncpt 0 1.5\ncpt 1 0.5\n")
+
+    def test_the_first_faulty_cpt_in_index_order_is_reported(self):
+        # variable 1's parent is out of range and variable 0's table is
+        # short, on lines in the other order
+        text = "vars 2\nparents 1 5\ncpt 1 0.5 0.5\nparents 0 1\ncpt 0 0.5\n"
+        with pytest.raises(ParseError, match="^variable 0: table has 1 rows, expected 2$"):
+            parse_network(text)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(st.integers(4, 12), st.integers(1, 3), st.sampled_from([0.0, 0.5, 1.0]),
+           st.integers(0, 1000), st.sampled_from(["", "# a_b", "#+1 é", "# x_+ é ünïcödé"]),
+           st.sampled_from(["", " ", "\t"]), st.sampled_from([" ", "\t", " \t "]),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_layout_and_comments_change_nothing(self, n, f, d, seed, comment, blank, space,
+                                                newline):
+        net = gen_network(n, f, d, seed)
+        phi = gen_query(net, 3, 2, seed + 1)
+
+        def messy(text: str, comment_line: str, trailing: str) -> str:
+            lines = []
+            for line in text.splitlines():
+                lines += [blank, comment_line, line.replace(" ", space) + trailing]
+            return newline.join(lines) + newline
+
+        clean_net, clean_cnf = serialize_network(net), serialize_cnf(phi, n_vars=net.n)
+        assert parse_network(messy(clean_net, comment, space + comment)) == parse_network(clean_net)
+        cnf_comment = "c " + comment.lstrip("#") if comment else ""
+        assert parse_dimacs(messy(clean_cnf, cnf_comment, space)) == parse_dimacs(clean_cnf)

@@ -21,6 +21,7 @@ from cnfbelief import (
     extract_clauses,
     parse_network,
     run_trace,
+    serialize_network,
 )
 from cnfbelief.engine import EngineConfig, RunStats, _Run
 from cnfbelief.model import EVIDENCE, QUERY
@@ -42,6 +43,25 @@ class TestLiteral:
         assert not Literal(2, True).satisfied_by(0)
         assert Literal(2, False).satisfied_by(0)
 
+    def test_tuple_semantics(self):
+        # a Literal is the tuple (var, positive): clause sets, sorting
+        # and unpacking rely on it
+        lit = Literal(1, True)
+        assert lit == Literal(1, True) == (1, True)
+        assert hash(lit) == hash(Literal(1, True)) == hash((1, True))
+        assert lit != Literal(1, False) and lit != Literal(2, True)
+        assert len({lit, Literal(1, True), Literal(1, False)}) == 2
+        assert sorted([Literal(2, False), Literal(1, True), Literal(2, True),
+                       Literal(1, False)]) == [Literal(1, False), Literal(1, True),
+                                               Literal(2, False), Literal(2, True)]
+        var, positive = lit
+        assert (var, positive) == (lit.var, lit.positive) == (1, True)
+        assert Literal(3).positive is True
+        assert repr(lit) == "Literal(var=1, positive=True)"
+        with pytest.raises(AttributeError):
+            lit.var = 2
+        assert Literal.from_signed(lit.signed()) == lit
+
 
 class TestClause:
     def test_duplicate_literals_collapse(self):
@@ -49,8 +69,10 @@ class TestClause:
         assert len(c.sorted_literals()) == 2
 
     def test_tautology_rejected(self):
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="^tautological clause on variable 0$"):
             Clause([Literal(0, True), Literal(0, False)])
+        with pytest.raises(ModelError, match="^tautological clause on variable 4$"):
+            Clause([Literal(1, True), Literal(4, False), Literal(4, True)])
 
     def test_unit_detection(self):
         c = clause(-3)
@@ -128,6 +150,20 @@ class TestCnfFormula:
 
 
 class TestCpt:
+    def test_tuple_semantics(self, pos_net):
+        cpt = Cpt(1, (0,), (0.2, 0.9))
+        assert cpt == Cpt(1, (0,), (0.2, 0.9)) == (1, (0,), (0.2, 0.9))
+        assert cpt != Cpt(1, (0,), (0.2, 0.8))
+        assert hash(cpt) == hash(Cpt(1, (0,), (0.2, 0.9)))
+        child, parents, table = cpt
+        assert (child, parents, table) == (cpt.child, cpt.parents, cpt.table)
+        assert repr(cpt) == "Cpt(child=1, parents=(0,), table=(0.2, 0.9))"
+        with pytest.raises(AttributeError):
+            cpt.table = (0.5, 0.5)
+        # a parsed copy of a network is equal to it, CPT by CPT
+        copy = parse_network(serialize_network(pos_net))
+        assert copy == pos_net and copy.cpts == pos_net.cpts
+
     def test_row_index_first_parent_most_significant(self):
         [f] = cpt_factors([Cpt(5, (2, 0), (0.1, 0.2, 0.3, 0.4))])
         assert f.scope == (2, 0, 5)
@@ -186,6 +222,18 @@ class TestValidateNetwork:
     def test_duplicate_parents_rejected(self):
         with pytest.raises(ModelError, match="duplicate parents for variable 1"):
             BeliefNetwork(2, (Cpt(0, (), (0.5,)), Cpt(1, (0, 0), (0.5,) * 4)))
+
+    @pytest.mark.parametrize("cpts, message", [
+        ((Cpt(0, (1, 1), (0.5,) * 4), Cpt(0, (), (0.5,))), "duplicate parents for variable 0"),
+        ((Cpt(0, (), (0.5, 0.5)), Cpt(1, (3,), (0.5, 0.5))),
+         "variable 0: table has 2 rows, expected 1"),
+    ])
+    def test_the_first_faulty_cpt_in_index_order_is_reported(self, cpts, message):
+        # each CPT is checked whole before the next: cpts[1]'s fault
+        # (wrong child, parent out of range) comes after cpts[0]'s
+        with pytest.raises(ModelError) as exc:
+            BeliefNetwork(len(cpts), cpts)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("cpts, message", [
         ((Cpt(0, (), (1.5,)),), "variable 0: probability 1.5 out of [0, 1]"),
