@@ -189,7 +189,7 @@ class BeliefNetwork:
         for i, (child, parents, table) in enumerate(self.cpts):
             if child != i:
                 raise ModelError(f"cpts[{i}] has child {child}")
-            if len(set(parents)) != len(parents):
+            if len(parents) > 1 and len(set(parents)) != len(parents):
                 raise ModelError(f"duplicate parents for variable {child}")
             for p in parents:
                 if not 0 <= p < n:
