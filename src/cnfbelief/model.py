@@ -12,9 +12,9 @@ Conventions shared by every module in this package:
   (1,1) over (p1, p2).  A ``Factor`` stores its values as a numpy array
   of shape ``(2,) * len(scope)``, which reshapes to and from the flat
   lexicographic layout in C order.
-* ``Literal`` and ``Cpt`` are ``NamedTuple``s, so every input builds,
-  hashes and sorts them in C: they unpack (``var, positive = lit``) and
-  compare equal to plain tuples of their fields.
+* ``Literal`` and ``Cpt`` are ``NamedTuple``s, which hash, compare and
+  sort in C: they unpack (``var, positive = lit``) and compare equal to
+  plain tuples of their fields.
 * A ``BeliefNetwork`` is a valid DAG model once built: its constructor
   raises ModelError otherwise, so no later code checks it again.
 """
