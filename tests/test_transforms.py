@@ -645,6 +645,9 @@ def test_public_variable_lists_are_refused_outside_the_network(function, where):
     v = -1 if where == "low" else net.n
     with pytest.raises(ModelError, match=f"^variable {v} outside the network$"):
         function(net, [0, v])
+
+
+class TestCertifiedTag:
     """A caller's clause tagged extracted is exempt from gating sums only
     when one CPT makes it certain; otherwise it runs as a query clause."""
 
