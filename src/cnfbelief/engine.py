@@ -51,19 +51,21 @@ maintained so that anything routed after an observation is reduced
 (clauses, ``_Run._reduce``) or restricted (factors, ``_Run._restrict``)
 on the way, which keeps items out of already-processed buckets.
 
-The final probability is the product of the scalar factors that fall
-out of the bottom of the pass; its logarithm is also kept as the sum of
-their logs, which does not underflow.  A falsified clause, the empty
-clause given or derived included, short-circuits the run to probability 0.
+The run's log probability is the sum of the logs of the scalar factors
+that fall out of the bottom of the pass, which does not underflow, and
+the probability is its exp.  A falsified clause, the empty clause given
+or derived included, short-circuits the run to probability 0.
 
 A run given a query variable answers belief in the same pass (elim-bel;
 Dechter, "Bucket elimination: a unifying framework for reasoning", AIJ
 1999): the variable is pinned first and the greedy orders the rest
 around it, so its bucket comes last and is left unsummed.  Every
 factor left there is over the variable alone, and log P(phi, var = x)
-is the scalars' log plus the sum of their logs at x.
-``transforms`` usually gives such a run only the variable's requisite
-part, so those logs are then off by a constant that normalizing cancels.
+is the scalars' log plus the sum of their logs at x.  A unit on the
+variable makes its bucket observed instead, and the joint is the
+scalars' log at the unit's value.  ``transforms`` usually gives such
+a run only the variable's requisite part, so those logs are then off
+by a constant that normalizing cancels.
 """
 
 from __future__ import annotations
@@ -169,15 +171,15 @@ class RunStats:
     run actually processed, when the run completed.  log_result is the
     natural log of the probability, summed from the scalar factors so
     that it stays finite where result underflows to 0; it is -inf when
-    the probability is exactly 0.  log_joint, for a belief run, is
-    (log P(phi, var=0), log P(phi, var=1)) over the CPTs and clauses
-    the engine was given (for a var that propagation forces, log_result
-    at its value and -inf at the other), both -inf when that P(phi) =
-    0; result and log_result are then their sum.  trace is the ordered
-    log of bucket actions (empty for the brute-force path).  forced
-    counts the literals that unit propagation fixes before elimination
-    on cpe-d runs and on belief runs, along any ordering (see
-    ``transforms._propagate``; 0 on every other run).  mf, C, U, O, the
+    the probability is exactly 0; result is exp(log_result) on every
+    run but brute's.  log_joint, for a belief run, is (log P(phi,
+    var=0), log P(phi, var=1)) over the CPTs and clauses the engine was
+    given, both -inf when that P(phi) = 0; log_result is then the log
+    of their sum.  trace is the ordered log of bucket actions (empty
+    for the brute-force path).  forced counts the literals that unit
+    propagation fixes before elimination on cpe-d runs and on belief
+    runs, along any ordering (see ``transforms._propagate``; 0 on
+    every other run).  mf, C, U, O, the
     widths, entries_static and trace then describe the engine's run on
     the part propagation leaves.  A run that propagation answers 0 (a
     conflict, or a forced CPT entry of 0) builds no graph: its mf, C, U,
@@ -562,7 +564,6 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
         failed = True
     stats.elapsed = perf_counter() - t0
     stats.trace = run.trace
-    stats.result = 0.0 if failed else math.prod(run.scalars, start=1.0)
     if not failed:
         stats.log_result = math.fsum(map(_log, run.scalars))
         # each processed bucket left exactly one trace entry
@@ -573,6 +574,6 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
         top = max(stats.log_joint)
         stats.log_result = top if top == -math.inf else (
             top + math.log(sum(math.exp(x - top) for x in stats.log_joint)))
-        stats.result = math.exp(stats.log_result)
+    stats.result = math.exp(stats.log_result)
     return stats.result, stats, run.trace
 

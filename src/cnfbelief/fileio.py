@@ -159,7 +159,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         if lead == "p":
             if declared is not None:
                 raise _fail(lineno, "duplicate problem line")
-            if len(fields) != 4 or fields[1] != "cnf":
+            if len(fields) != 4 or fields[:2] != ["p", "cnf"]:
                 raise _fail(lineno, "expected: p cnf <vars> <clauses>")
             if not all(f.isascii() and f.isdigit() for f in fields[2:]):
                 raise _fail(lineno, "problem line counts must be integers >= 0")

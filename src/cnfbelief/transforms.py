@@ -243,14 +243,15 @@ def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int,
                ) -> Optional[tuple[tuple[int, ...], CnfFormula]]:
     """The part of ``_propagate``'s residual (the CPTs of ``variables``,
     ascending, and the clauses ``residual``, given the forced literals
-    ``sigma``, var not among them) that P(var | phi) needs: (variables
-    whose CPTs load, the clauses to pass), or None when all must run.
+    ``sigma``) that P(var | phi) needs: (variables whose CPTs load, the
+    clauses to pass), or None when all must run.
 
     On the augmented graph of the residual, var's component C among the
     unforced vertices is all that P(phi, var = x) depends on: every
     other factor is a constant that normalizing cancels (Shachter 1998;
     Lin and Druzdzel 1997).  The CPTs of C and of its children load and
-    the clauses over C pass.  That constant must be nonzero, or the
+    the clauses over C pass; a var that sigma forces has C empty, so
+    only its own unit runs.  That constant must be nonzero, or the
     answer would not be None when P(phi) = 0, so the cut needs a
     witness that it is: every dropped CPT strictly inside (0, 1), and a
     greedy assignment satisfying the dropped clauses.  A family that
@@ -258,7 +259,8 @@ def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int,
     """
     # every clause a clique, extracted or not; its literals are all unforced
     graph = augmented_graph(net, CnfFormula(residual.clauses), variables)
-    component, stack = {var}, [var]
+    component = {var}.difference(sigma)
+    stack = list(component)
     while stack:
         for u in graph[stack.pop()]:
             if u not in component and u not in sigma:
@@ -378,10 +380,9 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
     belief propagate units first (``_propagate``): a conflict or a forced
     entry of 0 answers 0 with no engine run, and the engine runs on the
     residual, given as evidence units the forced variables its CPTs
-    mention, sorted.  Belief eliminates var last on its requisite part
-    (``_requisite``) or the whole residual, filling
-    ``stats.log_joint``; a var that propagation forces gets one
-    unpinned run of the whole residual instead.
+    mention, and var when forced, sorted.  Belief eliminates var last on
+    its requisite part (``_requisite``) or the whole residual, filling
+    ``stats.log_joint``.
     """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
@@ -403,25 +404,21 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
         answered.forced = len(sigma)
         if constant == -math.inf:
             return answered
-        if var is not None and var not in sigma:
+        if var is not None:
             kept, phi = _requisite(net, sigma, kept, phi, var) or (kept, phi)
-        mentioned = sorted({u for v in kept for u in net.family(v) if u in sigma})
+        mentioned = sorted({u for v in kept for u in net.family(v) if u in sigma}
+                           | ({var} & sigma.keys()))
         phi = CnfFormula([Clause([Literal(u, sigma[u])]) for u in mentioned],
                          (EVIDENCE,) * len(mentioned)).conjoin(phi)
-    query = None if propagates and var in sigma else var
     if alg == "hidden":
         net, evidence = hidden_embed(net, phi)
         kept += tuple(lit.var for lit in evidence)
         phi = CnfFormula([Clause([lit]) for lit in evidence], (EVIDENCE,) * len(evidence))
-    stats = _execute(net, kept, phi, ordering, cfg, query)[1]
+    stats = _execute(net, kept, phi, ordering, cfg, var)[1]
     stats.extracted, stats.forced = answered.extracted, answered.forced
-    if propagates:
-        if var is None:
-            stats.log_result += constant
-            stats.result = math.exp(stats.log_result)
-        elif query is None:  # var forced: the joint is the run's at var's value
-            stats.log_joint = tuple(stats.log_result if sigma[var] == x else -math.inf
-                                    for x in (False, True))
+    if propagates and var is None:
+        stats.log_result += constant
+        stats.result = math.exp(stats.log_result)
     return stats
 
 
@@ -445,11 +442,10 @@ def belief_given_cnf(net: BeliefNetwork, phi: CnfFormula, var: int,
     """P(var = 0 | phi), P(var = 1 | phi), or None when P(phi) = 0.
 
     cpe, cpe-d and hidden take ``_pruned_run``'s pre-pass: a conflict
-    answers None with no engine run, a var that propagation forces has
-    the point mass at its value unless the residual's run finds
-    P(phi) = 0, and any other var is eliminated last in one run
-    (elim-bel; Dechter 1999), on its requisite part when ``_requisite``
-    finds one.  brute calls the oracle once per value of var, with var
+    answers None with no engine run, and otherwise var is eliminated
+    last in one run (elim-bel; Dechter 1999), on its requisite part
+    when ``_requisite`` finds one, its bucket observed when propagation
+    forces it.  brute calls the oracle once per value of var, with var
     as a unit, so either path refuses a var outside the network where it
     refuses a clause variable (``_ancestral``, ``brute_force_cpe``).
     Normalizes in the log domain, so the answer stays defined where

@@ -202,6 +202,14 @@ class TestParseDimacs:
         with pytest.raises(ParseError):
             parse_dimacs("p cnf two 1\n1 0\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("pxx cnf 2 1\n1 0\n", 1),
+        ("c first token p\npcnf cnf 2 1\n1 0\n", 2),
+    ])
+    def test_problem_line_first_token_must_be_p(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}: expected: p cnf <vars> <clauses>"):
+            parse_dimacs(text)
+
     def test_literal_out_of_range(self):
         with pytest.raises(ParseError, match="exceeds"):
             parse_dimacs("p cnf 2 1\n3 0\n")

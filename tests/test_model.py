@@ -362,6 +362,17 @@ class TestFactor:
             Factor((0, 1), np.zeros((2,)))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: CnfFormula([clause(1)], ["guess"]), "^unknown provenance tag 'guess'$"),
+    (lambda: clause(1, 2).unit_literal(), "^clause is not unit$"),
+    (lambda: Factor((0, 0), np.zeros((2, 2))), r"^factor scope \(0, 0\) repeats a variable$"),
+    (lambda: Factor((0,), np.zeros(2)).scalar(), "^factor is not a scalar$"),
+], ids=["provenance-tag", "unit-literal", "factor-scope", "scalar"])
+def test_model_refusals(make, message):
+    with pytest.raises(ModelError, match=message):
+        make()
+
+
 def test_close_enough_tolerances():
     assert close_enough(1.0, 1.0 + 1e-13)
     assert not close_enough(1.0, 1.001)

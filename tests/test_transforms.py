@@ -426,6 +426,24 @@ class TestEvaluate:
         assert prob == 0.0 and trace == [] and stats.width_posthoc is None
         assert stats.extracted == len(set(c for c, tag in phi.items() if tag == EXTRACTED)) == 10
 
+    def test_result_is_the_exp_of_log_result(self, net2):
+        # the golden set's instances, plus two answered 0 before any engine
+        # run: the empty clause, and a conflict that propagation finds
+        cases = [(net2, CnfFormula([clause(1), Clause([])])),
+                 (net2, formula(clause(1), clause(-1, 2), clause(-2)))]
+        for k in range(60):
+            net = gen_network(6 + k % 30, 2 + k % 3, (0, .5, .9)[k % 3], 3000 + k)
+            cases.append((net, gen_query(net, c=k % 7, e=k % 5, seed=4000 + k)))
+        for k, (net, phi) in enumerate(cases):
+            for cfg in GOLDEN_CONFIGS:
+                for alg in ("cpe", "cpe-d", "hidden"):
+                    for stats in (evaluate(net, phi, alg, cfg)[1],
+                                  transforms._pruned_run(net, phi, alg, cfg, var=k % net.n)):
+                        assert stats.result == math.exp(stats.log_result), (k, cfg, alg)
+        # cpe-d answers the conflict in propagation: no graph and no trace
+        stats = evaluate(net2, cases[1][1], "cpe-d")[1]
+        assert stats.width_static == 0 and stats.trace == [] and stats.result == 0.0
+
     def test_ordering_refused_where_it_cannot_apply(self, net2, d1):
         ordering = Ordering((0, 1))
         for alg in ("hidden", "brute"):
@@ -797,34 +815,27 @@ class TestBeliefInOnePass:
                 outcomes.add("answered")
                 continue
             assert len(runs) == 1 and len(orders) == 1, k
-            # one greedy pass: the units last, and the greedy's choices
-            # before them
+            # one greedy pass: the query pinned first, the units last, and
+            # the greedy's choices between them
             graph, tail, first, ordering = orders[0]
+            assert first == var and ordering.order[0] == var, k
             assert ordering.order[len(graph) - len(tail):] == tail, k
+            _, stats, trace = runs[0]
+            assert trace == stats.trace, k
+            mine = [i for i, e in enumerate(trace) if e.bucket == var]
             if var in sigma:
-                # one run of the whole residual, var not pinned: the point
-                # mass at var's forced value unless that run finds P(phi) = 0
-                assert first is None, k
-                _, stats, _ = runs[0]
+                # var's own unit observes its bucket: the point mass at its
+                # forced value unless the run finds P(phi) = 0
+                assert [trace[i].action for i in mine] == ["observe"], k
                 assert dist == ((0.0, 1.0) if sigma[var] else (1.0, 0.0)) or (
-                    dist is None and stats.log_result == -math.inf), k
+                    dist is None and max(stats.log_joint) == -math.inf), k
                 outcomes.add("forced")
-                # the engine given var pinned anyway observes its bucket
-                kept = transforms._ancestral(net, phi, var)
-                _, pinned, trace = execute(net, kept, phi, None, None, var)
-                assert [e.action for e in trace if e.bucket == var] == ["observe"], k
-                assert (dist is None) == (max(pinned.log_joint) == -math.inf), k
                 actions.add("observe")
                 continue
-            # the query pinned first
-            assert first == var and ordering.order[0] == var, k
             assert len(tail) + 1 < len(graph), k
             outcomes.add("pinned")
             if dist is None:
                 continue  # a contradiction may stop the run before var's bucket
-            _, stats, trace = runs[0]
-            assert trace == stats.trace, k
-            mine = [i for i, e in enumerate(trace) if e.bucket == var]
             assert len(mine) == 1, k
             entry = trace[mine[0]]
             assert mine[0] == len(trace) - 1 or entry.action == "observe", k
