@@ -2,7 +2,6 @@
 networks, via bucket elimination with integrated clause propagation."""
 
 from .engine import (
-    ContradictionError,
     EngineConfig,
     ResourceLimitError,
     RunStats,

@@ -6,7 +6,7 @@ variables it is given, in the network's own variable numbers.  A
 parent or clause variable outside them (belief's observed boundary
 variables, or the variables unit propagation fixed) is a vertex of the
 graph and the ordering with no CPT of its own.  Its one caller is
-``transforms._pruned_run``, so every evaluator ends in it.
+``transforms._pruned_run``, so every engine algorithm ends in it.
 Those CPTs and all clauses are partitioned into buckets along an
 elimination ordering (each item goes to the bucket of its
 latest-ordered variable) and the buckets are processed last-to-first.
@@ -145,7 +145,7 @@ class RunStats:
     elapsed (``time_s``) is the wall time of loading the factors and
     clauses plus the elimination pass; ancestral pruning, extraction,
     unit propagation, graph building, ordering and width_posthoc are
-    outside it (brute times its enumeration).  mf is
+    outside it (brute times its enumerations).  mf is
     the largest arity of any factor the run materialized (restricted
     tables and summation results; the input CPTs do not count).
     derived_clauses / derived_units count clauses produced by unit and
@@ -175,16 +175,16 @@ class RunStats:
     run but brute's.  log_joint, for a belief run, is (log P(phi,
     var=0), log P(phi, var=1)) over the CPTs and clauses the engine was
     given, both -inf when that P(phi) = 0; log_result is then the log
-    of their sum.  trace is the ordered log of bucket actions (empty
-    for the brute-force path).  forced counts the literals that unit
+    of their sum, except that brute's belief run sets only log_joint
+    and elapsed.  trace is the ordered log of bucket actions (empty for
+    the brute-force path).  forced counts the literals that unit
     propagation fixes before elimination on cpe-d runs and on belief
-    runs, along any ordering (see ``transforms._propagate``; 0 on
-    every other run).  mf, C, U, O, the
-    widths, entries_static and trace then describe the engine's run on
-    the part propagation leaves.  A run that propagation answers 0 (a
-    conflict, or a forced CPT entry of 0) builds no graph: its mf, C, U,
-    O, width_static and entries_static are 0, width_posthoc is None and
-    its trace is empty.  So is a run of an input holding the empty
+    runs, along any ordering (see ``transforms._propagate``; 0 on every
+    other run).  mf, C, U, O, the widths, entries_static and trace then
+    describe the engine's run on the part propagation leaves.  A run
+    that propagation answers 0 (a conflict, or a forced CPT entry of 0)
+    builds no graph: its mf, C, U, O, width_static and entries_static
+    are 0, width_posthoc is None and its trace is empty.  So is a run of an input holding the empty
     clause, answered 0 before anything is read, with F and forced 0.
     as_dict() leaves out log_result, entries_static, forced, log_joint
     and trace.

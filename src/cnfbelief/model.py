@@ -55,12 +55,6 @@ class Literal(NamedTuple):
         var, positive = self
         return var + 1 if positive else -(var + 1)
 
-    @classmethod
-    def from_signed(cls, code: int) -> "Literal":
-        if code == 0:
-            raise ModelError("literal code 0 is reserved")
-        return cls(abs(code) - 1, code > 0)
-
 
 @dataclass(frozen=True)
 class Clause:
@@ -170,9 +164,10 @@ class BeliefNetwork:
     nothing in this package sets or reads it.
 
     Construction raises ModelError unless the network is well formed:
-    n CPTs with ``cpts[i].child == i``, distinct parents in 0..n-1 other
-    than the child, ``2**len(parents)`` table rows, every entry in
-    [0, 1] (NaN refused), and no directed cycle.  The CPTs are checked
+    a tuple of n CPTs with ``cpts[i].child == i``, parents and table
+    tuples, distinct parents in 0..n-1 other than the child,
+    ``2**len(parents)`` table rows, every entry in [0, 1] (NaN
+    refused), and no directed cycle.  The CPTs are checked
     in index order and the first faulty one is reported; a cycle is
     reported only when every CPT passes.
     """
@@ -183,12 +178,16 @@ class BeliefNetwork:
 
     def __post_init__(self):
         n = self.n
+        if not isinstance(self.cpts, tuple):
+            raise ModelError(f"cpts must be a tuple, got {type(self.cpts).__name__}")
         if len(self.cpts) != n:
             raise ModelError(f"expected {n} CPTs, got {len(self.cpts)}")
         children: list[list[int]] = [[] for _ in range(n)]
         for i, (child, parents, table) in enumerate(self.cpts):
             if child != i:
                 raise ModelError(f"cpts[{i}] has child {child}")
+            if not (isinstance(parents, tuple) and isinstance(table, tuple)):
+                raise ModelError(f"variable {child}: parents and table must be tuples")
             if len(parents) > 1 and len(set(parents)) != len(parents):
                 raise ModelError(f"duplicate parents for variable {child}")
             for p in parents:

@@ -8,11 +8,11 @@
   per CPT is building its clauses.
 * hidden_embed: the baseline that compiles each query clause into an
   evidence-fixed hidden variable for plain elimination.
-* evaluate: the front door; cpe, cpe-d (phi plus the extracted clauses,
-  for propagation only) and hidden run on the CPTs of the query's
-  ancestral variables, in the caller's variable numbers, through
-  ``_pruned_run``, the one dispatch to the engine.  elim_cpe,
-  run_trace, elim_cpe_d and elim_hidden are calls of it.
+* evaluate: the front door, through ``_pruned_run``, the one dispatch
+  on the algorithm: cpe, cpe-d (phi plus the extracted clauses, for
+  propagation only) and hidden run on the CPTs of the query's ancestral
+  variables, in the caller's numbers, and brute enumerates the network.
+  elim_cpe, run_trace, elim_cpe_d and elim_hidden are calls of it.
 * _propagate: the one pre-pass, for cpe-d and for belief under every
   algorithm, along the default or a given ordering.  Unit propagation
   over phi (and cpe-d's extracted clauses) answers a conflict with 0,
@@ -20,16 +20,17 @@
   leaves the other CPTs and the clauses it does not satisfy,
   shortened; the engine gets those with the unit of each forced
   variable the CPTs it loads mention.
-* belief_given_cnf: P(var | phi) from one ``_pruned_run`` after the
-  same pre-pass: var is eliminated last on its requisite part of the
-  residual (``_requisite``) when a witness shows the dropped part
-  positive, and on the whole residual otherwise.
+* belief_given_cnf: P(var | phi) from one ``_pruned_run``; the engine
+  algorithms take the same pre-pass, and var is eliminated last on its
+  requisite part of the residual (``_requisite``) when a witness shows
+  the dropped part positive, and on the whole residual otherwise.
 * conditional_cnf_probability: P(phi | psi) from two evaluations.
 """
 
 from __future__ import annotations
 
 import math
+from time import perf_counter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -206,7 +207,7 @@ def _ancestral(net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None
 def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
              cfg: EngineConfig | None = None, ordering=None) -> tuple[float, RunStats]:
     """Uniform front door over the evaluators; ``alg`` is one of
-    ALGORITHMS.
+    ALGORITHMS: (P(phi), stats) from one ``_pruned_run``.
 
     cpe, cpe-d and hidden run on the CPTs of phi's variables and their
     ancestors (``_ancestral``), so mf, C, U, F, O and the widths
@@ -218,22 +219,8 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
     variables their engine run keeps; the other algorithms raise
     ValueError when given one.
     The brute-force path enumerates the whole network and reports only
-    result and time.
+    result, log_result and time.
     """
-    if ordering is not None:
-        if alg in ("hidden", "brute"):
-            raise ValueError(f"algorithm {alg!r} takes no ordering; only cpe and cpe-d do")
-        ordering = check_ordering(ordering, net.n)
-    if alg == "brute":
-        from time import perf_counter
-
-        stats = RunStats()
-        t0 = perf_counter()
-        stats.result = brute_force_cpe(net, phi)
-        stats.elapsed = perf_counter() - t0
-        if stats.result > 0.0:
-            stats.log_result = math.log(stats.result)
-        return stats.result, stats
     stats = _pruned_run(net, phi, alg, cfg, ordering)
     return stats.result, stats
 
@@ -369,7 +356,11 @@ def _certified(net: BeliefNetwork, clause: Clause) -> bool:
 
 def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig | None,
                 ordering: Ordering | None = None, var: Optional[int] = None) -> RunStats:
-    """One engine run of cpe, cpe-d or hidden over the CPTs of phi's
+    """The one dispatch on ``alg`` (checked first, then ``evaluate``'s
+    ordering rule): the stats of P(phi), or with ``var`` of P(var | phi),
+    whose ``log_joint`` belief normalizes.  brute enumerates the whole
+    network (``brute_force_cpe``), with var once per value, as a unit.
+    cpe, cpe-d and hidden make one engine run over the CPTs of phi's
     (and ``var``'s) ancestral variables, cpe-d's with their extracted
     clauses, whose distinct ones ``stats.extracted`` counts; the empty
     clause answers 0 before anything is read.  A caller's clause of two
@@ -386,6 +377,20 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
     """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
+    if ordering is not None:
+        if alg in ("hidden", "brute"):
+            raise ValueError(f"algorithm {alg!r} takes no ordering; only cpe and cpe-d do")
+        ordering = check_ordering(ordering, net.n)
+    if alg == "brute":
+        stats, t0 = RunStats(), perf_counter()
+        if var is None:
+            stats.result = brute_force_cpe(net, phi)
+            stats.log_result = _log(stats.result)
+        else:
+            stats.log_joint = tuple(_log(brute_force_cpe(net, phi.conjoin(
+                CnfFormula([Clause([Literal(var, value)])])))) for value in (False, True))
+        stats.elapsed = perf_counter() - t0
+        return stats
     kept = _ancestral(net, phi, var)
     answered = RunStats(width_static=0, entries_static=0,
                         log_joint=None if var is None else (-math.inf, -math.inf))
@@ -441,21 +446,17 @@ def belief_given_cnf(net: BeliefNetwork, phi: CnfFormula, var: int,
                      ) -> Optional[tuple[float, float]]:
     """P(var = 0 | phi), P(var = 1 | phi), or None when P(phi) = 0.
 
-    cpe, cpe-d and hidden take ``_pruned_run``'s pre-pass: a conflict
-    answers None with no engine run, and otherwise var is eliminated
-    last in one run (elim-bel; Dechter 1999), on its requisite part
-    when ``_requisite`` finds one, its bucket observed when propagation
-    forces it.  brute calls the oracle once per value of var, with var
-    as a unit, so either path refuses a var outside the network where it
-    refuses a clause variable (``_ancestral``, ``brute_force_cpe``).
-    Normalizes in the log domain, so the answer stays defined where
-    both joint probabilities underflow.
+    Normalizes the ``log_joint`` of one ``_pruned_run`` in the log
+    domain, so the answer stays defined where both joints underflow.
+    cpe, cpe-d and hidden take its pre-pass: a conflict answers None
+    with no engine run, and otherwise var is eliminated last in one run
+    (elim-bel; Dechter 1999), on its requisite part when ``_requisite``
+    finds one, its bucket observed when propagation forces it.  brute
+    calls the oracle once per value of var, with var as a unit, so every
+    path refuses a var outside the network where it refuses a clause
+    variable (``_ancestral``, ``brute_force_cpe``).
     """
-    if alg == "brute":
-        logs = [evaluate(net, phi.conjoin(CnfFormula([Clause([Literal(var, value == 1)])])),
-                         "brute")[1].log_result for value in (0, 1)]
-    else:
-        logs = _pruned_run(net, phi, alg, cfg, var=var).log_joint
+    logs = _pruned_run(net, phi, alg, cfg, var=var).log_joint
     top = max(logs)
     if top == -math.inf:
         return None

@@ -24,7 +24,7 @@ def pytest_terminal_summary(terminalreporter):
 
 def clause(*codes: int) -> Clause:
     """Clause from signed 1-based literal codes, DIMACS style."""
-    return Clause(Literal.from_signed(k) for k in codes)
+    return Clause(Literal(abs(k) - 1, k > 0) for k in codes)
 
 
 def formula(*clauses_: Clause) -> CnfFormula:

@@ -30,13 +30,10 @@ from conftest import clause, formula
 
 
 class TestLiteral:
-    def test_signed_round_trip(self):
-        for code in (1, -1, 7, -12):
-            assert Literal.from_signed(code).signed() == code
-
-    def test_from_signed_rejects_zero(self):
-        with pytest.raises(ModelError):
-            Literal.from_signed(0)
+    def test_signed_codes(self):
+        # DIMACS codes: 1-based, negative for a negated literal
+        literals = (Literal(0), Literal(0, False), Literal(6), Literal(11, False))
+        assert [lit.signed() for lit in literals] == [1, -1, 7, -12]
 
     def test_satisfied_by(self):
         assert Literal(2, True).satisfied_by(1)
@@ -60,7 +57,7 @@ class TestLiteral:
         assert repr(lit) == "Literal(var=1, positive=True)"
         with pytest.raises(AttributeError):
             lit.var = 2
-        assert Literal.from_signed(lit.signed()) == lit
+        assert lit.signed() == 2
 
 
 class TestClause:
@@ -242,11 +239,19 @@ class TestValidateNetwork:
         ((Cpt(0, (), (0.5,)), Cpt(1, (-1,), (0.5, 0.5))), "parent -1 of 1 out of range"),
         ((Cpt(0, (), (0.5,)), Cpt(1, (0,), (0.2,))),
          "variable 1: table has 1 rows, expected 2"),
-    ], ids=["prior-1.5", "prior-nan", "cycle", "parent-minus-1", "short-table"])
+        ((Cpt(0, (), (0.5,)), Cpt(1, [0], (0.25, 0.75))),
+         "variable 1: parents and table must be tuples"),
+        ((Cpt(0, (), (0.5,)), Cpt(1, (0,), [0.25, 0.75])),
+         "variable 1: parents and table must be tuples"),
+        ([Cpt(0, (), (0.5,))], "cpts must be a tuple, got list"),
+    ], ids=["prior-1.5", "prior-nan", "cycle", "parent-minus-1", "short-table",
+            "list-parents", "list-table", "list-cpts"])
     def test_networks_the_evaluators_would_misread_are_refused(self, cpts, message):
         # unchecked, each reaches the evaluators: P(A=1) = 1.5 gives
         # answers above 1, a cycle gets an answer, a parent of -1 gets
-        # different answers from cpe and brute, a short table an IndexError
+        # different answers from cpe and brute, a short table an
+        # IndexError, list parents a TypeError in cpe, cpe-d and hidden
+        # (brute answers), and a list anywhere a mutable, unhashable network
         with pytest.raises(ModelError) as exc:
             BeliefNetwork(len(cpts), cpts)
         assert str(exc.value) == message

@@ -397,6 +397,33 @@ class TestEvaluate:
     def test_unknown_algorithm(self, net2):
         with pytest.raises(ValueError):
             evaluate(net2, CnfFormula([]), "magic")
+        # refused before its ordering is checked
+        with pytest.raises(ValueError, match="^unknown algorithm 'magic'"):
+            evaluate(net2, CnfFormula([]), "magic", ordering=(0,))
+
+    def test_every_entry_point_dispatches_once(self, pos_net, monkeypatch):
+        # _pruned_run is the one branch on the algorithm, brute included
+        real, algs = transforms._pruned_run, []
+
+        def counted(net, phi, alg, *args, **kwargs):
+            algs.append(alg)
+            return real(net, phi, alg, *args, **kwargs)
+
+        monkeypatch.setattr(transforms, "_pruned_run", counted)
+        phi, psi = formula(clause(2, 3)), formula(clause(-6))
+        for alg in ALGORITHMS:
+            for call, calls in ((lambda: evaluate(pos_net, phi, alg), 1),
+                                (lambda: belief_given_cnf(pos_net, phi, D, alg), 1),
+                                (lambda: conditional_cnf_probability(pos_net, phi, psi, alg), 2)):
+                algs.clear()
+                call()
+                assert algs == [alg] * calls
+        # brute's belief joint is the two oracle logs, exactly
+        assert real(pos_net, phi, "brute", None, var=D).log_joint == tuple(
+            math.log(brute_force_cpe(pos_net, phi.conjoin(formula(clause(sign * (D + 1))))))
+            for sign in (-1, 1))
+        with pytest.raises(ModelError, match="^variable 6 outside the network$"):
+            belief_given_cnf(pos_net, phi, 6, "brute")
 
     def test_stats_carry_the_trace(self, hyb_net, query_not_g, d1):
         cfg = EngineConfig(i_bound=2)
@@ -1263,3 +1290,37 @@ class TestUnderflow:
         phi = formula(clause(free + 1))
         assert close_enough(conditional_cnf_probability(net, phi, psi),
                             net.cpts[free].table[0])
+
+    @pytest.mark.parametrize("k", [1100, pytest.param(1500, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: a table passed along the chain underflows"))])
+    @pytest.mark.parametrize("alg", ["cpe", "cpe-d", "hidden"])
+    @pytest.mark.parametrize("entry", ["evaluate", "belief"])
+    def test_comb_matches_its_closed_form(self, entry, alg, k):
+        # a hidden chain h_i = 2i, P(h_0=1) = 0.5, P(h_i=1 | h_{i-1}) =
+        # (0.2, 0.8), each with an observed leaf o_i = 2i+1 at 1,
+        # P(o_i=1 | h_i) = (0.4, 0.6); propagation fixes no family, so
+        # the engine carries the whole chain in its tables
+        cpts = []
+        for h in range(0, 2 * k, 2):
+            cpts += [Cpt(h, (h - 2,), (0.2, 0.8)) if h else Cpt(h, (), (0.5,)),
+                     Cpt(h + 1, (h,), (0.4, 0.6))]
+        net = BeliefNetwork(2 * k, tuple(cpts))
+        phi = CnfFormula([clause(o) for o in range(2, 2 * k + 1, 2)])
+        # the backward pass beta_i(h) = P(o_i..o_{k-1} | h_i = h), rescaled
+        # to a maximum of 1 at each step, its log scale kept aside
+        emit, step = (0.4, 0.6), ((0.8, 0.2), (0.2, 0.8))
+        beta, log_scale = list(emit), 0.0
+        for _ in range(k - 1):
+            beta = [emit[h] * (step[h][0] * beta[0] + step[h][1] * beta[1]) for h in (0, 1)]
+            top = max(beta)
+            log_scale += math.log(top)
+            beta = [b / top for b in beta]
+        joint = [0.5 * b for b in beta]
+        if entry == "evaluate":
+            log_p = evaluate(net, phi, alg)[1].log_result
+            assert math.isclose(log_p, log_scale + math.log(sum(joint)), rel_tol=1e-12)
+        else:
+            dist = belief_given_cnf(net, phi, 0, alg)
+            assert dist is not None
+            assert close_enough(dist[0], joint[0] / sum(joint))
+            assert close_enough(dist[1], joint[1] / sum(joint))
