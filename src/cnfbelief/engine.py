@@ -62,10 +62,10 @@ Dechter, "Bucket elimination: a unifying framework for reasoning", AIJ
 around it, so its bucket comes last and is left unsummed.  Every
 factor left there is over the variable alone, and log P(phi, var = x)
 is the scalars' log plus the sum of their logs at x.  A unit on the
-variable makes its bucket observed instead, and the joint is the
-scalars' log at the unit's value.  ``transforms`` usually gives such
-a run only the variable's requisite part, so those logs are then off
-by a constant that normalizing cancels.
+variable unpins it: it is ordered with the units and its bucket
+observed, the joint being the scalars' log at the unit's value.
+``transforms`` usually gives such a run only the variable's requisite
+part, so those logs are off by a constant that normalizing cancels.
 """
 
 from __future__ import annotations
@@ -528,20 +528,21 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
     vertex without a CPT.  A given ``ordering`` is followed over the
     graph's vertices; the variables it lists outside the graph are
     dropped.  One elimination pass over the graph yields the ordering
-    and ``width_static``: a ``query`` goes first, and the given order
-    or else phi's unit variables, sorted, fill the last slots, so the
-    units are observed first and the greedy orders the graph they
-    leave, around the query.  A min-degree order that implies more
-    than 2**_BLOCK_ARITY table entries per vertex, with a slot left to
-    the greedy, gets a min-fill pass too, and the order implying fewer
-    entries is kept with its width."""
+    and ``width_static``: a ``query`` that is not a unit goes first,
+    and the given order or else phi's unit variables, sorted, fill the
+    last slots, so the units are observed first and the greedy orders
+    the graph they leave, around the query.  A min-degree order that
+    implies more than 2**_BLOCK_ARITY table entries per vertex, with a
+    slot left to the greedy, gets a min-fill pass too, and the order
+    implying fewer entries is kept with its width."""
     cfg = cfg if cfg is not None else EngineConfig()
     aug = augmented_graph(net, phi, variables)
     units = tuple(sorted({c.unit_literal().var for c in phi.clauses if c.is_unit()}))
-    tail = tuple(v for v in (units if ordering is None else ordering) if v in aug and v != query)
+    first = None if query in units else query
+    tail = tuple(v for v in (units if ordering is None else ordering) if v in aug and v != first)
     stats = RunStats()
     # observing a unit restricts tables but never joins scopes
-    ordering, stats.width_static, stats.entries_static = _eliminate(aug, tail, query, unfilled=units)
+    ordering, stats.width_static, stats.entries_static = _eliminate(aug, tail, first, unfilled=units)
     # Min fill only where min degree's tables outgrow a kernel block per
     # vertex.  Its pass costs about 25 us more per vertex and a saved
     # entry about 3-8 ns, but below this line fewer entries did not mean
@@ -550,8 +551,8 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
     # 140 ms before the passes' cost, and structure 0 (215,000 per
     # vertex) 15 against 120 ms.
     if (stats.entries_static > len(aug) << _BLOCK_ARITY
-            and len(tail) + (query is not None) < len(aug)):
-        by_fill = _eliminate(aug, tail, query, unfilled=units, min_fill=True)
+            and len(tail) + (first is not None) < len(aug)):
+        by_fill = _eliminate(aug, tail, first, unfilled=units, min_fill=True)
         if by_fill[2] < stats.entries_static:
             ordering, stats.width_static, stats.entries_static = by_fill
     run = _Run(ordering, cfg, stats, query)

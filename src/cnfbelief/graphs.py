@@ -3,8 +3,8 @@
 A graph maps each of its vertices, which are network variables, to the
 set of its neighbors; the vertices need not be 0..n-1.  The augmented
 graph connects each covered variable to its CPT family (the moral
-graph) and clique-connects the variables of every clause but the
-extracted ones.  Orderings are stored first-to-last; elimination
+graph) and clique-connects the variables of every clause, extracted
+or not.  Orderings are stored first-to-last; elimination
 processes them last-to-first, which is also the direction induced
 width is measured in.  One pass, ``_eliminate``, both orders and
 measures: it completes a partial order greedily, by min degree or,
@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
-from .model import EXTRACTED, BeliefNetwork, CnfFormula, ModelError
+from .model import BeliefNetwork, CnfFormula, ModelError
 
 
 @dataclass(frozen=True)
@@ -47,20 +47,16 @@ class Ordering:
 def augmented_graph(net: BeliefNetwork, phi: CnfFormula,
                     variables: Iterable[int] | None = None) -> dict[int, set[int]]:
     """Moral graph over the families of ``variables`` (the whole network
-    by default) plus a clique over each clause's variables.  The
-    vertices are the members of those cliques, so a parent or clause
-    variable outside ``variables`` joins without a family of its own.
-    An extracted clause never joins a table, so its variables join as
-    vertices with no clique.  A variable of ``variables`` outside the
-    network raises ModelError.  Clause variables are not checked: the
-    front door (``transforms._ancestral``) has refused one outside the
-    network before any graph is built."""
-    cliques = [net.family(v)
-               for v in (net.variables() if variables is None else net.check(variables))]
-    loose: list[set[int]] = []
-    for clause, tag in phi.items():
-        (loose if tag == EXTRACTED else cliques).append(clause.variables())
-    adj = {v: set() for clique in cliques + loose for v in clique}
+    by default) plus a clique over each clause's variables, whatever its
+    tag.  The vertices are the members of those cliques, so a parent or
+    clause variable outside ``variables`` joins without a family of its
+    own.  A variable of ``variables`` outside the network raises
+    ModelError.  Clause variables are not checked: the front door
+    (``transforms._ancestral``) has refused one outside the network
+    before any graph is built."""
+    families = net.variables() if variables is None else net.check(variables)
+    cliques = [net.family(v) for v in families] + [c.variables() for c in phi.clauses]
+    adj = {v: set() for clique in cliques for v in clique}
     for clique in cliques:
         for v in clique:
             adj[v].update(clique)

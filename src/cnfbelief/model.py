@@ -164,10 +164,10 @@ class BeliefNetwork:
     nothing in this package sets or reads it.
 
     Construction raises ModelError unless the network is well formed:
-    a tuple of n CPTs with ``cpts[i].child == i``, parents and table
-    tuples, distinct parents in 0..n-1 other than the child,
-    ``2**len(parents)`` table rows, every entry in [0, 1] (NaN
-    refused), and no directed cycle.  The CPTs are checked
+    an integer n, a tuple of n CPTs with ``cpts[i].child == i``, parents
+    and table tuples, distinct integer parents in 0..n-1 other than the
+    child, ``2**len(parents)`` table rows, every entry a number in
+    [0, 1] (NaN refused), and no directed cycle.  The CPTs are checked
     in index order and the first faulty one is reported; a cycle is
     reported only when every CPT passes.
     """
@@ -178,32 +178,35 @@ class BeliefNetwork:
 
     def __post_init__(self):
         n = self.n
+        if not hasattr(n, "__index__"):
+            raise ModelError(f"n must be an int, got {n!r}")
         if not isinstance(self.cpts, tuple):
             raise ModelError(f"cpts must be a tuple, got {type(self.cpts).__name__}")
         if len(self.cpts) != n:
             raise ModelError(f"expected {n} CPTs, got {len(self.cpts)}")
         children: list[list[int]] = [[] for _ in range(n)]
         for i, (child, parents, table) in enumerate(self.cpts):
-            if child != i:
-                raise ModelError(f"cpts[{i}] has child {child}")
+            if child != i or not (type(child) is int or hasattr(child, "__index__")):
+                raise ModelError(f"cpts[{i}] has child {child!r}")
             if not (isinstance(parents, tuple) and isinstance(table, tuple)):
                 raise ModelError(f"variable {child}: parents and table must be tuples")
             if len(parents) > 1 and len(set(parents)) != len(parents):
                 raise ModelError(f"duplicate parents for variable {child}")
-            for p in parents:
-                if not 0 <= p < n:
-                    raise ModelError(f"parent {p} of {child} out of range")
-                if p == child:
-                    raise ModelError(f"variable {child} is its own parent")
-                children[p].append(child)
-            if len(table) != 1 << len(parents):
-                raise ModelError(
-                    f"variable {child}: table has {len(table)} rows, "
-                    f"expected {1 << len(parents)}"
-                )
-            for value in table:
-                if not (0.0 <= value <= 1.0):
-                    raise ModelError(f"variable {child}: probability {value} out of [0, 1]")
+            try:  # a comparison, or indexing children, fails on a wrong type
+                for p in parents:
+                    if not 0 <= p < n:
+                        raise ModelError(f"parent {p} of {child} out of range")
+                    if p == child:
+                        raise ModelError(f"variable {child} is its own parent")
+                    children[p].append(child)
+                if len(table) != 1 << len(parents):
+                    raise ModelError(f"variable {child}: table has {len(table)} rows, "
+                                     f"expected {1 << len(parents)}")
+                for value in table:
+                    if not (0.0 <= value <= 1.0):
+                        raise ModelError(f"variable {child}: probability {value} out of [0, 1]")
+            except TypeError:
+                raise ModelError(f"variable {child}: parents must be ints, entries numbers") from None
         # cycle check (Kahn): strip each variable once its parents are all
         # stripped; what is left is every cycle member and every descendant
         # of one

@@ -244,8 +244,7 @@ def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int,
     greedy assignment satisfying the dropped clauses.  A family that
     propagation fixed is an exact constant already and needs none.
     """
-    # every clause a clique, extracted or not; its literals are all unforced
-    graph = augmented_graph(net, CnfFormula(residual.clauses), variables)
+    graph = augmented_graph(net, residual, variables)
     component = {var}.difference(sigma)
     stack = list(component)
     while stack:

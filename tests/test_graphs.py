@@ -14,12 +14,16 @@ from cnfbelief import (
     Ordering,
     adjusted_induced_width,
     augmented_graph,
+    belief_given_cnf,
     engine,
+    evaluate,
     extract_clauses,
     gen_network,
     gen_query,
     induced_width,
     min_degree_order,
+    run_trace,
+    transforms,
 )
 from cnfbelief.fileio import ParseError, parse_order
 from cnfbelief.graphs import _eliminate, check_ordering
@@ -119,21 +123,47 @@ class TestInteractionGraphs:
         assert set(g) == {1, 2, 3, 4}
         assert edge_set(g) == {(1, 2), (1, 4), (2, 4), (2, 3)}
 
-    def test_extracted_clauses_add_vertices_but_no_clique(self, pos_net):
-        # an extracted clause never joins a table; (A or G) and the unit
-        # (D) only make A, D and G vertices next to F's family
+    def test_extracted_clauses_are_cliques(self, pos_net):
+        # a clause's tag does not change the graph: (A or G) joins A and
+        # G like any clause, and the unit (D) makes D a vertex
         phi = CnfFormula([clause(1, 6), clause(4), clause(2, 3)],
                          (EXTRACTED, EXTRACTED, QUERY))
         g = augmented_graph(pos_net, phi, (4,))
         assert set(g) == {0, 1, 2, 3, 4, 5}
-        assert edge_set(g) == {(1, 2), (1, 4), (2, 4)}
+        assert edge_set(g) == {(0, 5), (1, 2), (1, 4), (2, 4)}
+        assert g == augmented_graph(pos_net, CnfFormula(phi.clauses), (4,))
 
-    def test_extracted_cliques_lie_in_families(self):
-        # the clauses extract_clauses makes come from one CPT each
-        for k, net, phi in seeded_instances():
-            extracted = extract_clauses(net)
-            as_query = CnfFormula(extracted.clauses)
-            assert augmented_graph(net, extracted) == augmented_graph(net, as_query), k
+    def test_the_engine_gets_extracted_clauses_inside_loaded_families(self, pos_net,
+                                                                       monkeypatch):
+        # what makes every clause a clique safe: each extracted clause
+        # the engine receives lies in the family of a CPT it loads, so
+        # dropping those clauses' cliques leaves the same graph; a
+        # caller's (A or G), tagged extracted but in no family, reaches
+        # it as a query clause
+        execute, received = transforms._execute, []
+
+        def spied(net, variables, phi, *args):
+            received.append((net, variables, phi))
+            return execute(net, variables, phi, *args)
+
+        monkeypatch.setattr(transforms, "_execute", spied)
+        tagged = CnfFormula([clause(1, 6), clause(4), clause(2, 3)], (EXTRACTED, EXTRACTED, QUERY))
+        for k, net, phi in [*seeded_instances(), (0, pos_net, tagged)]:
+            for alg in ("cpe", "cpe-d", "hidden"):
+                evaluate(net, phi, alg)
+                for var in {(7 * k) % net.n, net.n - 1}:
+                    belief_given_cnf(net, phi, var, alg)
+            run_trace(net, phi.conjoin(extract_clauses(net)))
+        extracted = 0
+        for net, variables, phi in received:
+            families = [set(net.family(v)) for v in variables]
+            for c, tag in phi.items():
+                if tag == EXTRACTED:
+                    extracted += 1
+                    assert any(c.variables() <= family for family in families), c
+            others = CnfFormula([c for c, tag in phi.items() if tag != EXTRACTED])
+            assert augmented_graph(net, phi, variables) == augmented_graph(net, others, variables)
+        assert extracted > 1000, extracted
 
 
 class TestWidth:
@@ -409,7 +439,7 @@ class TestOnePass:
 
     def test_belief_runs_put_the_query_first(self):
         cfg = EngineConfig(dynamic_reorder=False)
-        complete_runs = 0
+        complete_runs = unit_runs = 0
         for k, net, phi in seeded_instances():
             var = (7 * k) % net.n
             _, stats, trace = engine._execute(net, tuple(net.variables()), phi, None, cfg, var)
@@ -418,10 +448,16 @@ class TestOnePass:
             complete_runs += 1
             # without reordering the buckets run last-to-first
             ordering = Ordering(tuple(entry.bucket for entry in reversed(trace)))
-            assert ordering.order[0] == var, k
+            units = unit_variables(phi)
+            if var in units:
+                # a unit query is ordered with the other units, not pinned
+                unit_runs += 1
+                assert ordering.order[len(ordering) - len(units):] == units, k
+            else:
+                assert ordering.order[0] == var, k
             assert stats.width_static == _eliminate(
-                augmented_graph(net, phi), ordering.order, None, unit_variables(phi))[1], k
-        assert complete_runs >= 30
+                augmented_graph(net, phi), ordering.order, None, units)[1], k
+        assert complete_runs >= 30 and unit_runs >= 3, (complete_runs, unit_runs)
 
 
 def reference_min_fill(graph: dict[int, set[int]], tail=(), first=None, unfilled=()):

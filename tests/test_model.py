@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnfbelief import (
+    ALGORITHMS,
     BeliefNetwork,
     Clause,
     CnfFormula,
@@ -18,6 +19,7 @@ from cnfbelief import (
     brute_force_cpe,
     close_enough,
     cpt_factors,
+    evaluate,
     extract_clauses,
     parse_network,
     run_trace,
@@ -232,29 +234,51 @@ class TestValidateNetwork:
             BeliefNetwork(len(cpts), cpts)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("cpts, message", [
-        ((Cpt(0, (), (1.5,)),), "variable 0: probability 1.5 out of [0, 1]"),
-        ((Cpt(0, (), (math.nan,)),), "variable 0: probability nan out of [0, 1]"),
-        ((Cpt(0, (1,), (0.5, 0.5)), Cpt(1, (0,), (0.5, 0.5))), "cycle among variables [0, 1]"),
-        ((Cpt(0, (), (0.5,)), Cpt(1, (-1,), (0.5, 0.5))), "parent -1 of 1 out of range"),
-        ((Cpt(0, (), (0.5,)), Cpt(1, (0,), (0.2,))),
+    @pytest.mark.parametrize("n, cpts, message", [
+        (1, (Cpt(0, (), (1.5,)),), "variable 0: probability 1.5 out of [0, 1]"),
+        (1, (Cpt(0, (), (math.nan,)),), "variable 0: probability nan out of [0, 1]"),
+        (2, (Cpt(0, (1,), (0.5, 0.5)), Cpt(1, (0,), (0.5, 0.5))), "cycle among variables [0, 1]"),
+        (2, (Cpt(0, (), (0.5,)), Cpt(1, (-1,), (0.5, 0.5))), "parent -1 of 1 out of range"),
+        (2, (Cpt(0, (), (0.5,)), Cpt(1, (0,), (0.2,))),
          "variable 1: table has 1 rows, expected 2"),
-        ((Cpt(0, (), (0.5,)), Cpt(1, [0], (0.25, 0.75))),
+        (2, (Cpt(0, (), (0.5,)), Cpt(1, [0], (0.25, 0.75))),
          "variable 1: parents and table must be tuples"),
-        ((Cpt(0, (), (0.5,)), Cpt(1, (0,), [0.25, 0.75])),
+        (2, (Cpt(0, (), (0.5,)), Cpt(1, (0,), [0.25, 0.75])),
          "variable 1: parents and table must be tuples"),
-        ([Cpt(0, (), (0.5,))], "cpts must be a tuple, got list"),
+        (1, [Cpt(0, (), (0.5,))], "cpts must be a tuple, got list"),
+        (1.0, (Cpt(0, (), (0.5,)),), "n must be an int, got 1.0"),
+        (1, (Cpt(0, (), ("0.5",)),), "variable 0: parents must be ints, entries numbers"),
+        (1, (Cpt(0, (), (None,)),), "variable 0: parents must be ints, entries numbers"),
+        (2, (Cpt(0, (), (0.5,)), Cpt(1, (0.0,), (0.5, 0.5))),
+         "variable 1: parents must be ints, entries numbers"),
+        (1, (Cpt(0.0, (), (0.5,)),), "cpts[0] has child 0.0"),
     ], ids=["prior-1.5", "prior-nan", "cycle", "parent-minus-1", "short-table",
-            "list-parents", "list-table", "list-cpts"])
-    def test_networks_the_evaluators_would_misread_are_refused(self, cpts, message):
+            "list-parents", "list-table", "list-cpts", "float-n", "str-entry", "none-entry",
+            "float-parent", "float-child"])
+    def test_networks_the_evaluators_would_misread_are_refused(self, n, cpts, message):
         # unchecked, each reaches the evaluators: P(A=1) = 1.5 gives
         # answers above 1, a cycle gets an answer, a parent of -1 gets
         # different answers from cpe and brute, a short table an
         # IndexError, list parents a TypeError in cpe, cpe-d and hidden
-        # (brute answers), and a list anywhere a mutable, unhashable network
+        # (brute answers), and a list anywhere a mutable, unhashable
+        # network; a float n or parent, or an entry that is no number,
+        # failed in the constructor with a bare TypeError, and a float
+        # child was built and then serialized as "cpt 0.0", which
+        # parse_network refuses
         with pytest.raises(ModelError) as exc:
-            BeliefNetwork(len(cpts), cpts)
+            BeliefNetwork(n, cpts)
         assert str(exc.value) == message
+
+    def test_numpy_numbers_are_accepted(self):
+        # operator.index takes numpy integers, so they pass where ints do,
+        # and numpy floats pass as table entries; the answers are the same
+        plain = BeliefNetwork(2, (Cpt(0, (), (0.5,)), Cpt(1, (0,), (0.25, 0.75))))
+        mixed = BeliefNetwork(np.int64(2), (
+            Cpt(np.int64(0), (), (np.float32(0.5),)),
+            Cpt(np.int32(1), (np.int64(0),), (np.float64(0.25), np.float32(0.75)))))
+        phi = CnfFormula([Clause([Literal(0, True), Literal(1, False)])])
+        for alg in ALGORITHMS:
+            assert close_enough(evaluate(mixed, phi, alg)[0], evaluate(plain, phi, alg)[0]), alg
 
     def test_reverse_numbered_chain_is_linear(self):
         # parents carry higher numbers than children, the worst case for

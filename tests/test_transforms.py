@@ -780,7 +780,8 @@ def _belief_case(kind: str, n: int, f: int, d: float, seed: int):
 
 
 class TestBeliefInOnePass:
-    """belief_given_cnf runs the engine once, with var eliminated last."""
+    """belief_given_cnf runs the engine once, with var eliminated last
+    unless propagation forces it."""
 
     def test_var_forced_where_phi_has_probability_zero(self):
         # P(x1=1 | x0=0) = 0, so phi = {not x0, x1} has probability 0
@@ -842,23 +843,25 @@ class TestBeliefInOnePass:
                 outcomes.add("answered")
                 continue
             assert len(runs) == 1 and len(orders) == 1, k
-            # one greedy pass: the query pinned first, the units last, and
-            # the greedy's choices between them
+            # one greedy pass: the query pinned first unless it is a unit,
+            # the units last, and the greedy's choices between them
             graph, tail, first, ordering = orders[0]
-            assert first == var and ordering.order[0] == var, k
             assert ordering.order[len(graph) - len(tail):] == tail, k
             _, stats, trace = runs[0]
             assert trace == stats.trace, k
             mine = [i for i, e in enumerate(trace) if e.bucket == var]
             if var in sigma:
-                # var's own unit observes its bucket: the point mass at its
-                # forced value unless the run finds P(phi) = 0
+                # var's own unit orders it with the other units and observes
+                # its bucket: the point mass at its forced value unless the
+                # run finds P(phi) = 0
+                assert first is None and var in tail, k
                 assert [trace[i].action for i in mine] == ["observe"], k
                 assert dist == ((0.0, 1.0) if sigma[var] else (1.0, 0.0)) or (
                     dist is None and max(stats.log_joint) == -math.inf), k
                 outcomes.add("forced")
                 actions.add("observe")
                 continue
+            assert first == var and ordering.order[0] == var, k
             assert len(tail) + 1 < len(graph), k
             outcomes.add("pinned")
             if dist is None:
