@@ -31,9 +31,20 @@ BENCH_COLUMNS = ["instance", "alg", "i_bound", "time_s", "mf", "C", "U", "F", "O
                  "width_static", "width_posthoc", "log_result", "result"]
 
 
-def format_probability(p: float) -> str:
-    """Fixed 12 significant digits, e.g. 0.680000000000."""
-    return format(p, "#.12g")
+def format_probability(p: float, log_p: float = -math.inf) -> str:
+    """Fixed 12 significant digits, e.g. 0.680000000000.  Below the
+    smallest normal float, where exp lost the digits or underflowed to
+    0, a finite natural log ``log_p`` gives them instead, as a mantissa
+    and a base-10 exponent (1.00000000000e-400); a probability that is
+    exactly 0 (``log_p`` -inf) prints 0.00000000000."""
+    if p >= sys.float_info.min or log_p == -math.inf:
+        return format(p, "#.12g")
+    log10 = log_p / math.log(10)
+    exponent = math.floor(log10)
+    mantissa = format(10 ** (log10 - exponent), ".11f")
+    if mantissa.startswith("10"):  # rounded up to the next power of 10
+        mantissa, exponent = format(1, ".11f"), exponent + 1
+    return f"{mantissa}e{exponent}"
 
 
 def _i_bound(text: str):
@@ -117,7 +128,7 @@ def _cmd_eval(args) -> int:
     if args.trace:
         for entry in stats.trace:
             print(entry.format())
-    print(format_probability(prob))
+    print(format_probability(prob, stats.log_result))
     if args.stats:
         _print_stats(stats, args.stats)
     return 0
@@ -125,9 +136,10 @@ def _cmd_eval(args) -> int:
 
 def _formatted(stats) -> dict:
     """``stats.as_dict()`` as printed: result to 12 significant
-    digits, time_s to the millisecond."""
+    digits (from log_result where it underflows), time_s to the
+    millisecond."""
     values = stats.as_dict()
-    values["result"] = format_probability(values["result"])
+    values["result"] = format_probability(values["result"], stats.log_result)
     values["time_s"] = f"{values['time_s']:.3f}"
     return values
 

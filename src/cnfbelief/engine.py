@@ -30,19 +30,18 @@ entries is kept:
   remaining scope variables.
 
 The sum is a contraction, ``_bucket_lambda``.  Each clause joins it as
-a 0/1 table over its own variables; the smaller operands are multiplied
-into one table that keeps the bucket variable, and one batched matrix
-product with the largest operand sums the variable out.  No table over
-the bucket's whole scope plus its variable is built unless the smaller
-operands span it.  A largest operand of more than 2**16 entries is read
-one block of at most 2**16 entries at a time, each block's product
-written into one preallocated result, so a sum holds that operand, the
-product of the others, the result and one block, and never a copy of
-the whole largest table.  An allocation that fails there raises
-``ResourceLimitError``, naming the bucket.  A summed or observed bucket
-drops its factors once its result or restrictions are placed, so a
-table is freed as soon as the bucket that consumes it is done; the
-query's bucket keeps its factors for ``log_joint``.
+a 0/1 table over its own variables; the smaller operands are
+multiplied into a table that keeps the bucket variable, and batched
+matrix products with the largest operand sum the variable out.  Both
+sides are read in blocks of at most 2**16 entries, each block's
+product written into one preallocated result, so a sum holds the
+largest operand, the result, one block of the smaller operands'
+product and one block copied from the largest, however large the
+bucket.  An allocation that fails there raises ``ResourceLimitError``,
+naming the bucket.  A summed or observed bucket drops its factors once
+its result or restrictions are placed, so a table is freed as soon as
+the bucket that consumes it is done; the query's bucket keeps its
+factors for ``log_joint``.
 
 With dynamic reordering (the default), a bucket that acquires a unit
 clause jumps ahead of the position-ordered queue; promoted buckets run
@@ -92,9 +91,9 @@ from .model import (
 )
 from .resolution import bdr_step
 
-# A summed bucket whose largest table has more variables than this is
-# contracted one block of at most 2**_BLOCK_ARITY entries (512 KB) at a
-# time.
+# A summed bucket whose largest table, or whose product of the smaller
+# operands, has more than 2**_BLOCK_ARITY entries (512 KB) is contracted
+# in blocks of at most that many entries on each side.
 _BLOCK_ARITY = 16
 
 
@@ -105,9 +104,10 @@ class ContradictionError(Exception):
 class ResourceLimitError(MemoryError):
     """Summing out ``variable`` needs a table too large to allocate;
     ``arity`` is the number of variables of the bucket's result.  The
-    sum allocates that result, the product of the bucket's smaller
-    operands (at most twice the result) and one block of the largest,
-    so the result's size decides whether it fits."""
+    sum allocates that result and at most two blocks of 2**16 entries
+    more: one of the smaller operands' product and one copied from the
+    largest operand, or two partial products while a block of the first
+    is multiplied.  So the result's size decides whether it fits."""
 
     def __init__(self, variable: int, arity: int):
         super().__init__(f"bucket {variable}: the table over its {arity} remaining "
@@ -281,13 +281,15 @@ def _bucket_lambda(factors: list[Factor], constraints: list[Clause],
 
     Every operand, factor or clause indicator, contains the pivot.  The
     largest operand is B; the others are multiplied, smallest first,
-    into one table A laid out (shared, a-only, pivot), where shared are
-    A's variables that B also has.  One batched product (shared, a-only,
-    pivot) @ (shared, pivot, b-only) then sums the pivot out.  It reads
-    B one block of at most 2**_BLOCK_ARITY entries at a time and writes
-    each block's product into one preallocated result, so the sum holds
-    B, A, the result and one block, never a copy of the whole of B.
-    Returns a view over ``scope``, in that order.
+    into a table A laid out (shared, a-only, pivot), where shared are
+    A's variables that B also has.  Batched products (shared, a-only,
+    pivot) @ (shared, pivot, b-only) then sum the pivot out.  Both
+    sides are read in blocks of at most 2**_BLOCK_ARITY entries: each A
+    block is multiplied from the smaller operands' slices at its fixed
+    values, and its product with each matching B block is written into
+    one preallocated result.  So besides B and the result, the sum
+    holds one A block and one block copied from B, however large A and
+    B are.  Returns a view over ``scope``, in that order.
     """
     assert factors, "a summed bucket holds a factor on its variable"
     operands = [(f.scope, f.values) for f in factors] + [clause_table(c) for c in constraints]
@@ -297,32 +299,44 @@ def _bucket_lambda(factors: list[Factor], constraints: list[Clause],
     shared = [w for w in b_vars if w in a_vars]
     a_only = [w for w in scope if w in a_vars and w not in b_vars]
     b_only = [w for w in b_vars if w != pivot and w not in a_vars]
-    layout = shared + a_only + [pivot]
-    axis = {w: i for i, w in enumerate(layout)}
-    a: Optional[np.ndarray] = None
+    # A block fixes B's first shared variables, then A's first a-only
+    # ones, then B's first b-only ones, until neither side has more than
+    # 2**_BLOCK_ARITY entries; a bucket with nothing to fix is one block.
+    over_a, over_b = len(shared) + len(a_only) + 1 - _BLOCK_ARITY, len(b_vars) - _BLOCK_ARITY
+    ks = ka = kb = 0
+    if over_a > 0 or over_b > 0:
+        ks = min(len(shared), max(over_a, over_b))
+        ka, kb = max(0, over_a - ks), max(0, over_b - ks)
+    fixed = shared[:ks] + a_only[:ka]
+    layout = shared[ks:] + a_only[ka:] + [pivot]
+    # each smaller operand is transposed to its fixed variables, in
+    # ``fixed`` order, then the others in layout order; ``shape`` marks
+    # the axes it has over both, so a block's values of its own fixed
+    # variables index its slice, which broadcasts over the layout
+    nf = len(fixed)
+    axis = {w: i for i, w in enumerate(fixed + layout)}
+    pieces = []
     for vs, values in operands:
-        shape = [1] * len(layout)
+        shape = [1] * (nf + len(layout))
         for w in vs:
             shape[axis[w]] = 2
-        part = values.transpose(sorted(range(len(vs)), key=lambda i: axis[vs[i]])).reshape(shape)
-        a = part if a is None else a * part
-    if a is None:
-        a = np.ones(2)
-    # B is read one block at a time: each block fixes B's first shared,
-    # then b-only variables until at most _BLOCK_ARITY are left (none
-    # are fixed when B has no more).  B and the result put one length-2
-    # axis per fixed variable in front (A per fixed shared one), so a
-    # block is B[x] and its product goes to out[x].
-    fixed = (shared + b_only)[:max(0, len(b_vars) - _BLOCK_ARITY)]
-    ks = min(len(fixed), len(shared))
-    rows, m, cols = 2 ** (len(shared) - ks), 2 ** len(a_only), 2 ** (len(b_only) - len(fixed) + ks)
-    b = b.transpose([b_vars.index(w) for w in fixed + shared[ks:] + [pivot] + b_only[len(fixed) - ks:]])
-    a = a.reshape((2,) * ks + (rows, m, 2))
-    out = np.empty((2,) * len(fixed) + (rows, m, cols))
-    for x in itertools.product((0, 1), repeat=len(fixed)):
-        # the block's reshape is its one copy of B, freed when matmul returns
-        np.matmul(a[x[:ks]], b[x].reshape(rows, 2, cols), out=out[x])
-    order = {w: i for i, w in enumerate(fixed + shared[ks:] + a_only + b_only[len(fixed) - ks:])}
+        pieces.append((values.transpose(sorted(range(len(vs)), key=lambda i: axis[vs[i]])), shape))
+    rows, m, cols = 2 ** (len(shared) - ks), 2 ** (len(a_only) - ka), 2 ** (len(b_only) - kb)
+    b = b.transpose([b_vars.index(w)
+                     for w in shared[:ks] + b_only[:kb] + shared[ks:] + [pivot] + b_only[kb:]])
+    out = np.empty((2,) * (nf + kb) + (rows, m, cols))
+    for x in itertools.product((0, 1), repeat=nf):
+        a = None  # the last A block is freed before this one is built
+        for values, shape in pieces:
+            if x:  # its slice at the block's values of its fixed variables
+                values = values[tuple(v for v, n in zip(x, shape) if n == 2)]
+            part = values.reshape(shape[nf:])
+            a = part if a is None else a * part
+        a = (np.ones(2) if a is None else a).reshape(rows, m, 2)
+        for y in itertools.product((0, 1), repeat=kb):
+            # the block's reshape is its one copy of B, freed when matmul returns
+            np.matmul(a, b[x[:ks] + y].reshape(rows, 2, cols), out=out[x + y])
+    order = {w: i for i, w in enumerate(fixed + b_only[:kb] + layout[:-1] + b_only[kb:])}
     return out.reshape((2,) * len(order)).transpose([order[w] for w in scope])
 
 

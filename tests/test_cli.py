@@ -51,6 +51,16 @@ class TestFormatProbability:
     def test_tiny_values_keep_exponent(self):
         assert format_probability(5e-15) == "5.00000000000e-15"
 
+    def test_below_the_normal_floats_the_log_gives_the_digits(self):
+        assert format_probability(0.0, 400 * math.log(0.1)) == "1.00000000000e-400"
+        assert format_probability(0.0, math.log(2.5) - 500 * math.log(10)) == "2.50000000000e-500"
+        # 0.1**320 is subnormal: exp keeps only about 5 of its digits
+        assert format_probability(math.exp(320 * math.log(0.1)),
+                                  320 * math.log(0.1)) == "1.00000000000e-320"
+        assert format_probability(0.0, math.log(9.9999999999999) - 400 * math.log(10)) == (
+            "1.00000000000e-399")
+        assert format_probability(0.0, -math.inf) == "0.00000000000"
+
 
 class TestEval:
     def test_basic(self, two_node_files, capsys):
@@ -170,6 +180,21 @@ class TestEval:
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["log_result"] is None
         assert run_cli(["eval", "--net", net, "--cnf", str(cnf), "--stats", "human"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].endswith(" log_result=-inf")
+
+    def test_underflowed_probability_prints_from_its_log(self, tmp_path, capsys):
+        # P = 0.1**400: 400 roots, each observed at 1
+        net = tmp_path / "roots.net"
+        net.write_text("vars 400\n" + "".join(f"cpt {i} 0.1\n" for i in range(400)))
+        cnf = tmp_path / "roots.cnf"
+        cnf.write_text("p cnf 400 400\n" + "".join(f"{i} 0\n" for i in range(1, 401)))
+        contra = tmp_path / "contra.cnf"
+        contra.write_text("p cnf 400 401\n" + "".join(f"{i} 0\n" for i in range(1, 401))
+                          + "-1 0\n")
+        for alg in ("cpe", "cpe-d", "hidden"):
+            assert run_cli(["eval", "--net", str(net), "--cnf", str(cnf), "--alg", alg]) == 0
+            assert capsys.readouterr().out == "1.00000000000e-400\n", alg
+            assert run_cli(["eval", "--net", str(net), "--cnf", str(contra), "--alg", alg]) == 0
+            assert capsys.readouterr().out == "0.00000000000\n", alg
 
     def test_i_bound_unbounded(self, six_node_files, capsys):
         net, cnf, _ = six_node_files

@@ -749,6 +749,14 @@ def _random_bucket(rng: np.random.Generator, pivot_only: bool):
     return factors, constraints, pivot, tuple(scope)
 
 
+def _blocked(shared, a_only, b_only, layout, clauses, block=None):
+    """A test_blocked_buckets case; ``block`` None keeps _BLOCK_ARITY,
+    and the case's id names the block arity only when it is set."""
+    name = f"{shared}-{a_only}-{b_only}-{layout}-{clauses}"
+    return pytest.param(shared, a_only, b_only, layout, clauses, block,
+                        id=name if block is None else f"{name}-block{block}")
+
+
 class TestKernelMatchesReference:
     def test_random_buckets(self):
         rng = np.random.default_rng(20031)
@@ -762,20 +770,32 @@ class TestKernelMatchesReference:
             empty_scopes += not scope
         assert empty_scopes >= 30
 
-    # (shared, a-only, b-only) variable counts and B's layout.  B, over
-    # the pivot, the shared and the b-only variables, has 17-20
-    # variables, so the kernel reads it in blocks: each fixes B's first
-    # arity - 16 shared variables, then b-only ones once those run out
-    @pytest.mark.parametrize("shared, a_only, b_only, layout, clauses", [
-        (4, 1, 13, "transposed", False),  # blocks over shared variables only
-        (3, 2, 13, "read-only", True),    # as cpt_factors gives B; a gating clause
-        (2, 1, 15, "transposed", False),  # every shared variable fixed, no b-only one
-        (2, 1, 17, "transposed", False),  # over shared, then b-only variables
-        (1, 0, 17, "read-only", False),   # the same from a read-only B
-        (0, 0, 16, "transposed", False),  # no shared variable: over b-only ones
-        (0, 0, 18, "alone", False),       # B is the only operand
+    # (shared, a-only, b-only) variable counts, B's layout and the block
+    # arity.  B, over the pivot, the shared and the b-only variables, has
+    # 17-20 variables, so the kernel reads it in blocks: each fixes B's
+    # first arity - 16 shared variables, then b-only ones once those run
+    # out.  A's a-only variables are fixed only once A has more than a
+    # block's worth of them, which at 16 needs a result of 32 variables
+    # to fix b-only ones too, so those cases shrink the block to 2**4 or
+    # 2**5 entries; their comments give what a block fixes.
+    @pytest.mark.parametrize("shared, a_only, b_only, layout, clauses, block", [
+        _blocked(4, 1, 13, "transposed", False),  # blocks over shared variables only
+        _blocked(3, 2, 13, "read-only", True),    # as cpt_factors gives B; a gating clause
+        _blocked(2, 1, 15, "transposed", False),  # every shared variable fixed, no b-only one
+        _blocked(2, 1, 17, "transposed", False),  # over shared, then b-only variables
+        _blocked(1, 0, 17, "read-only", False),   # the same from a read-only B
+        _blocked(0, 0, 16, "transposed", False),  # no shared variable: over b-only ones
+        _blocked(0, 0, 18, "alone", False),       # B is the only operand
+        _blocked(6, 2, 1, "transposed", False, 4),  # A is the larger: 5 shared
+        _blocked(2, 5, 3, "transposed", False, 4),  # 2 shared, 2 a-only
+        _blocked(2, 5, 3, "read-only", True, 4),    # the same, read-only B, a clause
+        _blocked(2, 5, 6, "transposed", False, 4),  # 2 shared, 2 a-only, 3 b-only
+        _blocked(0, 6, 5, "read-only", True, 4),    # 3 a-only, 2 b-only
+        _blocked(3, 6, 6, "transposed", True, 5),   # 3 shared, 2 a-only, 2 b-only
     ])
-    def test_blocked_buckets(self, shared, a_only, b_only, layout, clauses):
+    def test_blocked_buckets(self, shared, a_only, b_only, layout, clauses, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(engine, "_BLOCK_ARITY", block)
         rng = np.random.default_rng(20032 + 100 * shared + b_only)
         factors, constraints, pivot, scope = _wide_bucket(rng, shared, a_only, b_only, layout,
                                                           clauses)
@@ -831,6 +851,32 @@ class TestBoundedMemory:
         a_bytes, block = 2 ** 4 * 8, 2 ** engine._BLOCK_ARITY * 8
         assert got.nbytes == 8 << 20
         assert peak < got.nbytes + a_bytes + 2 * block, peak
+
+    def test_sum_blocks_the_smaller_operands(self):
+        # the widest bucket of the wide-tables benchmark's structure 4: B
+        # over the pivot and 16 variables (a transposed view), smaller
+        # operands of arity 3, 13 and 15 over the pivot, those 16 and 3
+        # more, so A over 20 variables (8 MB) would be twice the result
+        # over 19 (4 MB).  A sum holds one A block and one B block.
+        rng = np.random.default_rng(20036)
+        pivot, *rest = (int(w) for w in rng.permutation(20))
+        common, own = rest[:16], rest[16:]
+        factors = [Factor((pivot, *common), rng.random((2,) * 17).transpose(rng.permutation(17)))]
+        for vs in (common[:2], common[2:12] + own[:2], common[5:] + own):
+            factors.append(Factor((pivot, *vs), rng.random((2,) * (1 + len(vs)))))
+        scope = tuple(rng.permutation(rest).tolist())
+        assert sorted(f.arity for f in factors) == [3, 13, 15, 17]
+        tracemalloc.start()
+        try:
+            got = _bucket_lambda(factors, [], pivot, scope)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 2 ** engine._BLOCK_ARITY * 8
+        assert got.nbytes == 4 << 20
+        assert peak < got.nbytes + 3 * block, peak
+        want = _reference_bucket_lambda(factors, [], pivot, scope)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_processed_buckets_free_their_tables(self, monkeypatch):
         net = gen_network(40, 4, 0, 20034)

@@ -312,14 +312,15 @@ class TestPropagatedRun:
             order = list(range(n))
             random.Random(shuffle).shuffle(order)
         want = brute_force_cpe(net, phi)
-        for bound in (0, 2, None):
-            for reorder in (True, False):
-                p, stats = evaluate(net, phi, "cpe-d", EngineConfig(bound, reorder), order)
+        # hidden refuses a given ordering
+        for alg in ("cpe", "cpe-d") if order is not None else ("cpe", "cpe-d", "hidden"):
+            for bound, reorder in itertools.product((0, 2, None), (True, False)):
+                p, stats = evaluate(net, phi, alg, EngineConfig(bound, reorder), order)
                 if want == 0.0:
-                    assert p == 0.0 and stats.log_result == -math.inf, (bound, reorder)
+                    assert p == 0.0 and stats.log_result == -math.inf, (alg, bound, reorder)
                 else:
                     assert math.isclose(stats.log_result, math.log(want),
-                                        rel_tol=1e-9, abs_tol=1e-12), (bound, reorder)
+                                        rel_tol=1e-9, abs_tol=1e-12), (alg, bound, reorder)
                     assert close_enough(p, want)
 
 
