@@ -257,24 +257,6 @@ class TraceEntry:
         return f"bucket={self.bucket} action={self.action} scope={scope_s} derived={derived_s}"
 
 
-def _sum_scope(pivot: int, factors: list[Factor], constraints: list[Clause]) -> tuple[int, ...]:
-    # scope variables in first-appearance order: factors in placement
-    # order, then clause variables ascending
-    seen = {pivot}
-    scope: list[int] = []
-    for f in factors:
-        for w in f.scope:
-            if w not in seen:
-                seen.add(w)
-                scope.append(w)
-    for c in constraints:
-        for w in sorted(c.variables()):
-            if w not in seen:
-                seen.add(w)
-                scope.append(w)
-    return tuple(scope)
-
-
 def _bucket_lambda(factors: list[Factor], constraints: list[Clause],
                    pivot: int, scope: tuple[int, ...]) -> np.ndarray:
     """Sum the clause-gated product of the factors over the pivot.
@@ -303,10 +285,8 @@ def _bucket_lambda(factors: list[Factor], constraints: list[Clause],
     # ones, then B's first b-only ones, until neither side has more than
     # 2**_BLOCK_ARITY entries; a bucket with nothing to fix is one block.
     over_a, over_b = len(shared) + len(a_only) + 1 - _BLOCK_ARITY, len(b_vars) - _BLOCK_ARITY
-    ks = ka = kb = 0
-    if over_a > 0 or over_b > 0:
-        ks = min(len(shared), max(over_a, over_b))
-        ka, kb = max(0, over_a - ks), max(0, over_b - ks)
+    ks = min(len(shared), max(0, over_a, over_b))
+    ka, kb = max(0, over_a - ks), max(0, over_b - ks)
     fixed = shared[:ks] + a_only[:ka]
     layout = shared[ks:] + a_only[ka:] + [pivot]
     # each smaller operand is transposed to its fixed variables, in
@@ -359,7 +339,6 @@ class _Run:
         self.processed: set[int] = set()
         self.promoted: deque[int] = deque()
         self.pending: list[int] = list(ordering.order)
-        self.trace: list[TraceEntry] = []
 
     def load(self, factors: Iterable[Factor], phi: CnfFormula) -> None:
         for factor in factors:
@@ -376,11 +355,11 @@ class _Run:
             self.processed.add(v)
             bucket = self.buckets[v]
             if bucket.unit is not None:
-                self._process_observed(bucket)
+                self._process_observed(bucket, [])
             elif v == self.query:
                 # ordered first, so nothing follows; only units on v were
                 # filed here, and they would have made it observed
-                self.trace.append(TraceEntry(v, "belief", (v,), ()))
+                self.stats.trace.append(TraceEntry(v, "belief", (v,), ()))
             else:
                 self._process_sum(bucket)
 
@@ -490,11 +469,9 @@ class _Run:
             elif reduced is not None:
                 self._file(bucket, reduced, exempt, collect)
 
-    def _process_observed(self, bucket: Bucket,
-                          derived: Optional[list[Clause]] = None) -> None:
+    def _process_observed(self, bucket: Bucket, derived: list[Clause]) -> None:
         self.sigma[bucket.variable] = 1 if bucket.unit.positive else 0
         self.stats.observed += 1
-        derived = derived if derived is not None else []
         for f in bucket.factors:
             self._place_factor(self._restrict(f))
         bucket.factors = []
@@ -502,7 +479,7 @@ class _Run:
         # assignment now fixes: each is satisfied or shortened
         for c, exempt in bucket.clauses.items():
             self._install_clause(c, exempt, derived)
-        self.trace.append(TraceEntry(bucket.variable, "observe", (), tuple(derived)))
+        self.stats.trace.append(TraceEntry(bucket.variable, "observe", (), tuple(derived)))
 
     def _process_sum(self, bucket: Bucket) -> None:
         derived: list[Clause] = []
@@ -514,13 +491,17 @@ class _Run:
         bucket.factors = [self._restrict(f) for f in bucket.factors]
         self._bdr(bucket, derived)
         constraints = [c for c, exempt in bucket.clauses.items() if not exempt]
-        scope = _sum_scope(bucket.variable, bucket.factors, constraints)
+        # first-appearance order: factors in placement order, then each
+        # constraint's variables ascending
+        scope = tuple(w for w in dict.fromkeys(
+            [w for f in bucket.factors for w in f.scope]
+            + [w for c in constraints for w in sorted(c.variables())]) if w != bucket.variable)
         try:
             values = _bucket_lambda(bucket.factors, constraints, bucket.variable, scope)
         except MemoryError as exc:
             raise ResourceLimitError(bucket.variable, len(scope)) from exc
         self.stats.mf = max(self.stats.mf, len(scope))
-        self.trace.append(TraceEntry(bucket.variable, "sum", scope, tuple(derived)))
+        self.stats.trace.append(TraceEntry(bucket.variable, "sum", scope, tuple(derived)))
         self._place_factor(Factor(scope, values))
         bucket.factors = []
 
@@ -578,11 +559,10 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
     except ContradictionError:
         failed = True
     stats.elapsed = perf_counter() - t0
-    stats.trace = run.trace
     if not failed:
         stats.log_result = math.fsum(map(_log, run.scalars))
         # each processed bucket left exactly one trace entry
-        actual = Ordering(tuple(reversed([e.bucket for e in run.trace])))
+        actual = Ordering(tuple(reversed([e.bucket for e in stats.trace])))
         stats.width_posthoc = adjusted_induced_width(aug, actual, run.sigma)
     if query is not None:
         stats.log_joint = (-math.inf, -math.inf) if failed else run.log_joint(stats.log_result)
@@ -590,5 +570,5 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
         stats.log_result = top if top == -math.inf else (
             top + math.log(sum(math.exp(x - top) for x in stats.log_joint)))
     stats.result = math.exp(stats.log_result)
-    return stats.result, stats, run.trace
+    return stats.result, stats, stats.trace
 
