@@ -50,10 +50,14 @@ maintained so that anything routed after an observation is reduced
 (clauses, ``_Run._reduce``) or restricted (factors, ``_Run._restrict``)
 on the way, which keeps items out of already-processed buckets.
 
-The run's log probability is the sum of the logs of the scalar factors
-that fall out of the bottom of the pass, which does not underflow, and
-the probability is its exp.  A falsified clause, the empty clause given
-or derived included, short-circuits the run to probability 0.
+The run's log probability is the sum of the logs of the scalars: the
+scalar factors that fall out of the bottom of the pass, and the divisor
+of each summed table whose largest entry is positive and below
+``_RESCALE_BELOW``, which is divided by it.  So neither a product of
+many scalars nor a table passed along a long unobserved chain
+underflows, and the probability is the sum's exp.  A falsified clause,
+the empty clause given or derived included, short-circuits the run to
+probability 0.
 
 A run given a query variable answers belief in the same pass (elim-bel;
 Dechter, "Bucket elimination: a unifying framework for reasoning", AIJ
@@ -95,6 +99,11 @@ from .resolution import bdr_step
 # operands, has more than 2**_BLOCK_ARITY entries (512 KB) is contracted
 # in blocks of at most that many entries on each side.
 _BLOCK_ARITY = 16
+
+# A summed table whose largest entry is positive and below this is
+# divided by that entry, which joins the run's scalars, so a table
+# passed along a long unobserved chain does not underflow.
+_RESCALE_BELOW = 2.0 ** -64
 
 
 class ContradictionError(Exception):
@@ -169,7 +178,8 @@ class RunStats:
     tables a run builds).  width_posthoc is the adjusted
     induced width (observed variables discounted) along the order the
     run actually processed, when the run completed.  log_result is the
-    natural log of the probability, summed from the scalar factors so
+    natural log of the probability, summed from the scalar factors and
+    the divisors of summed tables rescaled below ``_RESCALE_BELOW``, so
     that it stays finite where result underflows to 0; it is -inf when
     the probability is exactly 0; result is exp(log_result) on every
     run but brute's.  log_joint, for a belief run, is (log P(phi,
@@ -500,6 +510,11 @@ class _Run:
             values = _bucket_lambda(bucket.factors, constraints, bucket.variable, scope)
         except MemoryError as exc:
             raise ResourceLimitError(bucket.variable, len(scope)) from exc
+        if values.flat[0] < _RESCALE_BELOW:  # one entry first: max() reads them all
+            top = values.max()
+            if 0.0 < top < _RESCALE_BELOW:
+                values /= top
+                self.scalars.append(top)
         self.stats.mf = max(self.stats.mf, len(scope))
         self.stats.trace.append(TraceEntry(bucket.variable, "sum", scope, tuple(derived)))
         self._place_factor(Factor(scope, values))

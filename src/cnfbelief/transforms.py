@@ -88,8 +88,9 @@ def _prime_rows(k: int, tables: np.ndarray) -> list[list[int]]:
 
 def extract_clauses(net: BeliefNetwork, variables: Iterable[int] | None = None) -> CnfFormula:
     """All clauses certain under the CPTs of ``variables`` (the whole
-    network by default), in that order, tagged with extracted
-    provenance: the prime implicants of each CPT's 0/1 rows.
+    network by default), in first-seen order with a repeated variable
+    taken once, tagged with extracted provenance: the prime implicants
+    of each CPT's 0/1 rows.
 
     A cube (a partial parent assignment) implies a child value when
     every row it covers holds exactly that value (1.0 for child 1, 0.0
@@ -108,8 +109,8 @@ def extract_clauses(net: BeliefNetwork, variables: Iterable[int] | None = None) 
     otherwise only i's parents, so two CPTs sharing one would each be a
     parent of the other.
     """
-    cpts = [net.cpts[v]
-            for v in (net.variables() if variables is None else net.check(variables))]
+    cpts = [net.cpts[v] for v in (net.variables() if variables is None
+                                  else dict.fromkeys(net.check(variables)))]
     per_cpt: list[list[Clause]] = [[] for _ in cpts]
     for k, where, tables in stack_tables(cpts):
         step = max(1, _PASS_CELLS // 3 ** k)

@@ -59,6 +59,8 @@ class TestFormatProbability:
                                   320 * math.log(0.1)) == "1.00000000000e-320"
         assert format_probability(0.0, math.log(9.9999999999999) - 400 * math.log(10)) == (
             "1.00000000000e-399")
+        # 10**(1 - 1e-13) rounds to 10.00000000000 at 11 decimals
+        assert format_probability(0.0, (-399 - 1e-13) * math.log(10)) == "1.00000000000e-399"
         assert format_probability(0.0, -math.inf) == "0.00000000000"
 
 

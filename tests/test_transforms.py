@@ -167,6 +167,14 @@ class TestExtractClauses:
                 p = brute_force_cpe(net, CnfFormula([one]))
                 assert close_enough(p, 1.0), (k, str(one))
 
+    def test_a_repeated_variable_counts_once(self):
+        # no clause repeats, and the CPTs keep their first-seen order
+        net = gen_network(8, 3, 0.9, 1)
+        assert extract_clauses(net, [5, 5]).clauses == extract_clauses(net, [5]).clauses
+        assert (extract_clauses(net, [6, 2, 6, 2]).clauses
+                == extract_clauses(net, [6, 2]).clauses
+                == extract_clauses(net, [6]).clauses + extract_clauses(net, [2]).clauses)
+
 
 class TestElimCpeD:
     def test_matches_plain_cpe(self, hyb_net, query_not_g, d1):
@@ -1295,8 +1303,7 @@ class TestUnderflow:
         assert close_enough(conditional_cnf_probability(net, phi, psi),
                             net.cpts[free].table[0])
 
-    @pytest.mark.parametrize("k", [1100, pytest.param(1500, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 2: a table passed along the chain underflows"))])
+    @pytest.mark.parametrize("k", [1100, 1500])
     @pytest.mark.parametrize("alg", ["cpe", "cpe-d", "hidden"])
     @pytest.mark.parametrize("entry", ["evaluate", "belief"])
     def test_comb_matches_its_closed_form(self, entry, alg, k):
