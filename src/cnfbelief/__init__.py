@@ -24,7 +24,6 @@ from .model import (
     Factor,
     Literal,
     ModelError,
-    close_enough,
     cpt_factors,
 )
 from .oracle import brute_force_cpe

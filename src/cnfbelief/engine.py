@@ -284,8 +284,8 @@ def _bucket_lambda(factors: list[Factor], constraints: list[Clause],
     B are.  Returns a view over ``scope``, in that order.
     """
     assert factors, "a summed bucket holds a factor on its variable"
-    operands = [(f.scope, f.values) for f in factors] + [clause_table(c) for c in constraints]
-    operands.sort(key=lambda op: len(op[0]))
+    operands = [*factors, *map(clause_table, constraints)]
+    operands.sort(key=lambda op: len(op.scope))
     b_vars, b = operands.pop()
     a_vars = {w for vs, _ in operands for w in vs} - {pivot}
     shared = [w for w in b_vars if w in a_vars]
@@ -404,7 +404,7 @@ class _Run:
         toward mf.  The table is copied to C order, since the kernel's
         matmul can round differently on a strided view."""
         scope = tuple(w for w in factor.scope if w not in self.sigma)
-        if len(scope) == factor.arity:
+        if len(scope) == len(factor.scope):
             return factor
         self.stats.mf = max(self.stats.mf, len(scope))
         index = tuple(self.sigma.get(w, slice(None)) for w in factor.scope)
@@ -414,7 +414,7 @@ class _Run:
 
     def _place_factor(self, factor: Factor) -> None:
         if not factor.scope:
-            self.scalars.append(factor.scalar())
+            self.scalars.append(float(factor.values))
             return
         home = max(factor.scope, key=self.position.__getitem__)
         assert home not in self.processed

@@ -14,14 +14,14 @@ Conventions shared by every module in this package:
   lexicographic layout in C order.
 * ``Literal`` and ``Cpt`` are ``NamedTuple``s, which hash, compare and
   sort in C: they unpack (``var, positive = lit``) and compare equal to
-  plain tuples of their fields.
+  plain tuples of their fields.  ``Factor`` is a ``NamedTuple`` too, a
+  (scope, values) pair, and ``clause_table`` returns one.
 * A ``BeliefNetwork`` is a valid DAG model once built: its constructor
   raises ModelError otherwise, so no later code checks it again.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -241,8 +241,7 @@ class BeliefNetwork:
         return range(self.n)
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """A nonnegative table over a scope of distinct binary variables.
 
     ``values`` has shape ``(2,) * len(scope)`` with axis k indexed by
@@ -252,22 +251,6 @@ class Factor:
 
     scope: tuple[int, ...]
     values: np.ndarray
-
-    def __post_init__(self):
-        if len(set(self.scope)) != len(self.scope):
-            raise ModelError(f"factor scope {self.scope} repeats a variable")
-        expected = (2,) * len(self.scope)
-        if self.values.shape != expected:
-            raise ModelError(f"factor values shape {self.values.shape}, expected {expected}")
-
-    @property
-    def arity(self) -> int:
-        return len(self.scope)
-
-    def scalar(self) -> float:
-        if self.scope:
-            raise ModelError("factor is not a scalar")
-        return float(self.values)
 
 
 def stack_tables(cpts: Sequence[Cpt]) -> Iterator[tuple[int, list[int], np.ndarray]]:
@@ -298,15 +281,10 @@ def cpt_factors(cpts: Sequence[Cpt]) -> list[Factor]:
     return factors
 
 
-def clause_table(clause: Clause) -> tuple[tuple[int, ...], np.ndarray]:
+def clause_table(clause: Clause) -> Factor:
     """A clause as a 0/1 table over its own variables, ascending: 0 only
     at the one assignment that falsifies every literal."""
     lits = clause.sorted_literals()
     table = np.ones((2,) * len(lits))
     table[tuple(0 if l.positive else 1 for l in lits)] = 0.0
-    return tuple(l.var for l in lits), table
-
-
-def close_enough(a: float, b: float) -> bool:
-    """Probability comparison used across tests and checks."""
-    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
+    return Factor(tuple(l.var for l in lits), table)

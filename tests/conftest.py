@@ -4,6 +4,8 @@ network in a fully positive and a partly deterministic variant.
 Variable naming used throughout the tests: A,B,C,D,F,G = 0..5.
 """
 
+import math
+
 import pytest
 
 from cnfbelief import BeliefNetwork, Clause, CnfFormula, Cpt, Literal, Ordering
@@ -29,6 +31,11 @@ def clause(*codes: int) -> Clause:
 
 def formula(*clauses_: Clause) -> CnfFormula:
     return CnfFormula(clauses_)
+
+
+def close_enough(a: float, b: float) -> bool:
+    """Probability comparison used across the tests."""
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
 
 
 @pytest.fixture

@@ -22,7 +22,6 @@ from cnfbelief import (
     Ordering,
     belief_given_cnf,
     brute_force_cpe,
-    close_enough,
     conditional_cnf_probability,
     elim_cpe,
     elim_cpe_d,
@@ -36,7 +35,7 @@ from cnfbelief import (
 from cnfbelief.cli import BENCH_COLUMNS, run_cli
 
 import conftest
-from conftest import clause, formula
+from conftest import clause, close_enough, formula
 
 
 def _report(number: int, label: str, verdict: str) -> None:

@@ -20,7 +20,6 @@ from cnfbelief import (
     ResourceLimitError,
     TraceEntry,
     brute_force_cpe,
-    close_enough,
     augmented_graph,
     belief_given_cnf,
     elim_cpe,
@@ -38,7 +37,7 @@ from cnfbelief.graphs import _eliminate
 from cnfbelief.model import EXTRACTED, QUERY
 from cnfbelief.transforms import _ancestral, _pruned_run
 
-from conftest import clause, formula
+from conftest import clause, close_enough, formula
 
 P_PHI42 = 0.3811715
 P_NOT_G_HYB = 0.35395
@@ -634,8 +633,8 @@ class TestLoadedFactors:
         assert [f.scope for f in factors] == [net.family(v) for v in variables]
         for v, f in zip(variables, factors):
             table = net.cpts[v].table
-            want = np.empty((2,) * f.arity)
-            for r, row in enumerate(itertools.product((0, 1), repeat=f.arity - 1)):
+            want = np.empty((2,) * len(f.scope))
+            for r, row in enumerate(itertools.product((0, 1), repeat=len(f.scope) - 1)):
                 want[row] = (1.0 - table[r], table[r])
             np.testing.assert_array_equal(f.values, want)
             assert not f.values.flags.writeable
@@ -682,7 +681,7 @@ class TestResourceLimit:
 def _aligned(factor: Factor, axis: dict[int, int], ndim: int) -> np.ndarray:
     """Transpose and reshape a factor's array to broadcast over the
     full bucket scope laid out by ``axis``."""
-    perm = sorted(range(factor.arity), key=lambda i: axis[factor.scope[i]])
+    perm = sorted(range(len(factor.scope)), key=lambda i: axis[factor.scope[i]])
     arr = factor.values.transpose(perm)
     shape = [1] * ndim
     for w in factor.scope:
@@ -799,7 +798,7 @@ class TestKernelMatchesReference:
         rng = np.random.default_rng(20032 + 100 * shared + b_only)
         factors, constraints, pivot, scope = _wide_bucket(rng, shared, a_only, b_only, layout,
                                                           clauses)
-        assert factors[0].arity > engine._BLOCK_ARITY
+        assert len(factors[0].scope) > engine._BLOCK_ARITY
         got = _bucket_lambda(factors, constraints, pivot, scope)
         want = _reference_bucket_lambda(factors, constraints, pivot, scope)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -865,7 +864,7 @@ class TestBoundedMemory:
         for vs in (common[:2], common[2:12] + own[:2], common[5:] + own):
             factors.append(Factor((pivot, *vs), rng.random((2,) * (1 + len(vs)))))
         scope = tuple(rng.permutation(rest).tolist())
-        assert sorted(f.arity for f in factors) == [3, 13, 15, 17]
+        assert sorted(len(f.scope) for f in factors) == [3, 13, 15, 17]
         tracemalloc.start()
         try:
             got = _bucket_lambda(factors, [], pivot, scope)

@@ -17,7 +17,6 @@ from cnfbelief import (
     ModelError,
     Ordering,
     brute_force_cpe,
-    close_enough,
     cpt_factors,
     evaluate,
     extract_clauses,
@@ -28,7 +27,7 @@ from cnfbelief import (
 from cnfbelief.engine import EngineConfig, RunStats, _Run
 from cnfbelief.model import EVIDENCE, QUERY
 
-from conftest import clause, formula
+from conftest import clause, close_enough, formula
 
 
 class TestLiteral:
@@ -379,24 +378,13 @@ class TestFactor:
         np.testing.assert_allclose(g.values, [0.9, 0.7])
         assert run.stats.mf == 1
         run.sigma[0] = 1
-        assert run._restrict(f).scalar() == 0.7
-
-    def test_scalar_factor(self):
-        f = Factor((), np.array(0.25))
-        assert f.scalar() == 0.25
-        assert f.arity == 0
-
-    def test_shape_must_match_scope(self):
-        with pytest.raises(ModelError):
-            Factor((0, 1), np.zeros((2,)))
+        assert float(run._restrict(f).values) == 0.7
 
 
 @pytest.mark.parametrize("make, message", [
     (lambda: CnfFormula([clause(1)], ["guess"]), "^unknown provenance tag 'guess'$"),
     (lambda: clause(1, 2).unit_literal(), "^clause is not unit$"),
-    (lambda: Factor((0, 0), np.zeros((2, 2))), r"^factor scope \(0, 0\) repeats a variable$"),
-    (lambda: Factor((0,), np.zeros(2)).scalar(), "^factor is not a scalar$"),
-], ids=["provenance-tag", "unit-literal", "factor-scope", "scalar"])
+], ids=["provenance-tag", "unit-literal"])
 def test_model_refusals(make, message):
     with pytest.raises(ModelError, match=message):
         make()

@@ -6,11 +6,10 @@ from cnfbelief import (
     Cpt,
     ModelError,
     brute_force_cpe,
-    close_enough,
 )
 from cnfbelief.oracle import MAX_BRUTE_VARS
 
-from conftest import clause, formula
+from conftest import clause, close_enough, formula
 
 
 def test_empty_formula_sums_to_one(net2, pos_net):

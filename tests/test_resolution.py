@@ -1,8 +1,8 @@
 import pytest
 
-from cnfbelief import ModelError, Ordering, bdr_step, close_enough, resolve, run_trace
+from cnfbelief import ModelError, Ordering, bdr_step, resolve, run_trace
 
-from conftest import clause, formula
+from conftest import clause, close_enough, formula
 
 
 class TestApplyUnit:

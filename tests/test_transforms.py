@@ -20,7 +20,6 @@ from cnfbelief import (
     augmented_graph,
     belief_given_cnf,
     brute_force_cpe,
-    close_enough,
     conditional_cnf_probability,
     elim_cpe,
     elim_cpe_d,
@@ -37,7 +36,7 @@ from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.model import EXTRACTED
 from cnfbelief.transforms import ALGORITHMS
 
-from conftest import A, B, C, D, F, clause, formula
+from conftest import A, B, C, D, F, clause, close_enough, formula
 from test_golden_runs import CONFIGS as GOLDEN_CONFIGS
 
 
