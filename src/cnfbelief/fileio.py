@@ -126,11 +126,12 @@ def parse_network(text: str) -> BeliefNetwork:
 
 def serialize_network(net: BeliefNetwork, header: list[str] | None = None) -> str:
     lines = [f"# {h}" for h in header or []]
-    lines.append(f"vars {net.n}")
-    for cpt in net.cpts:
-        if cpt.parents:
-            lines.append(f"parents {cpt.child} " + " ".join(str(p) for p in cpt.parents))
-        lines.append(f"cpt {cpt.child} " + " ".join(repr(v) for v in cpt.table))
+    # ints and floats, since the network also takes numpy numbers and bools
+    lines.append(f"vars {int(net.n)}")
+    for child, parents, table in net.cpts:
+        if parents:
+            lines.append(f"parents {int(child)} " + " ".join(str(int(p)) for p in parents))
+        lines.append(f"cpt {int(child)} " + " ".join(repr(float(v)) for v in table))
     return "\n".join(lines) + "\n"
 
 

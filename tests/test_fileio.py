@@ -1,12 +1,15 @@
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnfbelief import (
+    BeliefNetwork,
     Clause,
     CnfFormula,
+    Cpt,
     ParseError,
     parse_dimacs,
     parse_network,
@@ -138,6 +141,17 @@ class TestSerializeNetwork:
             again = parse_network(serialize_network(net))
             # full-precision floats survive the trip exactly
             assert again == net
+
+    def test_round_trip_numpy_numbers_and_bools(self):
+        # the network takes numpy numbers and bools where ints and floats
+        # go; the file holds plain ones, which parse back to an equal network
+        mixed = BeliefNetwork(np.int64(2), (
+            Cpt(np.int64(0), (), (np.float32(0.5),)),
+            Cpt(np.int32(1), (np.int64(0),), (np.float64(0.25), np.float32(0.75)))))
+        flags = BeliefNetwork(3, (Cpt(0, (), (True,)), Cpt(1, (), (0.5,)),
+                                  Cpt(2, (True, False), (0.1, 0.2, 0.3, False))))
+        for net in (mixed, BeliefNetwork(1, (Cpt(0, (), (True,)),)), flags):
+            assert parse_network(serialize_network(net)) == net
 
     def test_header_lines(self, net2):
         text = serialize_network(net2, header=["alpha", "beta"])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 from typing import Optional
 
 import pytest
@@ -1334,3 +1335,41 @@ class TestUnderflow:
             assert dist is not None
             assert close_enough(dist[0], joint[0] / sum(joint))
             assert close_enough(dist[1], joint[1] / sum(joint))
+
+    @pytest.mark.parametrize("alg", ["cpe", "cpe-d", "hidden"])
+    @pytest.mark.parametrize("entry", ["evaluate", "belief"])
+    def test_star_matches_its_closed_form(self, entry, alg):
+        # a root 0, P(0=1) = 0.5, with 20 of the comb's chains of 65
+        # hidden variables: chain k's h_i = 1 + 130k + 2i has its observed
+        # leaf at h_i + 1 and its parent at h_{i-1}, or the root for h_0.
+        # The root's bucket gets 20 messages of about 2^-60 each, whose
+        # product is below the floats.
+        chains, length = 20, 65
+        cpts = [Cpt(0, (), (0.5,))]
+        for h in range(1, 130 * chains, 2):
+            cpts += [Cpt(h, (h - 2 if (h - 1) % 130 else 0,), (0.2, 0.8)),
+                     Cpt(h + 1, (h,), (0.4, 0.6))]
+        net = BeliefNetwork(len(cpts), tuple(cpts))
+        phi = CnfFormula([clause(o + 1) for o in range(2, 130 * chains + 1, 2)])
+        # exact: beta(h) = P(a chain's leaves | its h_0 = h), one backward
+        # pass, then the message m(r) = P(a chain's leaves | root = r)
+        emit = (Fraction("0.4"), Fraction("0.6"))
+        step = ((Fraction("0.8"), Fraction("0.2")), (Fraction("0.2"), Fraction("0.8")))
+        beta = emit
+        for _ in range(length - 1):
+            beta = tuple(emit[h] * (step[h][0] * beta[0] + step[h][1] * beta[1]) for h in (0, 1))
+        m = [step[r][0] * beta[0] + step[r][1] * beta[1] for r in (0, 1)]
+        joint = [Fraction(1, 2) * m[r] ** chains for r in (0, 1)]
+        p = sum(joint)
+        if entry == "evaluate":
+            log_p = math.log(p.numerator) - math.log(p.denominator)
+            assert math.isclose(evaluate(net, phi, alg)[1].log_result, log_p, rel_tol=1e-12)
+        else:
+            # h_0 of chain 0 is variable 1; the root's bucket is left
+            # unsummed when the root is the query
+            ones = sum(joint[r] / m[r] * step[r][1] * beta[1] for r in (0, 1))
+            for var, want in ((1, ones / p), (0, joint[1] / p)):
+                dist = belief_given_cnf(net, phi, var, alg)
+                assert dist is not None, var
+                assert close_enough(dist[0], float(1 - want)), var
+                assert close_enough(dist[1], float(want)), var
