@@ -147,10 +147,13 @@ def _formatted(stats) -> dict:
 def _print_stats(stats, mode: str) -> None:
     """Print ``stats.as_dict()``; json and human add ``entries_static``,
     ``forced`` and ``log_result`` (null in JSON, -inf in human, at
-    probability 0)."""
+    probability 0), json first the pre-pass timings ``extract_s`` and
+    ``propagate_s``."""
     log_result = stats.log_result
     if mode == "json":
         values = stats.as_dict()
+        values["extract_s"] = stats.extract_s
+        values["propagate_s"] = stats.propagate_s
         values["entries_static"] = stats.entries_static
         values["forced"] = stats.forced
         values["log_result"] = log_result if math.isfinite(log_result) else None

@@ -163,7 +163,10 @@ class RunStats:
     elapsed (``time_s``) is the wall time of loading the factors and
     clauses plus the elimination pass; ancestral pruning, extraction,
     unit propagation, graph building, ordering and width_posthoc are
-    outside it (brute times its enumerations).  mf is
+    outside it (brute times its enumerations).  extract_s is the wall
+    time of cpe-d's clause extraction and propagate_s that of the unit
+    propagation cpe-d and belief runs take first (see
+    ``transforms._pruned_run``); each is 0.0 on a run that skips it.  mf is
     the largest arity of any factor the run materialized (restricted
     tables and summation results; the input CPTs do not count).
     derived_clauses / derived_units count clauses produced by unit and
@@ -206,8 +209,8 @@ class RunStats:
     builds no graph: its mf, C, U, O, width_static and entries_static
     are 0, width_posthoc is None and its trace is empty.  So is a run of an input holding the empty
     clause, answered 0 before anything is read, with F and forced 0.
-    as_dict() leaves out log_result, entries_static, forced, log_joint
-    and trace.
+    as_dict() leaves out log_result, entries_static, forced, extract_s,
+    propagate_s, log_joint and trace.
     """
 
     result: float = 0.0
@@ -222,6 +225,8 @@ class RunStats:
     width_posthoc: Optional[int] = None
     entries_static: Optional[int] = None
     forced: int = 0
+    extract_s: float = 0.0
+    propagate_s: float = 0.0
     log_joint: Optional[tuple[float, float]] = None
     trace: list["TraceEntry"] = field(default_factory=list, repr=False)
 

@@ -13,7 +13,9 @@ terminated by 0, `c` comments.  A comment `c evidence` (or
 `%` ends the clause list: SATLIB files end with `%` and a lone `0`,
 which would otherwise read as the empty clause.  parse/serialize
 round-trip exactly; serialized clause literals are ascending by
-variable.
+variable.  So the serializers raise ValueError on what would not: a
+header line holding a line break or, in DIMACS, reading as a tag, and
+a variable count that is negative or not above phi's largest variable.
 
 Order file: 0-based variable numbers separated by whitespace,
 first-to-last, each of the network's variables exactly once.
@@ -124,8 +126,22 @@ def parse_network(text: str) -> BeliefNetwork:
         raise ParseError(str(exc)) from None
 
 
+def _header(header: list[str] | None, comment: str) -> list[str]:
+    """The header lines as comments, each behind ``comment``; a line
+    that ``splitlines`` would split raises ValueError, since its second
+    part would be read as a declaration."""
+    lines = []
+    for h in header or []:
+        if "".join(h.splitlines()) != h:
+            raise ValueError(f"header line {h!r} holds a line break")
+        lines.append(f"{comment} {h}")
+    return lines
+
+
 def serialize_network(net: BeliefNetwork, header: list[str] | None = None) -> str:
-    lines = [f"# {h}" for h in header or []]
+    """The network in the network format, behind ``header``'s lines as
+    ``#`` comments; a header line holding a line break raises ValueError."""
+    lines = _header(header, "#")
     # ints and floats, since the network also takes numpy numbers and bools
     lines.append(f"vars {int(net.n)}")
     for child, parents, table in net.cpts:
@@ -138,6 +154,12 @@ def serialize_network(net: BeliefNetwork, header: list[str] | None = None) -> st
 _TAG_COMMENTS = {"evidence": EVIDENCE, "extracted": EXTRACTED, "query": QUERY}
 
 
+def _comment_tag(line: str) -> str | None:
+    """The provenance tag a DIMACS comment line gives the next clause,
+    or None: its text after the ``c``, stripped and lower-cased."""
+    return _TAG_COMMENTS.get(line.strip()[1:].strip().lower())
+
+
 def parse_dimacs(text: str) -> CnfFormula:
     declared = None
     n_vars = 0
@@ -148,9 +170,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     for lineno, line in enumerate(text.splitlines(), start=1):
         lead = line.lstrip()[:1]
         if lead == "c":
-            tag = line.strip()[1:].strip().lower()
-            if tag in _TAG_COMMENTS:
-                pending_tag = _TAG_COMMENTS[tag]
+            pending_tag = _comment_tag(line) or pending_tag
             continue
         if lead == "%":
             break
@@ -219,9 +239,22 @@ def parse_order(text: str, n: int) -> Ordering:
 
 def serialize_cnf(phi: CnfFormula, n_vars: int | None = None,
                   header: list[str] | None = None) -> str:
+    """phi in DIMACS, declaring ``n_vars`` variables (by default one
+    past phi's largest), behind ``header``'s lines as ``c`` comments.
+    ValueError refuses what ``parse_dimacs`` would read back otherwise
+    or refuse: an ``n_vars`` that is negative or not above phi's largest
+    variable, a header line holding a line break, and one that reads as
+    a provenance tag, which would tag phi's first clause."""
+    largest = max(phi.variables(), default=-1)
     if n_vars is None:
-        n_vars = max((v for v in phi.variables()), default=-1) + 1
-    lines = [f"c {h}" for h in header or []]
+        n_vars = largest + 1
+    elif n_vars < 0 or n_vars <= largest:
+        raise ValueError(f"n_vars {n_vars} must be at least 0 and above phi's largest "
+                         f"variable {largest}")
+    lines = _header(header, "c")
+    for h, line in zip(header or [], lines):
+        if _comment_tag(line):
+            raise ValueError(f"header line {h!r} reads as a provenance tag")
     lines.append(f"p cnf {n_vars} {len(phi.clauses)}")
     for clause, tag in phi.items():
         if tag != QUERY:

@@ -4,8 +4,10 @@
   into clauses, the prime implicants of each table (the parent cubes
   that force the child and stop doing so when any one parent is
   freed), so implied units surface.  The tables with the same number
-  of parents are stacked and take one numpy pass, so the Python work
-  per CPT is building its clauses.
+  of parents are stacked and take one numpy pass, which also writes
+  each clause as a row of signed integers (``_extracted_rows``); cpe-d
+  propagates those rows, so only the clauses propagation leaves become
+  ``Clause`` objects.
 * hidden_embed: the baseline that compiles each query clause into an
   evidence-fixed hidden variable for plain elimination.
 * evaluate: the front door, through ``_pruned_run``, the one dispatch
@@ -15,7 +17,7 @@
   elim_cpe, run_trace, elim_cpe_d and elim_hidden are calls of it.
 * _propagate: the one pre-pass, for cpe-d and for belief under every
   algorithm, along the default or a given ordering.  Unit propagation
-  over phi (and cpe-d's extracted clauses) answers a conflict with 0,
+  over phi (and cpe-d's extracted rows) answers a conflict with 0,
   turns each CPT whose family it fixes into an exact log constant, and
   leaves the other CPTs and the clauses it does not satisfy,
   shortened; the engine gets those with the unit of each forced
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -56,11 +58,15 @@ from .oracle import brute_force_cpe
 # a CPT with more takes a pass of its own
 _PASS_CELLS = 1 << 20
 
+# the sign of a literal by its value in a prime row: a child value index
+# (0 for child 1, 1 for child 0) or a parent value (2 for free, dropped)
+_SIGN = np.array([1, -1, 0])
 
-def _prime_rows(k: int, tables: np.ndarray) -> list[list[int]]:
-    """The prime cubes of the stacked (N, 2**k) tables, as rows (table
-    index, 0 for child 1 or 1 for child 0, then each parent's value or
-    2 for free), in ``extract_clauses`` order."""
+
+def _prime_rows(k: int, tables: np.ndarray) -> np.ndarray:
+    """The prime cubes of the stacked (N, 2**k) tables, as the rows of
+    one int array (table index, 0 for child 1 or 1 for child 0, then
+    each parent's value or 2 for free), in ``extract_clauses`` order."""
     # axes (table, child value 1 then 0, parent 1, ..., parent k); each
     # parent axis gains index 2 for "free": the AND of its two values
     rows = tables.reshape((-1, 1) + (2,) * k)
@@ -75,15 +81,42 @@ def _prime_rows(k: int, tables: np.ndarray) -> list[list[int]]:
     cubes = found[:, 2:]
     fixed = cubes != 2
     weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    # one integer key orders the rows by table, child value, then (size,
-    # positions, values): same-size position lists ascend as their masks
-    # (first parent highest) descend, and over the same positions the
-    # values ascend as the mask of the parents at 1
-    key = ((found[:, 0] << 1) + found[:, 1]) * (k + 1) + fixed.sum(1)
-    key = (key << k) + ((1 << k) - 1 - fixed @ weights)
-    key = ((key << k) + (cubes == 1) @ weights).tolist()
-    found = found.tolist()
-    return [found[j] for j in sorted(range(len(found)), key=key.__getitem__)]
+    # by table, child value, then (size, positions, values): same-size
+    # position lists ascend as their masks (first parent highest)
+    # descend, and over the same positions the values ascend as the mask
+    # of the parents at 1
+    return found[np.lexsort(((cubes == 1) @ weights, -(fixed @ weights), fixed.sum(1),
+                             found[:, 1], found[:, 0]))]
+
+
+def _extracted_rows(net: BeliefNetwork, variables: Iterable[int] | None = None
+                    ) -> list[tuple[int, ...]]:
+    """``extract_clauses(net, variables)`` as rows of signed 1-based
+    integers (negative for a negated literal), each clause's fixed
+    parents in the CPT's order and then its child."""
+    cpts = [net.cpts[v] for v in (net.variables() if variables is None
+                                  else dict.fromkeys(net.check(variables)))]
+    rows: list[tuple[int, ...]] = []
+    owners = []
+    for k, where, tables in stack_tables(cpts):
+        # each CPT's parents, then its child, numbered from 1
+        ids = np.array([cpts[i].parents + (cpts[i].child,) for i in where]) + 1
+        step = max(1, _PASS_CELLS // 3 ** k)
+        for start in range(0, len(where), step):
+            found = _prime_rows(k, tables[start:start + step])
+            table = found[:, 0] + start
+            signed = ids[table] * _SIGN[found[:, [*range(2, k + 2), 1]]]
+            rows += [tuple(filter(None, row)) for row in signed.tolist()]
+            owners.append(np.array(where)[table])
+    if not rows:
+        return rows
+    # stable, so each CPT's rows keep their order
+    return [rows[j] for j in np.argsort(np.concatenate(owners), kind="stable").tolist()]
+
+
+def _literal(signed: int) -> Literal:
+    """The literal of a signed 1-based integer."""
+    return Literal(abs(signed) - 1, signed > 0)
 
 
 def extract_clauses(net: BeliefNetwork, variables: Iterable[int] | None = None) -> CnfFormula:
@@ -101,7 +134,8 @@ def extract_clauses(net: BeliefNetwork, variables: Iterable[int] | None = None) 
     matters: a full OR gate must surface the two-literal implications,
     not four full-row clauses.  The tables of each parent count are
     stacked and take one numpy pass, split only where the stacked cube
-    tables would pass ``_PASS_CELLS`` cells.
+    tables would pass ``_PASS_CELLS`` cells.  The clauses are built
+    from ``_extracted_rows``, the signed-integer rows cpe-d propagates.
 
     Each clause has probability 1 under the network, so conjoining them
     to a query never changes its probability.  No clause repeats: one
@@ -109,19 +143,7 @@ def extract_clauses(net: BeliefNetwork, variables: Iterable[int] | None = None) 
     otherwise only i's parents, so two CPTs sharing one would each be a
     parent of the other.
     """
-    cpts = [net.cpts[v] for v in (net.variables() if variables is None
-                                  else dict.fromkeys(net.check(variables)))]
-    per_cpt: list[list[Clause]] = [[] for _ in cpts]
-    for k, where, tables in stack_tables(cpts):
-        step = max(1, _PASS_CELLS // 3 ** k)
-        for start in range(0, len(where), step):
-            for i, to_zero, *cube in _prime_rows(k, tables[start:start + step]):
-                cpt = cpts[where[start + i]]
-                literals = [Literal(cpt.parents[p], positive=(v == 0))
-                            for p, v in enumerate(cube) if v != 2]
-                literals.append(Literal(cpt.child, positive=not to_zero))
-                per_cpt[where[start + i]].append(Clause(literals))
-    clauses = [clause for group in per_cpt for clause in group]
+    clauses = [Clause(map(_literal, row)) for row in _extracted_rows(net, variables)]
     return CnfFormula(clauses, (EXTRACTED,) * len(clauses))
 
 
@@ -273,7 +295,8 @@ def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int,
     return loaded, CnfFormula([c for c, _ in items], [t for _, t in items])
 
 
-def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
+def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula,
+               extracted: Sequence[tuple[int, ...]] = ()
                ) -> tuple[dict[int, bool], tuple[int, ...], CnfFormula, float]:
     """P(phi) over the CPTs of ``kept`` (ascending) split by unit
     propagation into an exact log constant and a residual problem:
@@ -281,56 +304,73 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
     constant's exp times P(clauses) over the CPTs of ``variables``
     with each forced variable they mention at its value in sigma.
 
-    sigma holds the literals that unit propagation over phi's clauses
-    forces, found with a queue over occurrence lists in which each
-    clause counts its literals not yet falsified (Davis and Putnam
-    1960); phi must not hold the empty clause.  Each CPT of ``kept``
-    whose whole family sigma fixes is one exact entry, and the constant
-    is the sum of their logs.  ``variables`` are the other variables of
-    ``kept``, ascending; ``clauses`` are phi's clauses that sigma leaves
-    unsatisfied, shortened to their free literals with their tags kept
-    (none is a unit).  A shortened extracted clause still holds with
-    probability 1 under its own CPT, which stays: a family that sigma
-    fixes whole leaves its clauses satisfied or falsified.  A conflict
-    or a forced entry of 0 gives the constant -inf, with no variables
-    and no clauses; sigma then holds what was forced before it.
+    ``extracted`` holds cpe-d's clauses certain under those CPTs, as
+    ``_extracted_rows`` gives them, which propagate after phi's.  sigma
+    holds the literals that unit propagation over all of them forces,
+    found with a queue over occurrence lists keyed by signed literal,
+    in which each clause counts its literals not yet falsified (Davis
+    and Putnam 1960); phi must not hold the empty clause.  Each CPT of
+    ``kept`` whose whole family sigma fixes is one exact entry, and the
+    constant is the sum of their logs.  ``variables`` are the other
+    variables of ``kept``, ascending; ``clauses`` are the clauses that
+    sigma leaves unsatisfied, phi's and then the extracted ones tagged
+    extracted, shortened to their free literals with their tags kept
+    (none is a unit).  phi's untouched clauses keep their objects, and
+    an extracted row becomes a ``Clause`` only here.  A shortened
+    extracted clause still holds with probability 1 under its own CPT,
+    which stays: a family that sigma fixes whole leaves its clauses
+    satisfied or falsified.  A conflict or a forced entry of 0 gives
+    the constant -inf, with no variables and no clauses; sigma then
+    holds what was forced before it.
     """
-    clauses = [c.literals for c in phi.clauses]
+    n = len(phi)
+    clauses = [c.literals for c in phi.clauses]  # then the rows, signed
+    clauses += extracted
     nothing = (), CnfFormula([]), -math.inf
     sigma: dict[int, bool] = {}
     free = [len(c) for c in clauses]  # 0 once the clause is satisfied
-    occurs: dict[int, list[tuple[int, bool]]] = {}
-    for i, literals in enumerate(clauses):
-        for lit in literals:
-            occurs.setdefault(lit.var, []).append((i, lit.positive))
-    queue = [(lit.var, lit.positive) for literals in clauses if len(literals) == 1
-             for lit in literals]
+    occurs: dict[int, list[int]] = {}  # keyed by signed literal
+    for i in range(n):
+        for var, positive in clauses[i]:
+            occurs.setdefault(var + 1 if positive else -var - 1, []).append(i)
+    for i in range(n, len(clauses)):
+        for s in clauses[i]:
+            occurs.setdefault(s, []).append(i)
+    queue = [var + 1 if positive else -var - 1 for literals in clauses[:n]
+             if len(literals) == 1 for var, positive in literals]
+    queue += [row[0] for row in extracted if len(row) == 1]
     while queue:
-        var, value = queue.pop()
+        s = queue.pop()
+        var = abs(s) - 1
         if var in sigma:
             continue
-        sigma[var] = value
-        for i, positive in occurs.get(var, ()):
+        sigma[var] = s > 0
+        for i in occurs.get(s, ()):
+            free[i] = 0
+        for i in occurs.get(-s, ()):
             if not free[i]:
-                continue
-            if positive == value:
-                free[i] = 0
                 continue
             free[i] -= 1
             if not free[i]:
                 return (sigma, *nothing)
             if free[i] == 1:
-                queue.append(next((l.var, l.positive) for l in clauses[i] if l.var not in sigma))
+                if i < n:
+                    left, positive = next(l for l in clauses[i] if l.var not in sigma)
+                    queue.append(left + 1 if positive else -left - 1)
+                else:
+                    queue.append(next(t for t in clauses[i] if abs(t) - 1 not in sigma))
     variables, logs = [], []
+    cpts, forced = net.cpts, sigma.__contains__
     for v in kept:
-        cpt = net.cpts[v]
-        if v not in sigma or not all(p in sigma for p in cpt.parents):
+        parents = cpts[v].parents
+        if not forced(v) or not all(map(forced, parents)):
             variables.append(v)
             continue
         row = 0
-        for p in cpt.parents:
+        for p in parents:
             row = 2 * row + sigma[p]
-        logs.append(_log(cpt.table[row] if sigma[v] else 1.0 - cpt.table[row]))
+        p_one = cpts[v].table[row]
+        logs.append(_log(p_one if sigma[v] else 1.0 - p_one))
     constant = math.fsum(logs)
     if constant == -math.inf:
         return (sigma, *nothing)
@@ -340,6 +380,9 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula
             items.append((clause, tag))
         elif left:
             items.append((Clause(l for l in literals if l.var not in sigma), tag))
+    for row, left in zip(extracted, free[n:]):
+        if left:
+            items.append((Clause(_literal(s) for s in row if abs(s) - 1 not in sigma), EXTRACTED))
     residual = CnfFormula([c for c, _ in items], [t for _, t in items])
     return sigma, tuple(variables), residual, constant
 
@@ -351,7 +394,8 @@ def _certified(net: BeliefNetwork, clause: Clause) -> bool:
     clauses (its prime implicants) is a subset of the clause."""
     variables = clause.variables()
     owners = [v for v in variables if variables.issubset(net.family(v))]
-    return any(e.literals <= clause.literals for e in extract_clauses(net, owners).clauses)
+    signed = {lit.signed() for lit in clause.literals}
+    return any(signed.issuperset(row) for row in _extracted_rows(net, owners))
 
 
 def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig | None,
@@ -362,8 +406,12 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
     network (``brute_force_cpe``), with var once per value, as a unit.
     cpe, cpe-d and hidden make one engine run over the CPTs of phi's
     (and ``var``'s) ancestral variables, cpe-d's with their extracted
-    clauses, whose distinct ones ``stats.extracted`` counts; the empty
-    clause answers 0 before anything is read.  A caller's clause of two
+    clauses, kept as ``_extracted_rows`` for the pre-pass; the empty
+    clause answers 0 before anything is read.  ``stats.extracted`` (F)
+    counts the distinct extracted clauses: the rows, which are distinct,
+    plus the caller's extracted-tagged clauses that are not among them.
+    ``stats.extract_s`` and ``stats.propagate_s`` time the extraction
+    and the pre-pass, 0.0 on a run without them.  A caller's clause of two
     or more literals tagged extracted, which the engine lets propagate
     but never gate a sum, keeps that tag only where ``_certified``
     shows it certain, and runs as a query clause otherwise (a unit is
@@ -400,12 +448,23 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
         phi = CnfFormula(phi.clauses, [QUERY if tag == EXTRACTED and len(c) > 1
                                        and not _certified(net, c) else tag
                                        for c, tag in phi.items()])
+    extracted = []
     if alg == "cpe-d":
-        phi = phi.conjoin(extract_clauses(net, kept))
-    answered.extracted = len({c.literals for c, tag in phi.items() if tag == EXTRACTED})
+        t0 = perf_counter()
+        extracted = _extracted_rows(net, kept)
+        answered.extract_s = perf_counter() - t0
+    # the rows are distinct (see extract_clauses), so only the caller's
+    # tagged clauses are compared with them
+    tagged = {frozenset(lit.signed() for lit in c.literals)
+              for c, tag in phi.items() if tag == EXTRACTED}
+    if tagged and extracted:
+        tagged.difference_update(map(frozenset, extracted))
+    answered.extracted = len(extracted) + len(tagged)
     propagates = alg == "cpe-d" or var is not None
     if propagates:
-        sigma, kept, phi, constant = _propagate(net, kept, phi)
+        t0 = perf_counter()
+        sigma, kept, phi, constant = _propagate(net, kept, phi, extracted)
+        answered.propagate_s = perf_counter() - t0
         answered.forced = len(sigma)
         if constant == -math.inf:
             return answered
@@ -421,6 +480,7 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
         phi = CnfFormula([Clause([lit]) for lit in evidence], (EVIDENCE,) * len(evidence))
     stats = _execute(net, kept, phi, ordering, cfg, var)[1]
     stats.extracted, stats.forced = answered.extracted, answered.forced
+    stats.extract_s, stats.propagate_s = answered.extract_s, answered.propagate_s
     if propagates and var is None:
         stats.log_result += constant
         stats.result = math.exp(stats.log_result)

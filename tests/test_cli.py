@@ -129,8 +129,10 @@ class TestEval:
         assert prob_line == "0.381171500000"
         stats = json.loads(stats_line)
         assert list(stats) == ["result", "time_s", "mf", "C", "U", "F", "O",
-                               "width_static", "width_posthoc", "entries_static", "forced",
-                               "log_result"]
+                               "width_static", "width_posthoc", "extract_s", "propagate_s",
+                               "entries_static", "forced", "log_result"]
+        # cpe runs neither pre-pass phase
+        assert stats["extract_s"] == stats["propagate_s"] == 0.0
         assert stats["log_result"] == pytest.approx(math.log(0.3811715), rel=1e-9)
         assert stats["mf"] == 3
         assert stats["width_static"] == 3
@@ -169,8 +171,10 @@ class TestEval:
         for alg, forced in (("cpe-d", 3), ("cpe", 0)):
             assert run_cli(args + ["json", "--alg", alg]) == 0
             values = json.loads(capsys.readouterr().out.splitlines()[-1])
-            assert list(values)[-3:] == ["entries_static", "forced", "log_result"]
+            assert list(values)[-5:] == ["extract_s", "propagate_s", "entries_static",
+                                         "forced", "log_result"]
             assert values["forced"] == forced
+            assert (values["extract_s"] > 0.0) == (values["propagate_s"] > 0.0) == (alg == "cpe-d")
             assert run_cli(args + ["human", "--alg", alg]) == 0
             assert f" forced={forced} log_result=" in capsys.readouterr().out.splitlines()[-1]
 

@@ -160,6 +160,13 @@ class TestSerializeNetwork:
     def test_serialization_is_deterministic(self, pos_net):
         assert serialize_network(pos_net) == serialize_network(pos_net)
 
+    @pytest.mark.parametrize("line", ["a\nvars 9", "run 1\r\n", "x\u2028y", "\n"])
+    def test_header_line_break_is_refused(self, net2, line):
+        # the part after the break would be read as a declaration
+        # ("line 3: duplicate vars line")
+        with pytest.raises(ValueError, match="header line .* holds a line break"):
+            serialize_network(net2, header=["fine", line])
+
 
 class TestParseDimacs:
     def test_basic(self):
@@ -296,6 +303,41 @@ class TestSerializeCnf:
         text = serialize_cnf(CnfFormula([]))
         assert text == "p cnf 0 0\n"
         assert len(parse_dimacs(text)) == 0
+        assert serialize_cnf(CnfFormula([]), n_vars=0) == text
+
+    @pytest.mark.parametrize("line", ["evidence", " Extracted ", "QUERY", "\tevidence\t"])
+    def test_header_reading_as_a_tag_is_refused(self, line):
+        # parse_dimacs would tag the first clause with it, across the
+        # problem line: ('query', ...) would read back ('evidence', ...)
+        phi = CnfFormula([clause(1, 2), clause(-2)], [QUERY, EVIDENCE])
+        with pytest.raises(ValueError, match="reads as a provenance tag"):
+            serialize_cnf(phi, n_vars=2, header=[line])
+
+    @pytest.mark.parametrize("line", ["run 1\nc evidence", "a\rb", "trailing\n"])
+    def test_header_line_break_is_refused(self, line):
+        with pytest.raises(ValueError, match="holds a line break"):
+            serialize_cnf(formula(clause(1)), header=[line])
+
+    def test_headers_that_read_back_are_written(self):
+        # a comment that only holds a tag word, or is empty, tags nothing
+        phi = CnfFormula([clause(1, 2), clause(-2)], [QUERY, EVIDENCE])
+        header = ["", "evidence follows", "n=8 f=3 d=0.5 c=3 e=2 seed=7", "c evidence"]
+        text = serialize_cnf(phi, n_vars=2, header=header)
+        assert text.startswith("c \nc evidence follows\n")
+        assert parse_dimacs(text) == phi
+
+    @pytest.mark.parametrize("n_vars", [-1, 0, 4])
+    def test_a_variable_count_that_misses_a_variable_is_refused(self, n_vars):
+        # "p cnf 4 1" then "5 0" would fail with "literal 5 exceeds
+        # declared 4 variables"; a negative count with "counts must be
+        # integers >= 0"
+        with pytest.raises(ValueError, match=f"n_vars {n_vars} must be"):
+            serialize_cnf(formula(clause(5)), n_vars=n_vars)
+        assert parse_dimacs(serialize_cnf(formula(clause(5)), n_vars=5)) == formula(clause(5))
+
+    def test_negative_count_is_refused_for_the_empty_formula(self):
+        with pytest.raises(ValueError, match="n_vars -1 must be"):
+            serialize_cnf(CnfFormula([]), n_vars=-1)
 
 
 # Text built from each format's own vocabulary: keywords, numbers in

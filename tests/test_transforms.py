@@ -305,6 +305,21 @@ class TestPropagatedRun:
         assert default.forced == stats.forced and default.extracted == 10
         assert math.isclose(default.log_result, stats.log_result, rel_tol=1e-12)
 
+    def test_the_pre_pass_phases_are_timed(self):
+        # extraction on cpe-d runs only, propagation on cpe-d and belief
+        # runs, a conflict included; 0.0 where the phase does not run
+        net = gen_network(40, 4, 0.9, 5)
+        phi = gen_query(net, c=3, e=0, seed=6)
+        _, stats = evaluate(net, phi, "cpe-d")
+        assert stats.extract_s > 0.0 and stats.propagate_s > 0.0
+        for alg in ("cpe", "hidden"):
+            _, stats = evaluate(net, phi, alg)
+            assert stats.extract_s == stats.propagate_s == 0.0, alg
+        stats = transforms._pruned_run(net, phi, "cpe", None, var=0)
+        assert stats.extract_s == 0.0 and stats.propagate_s > 0.0
+        _, stats = evaluate(self.chain(), formula(clause(1), clause(-2)), "cpe-d")
+        assert stats.result == 0.0 and stats.extract_s > 0.0 and stats.propagate_s > 0.0
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(n=st.integers(1, 12), f=st.integers(1, 4), c=st.integers(0, 4),
            e=st.integers(0, 4), seed=st.integers(0, 10 ** 6),
@@ -1036,6 +1051,85 @@ def _det_case(kind: str, n: int, f: int, seed: int):
                                          for a in (False, True) for b in (False, True)))
         var = m + 4
     return net, phi, var
+
+
+class TestPrePassAgainstAReference:
+    """cpe-d's pre-pass, which propagates the extracted clauses as rows
+    of signed integers, against plain fixpoint unit propagation
+    (``_unit_fixpoint``) over phi plus ``extract_clauses(net, kept)`` as
+    ``Clause`` objects."""
+
+    @staticmethod
+    def prepass(monkeypatch, net: BeliefNetwork, phi: CnfFormula):
+        """(sigma, variables, residual items, constant) of the
+        ``_propagate`` call one cpe-d ``_pruned_run`` makes, and its F;
+        the engine is not run."""
+        propagate, seen = transforms._propagate, []
+        monkeypatch.setattr(transforms, "_propagate",
+                            lambda *args: seen.append(propagate(*args)) or seen[-1])
+        monkeypatch.setattr(transforms, "_execute", lambda *args: (None, engine.RunStats(), []))
+        stats = transforms._pruned_run(net, phi, "cpe-d", EngineConfig(i_bound=2))
+        (sigma, variables, residual, constant), = seen
+        return (sigma, variables, list(residual.items()), constant), stats.extracted
+
+    @staticmethod
+    def reference(net: BeliefNetwork, phi: CnfFormula):
+        """The same from whole passes over Clause objects: None in
+        place of the four on a conflict or a forced entry of 0."""
+        kept = transforms._ancestral(net, phi)
+        full = phi.conjoin(extract_clauses(net, kept))
+        count = len({c.literals for c, tag in full.items() if tag == EXTRACTED})
+        sigma = _unit_fixpoint(full)
+        entries = {} if sigma is None else _fixed_entries(net, sigma, kept)
+        if sigma is None or 0.0 in entries.values():
+            return None, count
+        items = [(Clause(l for l in c.literals if l.var not in sigma), tag)
+                 for c, tag in full.items()
+                 if not any(sigma.get(l.var) == l.positive for l in c.literals)]
+        return (sigma, tuple(v for v in kept if v not in entries), items,
+                math.fsum(math.log(p) for p in entries.values())), count
+
+    def check(self, monkeypatch, net: BeliefNetwork, phi: CnfFormula) -> bool:
+        """Asserts the two agree; True when propagation met a conflict."""
+        (sigma, variables, items, constant), count = self.prepass(monkeypatch, net, phi)
+        want, want_count = self.reference(net, phi)
+        assert count == want_count
+        if want is None:  # sigma's content depends on the order here
+            assert constant == -math.inf and variables == () and items == []
+            return True
+        assert sigma == want[0] and variables == want[1] and items == want[2]
+        assert [t for _, t in items] == [t for _, t in want[2]]
+        assert constant == want[3]  # bit for bit: fsum is exactly rounded
+        return False
+
+    def test_random_instances(self, monkeypatch):
+        rng = random.Random(2024)
+        conflicts = 0
+        for i in range(200):
+            n = rng.randint(20, 60)
+            net = gen_network(n, rng.randint(2, 5), rng.choice([0.3, 0.5, 0.9, 1.0]), 7000 + i)
+            phi = gen_query(net, c=rng.randint(0, 6), e=rng.randint(0, 10), seed=8000 + i)
+            conflicts += self.check(monkeypatch, net, phi)
+        assert 0 < conflicts < 200  # both outcomes are covered
+
+    def test_a_caller_clause_equal_to_an_extracted_one_counts_once(self, monkeypatch):
+        net = gen_network(30, 4, 0.9, 31)
+        phi = gen_query(net, c=2, e=1, seed=32)
+        kept = transforms._ancestral(net, phi)
+        extracted = extract_clauses(net, kept).clauses
+        # a clause of two or more literals that leaves a parent free
+        owner, same = next((v, c) for v in kept for c in extract_clauses(net, [v]).clauses
+                           if 1 < len(c) <= len(net.parents(v)))
+        for tagged in ([same], [same, same]):
+            ours = phi.conjoin(CnfFormula(tagged, (EXTRACTED,) * len(tagged)))
+            self.check(monkeypatch, net, ours)
+            assert self.prepass(monkeypatch, net, ours)[1] == len(extracted)
+        # with that parent added it is certain, not prime: it counts once more
+        free = next(p for p in net.parents(owner) if p not in same.variables())
+        wider = Clause(same.literals | {Literal(free, True)})
+        ours = phi.conjoin(CnfFormula([wider, same], (EXTRACTED,) * 2))
+        self.check(monkeypatch, net, ours)
+        assert self.prepass(monkeypatch, net, ours)[1] == len(extracted) + 1
 
 
 class TestRequisiteBelief:
