@@ -100,7 +100,7 @@ def _extracted_rows(net: BeliefNetwork, variables: Iterable[int] | None = None
     owners = []
     for k, where, tables in stack_tables(cpts):
         # each CPT's parents, then its child, numbered from 1
-        ids = np.array([cpts[i].parents + (cpts[i].child,) for i in where]) + 1
+        ids = np.array([cpts[i].parents + (cpts[i].child,) for i in where], dtype=np.int64) + 1
         step = max(1, _PASS_CELLS // 3 ** k)
         for start in range(0, len(where), step):
             found = _prime_rows(k, tables[start:start + step])
@@ -324,7 +324,7 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula,
     holds what was forced before it.
     """
     n = len(phi)
-    clauses = [c.literals for c in phi.clauses]  # then the rows, signed
+    clauses = [c.literals for c in phi.clauses]  # Literal sets, then the signed rows
     clauses += extracted
     nothing = (), CnfFormula([]), -math.inf
     sigma: dict[int, bool] = {}

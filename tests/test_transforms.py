@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -174,6 +175,17 @@ class TestExtractClauses:
         assert (extract_clauses(net, [6, 2, 6, 2]).clauses
                 == extract_clauses(net, [6, 2]).clauses
                 == extract_clauses(net, [6]).clauses + extract_clauses(net, [2]).clauses)
+
+    def test_numpy_and_bool_ids_give_plain_int_literals(self):
+        # the rows are written in one int64 array, so unsigned or bool
+        # ids neither turn into floats nor reach the literals
+        net = gen_network(8, 3, 0.9, 1)
+        typed = BeliefNetwork(net.n, tuple(
+            Cpt(np.uint64(c) if c != 1 else True,
+                tuple(np.uint64(p) if p != 1 else True for p in ps), t) for c, ps, t in net.cpts))
+        clauses = extract_clauses(typed).clauses
+        assert clauses == extract_clauses(net).clauses
+        assert all(type(lit.var) is int for c in clauses for lit in c.literals)
 
 
 class TestElimCpeD:
