@@ -145,10 +145,10 @@ def _formatted(stats) -> dict:
 
 
 def _print_stats(stats, mode: str) -> None:
-    """Print ``stats.as_dict()``; json and human add ``entries_static``,
-    ``forced`` and ``log_result`` (null in JSON, -inf in human, at
-    probability 0), json first the pre-pass timings ``extract_s`` and
-    ``propagate_s``."""
+    """Print ``stats.as_dict()``; json adds the pre-pass timings
+    ``extract_s`` and ``propagate_s``, then json and human add
+    ``entries_static``, ``forced`` and ``log_result`` (null in JSON,
+    -inf in human, at probability 0)."""
     log_result = stats.log_result
     if mode == "json":
         values = stats.as_dict()
