@@ -78,9 +78,6 @@ class Clause:
     def __len__(self) -> int:
         return len(self.literals)
 
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(self.sorted_literals())
-
     def sorted_literals(self) -> tuple[Literal, ...]:
         return tuple(sorted(self.literals))
 

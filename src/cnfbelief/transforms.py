@@ -6,8 +6,8 @@
   freed), so implied units surface.  The tables with the same number
   of parents are stacked and take one numpy pass, which also writes
   each clause as a row of signed integers (``_extracted_rows``); cpe-d
-  propagates those rows, so only the clauses propagation leaves become
-  ``Clause`` objects.
+  propagates those rows with phi's, written in the same form, so only
+  the clauses propagation leaves become ``Clause`` objects.
 * hidden_embed: the baseline that compiles each query clause into an
   evidence-fixed hidden variable for plain elimination.
 * evaluate: the front door, through ``_pruned_run``, the one dispatch
@@ -17,11 +17,11 @@
   elim_cpe, run_trace, elim_cpe_d and elim_hidden are calls of it.
 * _propagate: the one pre-pass, for cpe-d and for belief under every
   algorithm, along the default or a given ordering.  Unit propagation
-  over phi (and cpe-d's extracted rows) answers a conflict with 0,
-  turns each CPT whose family it fixes into an exact log constant, and
-  leaves the other CPTs and the clauses it does not satisfy,
-  shortened; the engine gets those with the unit of each forced
-  variable the CPTs it loads mention.
+  over phi (and cpe-d's extracted clauses), all as signed-integer
+  rows, answers a conflict with 0, turns each CPT whose family it
+  fixes into an exact log constant, and leaves the other CPTs and the
+  clauses it does not satisfy, shortened; the engine gets those with
+  the unit of each forced variable the CPTs it loads mention.
 * belief_given_cnf: P(var | phi) from one ``_pruned_run``; the engine
   algorithms take the same pre-pass, and var is eliminated last on its
   requisite part of the residual (``_requisite``) when a witness shows
@@ -275,10 +275,8 @@ def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int,
             if u not in component and u not in sigma:
                 component.add(u)
                 stack.append(u)
-    # a family that meets C has its child in C or beside it; sorted, as variables is
-    near = component.union(*(graph[u] for u in component))
-    loaded = tuple(sorted(v for v in near if v in component
-                          or not component.isdisjoint(net.parents(v))))
+    loaded = tuple(v for v in variables if v in component
+                   or not component.isdisjoint(net.parents(v)))
     if not all(0.0 < p < 1.0 for v in set(variables).difference(loaded)
                for p in net.cpts[v].table):
         return None
@@ -305,40 +303,37 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula,
     with each forced variable they mention at its value in sigma.
 
     ``extracted`` holds cpe-d's clauses certain under those CPTs, as
-    ``_extracted_rows`` gives them, which propagate after phi's.  sigma
-    holds the literals that unit propagation over all of them forces,
-    found with a queue over occurrence lists keyed by signed literal,
-    in which each clause counts its literals not yet falsified (Davis
-    and Putnam 1960); phi must not hold the empty clause.  Each CPT of
-    ``kept`` whose whole family sigma fixes is one exact entry, and the
-    constant is the sum of their logs.  ``variables`` are the other
-    variables of ``kept``, ascending; ``clauses`` are the clauses that
-    sigma leaves unsatisfied, phi's and then the extracted ones tagged
-    extracted, shortened to their free literals with their tags kept
-    (none is a unit).  phi's untouched clauses keep their objects, and
-    an extracted row becomes a ``Clause`` only here.  A shortened
-    extracted clause still holds with probability 1 under its own CPT,
-    which stays: a family that sigma fixes whole leaves its clauses
-    satisfied or falsified.  A conflict or a forced entry of 0 gives
-    the constant -inf, with no variables and no clauses; sigma then
-    holds what was forced before it.
+    ``_extracted_rows`` gives them, which propagate after phi's; phi's
+    clauses are written as rows of the same signed integers on entry,
+    so one pass runs over all of them.  sigma holds the literals that
+    unit propagation forces, found with a queue over occurrence lists
+    keyed by signed literal, in which each row counts its literals not
+    yet falsified (Davis and Putnam 1960); phi must not hold the empty
+    clause.  Each CPT of ``kept`` whose whole family sigma fixes is one
+    exact entry, and the constant is the sum of their logs.
+    ``variables`` are the other variables of ``kept``, ascending;
+    ``clauses`` are the clauses that sigma leaves unsatisfied, phi's
+    and then the extracted ones tagged extracted, shortened to their
+    free literals with their tags kept (none is a unit).  phi's
+    untouched clauses keep their objects; every other row left becomes
+    a ``Clause`` only here.  A shortened extracted clause still holds
+    with probability 1 under its own CPT, which stays: a family that
+    sigma fixes whole leaves its clauses satisfied or falsified.  A
+    conflict or a forced entry of 0 gives the constant -inf, with no
+    variables and no clauses; sigma then holds what was forced before
+    it.
     """
-    n = len(phi)
-    clauses = [c.literals for c in phi.clauses]  # Literal sets, then the signed rows
+    clauses = [[var + 1 if positive else -var - 1 for var, positive in c.literals]
+               for c in phi.clauses]
     clauses += extracted
     nothing = (), CnfFormula([]), -math.inf
     sigma: dict[int, bool] = {}
-    free = [len(c) for c in clauses]  # 0 once the clause is satisfied
+    free = [len(row) for row in clauses]  # 0 once the clause is satisfied
     occurs: dict[int, list[int]] = {}  # keyed by signed literal
-    for i in range(n):
-        for var, positive in clauses[i]:
-            occurs.setdefault(var + 1 if positive else -var - 1, []).append(i)
-    for i in range(n, len(clauses)):
-        for s in clauses[i]:
+    for i, row in enumerate(clauses):
+        for s in row:
             occurs.setdefault(s, []).append(i)
-    queue = [var + 1 if positive else -var - 1 for literals in clauses[:n]
-             if len(literals) == 1 for var, positive in literals]
-    queue += [row[0] for row in extracted if len(row) == 1]
+    queue = [row[0] for row in clauses if len(row) == 1]
     while queue:
         s = queue.pop()
         var = abs(s) - 1
@@ -354,11 +349,7 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula,
             if not free[i]:
                 return (sigma, *nothing)
             if free[i] == 1:
-                if i < n:
-                    left, positive = next(l for l in clauses[i] if l.var not in sigma)
-                    queue.append(left + 1 if positive else -left - 1)
-                else:
-                    queue.append(next(t for t in clauses[i] if abs(t) - 1 not in sigma))
+                queue.append(next(t for t in clauses[i] if abs(t) - 1 not in sigma))
     variables, logs = [], []
     cpts, forced = net.cpts, sigma.__contains__
     for v in kept:
@@ -375,14 +366,12 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula,
     if constant == -math.inf:
         return (sigma, *nothing)
     items = []
-    for (clause, tag), literals, left in zip(phi.items(), clauses, free):
-        if left == len(literals):
-            items.append((clause, tag))
-        elif left:
-            items.append((Clause(l for l in literals if l.var not in sigma), tag))
-    for row, left in zip(extracted, free[n:]):
+    for clause, tag, row, left in zip(phi.clauses + (None,) * len(extracted),
+                                      phi.provenance + (EXTRACTED,) * len(extracted),
+                                      clauses, free):
         if left:
-            items.append((Clause(_literal(s) for s in row if abs(s) - 1 not in sigma), EXTRACTED))
+            items.append((clause if left == len(row) and clause is not None else
+                          Clause(_literal(s) for s in row if abs(s) - 1 not in sigma), tag))
     residual = CnfFormula([c for c, _ in items], [t for _, t in items])
     return sigma, tuple(variables), residual, constant
 

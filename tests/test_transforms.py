@@ -532,7 +532,7 @@ def _ancestors_by_fixpoint(net: BeliefNetwork, phi: CnfFormula) -> list[int]:
 
 
 def _renumber(clause_: Clause, number) -> Clause:
-    return Clause(Literal(number[l.var], l.positive) for l in clause_)
+    return Clause(Literal(number[l.var], l.positive) for l in clause_.literals)
 
 
 def _ancestral_instance(net: BeliefNetwork, phi: CnfFormula):
@@ -639,7 +639,7 @@ class TestRelevancePruning:
                 renumbered["bucket"] += sum(caller[e.bucket] != e.bucket for e in trace)
                 renumbered["scope"] += sum(caller[v] != v for e in trace for v in e.scope)
                 renumbered["derived"] += sum(caller[l.var] != l.var
-                                             for e in trace for c in e.derived for l in c)
+                                             for e in trace for c in e.derived for l in c.literals)
             (_, hidden_stats), _ = runs[2]
             renumbered["fresh"] += sum(e.bucket >= net.n for e in hidden_stats.trace)
         assert all(renumbered.values()), renumbered
@@ -1066,30 +1066,32 @@ def _det_case(kind: str, n: int, f: int, seed: int):
 
 
 class TestPrePassAgainstAReference:
-    """cpe-d's pre-pass, which propagates the extracted clauses as rows
-    of signed integers, against plain fixpoint unit propagation
-    (``_unit_fixpoint``) over phi plus ``extract_clauses(net, kept)`` as
-    ``Clause`` objects."""
+    """The pre-pass, which propagates phi's clauses and cpe-d's extracted
+    ones as rows of signed integers, against plain fixpoint unit
+    propagation (``_unit_fixpoint``) over ``Clause`` objects: cpe-d's
+    over phi plus ``extract_clauses(net, kept)``, and belief's (given
+    ``var``) over phi alone."""
 
     @staticmethod
-    def prepass(monkeypatch, net: BeliefNetwork, phi: CnfFormula):
+    def prepass(monkeypatch, net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None):
         """(sigma, variables, residual items, constant) of the
-        ``_propagate`` call one cpe-d ``_pruned_run`` makes, and its F;
-        the engine is not run."""
+        ``_propagate`` call one cpe-d ``_pruned_run`` makes, or with
+        ``var`` one cpe belief run, and its F; the engine is not run."""
         propagate, seen = transforms._propagate, []
         monkeypatch.setattr(transforms, "_propagate",
                             lambda *args: seen.append(propagate(*args)) or seen[-1])
         monkeypatch.setattr(transforms, "_execute", lambda *args: (None, engine.RunStats(), []))
-        stats = transforms._pruned_run(net, phi, "cpe-d", EngineConfig(i_bound=2))
+        alg = "cpe-d" if var is None else "cpe"
+        stats = transforms._pruned_run(net, phi, alg, EngineConfig(i_bound=2), var=var)
         (sigma, variables, residual, constant), = seen
         return (sigma, variables, list(residual.items()), constant), stats.extracted
 
     @staticmethod
-    def reference(net: BeliefNetwork, phi: CnfFormula):
+    def reference(net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None):
         """The same from whole passes over Clause objects: None in
         place of the four on a conflict or a forced entry of 0."""
-        kept = transforms._ancestral(net, phi)
-        full = phi.conjoin(extract_clauses(net, kept))
+        kept = transforms._ancestral(net, phi, var)
+        full = phi.conjoin(extract_clauses(net, kept)) if var is None else phi
         count = len({c.literals for c, tag in full.items() if tag == EXTRACTED})
         sigma = _unit_fixpoint(full)
         entries = {} if sigma is None else _fixed_entries(net, sigma, kept)
@@ -1101,28 +1103,42 @@ class TestPrePassAgainstAReference:
         return (sigma, tuple(v for v in kept if v not in entries), items,
                 math.fsum(math.log(p) for p in entries.values())), count
 
-    def check(self, monkeypatch, net: BeliefNetwork, phi: CnfFormula) -> bool:
-        """Asserts the two agree; True when propagation met a conflict."""
-        (sigma, variables, items, constant), count = self.prepass(monkeypatch, net, phi)
-        want, want_count = self.reference(net, phi)
+    def check(self, monkeypatch, net: BeliefNetwork, phi: CnfFormula,
+              var: Optional[int] = None) -> Optional[int]:
+        """Asserts the two agree and that each clause of phi propagation
+        leaves untouched comes back as itself; None when propagation
+        met a conflict, else how many came back so."""
+        (sigma, variables, items, constant), count = self.prepass(monkeypatch, net, phi, var)
+        want, want_count = self.reference(net, phi, var)
         assert count == want_count
         if want is None:  # sigma's content depends on the order here
             assert constant == -math.inf and variables == () and items == []
-            return True
+            return None
         assert sigma == want[0] and variables == want[1] and items == want[2]
         assert [t for _, t in items] == [t for _, t in want[2]]
         assert constant == want[3]  # bit for bit: fsum is exactly rounded
-        return False
+        # phi's unsatisfied clauses lead the residual, in phi's order
+        left = [c for c in phi.clauses if not any(sigma.get(l.var) == l.positive
+                                                  for l in c.literals)]
+        same = [ours is clause for (ours, _), clause in zip(items, left)]
+        assert same == [clause.variables().isdisjoint(sigma) for clause in left]
+        return sum(same)
 
     def test_random_instances(self, monkeypatch):
-        rng = random.Random(2024)
-        conflicts = 0
+        rng, pick = random.Random(2024), random.Random(2025)
+        conflicts = {"cpe-d": 0, "belief": 0}
+        same = 0
         for i in range(200):
             n = rng.randint(20, 60)
             net = gen_network(n, rng.randint(2, 5), rng.choice([0.3, 0.5, 0.9, 1.0]), 7000 + i)
             phi = gen_query(net, c=rng.randint(0, 6), e=rng.randint(0, 10), seed=8000 + i)
-            conflicts += self.check(monkeypatch, net, phi)
-        assert 0 < conflicts < 200  # both outcomes are covered
+            for key, var in (("cpe-d", None), ("belief", pick.randrange(n))):
+                result = self.check(monkeypatch, net, phi, var)
+                conflicts[key] += result is None
+                same += result or 0
+        # both outcomes are covered, and untouched clauses are met
+        assert all(0 < k < 200 for k in conflicts.values()), conflicts
+        assert same
 
     def test_a_caller_clause_equal_to_an_extracted_one_counts_once(self, monkeypatch):
         net = gen_network(30, 4, 0.9, 31)
