@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .engine import EngineConfig, ResourceLimitError
+from .engine import EngineConfig
 from .fileio import (
     ParseError,
     parse_dimacs,
@@ -251,8 +251,8 @@ def run_cli(argv=None) -> int:
     except (ParseError, ModelError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # ResourceLimitError, or any allocation that fails
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -84,21 +84,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Ordering, _eliminate, adjusted_induced_width, augmented_graph
-from .model import (
-    EXTRACTED,
-    BeliefNetwork,
-    Clause,
-    CnfFormula,
-    Factor,
-    Literal,
-    clause_table,
-    cpt_factors,
-)
+from .graphs import Ordering, _augmented, _eliminate, adjusted_induced_width
+from .model import EXTRACTED, BeliefNetwork, Clause, Factor, clause_of, clause_table, cpt_factors
 from .resolution import bdr_step
 
 # A summed bucket whose largest table, or whose product of the smaller
@@ -248,18 +239,18 @@ class RunStats:
 class Bucket:
     """All factors and clauses whose latest-ordered variable matches.
 
-    ``clauses`` maps each clause, in filing order, to its sum-exempt
-    flag: an exempt clause (extracted, or resolved from an exempt
-    premise) drives resolution but does not gate the sum.  ``unit``
-    holds the forcing literal when a unit clause on the bucket variable
-    is present (at most one; ``_Run._file`` refuses an opposing one).
-    ``factors`` is emptied once the bucket is summed or observed.
+    ``clauses`` maps each clause (a frozenset of signed literals), in
+    filing order, to its sum-exempt flag: an exempt clause (extracted,
+    or resolved from an exempt premise) drives resolution but does not
+    gate the sum.  ``unit`` holds the forcing literal when a unit clause
+    on the bucket variable is present (at most one; ``_Run._file``
+    refuses an opposing one).  ``factors`` is emptied once summed or observed.
     """
 
     variable: int
     factors: list[Factor] = field(default_factory=list)
-    clauses: dict[Clause, bool] = field(default_factory=dict)
-    unit: Optional[Literal] = None
+    clauses: dict[frozenset[int], bool] = field(default_factory=dict)
+    unit: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -267,7 +258,7 @@ class TraceEntry:
     """One processed bucket: action is "sum" (a factor was produced,
     scope holds its variables), "observe" (the bucket variable was
     instantiated) or "belief" (the query variable's bucket, left
-    unsummed; scope holds the variable)."""
+    unsummed; scope holds the variable); derived holds its new Clauses."""
 
     bucket: int
     action: str
@@ -282,7 +273,7 @@ class TraceEntry:
         return f"bucket={self.bucket} action={self.action} scope={scope_s} derived={derived_s}"
 
 
-def _bucket_lambda(factors: list[Factor], constraints: list[Clause],
+def _bucket_lambda(factors: list[Factor], constraints: list[frozenset[int]],
                    pivot: int, scope: tuple[int, ...]) -> np.ndarray:
     """Sum the clause-gated product of the factors over the pivot.
 
@@ -365,10 +356,11 @@ class _Run:
         self.promoted: deque[int] = deque()
         self.pending: list[int] = list(ordering.order)
 
-    def load(self, factors: Iterable[Factor], phi: CnfFormula) -> None:
+    def load(self, factors: Iterable[Factor], clauses: Iterable[frozenset[int]],
+             tags: Iterable[str]) -> None:
         for factor in factors:
             self._place_factor(factor)
-        for clause, tag in phi.items():
+        for clause, tag in zip(clauses, tags):
             self._install_clause(clause, sum_exempt=(tag == EXTRACTED))
 
     def process_all(self) -> None:
@@ -398,20 +390,20 @@ class _Run:
 
     # -- the observed assignment ----------------------------------------
 
-    def _reduce(self, clause: Clause) -> Optional[Clause]:
+    def _reduce(self, clause: frozenset[int]) -> Optional[frozenset[int]]:
         """The clause under the observed assignment: None when it is
         satisfied, the same object when no literal is assigned.  Raises
         ContradictionError when every literal is falsified (the empty clause)."""
-        lits: list[Literal] = []
-        for lit in clause.literals:
-            value = self.sigma.get(lit.var)
+        lits = []
+        for s in clause:
+            value = self.sigma.get(abs(s) - 1)
             if value is None:
-                lits.append(lit)
-            elif lit.satisfied_by(value):
+                lits.append(s)
+            elif value == (s > 0):
                 return None
         if not lits:
-            raise ContradictionError(f"clause {clause} is falsified by the observations")
-        return clause if len(lits) == len(clause) else Clause(lits)
+            raise ContradictionError(f"clause {sorted(clause)} is falsified by the observations")
+        return clause if len(lits) == len(clause) else frozenset(lits)
 
     def _restrict(self, factor: Factor) -> Factor:
         """The factor conditioned on the observed assignment, taken with
@@ -435,22 +427,22 @@ class _Run:
         assert home not in self.processed
         self.buckets[home].factors.append(factor)
 
-    def _install_clause(self, clause: Clause, sum_exempt: bool,
-                        collect: Optional[list[Clause]] = None) -> None:
+    def _install_clause(self, clause: frozenset[int], sum_exempt: bool,
+                        collect: Optional[list[frozenset[int]]] = None) -> None:
         """Reduce a clause by the observed assignment and file it in the
         bucket of its latest variable, promoting that bucket when the
         clause is a new unit (``_file`` takes one at most once)."""
         reduced = self._reduce(clause)
         if reduced is None:
             return
-        home = max((l.var for l in reduced.literals), key=self.position.__getitem__)
+        home = max((abs(s) - 1 for s in reduced), key=self.position.__getitem__)
         assert home not in self.processed
         if (self._file(self.buckets[home], reduced, sum_exempt, collect)
-                and reduced.is_unit() and self.cfg.dynamic_reorder):
+                and len(reduced) == 1 and self.cfg.dynamic_reorder):
             self.promoted.append(home)
 
-    def _file(self, bucket: Bucket, clause: Clause, sum_exempt: bool,
-              collect: Optional[list[Clause]]) -> bool:
+    def _file(self, bucket: Bucket, clause: frozenset[int], sum_exempt: bool,
+              collect: Optional[list[frozenset[int]]]) -> bool:
         """Add a reduced clause to ``bucket``; True when it was new.
 
         A repeat keeps its place and loses its exemption unless this
@@ -463,22 +455,22 @@ class _Run:
         if clause in bucket.clauses:
             bucket.clauses[clause] &= sum_exempt
             return False
-        if clause.is_unit():
-            lit = clause.unit_literal()
+        if len(clause) == 1:
+            (lit,) = clause
             if bucket.unit is not None and bucket.unit != lit:
                 raise ContradictionError(f"conflicting unit clauses on variable {bucket.variable}")
             bucket.unit = lit
         bucket.clauses[clause] = sum_exempt
         if collect is not None:
             self.stats.derived_clauses += 1
-            if clause.is_unit():
+            if len(clause) == 1:
                 self.stats.derived_units += 1
             collect.append(clause)
         return True
 
     # -- bucket processing ----------------------------------------------
 
-    def _sweep_clauses(self, bucket: Bucket, collect: list[Clause]) -> None:
+    def _sweep_clauses(self, bucket: Bucket, collect: list[frozenset[int]]) -> None:
         """Reduce the bucket's clauses by the observed assignment.
 
         Variables observed after a clause was placed leave stale
@@ -494,8 +486,8 @@ class _Run:
             elif reduced is not None:
                 self._file(bucket, reduced, exempt, collect)
 
-    def _process_observed(self, bucket: Bucket, derived: list[Clause]) -> None:
-        self.sigma[bucket.variable] = 1 if bucket.unit.positive else 0
+    def _process_observed(self, bucket: Bucket, derived: list[frozenset[int]]) -> None:
+        self.sigma[bucket.variable] = int(bucket.unit > 0)
         self.stats.observed += 1
         for f in bucket.factors:
             self._place_factor(self._restrict(f))
@@ -504,10 +496,11 @@ class _Run:
         # assignment now fixes: each is satisfied or shortened
         for c, exempt in bucket.clauses.items():
             self._install_clause(c, exempt, derived)
-        self.stats.trace.append(TraceEntry(bucket.variable, "observe", (), tuple(derived)))
+        self.stats.trace.append(TraceEntry(bucket.variable, "observe", (),
+                                           tuple(map(clause_of, derived))))
 
     def _process_sum(self, bucket: Bucket) -> None:
-        derived: list[Clause] = []
+        derived: list[frozenset[int]] = []
         self._sweep_clauses(bucket, derived)
         if bucket.unit is not None:
             # the sweep uncovered a unit on the bucket variable
@@ -520,7 +513,7 @@ class _Run:
         # constraint's variables ascending
         scope = tuple(w for w in dict.fromkeys(
             [w for f in bucket.factors for w in f.scope]
-            + [w for c in constraints for w in sorted(c.variables())]) if w != bucket.variable)
+            + [w - 1 for c in constraints for w in sorted(map(abs, c))]) if w != bucket.variable)
         try:
             values = _bucket_lambda(bucket.factors, constraints, bucket.variable, scope)
             if values.flat[0] < _RESCALE_BELOW:  # one entry first: max() reads them all
@@ -538,11 +531,12 @@ class _Run:
         except MemoryError as exc:
             raise ResourceLimitError(bucket.variable, len(scope)) from exc
         self.stats.mf = max(self.stats.mf, len(scope))
-        self.stats.trace.append(TraceEntry(bucket.variable, "sum", scope, tuple(derived)))
+        self.stats.trace.append(TraceEntry(bucket.variable, "sum", scope,
+                                           tuple(map(clause_of, derived))))
         self._place_factor(Factor(scope, values))
         bucket.factors = []
 
-    def _bdr(self, bucket: Bucket, collect: list[Clause]) -> None:
+    def _bdr(self, bucket: Bucket, collect: list[frozenset[int]]) -> None:
         # bounded directional resolution on the bucket variable; the
         # resolvent inherits sum exemption when either premise has it
         if self.cfg.i_bound == 0 or len(bucket.clauses) < 2:
@@ -552,10 +546,11 @@ class _Run:
             self._install_clause(r, exempt[i] or exempt[j], collect)
 
 
-def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, ordering, cfg,
-             query: Optional[int] = None):
-    """(P(phi), stats, trace) from the CPTs of ``variables``.  The
-    graph's vertices are those variables, their parents and phi's
+def _execute(net: BeliefNetwork, variables: tuple[int, ...], rows: Sequence[Iterable[int]],
+             tags: Sequence[str], ordering, cfg, query: Optional[int] = None):
+    """(P(phi), stats, trace) from the CPTs of ``variables``, phi given as
+    ``rows`` of signed 1-based integers, frozen here, and their ``tags``.
+    The graph's vertices are those variables, their parents and phi's
     variables; a parent or clause variable outside ``variables`` is a
     vertex without a CPT.  A given ``ordering`` is followed over the
     graph's vertices; the variables it lists outside the graph are
@@ -568,8 +563,9 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
     slot left to the greedy, gets a min-fill pass too, and the order
     implying fewer entries is kept with its width."""
     cfg = cfg if cfg is not None else EngineConfig()
-    aug = augmented_graph(net, phi, variables)
-    units = tuple(sorted({c.unit_literal().var for c in phi.clauses if c.is_unit()}))
+    phi = [frozenset(row) for row in rows]
+    aug = _augmented(net, [{abs(s) - 1 for s in c} for c in phi], variables)
+    units = tuple(sorted({abs(s) - 1 for c in phi if len(c) == 1 for s in c}))
     first = None if query in units else query
     tail = tuple(v for v in (units if ordering is None else ordering) if v in aug and v != first)
     stats = RunStats()
@@ -591,7 +587,7 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], phi: CnfFormula, or
     failed = False
     t0 = perf_counter()
     try:
-        run.load(cpt_factors([net.cpts[v] for v in variables]), phi)
+        run.load(cpt_factors([net.cpts[v] for v in variables]), phi, tags)
         run.process_all()
     except ContradictionError:
         failed = True

@@ -54,8 +54,15 @@ def augmented_graph(net: BeliefNetwork, phi: CnfFormula,
     ModelError.  Clause variables are not checked: the front door
     (``transforms._ancestral``) has refused one outside the network
     before any graph is built."""
+    return _augmented(net, [c.variables() for c in phi.clauses], variables)
+
+
+def _augmented(net: BeliefNetwork, clauses: Iterable[Collection[int]],
+               variables: Iterable[int] | None = None) -> dict[int, set[int]]:
+    """``augmented_graph`` over each clause's variables (the engine's and
+    ``_requisite``'s call)."""
     families = net.variables() if variables is None else net.check(variables)
-    cliques = [net.family(v) for v in families] + [c.variables() for c in phi.clauses]
+    cliques = [net.family(v) for v in families] + list(clauses)
     adj = {v: set() for clique in cliques for v in clique}
     for clique in cliques:
         for v in clique:

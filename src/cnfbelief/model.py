@@ -12,10 +12,13 @@ Conventions shared by every module in this package:
   (1,1) over (p1, p2).  A ``Factor`` stores its values as a numpy array
   of shape ``(2,) * len(scope)``, which reshapes to and from the flat
   lexicographic layout in C order.
-* ``Literal`` and ``Cpt`` are ``NamedTuple``s, which hash, compare and
-  sort in C: they unpack (``var, positive = lit``) and compare equal to
-  plain tuples of their fields.  ``Factor`` is a ``NamedTuple`` too, a
-  (scope, values) pair, and ``clause_table`` returns one.
+* Inside a run a clause is a row of signed 1-based integers, the
+  DIMACS form (``-3`` is variable 2 at 0), frozen into a frozenset of
+  them where the engine files it.  ``Clause`` over ``Literal``s is the
+  public form: parsers, generators and callers build it, and
+  ``clause_of`` makes one of a row.  ``Literal``, ``Cpt`` and ``Factor``
+  are ``NamedTuple``s, which hash, compare and sort in C; ``clause_table``
+  returns a ``Factor``.
 * A ``BeliefNetwork`` is a valid DAG model once built: its constructor
   raises ModelError otherwise, so no later code checks it again.
 """
@@ -278,10 +281,16 @@ def cpt_factors(cpts: Sequence[Cpt]) -> list[Factor]:
     return factors
 
 
-def clause_table(clause: Clause) -> Factor:
-    """A clause as a 0/1 table over its own variables, ascending: 0 only
-    at the one assignment that falsifies every literal."""
-    lits = clause.sorted_literals()
+def clause_of(row: Iterable[int]) -> Clause:
+    """The ``Clause`` of a row of signed 1-based integers."""
+    return Clause(Literal(abs(s) - 1, s > 0) for s in row)
+
+
+def clause_table(row: Iterable[int]) -> Factor:
+    """A row of signed 1-based integers as a 0/1 table over its own
+    variables, ascending: 0 only at the one assignment that falsifies
+    every literal."""
+    lits = sorted(row, key=abs)
     table = np.ones((2,) * len(lits))
-    table[tuple(0 if l.positive else 1 for l in lits)] = 0.0
-    return Factor(tuple(l.var for l in lits), table)
+    table[tuple(int(s < 0) for s in lits)] = 0.0
+    return Factor(tuple(abs(s) - 1 for s in lits), table)

@@ -1,34 +1,29 @@
-"""Clause-level inference: resolution and bounded directional resolution."""
+"""Clause-level inference: resolution and bounded directional resolution,
+on clauses written as frozensets of signed 1-based integers."""
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .model import Clause, Literal, ModelError
+from .model import ModelError
 
 
-def resolve(c1: Clause, c2: Clause, var: int) -> Optional[Clause]:
-    """Resolvent of c1 and c2 on ``var``, or None when it is a tautology.
+def resolve(c1: frozenset[int], c2: frozenset[int], var: int) -> Optional[frozenset[int]]:
+    """Resolvent of c1 and c2 on ``var`` (0-based), or None when it is a
+    tautology.
 
     One clause must contain the positive literal and the other the
     negative one.
     """
-    pos = Literal(var, True)
-    neg = Literal(var, False)
-    if pos in c1.literals and neg in c2.literals:
-        rest = (c1.literals - {pos}) | (c2.literals - {neg})
-    elif neg in c1.literals and pos in c2.literals:
-        rest = (c1.literals - {neg}) | (c2.literals - {pos})
-    else:
+    pos = var + 1
+    if not (pos in c1 and -pos in c2 or -pos in c1 and pos in c2):
         raise ModelError(f"clauses do not clash on variable {var}")
-    try:
-        return Clause(rest)
-    except ModelError:
-        return None
+    rest = (c1 | c2) - {pos, -pos}
+    return None if any(-s in rest for s in rest) else rest
 
 
-def bdr_step(clauses: Iterable[Clause], pivot: int, bound: Optional[int]
-             ) -> list[tuple[Clause, int, int]]:
+def bdr_step(clauses: Iterable[frozenset[int]], pivot: int, bound: Optional[int]
+             ) -> list[tuple[frozenset[int], int, int]]:
     """Directional resolution over ``pivot`` with a width bound.
 
     Resolves every positive/negative pair on the pivot and keeps the
@@ -39,21 +34,14 @@ def bdr_step(clauses: Iterable[Clause], pivot: int, bound: Optional[int]
     order follows the input order, so the result is deterministic.
     """
     pool = list(clauses)
-    pos_lit = Literal(pivot, True)
-    neg_lit = Literal(pivot, False)
-    with_pos = [i for i, c in enumerate(pool) if pos_lit in c.literals]
-    with_neg = [j for j, c in enumerate(pool) if neg_lit in c.literals]
-    known = {c.literals for c in pool}
-    out: list[tuple[Clause, int, int]] = []
+    with_pos = [i for i, c in enumerate(pool) if pivot + 1 in c]
+    with_neg = [j for j, c in enumerate(pool) if -pivot - 1 in c]
+    known = set(pool)
+    out: list[tuple[frozenset[int], int, int]] = []
     for i in with_pos:
         for j in with_neg:
             r = resolve(pool[i], pool[j], pivot)
-            if r is None:
-                continue
-            if bound is not None and len(r) > bound:
-                continue
-            if r.literals in known:
-                continue
-            known.add(r.literals)
-            out.append((r, i, j))
+            if r is not None and (bound is None or len(r) <= bound) and r not in known:
+                known.add(r)
+                out.append((r, i, j))
     return out

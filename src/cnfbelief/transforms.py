@@ -1,13 +1,18 @@
 """Network-level constructions around the elimination engine.
 
+Callers hand in and get back ``Clause``s, the public form.  Inside a
+run a clause is a row of signed 1-based integers (``-3``: variable 2
+at 0): ``_pruned_run`` writes phi so once, tags beside it, and the
+pre-pass, the requisite cut, hidden's embedding and the engine all take
+rows, so a ``Clause`` is built again only for ``extract_clauses`` and
+the trace's derived clauses (``model.clause_of``).
+
 * extract_clauses: turn the 0/1 rows of deterministic and mixed CPTs
   into clauses, the prime implicants of each table (the parent cubes
   that force the child and stop doing so when any one parent is
   freed), so implied units surface.  The tables with the same number
-  of parents are stacked and take one numpy pass, which also writes
-  each clause as a row of signed integers (``_extracted_rows``); cpe-d
-  propagates those rows with phi's, written in the same form, so only
-  the clauses propagation leaves become ``Clause`` objects.
+  of parents are stacked and take one numpy pass, which writes each
+  clause as a row (``_extracted_rows``), the form cpe-d propagates.
 * hidden_embed: the baseline that compiles each query clause into an
   evidence-fixed hidden variable for plain elimination.
 * evaluate: the front door, through ``_pruned_run``, the one dispatch
@@ -17,11 +22,11 @@
   elim_cpe, run_trace, elim_cpe_d and elim_hidden are calls of it.
 * _propagate: the one pre-pass, for cpe-d and for belief under every
   algorithm, along the default or a given ordering.  Unit propagation
-  over phi (and cpe-d's extracted clauses), all as signed-integer
-  rows, answers a conflict with 0, turns each CPT whose family it
-  fixes into an exact log constant, and leaves the other CPTs and the
-  clauses it does not satisfy, shortened; the engine gets those with
-  the unit of each forced variable the CPTs it loads mention.
+  over phi's rows (and cpe-d's extracted ones) answers a conflict with
+  0, turns each CPT whose family it fixes into an exact log constant,
+  and leaves the other CPTs and the rows it does not satisfy,
+  shortened; the engine gets those with the unit of each forced
+  variable the CPTs it loads mention.
 * belief_given_cnf: P(var | phi) from one ``_pruned_run``; the engine
   algorithms take the same pre-pass, and var is eliminated last on its
   requisite part of the residual (``_requisite``) when a witness shows
@@ -38,7 +43,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .engine import EngineConfig, RunStats, TraceEntry, _execute, _log
-from .graphs import Ordering, augmented_graph, check_ordering
+from .graphs import Ordering, _augmented, check_ordering
 from .model import (
     EVIDENCE,
     EXTRACTED,
@@ -48,6 +53,7 @@ from .model import (
     CnfFormula,
     Cpt,
     Literal,
+    clause_of,
     clause_table,
     stack_tables,
 )
@@ -114,11 +120,6 @@ def _extracted_rows(net: BeliefNetwork, variables: Iterable[int] | None = None
     return [rows[j] for j in np.argsort(np.concatenate(owners), kind="stable").tolist()]
 
 
-def _literal(signed: int) -> Literal:
-    """The literal of a signed 1-based integer."""
-    return Literal(abs(signed) - 1, signed > 0)
-
-
 def extract_clauses(net: BeliefNetwork, variables: Iterable[int] | None = None) -> CnfFormula:
     """All clauses certain under the CPTs of ``variables`` (the whole
     network by default), in first-seen order with a repeated variable
@@ -143,7 +144,7 @@ def extract_clauses(net: BeliefNetwork, variables: Iterable[int] | None = None) 
     otherwise only i's parents, so two CPTs sharing one would each be a
     parent of the other.
     """
-    clauses = [Clause(map(_literal, row)) for row in _extracted_rows(net, variables)]
+    clauses = [clause_of(row) for row in _extracted_rows(net, variables)]
     return CnfFormula(clauses, (EXTRACTED,) * len(clauses))
 
 
@@ -168,25 +169,22 @@ def elim_cpe_d(net: BeliefNetwork, phi: CnfFormula, ordering=None,
     return evaluate(net, phi, "cpe-d", cfg, ordering)
 
 
-def hidden_embed(net: BeliefNetwork, phi: CnfFormula
-                 ) -> tuple[BeliefNetwork, list[Literal]]:
-    """Compile each clause into a fresh child holding its truth table.
+def hidden_embed(net: BeliefNetwork, clauses: Iterable[Iterable[int]]
+                 ) -> tuple[BeliefNetwork, tuple[int, ...]]:
+    """Compile each clause, a row of signed 1-based integers, into a
+    fresh child holding its truth table.
 
     The new variable's parents are the clause's variables (ascending)
     and its CPT rows are ``clause_table``, the table the engine gates
     sums with: P(child=1 | row) is the clause's truth value;
     asserting the clause means observing the child at 1.  Returns the
-    grown network and those evidence literals.
+    grown network and its fresh variables, net.n, net.n + 1, ...
     """
     cpts = list(net.cpts)
-    evidence: list[Literal] = []
-    fresh = net.n
-    for clause in phi.clauses:
-        parents, table = clause_table(clause)
-        cpts.append(Cpt(fresh, parents, tuple(table.ravel().tolist())))
-        evidence.append(Literal(fresh, True))
-        fresh += 1
-    return BeliefNetwork(fresh, tuple(cpts)), evidence
+    for row in clauses:
+        parents, table = clause_table(row)
+        cpts.append(Cpt(len(cpts), parents, tuple(table.ravel().tolist())))
+    return BeliefNetwork(len(cpts), tuple(cpts)), tuple(range(net.n, len(cpts)))
 
 
 def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
@@ -249,12 +247,12 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
 
 
 def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int, ...],
-               residual: CnfFormula, var: int
-               ) -> Optional[tuple[tuple[int, ...], CnfFormula]]:
+               rows: list[Sequence[int]], tags: list[str], var: int
+               ) -> Optional[tuple[tuple[int, ...], list[Sequence[int]], list[str]]]:
     """The part of ``_propagate``'s residual (the CPTs of ``variables``,
-    ascending, and the clauses ``residual``, given the forced literals
-    ``sigma``) that P(var | phi) needs: (variables whose CPTs load, the
-    clauses to pass), or None when all must run.
+    ascending, and the clauses ``rows`` with their ``tags``, given the
+    forced literals ``sigma``) that P(var | phi) needs: (variables whose
+    CPTs load, the rows to pass, their tags), or None when all must run.
 
     On the augmented graph of the residual, var's component C among the
     unforced vertices is all that P(phi, var = x) depends on: every
@@ -264,10 +262,11 @@ def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int,
     only its own unit runs.  That constant must be nonzero, or the
     answer would not be None when P(phi) = 0, so the cut needs a
     witness that it is: every dropped CPT strictly inside (0, 1), and a
-    greedy assignment satisfying the dropped clauses.  A family that
-    propagation fixed is an exact constant already and needs none.
+    greedy assignment satisfying the dropped clauses, each taking its
+    first literal whose variable is free.  A family that propagation
+    fixed is an exact constant already and needs none.
     """
-    graph = augmented_graph(net, residual, variables)
+    graph = _augmented(net, [{abs(s) - 1 for s in row} for row in rows], variables)
     component = {var}.difference(sigma)
     stack = list(component)
     while stack:
@@ -280,53 +279,51 @@ def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int,
     if not all(0.0 < p < 1.0 for v in set(variables).difference(loaded)
                for p in net.cpts[v].table):
         return None
-    assignment: dict[int, bool] = {}
-    items = []
-    for clause, tag in residual.items():
-        if next(iter(clause.literals)).var in component:  # a clause is over C or outside it
-            items.append((clause, tag))
-        elif not any(assignment.get(l.var) == l.positive for l in clause.literals):
-            choice = next((l for l in clause.literals if l.var not in assignment), None)
+    true: set[int] = set()  # the witness, as signed literals
+    passed, passed_tags = [], []
+    for row, tag in zip(rows, tags):
+        if abs(row[0]) - 1 in component:  # a clause is over C or outside it
+            passed.append(row)
+            passed_tags.append(tag)
+        elif true.isdisjoint(row):
+            choice = next((s for s in row if -s not in true), None)
             if choice is None:
                 return None
-            assignment[choice.var] = choice.positive
-    return loaded, CnfFormula([c for c, _ in items], [t for _, t in items])
+            true.add(choice)
+    return loaded, passed, passed_tags
 
 
-def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula,
-               extracted: Sequence[tuple[int, ...]] = ()
-               ) -> tuple[dict[int, bool], tuple[int, ...], CnfFormula, float]:
+def _propagate(net: BeliefNetwork, kept: tuple[int, ...], rows: Sequence[Sequence[int]],
+               tags: Sequence[str], extracted: Sequence[tuple[int, ...]] = ()
+               ) -> tuple[dict[int, bool], tuple[int, ...], list[Sequence[int]], list[str], float]:
     """P(phi) over the CPTs of ``kept`` (ascending) split by unit
     propagation into an exact log constant and a residual problem:
-    (sigma, variables, clauses, log constant), P(phi) being the
-    constant's exp times P(clauses) over the CPTs of ``variables``
-    with each forced variable they mention at its value in sigma.
+    (sigma, variables, rows, tags, log constant), P(phi) being the
+    constant's exp times P(rows) over the CPTs of ``variables`` with
+    each forced variable they mention at its value in sigma.
 
-    ``extracted`` holds cpe-d's clauses certain under those CPTs, as
-    ``_extracted_rows`` gives them, which propagate after phi's; phi's
-    clauses are written as rows of the same signed integers on entry,
-    so one pass runs over all of them.  sigma holds the literals that
-    unit propagation forces, found with a queue over occurrence lists
-    keyed by signed literal, in which each row counts its literals not
-    yet falsified (Davis and Putnam 1960); phi must not hold the empty
-    clause.  Each CPT of ``kept`` whose whole family sigma fixes is one
-    exact entry, and the constant is the sum of their logs.
-    ``variables`` are the other variables of ``kept``, ascending;
-    ``clauses`` are the clauses that sigma leaves unsatisfied, phi's
-    and then the extracted ones tagged extracted, shortened to their
-    free literals with their tags kept (none is a unit).  phi's
-    untouched clauses keep their objects; every other row left becomes
-    a ``Clause`` only here.  A shortened extracted clause still holds
-    with probability 1 under its own CPT, which stays: a family that
-    sigma fixes whole leaves its clauses satisfied or falsified.  A
-    conflict or a forced entry of 0 gives the constant -inf, with no
-    variables and no clauses; sigma then holds what was forced before
-    it.
+    phi comes as ``rows`` of signed 1-based integers with their
+    provenance ``tags``; ``extracted`` holds cpe-d's clauses certain
+    under those CPTs, in the same form, as ``_extracted_rows`` gives
+    them, which propagate after phi's, so one pass runs over all of
+    them.  sigma holds the literals that unit propagation forces, found
+    with a queue over occurrence lists keyed by signed literal, in
+    which each row counts its literals not yet falsified (Davis and
+    Putnam 1960); no row may be empty.  Each CPT of ``kept`` whose whole
+    family sigma fixes is one exact entry, and the constant is the sum
+    of their logs.  ``variables`` are the other variables of ``kept``,
+    ascending; the rows returned are those sigma leaves unsatisfied,
+    phi's and then the extracted ones tagged extracted, with their tags
+    kept (none is a unit): an untouched row is the object given, and a
+    shortened one a list of its free literals, in the row's order.  A
+    shortened extracted clause still holds with probability 1 under its
+    own CPT, which stays: a family that sigma fixes whole leaves its
+    clauses satisfied or falsified.  A conflict or a forced entry of 0
+    gives the constant -inf, with no variables and no rows; sigma then
+    holds what was forced before it.
     """
-    clauses = [[var + 1 if positive else -var - 1 for var, positive in c.literals]
-               for c in phi.clauses]
-    clauses += extracted
-    nothing = (), CnfFormula([]), -math.inf
+    clauses = [*rows, *extracted]
+    nothing = (), [], [], -math.inf
     sigma: dict[int, bool] = {}
     free = [len(row) for row in clauses]  # 0 once the clause is satisfied
     occurs: dict[int, list[int]] = {}  # keyed by signed literal
@@ -365,26 +362,25 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], phi: CnfFormula,
     constant = math.fsum(logs)
     if constant == -math.inf:
         return (sigma, *nothing)
-    items = []
-    for clause, tag, row, left in zip(phi.clauses + (None,) * len(extracted),
-                                      phi.provenance + (EXTRACTED,) * len(extracted),
-                                      clauses, free):
+    residual, residual_tags = [], []
+    for row, tag, left in zip(clauses, [*tags, *[EXTRACTED] * len(extracted)], free):
         if left:
-            items.append((clause if left == len(row) and clause is not None else
-                          Clause(_literal(s) for s in row if abs(s) - 1 not in sigma), tag))
-    residual = CnfFormula([c for c, _ in items], [t for _, t in items])
-    return sigma, tuple(variables), residual, constant
+            residual.append(row if left == len(row) else
+                            [s for s in row if abs(s) - 1 not in sigma])
+            residual_tags.append(tag)
+    return sigma, tuple(variables), residual, residual_tags, constant
 
 
-def _certified(net: BeliefNetwork, clause: Clause) -> bool:
-    """True when one CPT makes ``clause`` certain: its family holds all
-    the clause's variables and it gives probability 0 to every row that
-    falsifies the clause, that is, one of its ``extract_clauses``
-    clauses (its prime implicants) is a subset of the clause."""
-    variables = clause.variables()
+def _certified(net: BeliefNetwork, row: Sequence[int]) -> bool:
+    """True when one CPT makes the clause ``row`` (signed 1-based
+    integers) certain: its family holds all the clause's variables and
+    it gives probability 0 to every assignment that falsifies the
+    clause, that is, one of its ``extract_clauses`` clauses (its prime
+    implicants) is a subset of the clause."""
+    variables = {abs(s) - 1 for s in row}
     owners = [v for v in variables if variables.issubset(net.family(v))]
-    signed = {lit.signed() for lit in clause.literals}
-    return any(signed.issuperset(row) for row in _extracted_rows(net, owners))
+    signed = set(row)
+    return any(signed.issuperset(prime) for prime in _extracted_rows(net, owners))
 
 
 def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig | None,
@@ -393,12 +389,14 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
     ordering rule): the stats of P(phi), or with ``var`` of P(var | phi),
     whose ``log_joint`` belief normalizes.  brute enumerates the whole
     network (``brute_force_cpe``), with var once per value, as a unit.
-    cpe, cpe-d and hidden make one engine run over the CPTs of phi's
-    (and ``var``'s) ancestral variables, cpe-d's with their extracted
-    clauses, kept as ``_extracted_rows`` for the pre-pass; the empty
-    clause answers 0 before anything is read.  ``stats.extracted`` (F)
-    counts the distinct extracted clauses: the rows, which are distinct,
-    plus the caller's extracted-tagged clauses that are not among them.
+    cpe, cpe-d and hidden write phi's clauses once as rows of signed
+    1-based integers, with their tags beside them, and make one engine
+    run over the CPTs of phi's (and ``var``'s) ancestral variables,
+    cpe-d's with their extracted clauses, kept as ``_extracted_rows``
+    for the pre-pass; the empty clause answers 0 before anything is
+    read.  ``stats.extracted`` (F) counts the distinct extracted
+    clauses: the rows, which are distinct, plus the caller's
+    extracted-tagged clauses that are not among them.
     ``stats.extract_s`` and ``stats.propagate_s`` time the extraction
     and the pre-pass, 0.0 on a run without them.  A caller's clause of two
     or more literals tagged extracted, which the engine lets propagate
@@ -431,12 +429,13 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
     kept = _ancestral(net, phi, var)
     answered = RunStats(width_static=0, entries_static=0,
                         log_joint=None if var is None else (-math.inf, -math.inf))
-    if any(not c.literals for c in phi.clauses):  # refused unread, as in the engine
+    rows = [[u + 1 if positive else -u - 1 for u, positive in c.literals] for c in phi.clauses]
+    if not all(rows):  # refused unread, as in the engine
         return answered
-    if EXTRACTED in phi.provenance:  # the tag exempts from gating only a certain clause
-        phi = CnfFormula(phi.clauses, [QUERY if tag == EXTRACTED and len(c) > 1
-                                       and not _certified(net, c) else tag
-                                       for c, tag in phi.items()])
+    tags = list(phi.provenance)
+    if EXTRACTED in tags:  # the tag exempts from gating only a certain clause
+        tags = [QUERY if tag == EXTRACTED and len(row) > 1 and not _certified(net, row)
+                else tag for row, tag in zip(rows, tags)]
     extracted = []
     if alg == "cpe-d":
         t0 = perf_counter()
@@ -444,30 +443,29 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
         answered.extract_s = perf_counter() - t0
     # the rows are distinct (see extract_clauses), so only the caller's
     # tagged clauses are compared with them
-    tagged = {frozenset(lit.signed() for lit in c.literals)
-              for c, tag in phi.items() if tag == EXTRACTED}
+    tagged = {frozenset(row) for row, tag in zip(rows, tags) if tag == EXTRACTED}
     if tagged and extracted:
         tagged.difference_update(map(frozenset, extracted))
     answered.extracted = len(extracted) + len(tagged)
     propagates = alg == "cpe-d" or var is not None
     if propagates:
         t0 = perf_counter()
-        sigma, kept, phi, constant = _propagate(net, kept, phi, extracted)
+        sigma, kept, rows, tags, constant = _propagate(net, kept, rows, tags, extracted)
         answered.propagate_s = perf_counter() - t0
         answered.forced = len(sigma)
         if constant == -math.inf:
             return answered
         if var is not None:
-            kept, phi = _requisite(net, sigma, kept, phi, var) or (kept, phi)
+            kept, rows, tags = _requisite(net, sigma, kept, rows, tags, var) or (kept, rows, tags)
         mentioned = sorted({u for v in kept for u in net.family(v) if u in sigma}
                            | ({var} & sigma.keys()))
-        phi = CnfFormula([Clause([Literal(u, sigma[u])]) for u in mentioned],
-                         (EVIDENCE,) * len(mentioned)).conjoin(phi)
+        rows = [[u + 1 if sigma[u] else -u - 1] for u in mentioned] + rows
+        tags = [EVIDENCE] * len(mentioned) + tags
     if alg == "hidden":
-        net, evidence = hidden_embed(net, phi)
-        kept += tuple(lit.var for lit in evidence)
-        phi = CnfFormula([Clause([lit]) for lit in evidence], (EVIDENCE,) * len(evidence))
-    stats = _execute(net, kept, phi, ordering, cfg, var)[1]
+        net, fresh = hidden_embed(net, rows)
+        kept += fresh
+        rows, tags = [[v + 1] for v in fresh], [EVIDENCE] * len(fresh)
+    stats = _execute(net, kept, rows, tags, ordering, cfg, var)[1]
     stats.extracted, stats.forced = answered.extracted, answered.forced
     stats.extract_s, stats.propagate_s = answered.extract_s, answered.propagate_s
     if propagates and var is None:

@@ -29,6 +29,18 @@ def clause(*codes: int) -> Clause:
     return Clause(Literal(abs(k) - 1, k > 0) for k in codes)
 
 
+def row(*codes: int) -> frozenset[int]:
+    """A clause in the form a run holds it: a frozenset of signed
+    1-based literal codes."""
+    return frozenset(codes)
+
+
+def rows_and_tags(phi: CnfFormula) -> tuple[list[list[int]], tuple[str, ...]]:
+    """phi's clauses as rows of signed 1-based literal codes, and their
+    tags, as the front door hands them to the engine."""
+    return [[lit.signed() for lit in c.literals] for c in phi.clauses], phi.provenance
+
+
 def formula(*clauses_: Clause) -> CnfFormula:
     return CnfFormula(clauses_)
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cnfbelief import engine, serialize_cnf, serialize_network
+from cnfbelief import engine, serialize_cnf, serialize_network, transforms
 from cnfbelief.cli import BENCH_COLUMNS, format_probability, run_cli
 from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.fileio import parse_dimacs, parse_network
@@ -480,6 +480,22 @@ class TestErrorPaths:
             assert run_cli([*cmd, "--net", net, "--cnf", cnf]) == 3
             err = capsys.readouterr().err
             assert err.startswith("error: bucket ") and "does not fit in memory" in err
+
+    @pytest.mark.parametrize("alg, stage", [("cpe-d", "_prime_rows"),
+                                            ("hidden", "hidden_embed")])
+    def test_any_allocation_failure_exits_three(self, six_node_files, monkeypatch, capsys,
+                                                alg, stage):
+        # a bare MemoryError outside the kernel: cpe-d's extraction of a
+        # wide CPT, or hidden's table of a long clause
+        def refuse(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(transforms, stage, refuse)
+        net, cnf, _ = six_node_files
+        for cmd in (["eval"], ["belief", "--var", "0"]):
+            assert run_cli([*cmd, "--alg", alg, "--net", net, "--cnf", cnf]) == 3
+            err = capsys.readouterr().err
+            assert err == "error: out of memory\n", (cmd, err)
 
     def test_unknown_algorithm_is_a_usage_error(self, two_node_files):
         net, cnf = two_node_files

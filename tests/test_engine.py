@@ -14,7 +14,6 @@ from cnfbelief import (
     Cpt,
     EngineConfig,
     Factor,
-    Literal,
     ModelError,
     Ordering,
     ResourceLimitError,
@@ -37,7 +36,7 @@ from cnfbelief.graphs import _eliminate
 from cnfbelief.model import EXTRACTED, QUERY
 from cnfbelief.transforms import _ancestral, _pruned_run
 
-from conftest import clause, close_enough, formula
+from conftest import clause, close_enough, formula, row, rows_and_tags
 
 P_PHI42 = 0.3811715
 P_NOT_G_HYB = 0.35395
@@ -123,6 +122,7 @@ def _roots(*priors: float) -> BeliefNetwork:
 # with (P or Q) and (not Q or R) filed in its bucket
 PQR_ORDER = Ordering((0, 2, 1))
 PQR_CLAUSES = (clause(1, 2), clause(-2, 3))
+PQR_ROWS = (row(1, 2), row(-2, 3))
 
 
 class TestEliminateBucket:
@@ -186,8 +186,8 @@ class TestEliminateBucket:
     # clause tagged extracted as a query clause (TestCertifiedTag).
     def test_sum_exempt_clauses_resolve_but_do_not_gate(self):
         net = _roots(0.3, 0.6, 0.2)
-        phi = CnfFormula(PQR_CLAUSES, (EXTRACTED, EXTRACTED))
-        p, _, trace = engine._execute(net, (0, 1, 2), phi, PQR_ORDER, EngineConfig(i_bound=2))
+        p, _, trace = engine._execute(net, (0, 1, 2), PQR_ROWS, (EXTRACTED, EXTRACTED),
+                                      PQR_ORDER, EngineConfig(i_bound=2))
         assert trace[0].scope == ()
         assert trace[0].derived == (clause(1, 3),)
         # neither the inputs nor their exempt resolvent constrain the sum
@@ -197,13 +197,11 @@ class TestEliminateBucket:
         # the same clauses filed as extracted and as query gate the sum,
         # whichever occurrence is filed first
         net = _roots(0.3, 0.6, 0.2)
-        query = formula(*PQR_CLAUSES)
-        extracted = CnfFormula(PQR_CLAUSES, (EXTRACTED, EXTRACTED))
-        for phi in (query.conjoin(extracted), extracted.conjoin(query)):
-            p, _, trace = engine._execute(net, (0, 1, 2), phi, PQR_ORDER,
+        for tags in ((QUERY, QUERY, EXTRACTED, EXTRACTED), (EXTRACTED, EXTRACTED, QUERY, QUERY)):
+            p, _, trace = engine._execute(net, (0, 1, 2), PQR_ROWS * 2, tags, PQR_ORDER,
                                           EngineConfig(i_bound=2))
             assert trace[0].bucket == 1 and trace[0].scope == (0, 2)
-            assert close_enough(p, brute_force_cpe(net, query))
+            assert close_enough(p, brute_force_cpe(net, formula(*PQR_CLAUSES)))
 
     def test_opposing_units_block_summation(self, net2):
         p, _, trace = run_trace(net2, formula(clause(2), clause(-2)), Ordering((0, 1)))
@@ -623,12 +621,12 @@ class TestLoadedFactors:
         loaded = []
         load = engine._Run.load
 
-        def spy(run, factors, phi):
+        def spy(run, factors, clauses, tags):
             loaded.append(list(factors))
-            return load(run, loaded[-1], phi)
+            return load(run, loaded[-1], clauses, tags)
 
         monkeypatch.setattr(engine._Run, "load", spy)
-        engine._execute(net, variables, CnfFormula([]), None, None)
+        engine._execute(net, variables, [], (), None, None)
         [factors] = loaded
         assert [f.scope for f in factors] == [net.family(v) for v in variables]
         for v, f in zip(variables, factors):
@@ -689,16 +687,16 @@ def _aligned(factor: Factor, axis: dict[int, int], ndim: int) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def _clause_mask(clause: Clause, axis: dict[int, int], ndim: int) -> np.ndarray:
+def _clause_mask(clause: frozenset[int], axis: dict[int, int], ndim: int) -> np.ndarray:
     sat = np.zeros((2,) * ndim, dtype=bool)
-    for lit in clause.sorted_literals():
+    for s in sorted(clause, key=abs):
         index: list = [slice(None)] * ndim
-        index[axis[lit.var]] = 1 if lit.positive else 0
+        index[axis[abs(s) - 1]] = 1 if s > 0 else 0
         sat[tuple(index)] = True
     return sat
 
 
-def _reference_bucket_lambda(factors: list[Factor], constraints: list[Clause],
+def _reference_bucket_lambda(factors: list[Factor], constraints: list[frozenset[int]],
                              pivot: int, scope: tuple[int, ...]) -> np.ndarray:
     """Sum the gated factor product over the pivot variable.
 
@@ -741,8 +739,9 @@ def _random_bucket(rng: np.random.Generator, pivot_only: bool):
     for _ in range(int(rng.integers(0, 5))):
         size = 1 if pivot_only else int(rng.integers(1, 4))
         chosen = [pivot] + [int(w) for w in rng.choice(others, size - 1, replace=False)]
-        constraints.append(Clause(Literal(w, bool(rng.integers(2))) for w in chosen))
-    variables = {w for f in factors for w in f.scope} | {w for c in constraints for w in c.variables()}
+        constraints.append(frozenset(w + 1 if rng.integers(2) else -w - 1 for w in chosen))
+    variables = ({w for f in factors for w in f.scope}
+                 | {abs(s) - 1 for c in constraints for s in c})
     scope = [w for w in variables if w != pivot]
     rng.shuffle(scope)
     return factors, constraints, pivot, tuple(scope)
@@ -827,8 +826,7 @@ def _wide_bucket(rng: np.random.Generator, shared: int, a_only: int, b_only: int
         half = (shared + a_only) // 2
         for part in ((common + own)[:half], (common + own)[half:]):
             factors.append(Factor((pivot, *part), rng.random((2,) * (1 + len(part)))))
-    constraints = [Clause([Literal(pivot, True)] + [Literal(w, False) for w in common[:2]])
-                   ] if clauses else []
+    constraints = [row(pivot + 1, *(-w - 1 for w in common[:2]))] if clauses else []
     scope = list(rest)
     rng.shuffle(scope)
     return factors, constraints, pivot, tuple(scope)
@@ -898,7 +896,8 @@ class TestBoundedMemory:
 
         monkeypatch.setattr(engine, "_bucket_lambda", spy)
         monkeypatch.setattr(engine._Run, "process_all", check)
-        _, stats, _ = engine._execute(net, tuple(range(net.n)), phi, None, None, query=0)
+        _, stats, _ = engine._execute(net, tuple(range(net.n)), *rows_and_tags(phi), None, None,
+                                      query=0)
         [(n_produced, n_alive, n_kept)] = checked
         assert n_alive < n_produced and n_kept > 0
         assert max(stats.log_joint) > -math.inf

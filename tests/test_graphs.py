@@ -29,7 +29,7 @@ from cnfbelief.fileio import ParseError, parse_order
 from cnfbelief.graphs import _eliminate, check_ordering
 from cnfbelief.model import EXTRACTED, QUERY
 
-from conftest import clause, formula
+from conftest import clause, formula, rows_and_tags
 
 POS_MORAL_EDGES = {
     (0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
@@ -142,9 +142,9 @@ class TestInteractionGraphs:
         # it as a query clause
         execute, received = transforms._execute, []
 
-        def spied(net, variables, phi, *args):
-            received.append((net, variables, phi))
-            return execute(net, variables, phi, *args)
+        def spied(net, variables, rows, tags, *args):
+            received.append((net, variables, rows, tags))
+            return execute(net, variables, rows, tags, *args)
 
         monkeypatch.setattr(transforms, "_execute", spied)
         tagged = CnfFormula([clause(1, 6), clause(4), clause(2, 3)], (EXTRACTED, EXTRACTED, QUERY))
@@ -155,13 +155,14 @@ class TestInteractionGraphs:
                     belief_given_cnf(net, phi, var, alg)
             run_trace(net, phi.conjoin(extract_clauses(net)))
         extracted = 0
-        for net, variables, phi in received:
+        for net, variables, rows, tags in received:
             families = [set(net.family(v)) for v in variables]
-            for c, tag in phi.items():
+            for row, tag in zip(rows, tags):
                 if tag == EXTRACTED:
                     extracted += 1
-                    assert any(c.variables() <= family for family in families), c
-            others = CnfFormula([c for c, tag in phi.items() if tag != EXTRACTED])
+                    assert any({abs(s) - 1 for s in row} <= family for family in families), row
+            phi = CnfFormula([clause(*row) for row in rows])
+            others = CnfFormula([clause(*row) for row, tag in zip(rows, tags) if tag != EXTRACTED])
             assert augmented_graph(net, phi, variables) == augmented_graph(net, others, variables)
         assert extracted > 1000, extracted
 
@@ -442,7 +443,8 @@ class TestOnePass:
         complete_runs = unit_runs = 0
         for k, net, phi in seeded_instances():
             var = (7 * k) % net.n
-            _, stats, trace = engine._execute(net, tuple(net.variables()), phi, None, cfg, var)
+            _, stats, trace = engine._execute(net, tuple(net.variables()), *rows_and_tags(phi),
+                                              None, cfg, var)
             if len(trace) < net.n:
                 continue  # a contradiction stopped the run
             complete_runs += 1
@@ -544,7 +546,8 @@ class TestEvidenceAwareOrdering:
             want = default_ordering(net, phi)
             # without reordering the buckets run last-to-first; a
             # contradiction stops the run early, after a suffix of them
-            _, _, trace = engine._execute(net, tuple(net.variables()), phi, None, cfg)
+            _, _, trace = engine._execute(net, tuple(net.variables()), *rows_and_tags(phi),
+                                          None, cfg)
             processed = tuple(entry.bucket for entry in reversed(trace))
             assert want.order[len(want) - len(processed):] == processed, k
             complete_runs += len(processed) == len(want)
@@ -557,7 +560,8 @@ class TestEvidenceAwareOrdering:
             rng = random.Random(k)
             orders = [None] + [Ordering(tuple(rng.sample(list(g), len(g)))) for _ in range(3)]
             for order in orders:
-                _, stats, _ = engine._execute(net, tuple(net.variables()), phi, order, None)
+                _, stats, _ = engine._execute(net, tuple(net.variables()), *rows_and_tags(phi),
+                                              order, None)
                 along = order if order is not None else default_ordering(net, phi)
                 assert stats.width_static == reference_adjusted_width(
                     g, along, units, count_observed=True), (k, order)

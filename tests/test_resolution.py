@@ -2,7 +2,7 @@ import pytest
 
 from cnfbelief import ModelError, Ordering, bdr_step, resolve, run_trace
 
-from conftest import clause, close_enough, formula
+from conftest import clause, close_enough, formula, row
 
 
 class TestApplyUnit:
@@ -38,22 +38,22 @@ class TestApplyUnit:
 
 class TestResolve:
     def test_basic_resolvent(self):
-        assert resolve(clause(1, 2), clause(-2, 3), 1) == clause(1, 3)
+        assert resolve(row(1, 2), row(-2, 3), 1) == row(1, 3)
 
     def test_orientation_does_not_matter(self):
-        assert resolve(clause(-2, 3), clause(1, 2), 1) == clause(1, 3)
+        assert resolve(row(-2, 3), row(1, 2), 1) == row(1, 3)
 
     def test_tautological_resolvent_is_none(self):
-        assert resolve(clause(1, 2), clause(-2, -1), 1) is None
+        assert resolve(row(1, 2), row(-2, -1), 1) is None
 
     def test_must_clash(self):
         with pytest.raises(ModelError):
-            resolve(clause(1, 2), clause(3), 1)
+            resolve(row(1, 2), row(3), 1)
         with pytest.raises(ModelError):
-            resolve(clause(1, 2), clause(2, 3), 1)
+            resolve(row(1, 2), row(2, 3), 1)
 
-    def test_resolving_units_gives_empty_clause(self):
-        out = resolve(clause(4), clause(-4), 3)
+    def test_resolving_units_gives_empty_row(self):
+        out = resolve(row(4), row(-4), 3)
         assert out is not None and len(out) == 0
 
 
@@ -62,40 +62,40 @@ class TestBdrStep:
     triples, the premises as input indices."""
 
     def test_two_clause_pivot(self):
-        derived = bdr_step([clause(1, 2), clause(-2, 3)], 1, 2)
-        assert derived == [(clause(1, 3), 0, 1)]
+        derived = bdr_step([row(1, 2), row(-2, 3)], 1, 2)
+        assert derived == [(row(1, 3), 0, 1)]
 
     def test_bound_filters_long_resolvents(self):
-        assert bdr_step([clause(1, 2), clause(-2, 3)], 1, 1) == []
+        assert bdr_step([row(1, 2), row(-2, 3)], 1, 1) == []
 
     def test_bound_none_is_unlimited(self):
-        derived = bdr_step([clause(1, 2, 4), clause(-2, 3, 5)], 1, None)
-        assert derived == [(clause(1, 3, 4, 5), 0, 1)]
+        derived = bdr_step([row(1, 2, 4), row(-2, 3, 5)], 1, None)
+        assert derived == [(row(1, 3, 4, 5), 0, 1)]
 
     def test_deterministic_pair_order(self):
-        pool = [clause(1, 2), clause(2, 3), clause(-2, 4), clause(-2, 5)]
+        pool = [row(1, 2), row(2, 3), row(-2, 4), row(-2, 5)]
         assert bdr_step(pool, 1, None) == [
-            (clause(1, 4), 0, 2), (clause(1, 5), 0, 3),
-            (clause(3, 4), 1, 2), (clause(3, 5), 1, 3),
+            (row(1, 4), 0, 2), (row(1, 5), 0, 3),
+            (row(3, 4), 1, 2), (row(3, 5), 1, 3),
         ]
 
     def test_resolvents_equal_to_inputs_are_dropped(self):
-        pool = [clause(1, 2), clause(-2, 3), clause(1, 3)]
+        pool = [row(1, 2), row(-2, 3), row(1, 3)]
         assert bdr_step(pool, 1, None) == []
 
     def test_duplicate_resolvents_collapse(self):
-        pool = [clause(1, 2), clause(1, 2, 4), clause(-2, 4), clause(-2)]
+        pool = [row(1, 2), row(1, 2, 4), row(-2, 4), row(-2)]
         derived = bdr_step(pool, 1, None)
         # (1 4) arises twice and (1 2 4)x(-2 4) gives (1 4) as well;
         # each keeps the premises of its first derivation
-        assert derived == [(clause(1, 4), 0, 2), (clause(1), 0, 3)]
+        assert derived == [(row(1, 4), 0, 2), (row(1), 0, 3)]
 
     def test_tautologies_skipped(self):
-        assert bdr_step([clause(1, 2), clause(-2, -1)], 1, None) == []
+        assert bdr_step([row(1, 2), row(-2, -1)], 1, None) == []
 
     def test_accepts_single_pass_iterables(self):
-        derived = bdr_step(iter([clause(1, 2), clause(-2, 3)]), 1, 2)
-        assert derived == [(clause(1, 3), 0, 1)]
+        derived = bdr_step(iter([row(1, 2), row(-2, 3)]), 1, 2)
+        assert derived == [(row(1, 3), 0, 1)]
 
     def test_no_pairs_no_output(self):
-        assert bdr_step([clause(1, 2), clause(2, 3)], 1, None) == []
+        assert bdr_step([row(1, 2), row(2, 3)], 1, None) == []

@@ -38,7 +38,7 @@ from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.model import EXTRACTED
 from cnfbelief.transforms import ALGORITHMS
 
-from conftest import A, B, C, D, F, clause, close_enough, formula
+from conftest import A, B, C, D, F, clause, close_enough, formula, row, rows_and_tags
 from test_golden_runs import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -209,6 +209,21 @@ class TestElimCpeD:
         assert with_clauses.observed == 3
         assert plain.observed == 1
 
+    def test_resolvents_of_extracted_rows_are_clauses(self):
+        # phi holds only units, which propagation takes, so each clause
+        # the engine derives at i_bound 2 (none at 0) resolves extracted
+        # rows; the trace still holds them as Clause objects
+        net = gen_network(17, 5, 0.7, 7)
+        phi = gen_query(net, c=0, e=3, seed=8)
+        _, plain = evaluate(net, phi, "cpe-d", EngineConfig(i_bound=0))
+        _, stats = evaluate(net, phi, "cpe-d", EngineConfig(i_bound=2))
+        derived = [c for entry in stats.trace for c in entry.derived]
+        assert plain.derived_clauses == 0 and stats.derived_clauses == len(derived)
+        assert [str(c) for c in derived] == ["(-1 5)", "(3 -6)", "(5 -6)"]
+        assert all(type(c) is Clause and {type(lit) for lit in c.literals} == {Literal}
+                   for c in derived)
+        assert close_enough(stats.result, brute_force_cpe(net, phi))
+
     def test_no_extraction_means_no_change(self, pos_net, phi42):
         p_d, stats = elim_cpe_d(pos_net, phi42)
         p, _ = elim_cpe(pos_net, phi42)
@@ -280,7 +295,8 @@ class TestPropagatedRun:
         net = BeliefNetwork(3, (Cpt(0, (), (0.3,)), Cpt(1, (0,), (0.2, 0.0)),
                                 Cpt(2, (1,), (0.5, 0.4))))
         phi = formula(clause(1), clause(2), clause(3, -1))
-        sigma, variables, residual, constant = transforms._propagate(net, (0, 1, 2), phi)
+        sigma, variables, residual, _, constant = transforms._propagate(
+            net, (0, 1, 2), *rows_and_tags(phi))
         assert constant == -math.inf and variables == () and len(residual) == 0
         assert sigma == {0: True, 1: True, 2: True}
         p, stats = evaluate(net, phi, "cpe-d")
@@ -295,8 +311,8 @@ class TestPropagatedRun:
         cfg = EngineConfig(i_bound=2)
         _, stats = evaluate(net, phi, "cpe-d", cfg, order)
         kept = transforms._ancestral(net, phi)
-        sigma, variables, _, _ = transforms._propagate(
-            net, kept, phi.conjoin(extract_clauses(net, kept)))
+        sigma, variables, *_ = transforms._propagate(
+            net, kept, *rows_and_tags(phi.conjoin(extract_clauses(net, kept))))
         assert stats.forced == len(sigma) == 6
         # the unforced CPTs' buckets, and the forced variables they
         # mention, observed
@@ -361,28 +377,27 @@ class TestPropagatedRun:
 
 class TestHiddenEmbed:
     def test_embedding_shape(self, net2):
-        phi = formula(clause(1, 2), clause(-2))
-        embedded, evidence = hidden_embed(net2, phi)
+        embedded, fresh = hidden_embed(net2, [row(1, 2), row(-2)])
         assert embedded.n == 4
         assert embedded.cpts[2] == Cpt(2, (0, 1), (0.0, 1.0, 1.0, 1.0))
         assert embedded.cpts[3] == Cpt(3, (1,), (1.0, 0.0))
-        assert evidence == [Literal(2, True), Literal(3, True)]
+        assert fresh == (2, 3)
 
     def test_original_cpts_untouched(self, net2):
-        embedded, _ = hidden_embed(net2, formula(clause(1)))
+        embedded, _ = hidden_embed(net2, [row(1)])
         assert embedded.cpts[:2] == net2.cpts
 
     def test_no_clauses_no_growth(self, net2):
-        embedded, evidence = hidden_embed(net2, CnfFormula([]))
+        embedded, fresh = hidden_embed(net2, [])
         assert embedded.n == 2
-        assert evidence == []
+        assert fresh == ()
 
     def test_embedding_preserves_probability(self):
         for k in range(8):
             net = gen_network(n=5, f=3, d=0.4, seed=6600 + k)
             phi = gen_query(net, c=2, e=1, seed=7600 + k)
-            embedded, evidence = hidden_embed(net, phi)
-            units = CnfFormula([Clause([lit]) for lit in evidence])
+            embedded, fresh = hidden_embed(net, rows_and_tags(phi)[0])
+            units = formula(*(clause(v + 1) for v in fresh))
             want = brute_force_cpe(net, phi)
             got = brute_force_cpe(embedded, units)
             assert close_enough(got, want), k
@@ -618,8 +633,8 @@ class TestRelevancePruning:
             order = list(range(net.n))
             random.Random(k).shuffle(order)
             projected = Ordering(tuple(kept.index(v) for v in order if v in kept))
-            embedded, evidence = hidden_embed(sub, sub_phi)
-            units = CnfFormula([Clause([lit]) for lit in evidence])
+            embedded, fresh = hidden_embed(sub, rows_and_tags(sub_phi)[0])
+            units = formula(*(clause(v + 1) for v in fresh))
             runs = (
                 (evaluate(net, phi, "cpe", cfg, order),
                  run_trace(sub, sub_phi, projected, cfg)[2]),
@@ -752,7 +767,8 @@ class TestCertifiedTag:
     def test_every_extracted_clause_is_certified(self):
         for seed in range(40):
             net = gen_network(12, 4, 0.9, seed)
-            assert all(transforms._certified(net, c) for c in extract_clauses(net).clauses), seed
+            rows = rows_and_tags(extract_clauses(net))[0]
+            assert all(transforms._certified(net, r) for r in rows), seed
 
 
 class TestBeliefGivenCnf:
@@ -1011,12 +1027,12 @@ def _hyperedge_walk(net: BeliefNetwork, phi: CnfFormula, sigma: dict[int, bool],
     is a hyperedge over its unforced variables, and var's part grows by
     every edge it meets until none is left.  Returns (the kept
     variables whose family it meets, the open clauses it meets, each
-    shortened to its unforced literals)."""
+    shortened to its unforced literals, as frozensets of signed ones)."""
     edges = {("cpt", v): {u for u in net.family(v) if u not in sigma} for v in kept}
     for c in phi.clauses:
         if not any(sigma.get(l.var) == l.positive for l in c.literals):
-            free = Clause(l for l in c.literals if l.var not in sigma)
-            edges[("clause", free)] = free.variables()
+            free = frozenset(l.signed() for l in c.literals if l.var not in sigma)
+            edges[("clause", free)] = {abs(s) - 1 for s in free}
     part, met = {var}, set()
     while True:
         reached = {key for key, edge in edges.items() if key not in met and edge & part}
@@ -1074,22 +1090,24 @@ class TestPrePassAgainstAReference:
 
     @staticmethod
     def prepass(monkeypatch, net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None):
-        """(sigma, variables, residual items, constant) of the
-        ``_propagate`` call one cpe-d ``_pruned_run`` makes, or with
-        ``var`` one cpe belief run, and its F; the engine is not run."""
+        """(sigma, variables, residual (row, tag) items, constant) of
+        the ``_propagate`` call one cpe-d ``_pruned_run`` makes, or with
+        ``var`` one cpe belief run, its F and the rows of phi it was
+        given; the engine is not run."""
         propagate, seen = transforms._propagate, []
         monkeypatch.setattr(transforms, "_propagate",
-                            lambda *args: seen.append(propagate(*args)) or seen[-1])
+                            lambda *args: seen.append((args[2], propagate(*args))) or seen[-1][1])
         monkeypatch.setattr(transforms, "_execute", lambda *args: (None, engine.RunStats(), []))
         alg = "cpe-d" if var is None else "cpe"
         stats = transforms._pruned_run(net, phi, alg, EngineConfig(i_bound=2), var=var)
-        (sigma, variables, residual, constant), = seen
-        return (sigma, variables, list(residual.items()), constant), stats.extracted
+        (rows, (sigma, variables, residual, tags, constant)), = seen
+        return (sigma, variables, list(zip(residual, tags)), constant), stats.extracted, rows
 
     @staticmethod
     def reference(net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None):
-        """The same from whole passes over Clause objects: None in
-        place of the four on a conflict or a forced entry of 0."""
+        """The same from whole passes over Clause objects, the residual
+        as frozensets of signed literals: None in place of the four on a
+        conflict or a forced entry of 0."""
         kept = transforms._ancestral(net, phi, var)
         full = phi.conjoin(extract_clauses(net, kept)) if var is None else phi
         count = len({c.literals for c, tag in full.items() if tag == EXTRACTED})
@@ -1097,7 +1115,7 @@ class TestPrePassAgainstAReference:
         entries = {} if sigma is None else _fixed_entries(net, sigma, kept)
         if sigma is None or 0.0 in entries.values():
             return None, count
-        items = [(Clause(l for l in c.literals if l.var not in sigma), tag)
+        items = [(frozenset(l.signed() for l in c.literals if l.var not in sigma), tag)
                  for c, tag in full.items()
                  if not any(sigma.get(l.var) == l.positive for l in c.literals)]
         return (sigma, tuple(v for v in kept if v not in entries), items,
@@ -1105,23 +1123,24 @@ class TestPrePassAgainstAReference:
 
     def check(self, monkeypatch, net: BeliefNetwork, phi: CnfFormula,
               var: Optional[int] = None) -> Optional[int]:
-        """Asserts the two agree and that each clause of phi propagation
+        """Asserts the two agree and that each row of phi propagation
         leaves untouched comes back as itself; None when propagation
         met a conflict, else how many came back so."""
-        (sigma, variables, items, constant), count = self.prepass(monkeypatch, net, phi, var)
+        (sigma, variables, items, constant), count, rows = self.prepass(
+            monkeypatch, net, phi, var)
         want, want_count = self.reference(net, phi, var)
         assert count == want_count
         if want is None:  # sigma's content depends on the order here
             assert constant == -math.inf and variables == () and items == []
             return None
-        assert sigma == want[0] and variables == want[1] and items == want[2]
+        assert sigma == want[0] and variables == want[1]
+        assert [(frozenset(r), t) for r, t in items] == want[2]
         assert [t for _, t in items] == [t for _, t in want[2]]
         assert constant == want[3]  # bit for bit: fsum is exactly rounded
-        # phi's unsatisfied clauses lead the residual, in phi's order
-        left = [c for c in phi.clauses if not any(sigma.get(l.var) == l.positive
-                                                  for l in c.literals)]
-        same = [ours is clause for (ours, _), clause in zip(items, left)]
-        assert same == [clause.variables().isdisjoint(sigma) for clause in left]
+        # phi's unsatisfied rows lead the residual, in phi's order
+        left = [r for r in rows if not any(sigma.get(abs(s) - 1) == (s > 0) for s in r)]
+        same = [ours is r for (ours, _), r in zip(items, left)]
+        assert same == [all(abs(s) - 1 not in sigma for s in r) for r in left]
         return sum(same)
 
     def test_random_instances(self, monkeypatch):
@@ -1174,7 +1193,8 @@ class TestRequisiteBelief:
         var = rng.randrange(n)
         kept = transforms._ancestral(net, phi, var)
         sigma = _unit_fixpoint(phi)
-        forced, variables, residual, constant = transforms._propagate(net, kept, phi)
+        forced, variables, residual, tags, constant = transforms._propagate(
+            net, kept, *rows_and_tags(phi))
         if sigma is None:  # a conflict
             assert constant == -math.inf and variables == () and len(residual) == 0
             return
@@ -1185,22 +1205,24 @@ class TestRequisiteBelief:
             return
         assert math.isclose(constant, sum(map(math.log, entries.values())), abs_tol=1e-12)
         assert variables == tuple(v for v in kept if v not in entries)
-        open_ = {Clause(l for l in cl.literals if l.var not in sigma) for cl in phi.clauses
+        open_ = {frozenset(l.signed() for l in cl.literals if l.var not in sigma)
+                 for cl in phi.clauses
                  if not any(sigma.get(l.var) == l.positive for l in cl.literals)}
-        assert set(residual.clauses) == open_
-        assert not any(cl.is_unit() for cl in residual.clauses)
+        assert set(map(frozenset, residual)) == open_
+        assert not any(len(r) == 1 for r in residual)
         if var in sigma:
             return  # belief makes one run of the whole residual
         cpts, clauses = _hyperedge_walk(net, phi, sigma, var, variables)
-        result = transforms._requisite(net, sigma, variables, residual, var)
+        result = transforms._requisite(net, sigma, variables, residual, tags, var)
         if result is None:
             # no witness that the dropped part is positive
             assert (any(p in (0.0, 1.0) for v in set(variables) - cpts for p in net.cpts[v].table)
                     or any(cl not in clauses for cl in open_))
             return
-        loaded, passed = result
+        loaded, passed, passed_tags = result
         assert loaded == tuple(v for v in variables if v in cpts)
-        assert list(passed.items()) == [(cl, tag) for cl, tag in residual.items() if cl in clauses]
+        assert list(zip(map(frozenset, passed), passed_tags)) == [
+            (frozenset(r), tag) for r, tag in zip(residual, tags) if frozenset(r) in clauses]
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(kind=st.sampled_from(["any", "cpt", "clause", "opposing", "reduced"]),
@@ -1340,8 +1362,9 @@ class TestExtractedClauseOutsideFamilies:
         net, phi = parse_network(FAMILYLESS_NET), parse_dimacs(FAMILYLESS_CNF)
         # Z's requisite part is X and Z: propagation forces B, which
         # leaves the extracted clause (X or Z)
-        sigma, variables, residual, _ = transforms._propagate(net, tuple(range(5)), phi)
-        assert transforms._requisite(net, sigma, variables, residual, 4)[0] == (3, 4)
+        sigma, variables, residual, tags, _ = transforms._propagate(
+            net, tuple(range(5)), *rows_and_tags(phi))
+        assert transforms._requisite(net, sigma, variables, residual, tags, 4)[0] == (3, 4)
         for var in range(net.n):
             want = belief_given_cnf(net, phi, var, "brute")
             for alg in ("cpe", "cpe-d", "hidden"):
