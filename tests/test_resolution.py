@@ -52,7 +52,7 @@ class TestResolve:
         with pytest.raises(ModelError):
             resolve(row(1, 2), row(2, 3), 1)
 
-    def test_resolving_units_gives_empty_row(self):
+    def test_resolving_units_gives_empty_clause(self):
         out = resolve(row(4), row(-4), 3)
         assert out is not None and len(out) == 0
 
