@@ -38,10 +38,11 @@ product written into one preallocated result, so a sum holds the
 largest operand, the result, one block of the smaller operands'
 product and one block copied from the largest, however large the
 bucket.  An allocation that fails there raises ``ResourceLimitError``,
-naming the bucket.  A summed or observed bucket drops its factors once
-its result or restrictions are placed, so a table is freed as soon as
-the bucket that consumes it is done; the query's bucket keeps its
-factors for ``log_joint``.
+naming the bucket, as does, before any allocation, a bucket spanning
+more variables than numpy can address (``_MAX_AXES``).  A summed or
+observed bucket drops its factors once its result or restrictions are
+placed, so a table is freed as soon as the bucket that consumes it is
+done; the query's bucket keeps its factors for ``log_joint``.
 
 With dynamic reordering (the default), a bucket that acquires a unit
 clause jumps ahead of the position-ordered queue; promoted buckets run
@@ -89,7 +90,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .graphs import Ordering, _augmented, _eliminate, adjusted_induced_width
-from .model import EXTRACTED, BeliefNetwork, Clause, Factor, clause_of, clause_table, cpt_factors
+from .model import BeliefNetwork, Clause, Factor, clause_of, clause_table, cpt_factors
 from .resolution import bdr_step
 
 # A summed bucket whose largest table, or whose product of the smaller
@@ -105,18 +106,26 @@ _BLOCK_ARITY = 16
 _RESCALE_BELOW = 2.0 ** -64
 _NORMAL_FLOOR = 2.0 ** -1022
 
+# The most variables a float64 table may span: numpy's dimension limit
+# (32 before numpy 2.0, 64 since), or 59, as a table of 2**60 entries
+# passes numpy's size limit.
+_MAX_AXES = min(59, 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32)
+
 
 class ContradictionError(Exception):
     """The clauses are unsatisfiable; the query probability is 0."""
 
 
 class ResourceLimitError(MemoryError):
-    """Summing out ``variable`` needs a table too large to allocate;
+    """Summing out ``variable`` needs a table too large to allocate, or
+    over more variables than numpy can address (``_MAX_AXES``);
     ``arity`` is the number of variables of the bucket's result.  The
     sum allocates that result and at most two blocks of 2**16 entries
     more: one of the smaller operands' product and one copied from the
     largest operand, or two partial products while a block of the first
-    is multiplied.  So the result's size decides whether it fits."""
+    is multiplied.  So the result's size decides whether it fits.
+    ``transforms.hidden_embed`` raises it too, for a clause too wide for
+    its fresh child's table."""
 
     def __init__(self, variable: int, arity: int):
         super().__init__(f"bucket {variable}: the table over its {arity} remaining "
@@ -162,11 +171,9 @@ class RunStats:
     tables and summation results; the input CPTs do not count).
     derived_clauses / derived_units count clauses produced by unit and
     bounded resolution that were actually kept;
-    extracted (F) counts distinct clauses with extracted provenance in
-    the input (for cpe-d, with the ancestral CPTs'), before any run; a
-    caller's clause of two or more literals keeps that tag only where
-    one CPT makes it certain (``transforms._certified``), so F counts
-    only those;
+    extracted (F) counts the distinct sum-exempt clauses, cpe-d's
+    extracted ones and the caller's clauses tagged extracted that are
+    units or certain (``transforms._certified``), before any run;
     observed counts buckets processed by observation.
     width_static is the induced width of the clause-augmented graph
     along the run's ordering, in which phi's unit-clause variables add
@@ -357,11 +364,11 @@ class _Run:
         self.pending: list[int] = list(ordering.order)
 
     def load(self, factors: Iterable[Factor], clauses: Iterable[frozenset[int]],
-             tags: Iterable[str]) -> None:
+             exempt: Iterable[bool]) -> None:
         for factor in factors:
             self._place_factor(factor)
-        for clause, tag in zip(clauses, tags):
-            self._install_clause(clause, sum_exempt=(tag == EXTRACTED))
+        for clause, sum_exempt in zip(clauses, exempt):
+            self._install_clause(clause, sum_exempt)
 
     def process_all(self) -> None:
         while self.promoted or self.pending:
@@ -514,6 +521,8 @@ class _Run:
         scope = tuple(w for w in dict.fromkeys(
             [w for f in bucket.factors for w in f.scope]
             + [w - 1 for c in constraints for w in sorted(map(abs, c))]) if w != bucket.variable)
+        if len(scope) >= _MAX_AXES:  # with the pivot, past what numpy can address
+            raise ResourceLimitError(bucket.variable, len(scope))
         try:
             values = _bucket_lambda(bucket.factors, constraints, bucket.variable, scope)
             if values.flat[0] < _RESCALE_BELOW:  # one entry first: max() reads them all
@@ -547,9 +556,12 @@ class _Run:
 
 
 def _execute(net: BeliefNetwork, variables: tuple[int, ...], rows: Sequence[Iterable[int]],
-             tags: Sequence[str], ordering, cfg, query: Optional[int] = None):
+             exempt: Sequence[bool], ordering, cfg, stats: RunStats,
+             query: Optional[int] = None, base: float = 0.0):
     """(P(phi), stats, trace) from the CPTs of ``variables``, phi given as
-    ``rows`` of signed 1-based integers, frozen here, and their ``tags``.
+    ``rows`` of signed 1-based integers, frozen here, with their
+    sum-exemption flags; the run fills ``stats`` and adds ``base``, a
+    log constant, to the sum of the scalars' logs.
     The graph's vertices are those variables, their parents and phi's
     variables; a parent or clause variable outside ``variables`` is a
     vertex without a CPT.  A given ``ordering`` is followed over the
@@ -568,7 +580,6 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], rows: Sequence[Iter
     units = tuple(sorted({abs(s) - 1 for c in phi if len(c) == 1 for s in c}))
     first = None if query in units else query
     tail = tuple(v for v in (units if ordering is None else ordering) if v in aug and v != first)
-    stats = RunStats()
     # observing a unit restricts tables but never joins scopes
     ordering, stats.width_static, stats.entries_static = _eliminate(aug, tail, first, unfilled=units)
     # Min fill only where min degree's tables outgrow a kernel block per
@@ -587,13 +598,13 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], rows: Sequence[Iter
     failed = False
     t0 = perf_counter()
     try:
-        run.load(cpt_factors([net.cpts[v] for v in variables]), phi, tags)
+        run.load(cpt_factors([net.cpts[v] for v in variables]), phi, exempt)
         run.process_all()
     except ContradictionError:
         failed = True
     stats.elapsed = perf_counter() - t0
     if not failed:
-        stats.log_result = math.fsum(map(_log, run.scalars))
+        stats.log_result = math.fsum(map(_log, run.scalars)) + base
         # each processed bucket left exactly one trace entry
         actual = Ordering(tuple(reversed([e.bucket for e in stats.trace])))
         stats.width_posthoc = adjusted_induced_width(aug, actual, run.sigma)

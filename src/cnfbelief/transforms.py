@@ -2,10 +2,11 @@
 
 Callers hand in and get back ``Clause``s, the public form.  Inside a
 run a clause is a row of signed 1-based integers (``-3``: variable 2
-at 0): ``_pruned_run`` writes phi so once, tags beside it, and the
-pre-pass, the requisite cut, hidden's embedding and the engine all take
-rows, so a ``Clause`` is built again only for ``extract_clauses`` and
-the trace's derived clauses (``model.clause_of``).
+at 0), its provenance reduced to a sum-exemption flag beside it:
+``_pruned_run`` writes phi so once, and the pre-pass, the requisite
+cut, hidden's embedding and the engine take rows and flags, so a
+``Clause`` is built again only for ``extract_clauses`` and the trace's
+derived clauses (``model.clause_of``).
 
 * extract_clauses: turn the 0/1 rows of deterministic and mixed CPTs
   into clauses, the prime implicants of each table (the parent cubes
@@ -42,12 +43,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .engine import EngineConfig, RunStats, TraceEntry, _execute, _log
+from .engine import (_MAX_AXES, EngineConfig, ResourceLimitError, RunStats, TraceEntry,
+                     _execute, _log)
 from .graphs import Ordering, _augmented, check_ordering
 from .model import (
-    EVIDENCE,
     EXTRACTED,
-    QUERY,
     BeliefNetwork,
     Clause,
     CnfFormula,
@@ -178,11 +178,18 @@ def hidden_embed(net: BeliefNetwork, clauses: Iterable[Iterable[int]]
     and its CPT rows are ``clause_table``, the table the engine gates
     sums with: P(child=1 | row) is the clause's truth value;
     asserting the clause means observing the child at 1.  Returns the
-    grown network and its fresh variables, net.n, net.n + 1, ...
+    grown network and its fresh variables, net.n, net.n + 1, ...  A
+    clause whose table cannot be allocated or addressed raises
+    ``ResourceLimitError``, naming its child.
     """
     cpts = list(net.cpts)
     for row in clauses:
-        parents, table = clause_table(row)
+        if len(row) >= _MAX_AXES:  # with the child, past what numpy can address
+            raise ResourceLimitError(len(cpts), len(row))
+        try:
+            parents, table = clause_table(row)
+        except MemoryError as exc:
+            raise ResourceLimitError(len(cpts), len(row)) from exc
         cpts.append(Cpt(len(cpts), parents, tuple(table.ravel().tolist())))
     return BeliefNetwork(len(cpts), tuple(cpts)), tuple(range(net.n, len(cpts)))
 
@@ -202,10 +209,10 @@ def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
 ALGORITHMS = ("cpe", "cpe-d", "hidden", "brute")
 
 
-def _ancestral(net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None
+def _ancestral(net: BeliefNetwork, rows: Iterable[Iterable[int]], var: Optional[int] = None
                ) -> tuple[int, ...]:
-    """phi's variables, ``var`` when given, and all their ancestors,
-    ascending.
+    """The variables of phi's ``rows`` (signed 1-based integers),
+    ``var`` when given, and all their ancestors, ascending.
 
     P(phi) and P(phi, var) are the same over their CPTs alone.  Every
     other variable is barren: no clause holds it or a descendant, so
@@ -215,7 +222,7 @@ def _ancestral(net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None
     where a variable of phi, or ``var``, outside the network raises
     ModelError, before the walk indexes by it.
     """
-    kept = phi.variables() | ({var} if var is not None else set())
+    kept = {abs(s) - 1 for row in rows for s in row} | ({var} if var is not None else set())
     stack = list(net.check(kept))
     while stack:
         for p in net.parents(stack.pop()):
@@ -247,12 +254,13 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
 
 
 def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int, ...],
-               rows: list[Sequence[int]], tags: list[str], var: int
-               ) -> Optional[tuple[tuple[int, ...], list[Sequence[int]], list[str]]]:
+               rows: list[Sequence[int]], exempt: list[bool], var: int
+               ) -> Optional[tuple[tuple[int, ...], list[Sequence[int]], list[bool]]]:
     """The part of ``_propagate``'s residual (the CPTs of ``variables``,
-    ascending, and the clauses ``rows`` with their ``tags``, given the
-    forced literals ``sigma``) that P(var | phi) needs: (variables whose
-    CPTs load, the rows to pass, their tags), or None when all must run.
+    ascending, and the clauses ``rows`` with their flags ``exempt``,
+    given the forced literals ``sigma``) that P(var | phi) needs:
+    (variables whose CPTs load, the rows to pass, their flags), or None
+    when all must run.
 
     On the augmented graph of the residual, var's component C among the
     unforced vertices is all that P(phi, var = x) depends on: every
@@ -280,47 +288,47 @@ def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int,
                for p in net.cpts[v].table):
         return None
     true: set[int] = set()  # the witness, as signed literals
-    passed, passed_tags = [], []
-    for row, tag in zip(rows, tags):
+    passed, passed_exempt = [], []
+    for row, flag in zip(rows, exempt):
         if abs(row[0]) - 1 in component:  # a clause is over C or outside it
             passed.append(row)
-            passed_tags.append(tag)
+            passed_exempt.append(flag)
         elif true.isdisjoint(row):
             choice = next((s for s in row if -s not in true), None)
             if choice is None:
                 return None
             true.add(choice)
-    return loaded, passed, passed_tags
+    return loaded, passed, passed_exempt
 
 
 def _propagate(net: BeliefNetwork, kept: tuple[int, ...], rows: Sequence[Sequence[int]],
-               tags: Sequence[str], extracted: Sequence[tuple[int, ...]] = ()
-               ) -> tuple[dict[int, bool], tuple[int, ...], list[Sequence[int]], list[str], float]:
+               exempt: Sequence[bool], extracted: Sequence[tuple[int, ...]] = ()
+               ) -> tuple[dict[int, bool], tuple[int, ...], list[Sequence[int]], list[bool], float]:
     """P(phi) over the CPTs of ``kept`` (ascending) split by unit
     propagation into an exact log constant and a residual problem:
-    (sigma, variables, rows, tags, log constant), P(phi) being the
+    (sigma, variables, rows, flags, log constant), P(phi) being the
     constant's exp times P(rows) over the CPTs of ``variables`` with
     each forced variable they mention at its value in sigma.
 
     phi comes as ``rows`` of signed 1-based integers with their
-    provenance ``tags``; ``extracted`` holds cpe-d's clauses certain
-    under those CPTs, in the same form, as ``_extracted_rows`` gives
-    them, which propagate after phi's, so one pass runs over all of
-    them.  sigma holds the literals that unit propagation forces, found
-    with a queue over occurrence lists keyed by signed literal, in
-    which each row counts its literals not yet falsified (Davis and
-    Putnam 1960); no row may be empty.  Each CPT of ``kept`` whose whole
-    family sigma fixes is one exact entry, and the constant is the sum
-    of their logs.  ``variables`` are the other variables of ``kept``,
-    ascending; the rows returned are those sigma leaves unsatisfied,
-    phi's and then the extracted ones tagged extracted, with their tags
-    kept (none is a unit): an untouched row is the object given, and a
-    shortened one a list of its free literals, in the row's order.  A
-    shortened extracted clause still holds with probability 1 under its
-    own CPT, which stays: a family that sigma fixes whole leaves its
-    clauses satisfied or falsified.  A conflict or a forced entry of 0
-    gives the constant -inf, with no variables and no rows; sigma then
-    holds what was forced before it.
+    sum-exemption flags ``exempt``; ``extracted`` holds cpe-d's clauses
+    certain under those CPTs as ``_extracted_rows`` gives them, which
+    propagate after phi's, so one pass runs over all of them.  sigma
+    holds the literals that unit propagation forces, found with a queue
+    over occurrence lists keyed by signed literal, in which each row
+    counts its literals not yet falsified (Davis and Putnam 1960); no
+    row may be empty.  Each CPT of ``kept`` whose whole family sigma
+    fixes is one exact entry, and the constant is the sum of their logs.
+    ``variables`` are the other variables of ``kept``, ascending; the
+    rows returned are those sigma leaves unsatisfied, phi's and then the
+    extracted ones, flagged exempt, with their flags kept (none is a
+    unit): an untouched row is the object given, and a shortened one a
+    list of its free literals, in the row's order.  A shortened
+    extracted clause still holds with probability 1 under its own CPT,
+    which stays: a family that sigma fixes whole leaves its clauses
+    satisfied or falsified.  A conflict or a forced entry of 0 gives the
+    constant -inf, with no variables and no rows; sigma then holds what
+    was forced before it.
     """
     clauses = [*rows, *extracted]
     nothing = (), [], [], -math.inf
@@ -362,13 +370,13 @@ def _propagate(net: BeliefNetwork, kept: tuple[int, ...], rows: Sequence[Sequenc
     constant = math.fsum(logs)
     if constant == -math.inf:
         return (sigma, *nothing)
-    residual, residual_tags = [], []
-    for row, tag, left in zip(clauses, [*tags, *[EXTRACTED] * len(extracted)], free):
+    residual, residual_exempt = [], []
+    for row, flag, left in zip(clauses, [*exempt, *[True] * len(extracted)], free):
         if left:
             residual.append(row if left == len(row) else
                             [s for s in row if abs(s) - 1 not in sigma])
-            residual_tags.append(tag)
-    return sigma, tuple(variables), residual, residual_tags, constant
+            residual_exempt.append(flag)
+    return sigma, tuple(variables), residual, residual_exempt, constant
 
 
 def _certified(net: BeliefNetwork, row: Sequence[int]) -> bool:
@@ -390,25 +398,24 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
     whose ``log_joint`` belief normalizes.  brute enumerates the whole
     network (``brute_force_cpe``), with var once per value, as a unit.
     cpe, cpe-d and hidden write phi's clauses once as rows of signed
-    1-based integers, with their tags beside them, and make one engine
-    run over the CPTs of phi's (and ``var``'s) ancestral variables,
-    cpe-d's with their extracted clauses, kept as ``_extracted_rows``
-    for the pre-pass; the empty clause answers 0 before anything is
-    read.  ``stats.extracted`` (F) counts the distinct extracted
-    clauses: the rows, which are distinct, plus the caller's
-    extracted-tagged clauses that are not among them.
-    ``stats.extract_s`` and ``stats.propagate_s`` time the extraction
-    and the pre-pass, 0.0 on a run without them.  A caller's clause of two
-    or more literals tagged extracted, which the engine lets propagate
-    but never gate a sum, keeps that tag only where ``_certified``
-    shows it certain, and runs as a query clause otherwise (a unit is
-    observed, never summed over, so its tag changes nothing).  cpe-d and
-    belief propagate units first (``_propagate``): a conflict or a forced
-    entry of 0 answers 0 with no engine run, and the engine runs on the
-    residual, given as evidence units the forced variables its CPTs
-    mention, and var when forced, sorted.  Belief eliminates var last on
-    its requisite part (``_requisite``) or the whole residual, filling
-    ``stats.log_joint``.
+    1-based integers, each with a sum-exemption flag, and make one
+    engine run, which fills the ``stats`` opened here, over the CPTs of
+    phi's (and ``var``'s) ancestral variables, cpe-d's with their
+    extracted clauses, kept as ``_extracted_rows`` for the pre-pass; the
+    empty clause answers 0 before anything is read.  A caller's clause
+    tagged extracted is exempt (it propagates but never gates a sum)
+    when it is a unit, observed and never summed over, or ``_certified``
+    shows it certain; no other clause is.  ``stats.extracted`` (F)
+    counts the distinct extracted clauses: the rows, which are
+    distinct, plus the caller's exempt clauses not among them.  cpe-d
+    and belief propagate units first (``_propagate``, timed by
+    ``stats.propagate_s`` as cpe-d's extraction is by ``extract_s``): a
+    conflict or a forced entry of 0 answers 0 with no engine run, and
+    the engine runs on the residual, given as units the forced
+    variables its CPTs mention, and var when forced, sorted.  It adds
+    cpe-d's constant to the log of P(phi); belief, whose normalizing
+    would cancel it, leaves it out and eliminates var last on its
+    requisite part (``_requisite``) or the whole residual.
     """
     if alg not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {alg!r}; expected one of {ALGORITHMS}")
@@ -426,51 +433,45 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
                 CnfFormula([Clause([Literal(var, value)])])))) for value in (False, True))
         stats.elapsed = perf_counter() - t0
         return stats
-    kept = _ancestral(net, phi, var)
-    answered = RunStats(width_static=0, entries_static=0,
-                        log_joint=None if var is None else (-math.inf, -math.inf))
     rows = [[u + 1 if positive else -u - 1 for u, positive in c.literals] for c in phi.clauses]
+    kept = _ancestral(net, rows, var)
+    stats = RunStats(width_static=0, entries_static=0,
+                     log_joint=None if var is None else (-math.inf, -math.inf))
     if not all(rows):  # refused unread, as in the engine
-        return answered
-    tags = list(phi.provenance)
-    if EXTRACTED in tags:  # the tag exempts from gating only a certain clause
-        tags = [QUERY if tag == EXTRACTED and len(row) > 1 and not _certified(net, row)
-                else tag for row, tag in zip(rows, tags)]
+        return stats
+    exempt = [tag == EXTRACTED and (len(row) == 1 or _certified(net, row))
+              for row, tag in zip(rows, phi.provenance)]
     extracted = []
     if alg == "cpe-d":
         t0 = perf_counter()
         extracted = _extracted_rows(net, kept)
-        answered.extract_s = perf_counter() - t0
+        stats.extract_s = perf_counter() - t0
     # the rows are distinct (see extract_clauses), so only the caller's
-    # tagged clauses are compared with them
-    tagged = {frozenset(row) for row, tag in zip(rows, tags) if tag == EXTRACTED}
+    # exempt clauses are compared with them
+    tagged = {frozenset(row) for row, flag in zip(rows, exempt) if flag}
     if tagged and extracted:
         tagged.difference_update(map(frozenset, extracted))
-    answered.extracted = len(extracted) + len(tagged)
-    propagates = alg == "cpe-d" or var is not None
-    if propagates:
+    stats.extracted = len(extracted) + len(tagged)
+    constant = 0.0
+    if alg == "cpe-d" or var is not None:
         t0 = perf_counter()
-        sigma, kept, rows, tags, constant = _propagate(net, kept, rows, tags, extracted)
-        answered.propagate_s = perf_counter() - t0
-        answered.forced = len(sigma)
+        sigma, kept, rows, exempt, constant = _propagate(net, kept, rows, exempt, extracted)
+        stats.propagate_s = perf_counter() - t0
+        stats.forced = len(sigma)
         if constant == -math.inf:
-            return answered
+            return stats
         if var is not None:
-            kept, rows, tags = _requisite(net, sigma, kept, rows, tags, var) or (kept, rows, tags)
+            kept, rows, exempt = _requisite(net, sigma, kept, rows, exempt, var) or (
+                kept, rows, exempt)
         mentioned = sorted({u for v in kept for u in net.family(v) if u in sigma}
                            | ({var} & sigma.keys()))
         rows = [[u + 1 if sigma[u] else -u - 1] for u in mentioned] + rows
-        tags = [EVIDENCE] * len(mentioned) + tags
+        exempt = [False] * len(mentioned) + exempt
     if alg == "hidden":
         net, fresh = hidden_embed(net, rows)
         kept += fresh
-        rows, tags = [[v + 1] for v in fresh], [EVIDENCE] * len(fresh)
-    stats = _execute(net, kept, rows, tags, ordering, cfg, var)[1]
-    stats.extracted, stats.forced = answered.extracted, answered.forced
-    stats.extract_s, stats.propagate_s = answered.extract_s, answered.propagate_s
-    if propagates and var is None:
-        stats.log_result += constant
-        stats.result = math.exp(stats.log_result)
+        rows, exempt = [[v + 1] for v in fresh], [False] * len(fresh)
+    _execute(net, kept, rows, exempt, ordering, cfg, stats, var, constant if var is None else 0.0)
     return stats
 
 

@@ -9,6 +9,7 @@ import math
 import pytest
 
 from cnfbelief import BeliefNetwork, Clause, CnfFormula, Cpt, Literal, Ordering
+from cnfbelief.model import EXTRACTED
 
 A, B, C, D, F, G = range(6)
 
@@ -35,10 +36,13 @@ def row(*codes: int) -> frozenset[int]:
     return frozenset(codes)
 
 
-def rows_and_tags(phi: CnfFormula) -> tuple[list[list[int]], tuple[str, ...]]:
-    """phi's clauses as rows of signed 1-based literal codes, and their
-    tags, as the front door hands them to the engine."""
-    return [[lit.signed() for lit in c.literals] for c in phi.clauses], phi.provenance
+def rows_and_tags(phi: CnfFormula) -> tuple[list[list[int]], list[bool]]:
+    """phi's clauses as rows of signed 1-based literal codes, and the
+    sum-exemption flag their tags give (True for extracted), as the
+    front door hands them to the engine when each extracted clause is
+    certain."""
+    return ([[lit.signed() for lit in c.literals] for c in phi.clauses],
+            [tag == EXTRACTED for tag in phi.provenance])
 
 
 def formula(*clauses_: Clause) -> CnfFormula:

@@ -481,6 +481,26 @@ class TestErrorPaths:
             err = capsys.readouterr().err
             assert err.startswith("error: bucket ") and "does not fit in memory" in err
 
+    def test_tables_numpy_cannot_address_exit_three(self, tmp_path, capsys):
+        # one clause over 70 fair roots spans more axes than numpy allows,
+        # and 70 clauses (x_i or y) along an order that eliminates y
+        # first a table of more entries than it can index
+        net = tmp_path / "roots.net"
+        net.write_text("vars 71\n" + "".join(f"cpt {v} 0.5\n" for v in range(71)))
+        wide, star = tmp_path / "wide.cnf", tmp_path / "star.cnf"
+        wide.write_text("p cnf 70 1\n" + " ".join(map(str, range(1, 71))) + " 0\n")
+        star.write_text("p cnf 71 70\n" + "".join(f"{v} 71 0\n" for v in range(1, 71)))
+        order = tmp_path / "y_first.order"
+        order.write_text(" ".join(map(str, range(71))) + "\n")
+        along = ["--order-file", str(order), "--no-reorder"]
+        runs = [(wide, alg, []) for alg in ("cpe", "cpe-d", "hidden")]
+        runs += [(star, alg, along) for alg in ("cpe", "cpe-d")]
+        for cnf, alg, extra in runs:
+            code = run_cli(["eval", "--net", str(net), "--cnf", str(cnf), "--alg", alg, *extra])
+            err = capsys.readouterr().err
+            assert code == 3, (cnf.name, alg, err)
+            assert err.startswith("error: bucket ") and err.count("\n") == 1, (cnf.name, alg, err)
+
     @pytest.mark.parametrize("alg, stage", [("cpe-d", "_prime_rows"),
                                             ("hidden", "hidden_embed")])
     def test_any_allocation_failure_exits_three(self, six_node_files, monkeypatch, capsys,

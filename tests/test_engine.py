@@ -182,24 +182,24 @@ class TestEliminateBucket:
             _, _, trace = run_trace(pos_net, phi, ordering=d1)
             assert sorted(t.bucket for t in trace) == kept
 
-    # The engine itself: the front door passes a caller's uncertain
-    # clause tagged extracted as a query clause (TestCertifiedTag).
+    # The engine itself: the front door gives a caller's uncertain
+    # clause tagged extracted the flag False, so it gates (TestCertifiedTag).
     def test_sum_exempt_clauses_resolve_but_do_not_gate(self):
         net = _roots(0.3, 0.6, 0.2)
-        p, _, trace = engine._execute(net, (0, 1, 2), PQR_ROWS, (EXTRACTED, EXTRACTED),
-                                      PQR_ORDER, EngineConfig(i_bound=2))
+        p, _, trace = engine._execute(net, (0, 1, 2), PQR_ROWS, (True, True),
+                                      PQR_ORDER, EngineConfig(i_bound=2), engine.RunStats())
         assert trace[0].scope == ()
         assert trace[0].derived == (clause(1, 3),)
         # neither the inputs nor their exempt resolvent constrain the sum
         assert close_enough(p, 1.0)
 
     def test_query_copy_strips_the_exemption(self):
-        # the same clauses filed as extracted and as query gate the sum,
+        # the same clauses filed exempt and not exempt gate the sum,
         # whichever occurrence is filed first
         net = _roots(0.3, 0.6, 0.2)
-        for tags in ((QUERY, QUERY, EXTRACTED, EXTRACTED), (EXTRACTED, EXTRACTED, QUERY, QUERY)):
-            p, _, trace = engine._execute(net, (0, 1, 2), PQR_ROWS * 2, tags, PQR_ORDER,
-                                          EngineConfig(i_bound=2))
+        for exempt in ((False, False, True, True), (True, True, False, False)):
+            p, _, trace = engine._execute(net, (0, 1, 2), PQR_ROWS * 2, exempt, PQR_ORDER,
+                                          EngineConfig(i_bound=2), engine.RunStats())
             assert trace[0].bucket == 1 and trace[0].scope == (0, 2)
             assert close_enough(p, brute_force_cpe(net, formula(*PQR_CLAUSES)))
 
@@ -534,7 +534,7 @@ class TestOrderingUnderEvidence:
         # augmented graph, units included, which was the default before
         net = gen_network(90, 4, 0, seed)
         phi = gen_query(net, c=30, e=10, seed=seed + 1)
-        kept = _ancestral(net, phi)
+        kept = _ancestral(net, rows_and_tags(phi)[0])
         blind = min_degree_order(augmented_graph(net, phi, kept)).order
         blind += tuple(v for v in net.variables() if v not in blind)
         p, stats = elim_cpe(net, phi)
@@ -563,7 +563,7 @@ def wide_instance(seed):
     net = gen_network(90, 4, 0.0, seed)
     phi = gen_query(net, c=30, e=10, seed=seed + 1)
     units = tuple(sorted({c.unit_literal().var for c in phi.clauses if c.is_unit()}))
-    return net, phi, augmented_graph(net, phi, _ancestral(net, phi)), units
+    return net, phi, augmented_graph(net, phi, _ancestral(net, rows_and_tags(phi)[0])), units
 
 
 class TestMinFillPass:
@@ -621,12 +621,12 @@ class TestLoadedFactors:
         loaded = []
         load = engine._Run.load
 
-        def spy(run, factors, clauses, tags):
+        def spy(run, factors, clauses, exempt):
             loaded.append(list(factors))
-            return load(run, loaded[-1], clauses, tags)
+            return load(run, loaded[-1], clauses, exempt)
 
         monkeypatch.setattr(engine._Run, "load", spy)
-        engine._execute(net, variables, [], (), None, None)
+        engine._execute(net, variables, [], (), None, None, engine.RunStats())
         [factors] = loaded
         assert [f.scope for f in factors] == [net.family(v) for v in variables]
         for v, f in zip(variables, factors):
@@ -897,7 +897,7 @@ class TestBoundedMemory:
         monkeypatch.setattr(engine, "_bucket_lambda", spy)
         monkeypatch.setattr(engine._Run, "process_all", check)
         _, stats, _ = engine._execute(net, tuple(range(net.n)), *rows_and_tags(phi), None, None,
-                                      query=0)
+                                      engine.RunStats(), query=0)
         [(n_produced, n_alive, n_kept)] = checked
         assert n_alive < n_produced and n_kept > 0
         assert max(stats.log_joint) > -math.inf

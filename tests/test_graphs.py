@@ -139,12 +139,12 @@ class TestInteractionGraphs:
         # the engine receives lies in the family of a CPT it loads, so
         # dropping those clauses' cliques leaves the same graph; a
         # caller's (A or G), tagged extracted but in no family, reaches
-        # it as a query clause
+        # it not exempt, as a query clause
         execute, received = transforms._execute, []
 
-        def spied(net, variables, rows, tags, *args):
-            received.append((net, variables, rows, tags))
-            return execute(net, variables, rows, tags, *args)
+        def spied(net, variables, rows, exempt, *args):
+            received.append((net, variables, rows, exempt))
+            return execute(net, variables, rows, exempt, *args)
 
         monkeypatch.setattr(transforms, "_execute", spied)
         tagged = CnfFormula([clause(1, 6), clause(4), clause(2, 3)], (EXTRACTED, EXTRACTED, QUERY))
@@ -155,14 +155,14 @@ class TestInteractionGraphs:
                     belief_given_cnf(net, phi, var, alg)
             run_trace(net, phi.conjoin(extract_clauses(net)))
         extracted = 0
-        for net, variables, rows, tags in received:
+        for net, variables, rows, exempt in received:
             families = [set(net.family(v)) for v in variables]
-            for row, tag in zip(rows, tags):
-                if tag == EXTRACTED:
+            for row, flag in zip(rows, exempt):
+                if flag:
                     extracted += 1
                     assert any({abs(s) - 1 for s in row} <= family for family in families), row
             phi = CnfFormula([clause(*row) for row in rows])
-            others = CnfFormula([clause(*row) for row, tag in zip(rows, tags) if tag != EXTRACTED])
+            others = CnfFormula([clause(*row) for row, flag in zip(rows, exempt) if not flag])
             assert augmented_graph(net, phi, variables) == augmented_graph(net, others, variables)
         assert extracted > 1000, extracted
 
@@ -444,7 +444,7 @@ class TestOnePass:
         for k, net, phi in seeded_instances():
             var = (7 * k) % net.n
             _, stats, trace = engine._execute(net, tuple(net.variables()), *rows_and_tags(phi),
-                                              None, cfg, var)
+                                              None, cfg, engine.RunStats(), var)
             if len(trace) < net.n:
                 continue  # a contradiction stopped the run
             complete_runs += 1
@@ -547,7 +547,7 @@ class TestEvidenceAwareOrdering:
             # without reordering the buckets run last-to-first; a
             # contradiction stops the run early, after a suffix of them
             _, _, trace = engine._execute(net, tuple(net.variables()), *rows_and_tags(phi),
-                                          None, cfg)
+                                          None, cfg, engine.RunStats())
             processed = tuple(entry.bucket for entry in reversed(trace))
             assert want.order[len(want) - len(processed):] == processed, k
             complete_runs += len(processed) == len(want)
@@ -561,7 +561,7 @@ class TestEvidenceAwareOrdering:
             orders = [None] + [Ordering(tuple(rng.sample(list(g), len(g)))) for _ in range(3)]
             for order in orders:
                 _, stats, _ = engine._execute(net, tuple(net.variables()), *rows_and_tags(phi),
-                                              order, None)
+                                              order, None, engine.RunStats())
                 along = order if order is not None else default_ordering(net, phi)
                 assert stats.width_static == reference_adjusted_width(
                     g, along, units, count_observed=True), (k, order)

@@ -310,7 +310,7 @@ class TestPropagatedRun:
         order = [6, 8, 9, 7, 5, 3, 0, 4, 1, 2]
         cfg = EngineConfig(i_bound=2)
         _, stats = evaluate(net, phi, "cpe-d", cfg, order)
-        kept = transforms._ancestral(net, phi)
+        kept = transforms._ancestral(net, rows_and_tags(phi)[0])
         sigma, variables, *_ = transforms._propagate(
             net, kept, *rows_and_tags(phi.conjoin(extract_clauses(net, kept))))
         assert stats.forced == len(sigma) == 6
@@ -889,7 +889,7 @@ class TestBeliefInOnePass:
             dist = belief_given_cnf(net, phi, var, "cpe")
             sigma = _unit_fixpoint(phi)
             if sigma is None or 0.0 in _fixed_entries(
-                    net, sigma, transforms._ancestral(net, phi, var)).values():
+                    net, sigma, transforms._ancestral(net, rows_and_tags(phi)[0], var)).values():
                 # propagation answers P(phi) = 0: no run and no ordering
                 assert dist is None and runs == [] and orders == [], k
                 outcomes.add("answered")
@@ -1090,7 +1090,7 @@ class TestPrePassAgainstAReference:
 
     @staticmethod
     def prepass(monkeypatch, net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None):
-        """(sigma, variables, residual (row, tag) items, constant) of
+        """(sigma, variables, residual (row, exemption flag) items, constant) of
         the ``_propagate`` call one cpe-d ``_pruned_run`` makes, or with
         ``var`` one cpe belief run, its F and the rows of phi it was
         given; the engine is not run."""
@@ -1100,22 +1100,23 @@ class TestPrePassAgainstAReference:
         monkeypatch.setattr(transforms, "_execute", lambda *args: (None, engine.RunStats(), []))
         alg = "cpe-d" if var is None else "cpe"
         stats = transforms._pruned_run(net, phi, alg, EngineConfig(i_bound=2), var=var)
-        (rows, (sigma, variables, residual, tags, constant)), = seen
-        return (sigma, variables, list(zip(residual, tags)), constant), stats.extracted, rows
+        (rows, (sigma, variables, residual, exempt, constant)), = seen
+        return (sigma, variables, list(zip(residual, exempt)), constant), stats.extracted, rows
 
     @staticmethod
     def reference(net: BeliefNetwork, phi: CnfFormula, var: Optional[int] = None):
         """The same from whole passes over Clause objects, the residual
-        as frozensets of signed literals: None in place of the four on a
-        conflict or a forced entry of 0."""
-        kept = transforms._ancestral(net, phi, var)
+        as frozensets of signed literals, each flagged exempt when tagged
+        extracted: None in place of the four on a conflict or a forced
+        entry of 0."""
+        kept = transforms._ancestral(net, rows_and_tags(phi)[0], var)
         full = phi.conjoin(extract_clauses(net, kept)) if var is None else phi
         count = len({c.literals for c, tag in full.items() if tag == EXTRACTED})
         sigma = _unit_fixpoint(full)
         entries = {} if sigma is None else _fixed_entries(net, sigma, kept)
         if sigma is None or 0.0 in entries.values():
             return None, count
-        items = [(frozenset(l.signed() for l in c.literals if l.var not in sigma), tag)
+        items = [(frozenset(l.signed() for l in c.literals if l.var not in sigma), tag == EXTRACTED)
                  for c, tag in full.items()
                  if not any(sigma.get(l.var) == l.positive for l in c.literals)]
         return (sigma, tuple(v for v in kept if v not in entries), items,
@@ -1162,7 +1163,7 @@ class TestPrePassAgainstAReference:
     def test_a_caller_clause_equal_to_an_extracted_one_counts_once(self, monkeypatch):
         net = gen_network(30, 4, 0.9, 31)
         phi = gen_query(net, c=2, e=1, seed=32)
-        kept = transforms._ancestral(net, phi)
+        kept = transforms._ancestral(net, rows_and_tags(phi)[0])
         extracted = extract_clauses(net, kept).clauses
         # a clause of two or more literals that leaves a parent free
         owner, same = next((v, c) for v in kept for c in extract_clauses(net, [v]).clauses
@@ -1191,9 +1192,9 @@ class TestRequisiteBelief:
         net = gen_network(n, f, d, seed)
         phi = gen_query(net, c=c if n >= 3 else 0, e=rng.randint(0, n // 2), seed=seed + 1)
         var = rng.randrange(n)
-        kept = transforms._ancestral(net, phi, var)
+        kept = transforms._ancestral(net, rows_and_tags(phi)[0], var)
         sigma = _unit_fixpoint(phi)
-        forced, variables, residual, tags, constant = transforms._propagate(
+        forced, variables, residual, exempt, constant = transforms._propagate(
             net, kept, *rows_and_tags(phi))
         if sigma is None:  # a conflict
             assert constant == -math.inf and variables == () and len(residual) == 0
@@ -1213,16 +1214,16 @@ class TestRequisiteBelief:
         if var in sigma:
             return  # belief makes one run of the whole residual
         cpts, clauses = _hyperedge_walk(net, phi, sigma, var, variables)
-        result = transforms._requisite(net, sigma, variables, residual, tags, var)
+        result = transforms._requisite(net, sigma, variables, residual, exempt, var)
         if result is None:
             # no witness that the dropped part is positive
             assert (any(p in (0.0, 1.0) for v in set(variables) - cpts for p in net.cpts[v].table)
                     or any(cl not in clauses for cl in open_))
             return
-        loaded, passed, passed_tags = result
+        loaded, passed, passed_exempt = result
         assert loaded == tuple(v for v in variables if v in cpts)
-        assert list(zip(map(frozenset, passed), passed_tags)) == [
-            (frozenset(r), tag) for r, tag in zip(residual, tags) if frozenset(r) in clauses]
+        assert list(zip(map(frozenset, passed), passed_exempt)) == [
+            (frozenset(r), flag) for r, flag in zip(residual, exempt) if frozenset(r) in clauses]
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(kind=st.sampled_from(["any", "cpt", "clause", "opposing", "reduced"]),
@@ -1362,9 +1363,9 @@ class TestExtractedClauseOutsideFamilies:
         net, phi = parse_network(FAMILYLESS_NET), parse_dimacs(FAMILYLESS_CNF)
         # Z's requisite part is X and Z: propagation forces B, which
         # leaves the extracted clause (X or Z)
-        sigma, variables, residual, tags, _ = transforms._propagate(
+        sigma, variables, residual, exempt, _ = transforms._propagate(
             net, tuple(range(5)), *rows_and_tags(phi))
-        assert transforms._requisite(net, sigma, variables, residual, tags, 4)[0] == (3, 4)
+        assert transforms._requisite(net, sigma, variables, residual, exempt, 4)[0] == (3, 4)
         for var in range(net.n):
             want = belief_given_cnf(net, phi, var, "brute")
             for alg in ("cpe", "cpe-d", "hidden"):
