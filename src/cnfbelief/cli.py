@@ -25,7 +25,7 @@ from .fileio import (
 )
 from .generator import RNG_ALGORITHM, gen_network, gen_query
 from .model import ModelError
-from .transforms import ALGORITHMS, belief_given_cnf, evaluate
+from .transforms import ALGORITHMS, _belief, evaluate
 
 BENCH_COLUMNS = ["instance", "alg", "i_bound", "time_s", "mf", "C", "U", "F", "O",
                  "width_static", "width_posthoc", "log_result", "result"]
@@ -173,12 +173,12 @@ def _print_stats(stats, mode: str) -> None:
 
 def _cmd_belief(args) -> int:
     net, phi, cfg = _load_inputs(args)
-    dist = belief_given_cnf(net, phi, args.var, args.alg, cfg)
-    if dist is None:
+    found = _belief(net, phi, args.var, args.alg, cfg)
+    if found is None:
         print("undefined (the query has probability 0)")
         return 0
-    for value in (0, 1):
-        print(f"P(var {args.var} = {value} | cnf) = {format_probability(dist[value])}")
+    for value, (p, log_p) in enumerate(zip(*found)):
+        print(f"P(var {args.var} = {value} | cnf) = {format_probability(p, log_p)}")
     return 0
 
 

@@ -70,8 +70,9 @@ def parse_network(text: str) -> BeliefNetwork:
     n = None
     parents: dict[int, tuple[int, ...]] = {}
     tables: dict[int, tuple[float, ...]] = {}
+    plain, comments = _plain(text), "#" in text  # each line checked only if not
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
+        if comments and "#" in line:
             line = line[:line.index("#")]
         fields = line.split()
         if not fields:
@@ -84,7 +85,7 @@ def parse_network(text: str) -> BeliefNetwork:
                 raise _fail(lineno, "expected: cpt <child> <values...>")
             try:
                 # _plain, but a float's sign or exponent may take "+"
-                if not ((line.isascii() or line.strip().isascii()) and "_" not in line
+                if not (plain or (line.isascii() or line.strip().isascii()) and "_" not in line
                         and "+" not in fields[1]):
                     raise ValueError
                 child = int(fields[1])
@@ -98,7 +99,7 @@ def parse_network(text: str) -> BeliefNetwork:
             tables[child] = values
         elif keyword == "parents":
             try:
-                if not _plain(line):
+                if not (plain or _plain(line)):
                     raise ValueError
                 child, *ps = map(int, fields[1:])
             except ValueError:
@@ -167,6 +168,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     tags: list[str] = []
     pending: list[Literal] = []
     pending_tag = QUERY
+    plain = _plain(text)  # each line checked only if not
     for lineno, line in enumerate(text.splitlines(), start=1):
         lead = line.lstrip()[:1]
         if lead == "c":
@@ -188,7 +190,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if declared is None:
             raise _fail(lineno, "clause before the problem line")
-        if not _plain(line):
+        if not (plain or _plain(line)):
             raise _fail(lineno, f"bad literal in {line.strip()!r}")
         for tok in fields:
             try:

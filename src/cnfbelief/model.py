@@ -26,6 +26,7 @@ Conventions shared by every module in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -169,7 +170,10 @@ class BeliefNetwork:
     child, ``2**len(parents)`` table rows, every entry a number in
     [0, 1] (NaN refused), and no directed cycle.  The CPTs are checked
     in index order and the first faulty one is reported; a cycle is
-    reported only when every CPT passes.
+    reported only when every CPT passes.  Where every parent is
+    numbered below its child, as in every network ``gen_network`` makes,
+    the numbering proves there is no cycle; only other networks take the
+    cycle pass (Kahn 1962).
     """
 
     n: int
@@ -184,7 +188,7 @@ class BeliefNetwork:
             raise ModelError(f"cpts must be a tuple, got {type(self.cpts).__name__}")
         if len(self.cpts) != n:
             raise ModelError(f"expected {n} CPTs, got {len(self.cpts)}")
-        children: list[list[int]] = [[] for _ in range(n)]
+        ordered = True  # every parent numbered below its child
         for i, (child, parents, table) in enumerate(self.cpts):
             if child != i or not (type(child) is int or hasattr(child, "__index__")):
                 raise ModelError(f"cpts[{i}] has child {child!r}")
@@ -192,13 +196,15 @@ class BeliefNetwork:
                 raise ModelError(f"variable {child}: parents and table must be tuples")
             if len(parents) > 1 and len(set(parents)) != len(parents):
                 raise ModelError(f"duplicate parents for variable {child}")
-            try:  # a comparison, or indexing children, fails on a wrong type
+            try:  # a comparison, or index, fails on a wrong type
                 for p in parents:
-                    if not 0 <= p < n:
-                        raise ModelError(f"parent {p} of {child} out of range")
-                    if p == child:
-                        raise ModelError(f"variable {child} is its own parent")
-                    children[p].append(child)
+                    if not 0 <= p < child:
+                        if not 0 <= p < n:
+                            raise ModelError(f"parent {p} of {child} out of range")
+                        if p == child:
+                            raise ModelError(f"variable {child} is its own parent")
+                        ordered = False
+                    index(p)
                 if len(table) != 1 << len(parents):
                     raise ModelError(f"variable {child}: table has {len(table)} rows, "
                                      f"expected {1 << len(parents)}")
@@ -207,9 +213,15 @@ class BeliefNetwork:
                         raise ModelError(f"variable {child}: probability {value} out of [0, 1]")
             except TypeError:
                 raise ModelError(f"variable {child}: parents must be ints, entries numbers") from None
+        if ordered:  # each parent precedes its child, so there is no cycle
+            return
         # cycle check (Kahn): strip each variable once its parents are all
         # stripped; what is left is every cycle member and every descendant
         # of one
+        children: list[list[int]] = [[] for _ in range(n)]
+        for child, parents, _ in self.cpts:
+            for p in parents:
+                children[p].append(child)
         unstripped = [len(cpt.parents) for cpt in self.cpts]
         stripped = [v for v in self.variables() if not unstripped[v]]
         for v in stripped:  # grows while it is walked

@@ -504,12 +504,24 @@ def belief_given_cnf(net: BeliefNetwork, phi: CnfFormula, var: int,
     path refuses a var outside the network where it refuses a clause
     variable (``_ancestral``, ``brute_force_cpe``).
     """
+    found = _belief(net, phi, var, alg, cfg)
+    return None if found is None else found[0]
+
+
+def _belief(net: BeliefNetwork, phi: CnfFormula, var: int, alg: str,
+            cfg: EngineConfig | None
+            ) -> Optional[tuple[tuple[float, float], tuple[float, float]]]:
+    """``belief_given_cnf``'s answer and the natural log of each value,
+    or None.  A value below the floats reads 0.0 beside a finite log,
+    which ``cli.format_probability`` prints from."""
     logs = _pruned_run(net, phi, alg, cfg, var=var).log_joint
     top = max(logs)
     if top == -math.inf:
         return None
     p0, p1 = (math.exp(x - top) for x in logs)
-    return p0 / (p0 + p1), p1 / (p0 + p1)
+    total = p0 + p1
+    log_total = top + math.log(total)
+    return (p0 / total, p1 / total), (logs[0] - log_total, logs[1] - log_total)
 
 
 def conditional_cnf_probability(net: BeliefNetwork, phi: CnfFormula,

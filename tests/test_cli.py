@@ -239,6 +239,28 @@ class TestBelief:
             "P(var 0 = 1 | cnf) = 0.882352941176\n"
         )
 
+    def test_posterior_below_the_floats_prints_from_its_log(self, tmp_path, capsys):
+        # a root with P = 0.5 and 400 children, P(child=1 | root) =
+        # (0.9, 0.1), all observed at 1: P(root=1 | cnf) = 9**-400, whose
+        # float underflows to 0 while its log stays finite
+        net = tmp_path / "star.net"
+        net.write_text("vars 401\ncpt 0 0.5\n" + "".join(
+            f"parents {i} 0\ncpt {i} 0.9 0.1\n" for i in range(1, 401)))
+        cnf = tmp_path / "star.cnf"
+        cnf.write_text("p cnf 401 400\n" + "".join(f"{i} 0\n" for i in range(2, 402)))
+        want = -400 * math.log10(9)  # the closed form's base-10 log
+        assert format_probability(0.0, want * math.log(10)) == "2.00907534575e-382"
+        for alg in ("cpe", "cpe-d", "hidden"):
+            assert run_cli(["belief", "--net", str(net), "--cnf", str(cnf), "--var", "0",
+                            "--alg", alg]) == 0
+            assert capsys.readouterr().out == (
+                "P(var 0 = 0 | cnf) = 1.00000000000\n"
+                "P(var 0 = 1 | cnf) = 2.00907534575e-382\n"), alg
+            # the public answer keeps its type: plain floats, the second 0
+            dist = transforms.belief_given_cnf(parse_network(net.read_text()),
+                                               parse_dimacs(cnf.read_text()), 0, alg)
+            assert dist == (1.0, 0.0), alg
+
     def test_zero_probability_condition(self, tmp_path, net2, capsys):
         net_path = tmp_path / "n.net"
         net_path.write_text(serialize_network(net2))

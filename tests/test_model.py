@@ -355,6 +355,36 @@ class TestCycleCheckMatchesReference:
         assert str(exc.value) == f"cycle among variables {expected}"
 
 
+class TestNumbering:
+    """The constructor skips its cycle pass when every parent is
+    numbered below its child."""
+
+    def test_an_acyclic_network_numbered_out_of_order_is_accepted(self):
+        # 2 -> 0 -> 1: a parent above its child, and no cycle
+        net = BeliefNetwork(3, (Cpt(0, (2,), (0.25, 0.75)), Cpt(1, (0,), (0.5, 1.0)),
+                                Cpt(2, (), (0.5,))))
+        assert evaluate(net, formula(clause(2)))[0] == brute_force_cpe(net, formula(clause(2)))
+
+    @pytest.mark.parametrize("cpts, message", [
+        # a cycle, and a faulty CPT after it: the CPT is reported
+        ((Cpt(0, (1,), (0.5, 0.5)), Cpt(1, (0,), (0.5, 0.5)), Cpt(2, (), (2.0,))),
+         "variable 2: probability 2.0 out of [0, 1]"),
+        ((Cpt(0, (1,), (0.5, 0.5)), Cpt(1, (0,), (0.5, 0.5)), Cpt(2, (0.0,), (0.5, 0.5))),
+         "variable 2: parents must be ints, entries numbers"),
+        # every CPT passes: Kahn names the cycle and what hangs below it
+        ((Cpt(0, (), (0.5,)), Cpt(1, (0, 3), (0.5,) * 4), Cpt(2, (1,), (0.5, 0.5)),
+          Cpt(3, (2,), (0.5, 0.5)), Cpt(4, (3,), (0.5, 0.5))),
+         "cycle among variables [1, 2, 3, 4]"),
+        ((Cpt(0, (2,), (0.5, 0.5)), Cpt(1, (), (0.5,)), Cpt(2, (0,), (0.5, 0.5))),
+         "cycle among variables [0, 2]"),
+    ], ids=["cycle-then-entry", "cycle-then-float-parent", "cycle-with-descendant",
+            "two-cycle"])
+    def test_every_cycle_is_reported_after_the_cpts_pass(self, cpts, message):
+        with pytest.raises(ModelError) as exc:
+            BeliefNetwork(len(cpts), cpts)
+        assert str(exc.value) == message
+
+
 class TestFactor:
     def test_cpt_to_factor_agrees_with_lookup(self, pos_net):
         rng_rows = [(a, b) for a in (0, 1) for b in (0, 1)]
