@@ -274,9 +274,7 @@ class TraceEntry:
 
     def format(self) -> str:
         scope_s = ",".join(str(v) for v in self.scope)
-        derived_s = ";".join(
-            ",".join(str(l.signed()) for l in c.sorted_literals()) for c in self.derived
-        )
+        derived_s = ";".join(",".join(map(str, c.codes)) for c in self.derived)
         return f"bucket={self.bucket} action={self.action} scope={scope_s} derived={derived_s}"
 
 

@@ -46,8 +46,8 @@ from .model import (
     Clause,
     CnfFormula,
     Cpt,
-    Literal,
     ModelError,
+    clause_of,
 )
 
 
@@ -166,7 +166,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     n_vars = 0
     clauses: list[Clause] = []
     tags: list[str] = []
-    pending: list[Literal] = []
+    pending: list[int] = []
     pending_tag = QUERY
     plain = _plain(text)  # each line checked only if not
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -197,20 +197,18 @@ def parse_dimacs(text: str) -> CnfFormula:
                 code = int(tok)
             except ValueError:
                 raise _fail(lineno, f"bad literal {tok!r}") from None
-            if 0 < code <= n_vars:
-                pending.append(Literal(code - 1, True))
-            elif 0 < -code <= n_vars:
-                pending.append(Literal(-code - 1, False))
-            elif code:
-                raise _fail(lineno, f"literal {code} exceeds declared {n_vars} variables")
-            else:
+            if not code:
                 try:
-                    clauses.append(Clause(pending))
+                    clauses.append(clause_of(pending))
                 except ModelError as exc:
                     raise _fail(lineno, str(exc)) from None
                 tags.append(pending_tag)
-                pending = []
+                pending.clear()
                 pending_tag = QUERY
+            elif -n_vars <= code <= n_vars:
+                pending.append(code)
+            else:
+                raise _fail(lineno, f"literal {code} exceeds declared {n_vars} variables")
     if pending:
         raise ParseError("unterminated clause at end of file")
     if declared is None:
@@ -261,5 +259,5 @@ def serialize_cnf(phi: CnfFormula, n_vars: int | None = None,
     for clause, tag in phi.items():
         if tag != QUERY:
             lines.append(f"c {tag}")
-        lines.append(" ".join(str(l.signed()) for l in clause.sorted_literals()) + " 0")
+        lines.append(" ".join(map(str, clause.codes)) + " 0")
     return "\n".join(lines) + "\n"

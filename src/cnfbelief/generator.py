@@ -21,7 +21,7 @@ from .model import (
     Clause,
     CnfFormula,
     Cpt,
-    Literal,
+    clause_of,
 )
 
 RNG_ALGORITHM = "python-random-mt19937"
@@ -81,9 +81,9 @@ def gen_query(net: BeliefNetwork, c: int, e: int, seed: int) -> CnfFormula:
     tags: list[str] = []
     for _ in range(c):
         chosen = rng.sample(range(net.n), 3)
-        clauses.append(Clause(Literal(v, rng.random() < 0.5) for v in chosen))
+        clauses.append(clause_of(v + 1 if rng.random() < 0.5 else -v - 1 for v in chosen))
         tags.append(QUERY)
     for v in rng.sample(range(net.n), e):
-        clauses.append(Clause([Literal(v, rng.random() < 0.5)]))
+        clauses.append(clause_of([v + 1 if rng.random() < 0.5 else -v - 1]))
         tags.append(EVIDENCE)
     return CnfFormula(clauses, tags)

@@ -12,13 +12,13 @@ Conventions shared by every module in this package:
   (1,1) over (p1, p2).  A ``Factor`` stores its values as a numpy array
   of shape ``(2,) * len(scope)``, which reshapes to and from the flat
   lexicographic layout in C order.
-* Inside a run a clause is a row of signed 1-based integers, the
-  DIMACS form (``-3`` is variable 2 at 0), frozen into a frozenset of
-  them where the engine files it.  ``Clause`` over ``Literal``s is the
-  public form: parsers, generators and callers build it, and
-  ``clause_of`` makes one of a row.  ``Literal``, ``Cpt`` and ``Factor``
-  are ``NamedTuple``s, which hash, compare and sort in C; ``clause_table``
-  returns a ``Factor``.
+* A clause has one form, its DIMACS codes: signed 1-based integers
+  (``-3`` is variable 2 at 0).  A ``Clause`` holds them, distinct and
+  sorted by variable, as ``codes``, which a run takes as its row; the
+  engine freezes a row where it files it, and ``clause_of`` makes a
+  ``Clause`` of one.  Its ``Literal``s are a view that no run reads.
+  ``Literal``, ``Cpt`` and ``Factor`` are ``NamedTuple``s, which hash,
+  compare and sort in C; ``clause_table`` returns a ``Factor``.
 * A ``BeliefNetwork`` is a valid DAG model once built: its constructor
   raises ModelError otherwise, so no later code checks it again.
 """
@@ -26,6 +26,7 @@ Conventions shared by every module in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -60,46 +61,74 @@ class Literal(NamedTuple):
         return var + 1 if positive else -(var + 1)
 
 
+@lru_cache(maxsize=None)
+def _literal(code: int) -> Literal:
+    """The one shared ``Literal`` of a signed 1-based code, kept for the
+    life of the process: two at most per variable ever read."""
+    return Literal(abs(code) - 1, code > 0)
+
+
+def _canonical(codes: Iterable[int]) -> tuple[int, ...]:
+    """Signed 1-based codes, merged and sorted by variable; ModelError
+    names the lowest variable that appears with both signs."""
+    codes = sorted(set(codes), key=abs)
+    for a, b in zip(codes, codes[1:]):
+        if a == -b:
+            raise ModelError(f"tautological clause on variable {abs(a) - 1}")
+    return tuple(codes)
+
+
 @dataclass(frozen=True)
 class Clause:
-    """A disjunction of literals over distinct variables.
+    """A disjunction of literals over distinct variables, held as
+    ``codes``: its signed 1-based literals (``-3`` is variable 2 at 0),
+    sorted by variable.
 
     Duplicate literals are merged on construction.  A clause containing
     both ``x`` and ``not x`` would be vacuously true and is rejected so
     that downstream code never has to reason about tautologies.  The
-    empty clause is allowed and is unsatisfiable.
+    empty clause is allowed and is unsatisfiable.  Equality, hash,
+    ``str`` and serialization follow from the sorted codes, whatever
+    order the literals came in.  ``literals``, their frozenset of
+    ``Literal``s, is built on first read and kept; it is not a field,
+    so reading it changes no comparison.
     """
 
-    literals: frozenset[Literal]
+    codes: tuple[int, ...]
 
     def __init__(self, literals: Iterable[Literal]):
-        lits = frozenset(literals)
-        if len(lits) > 1 and len({var for var, _ in lits}) != len(lits):
-            var = next(var for var, positive in lits if Literal(var, not positive) in lits)
-            raise ModelError(f"tautological clause on variable {var}")
-        object.__setattr__(self, "literals", lits)
+        # a variable below 0 has no code of its own: 0, which reads as
+        # variable -1, keeps it outside every network
+        object.__setattr__(self, "codes", _canonical(
+            (var + 1 if positive else -var - 1) if var >= 0 else 0
+            for var, positive in literals))
+
+    def __getattr__(self, name: str):  # called only for a missing attribute
+        if name != "literals":
+            raise AttributeError(name)
+        literals = frozenset(map(_literal, self.codes))
+        object.__setattr__(self, "literals", literals)
+        return literals
 
     def __len__(self) -> int:
-        return len(self.literals)
+        return len(self.codes)
 
     def sorted_literals(self) -> tuple[Literal, ...]:
-        return tuple(sorted(self.literals))
+        return tuple(map(_literal, self.codes))
 
     def variables(self) -> set[int]:
-        return {var for var, _ in self.literals}
+        return {abs(s) - 1 for s in self.codes}
 
     def is_unit(self) -> bool:
-        return len(self.literals) == 1
+        return len(self.codes) == 1
 
     def unit_literal(self) -> Literal:
         if not self.is_unit():
             raise ModelError("clause is not unit")
-        return next(iter(self.literals))
+        return _literal(self.codes[0])
 
     def __str__(self) -> str:
-        if not self.literals:
-            return "()"
-        return "(" + " ".join(str(l.signed()) for l in self.sorted_literals()) + ")"
+        return "(" + " ".join(map(str, self.codes)) + ")"
 
 
 @dataclass(frozen=True)
@@ -136,7 +165,7 @@ class CnfFormula:
         return iter(zip(self.clauses, self.provenance))
 
     def variables(self) -> set[int]:
-        return {var for clause in self.clauses for var, _ in clause.literals}
+        return {abs(s) - 1 for clause in self.clauses for s in clause.codes}
 
     def conjoin(self, other: "CnfFormula") -> "CnfFormula":
         return CnfFormula(self.clauses + other.clauses, self.provenance + other.provenance)
@@ -295,7 +324,9 @@ def cpt_factors(cpts: Sequence[Cpt]) -> list[Factor]:
 
 def clause_of(row: Iterable[int]) -> Clause:
     """The ``Clause`` of a row of signed 1-based integers."""
-    return Clause(Literal(abs(s) - 1, s > 0) for s in row)
+    clause = object.__new__(Clause)
+    object.__setattr__(clause, "codes", _canonical(row))
+    return clause
 
 
 def clause_table(row: Iterable[int]) -> Factor:

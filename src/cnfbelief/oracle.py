@@ -16,7 +16,7 @@ MAX_BRUTE_VARS = 25
 
 
 def _satisfies(bits: Sequence[int], clause: Clause) -> bool:
-    return any(bits[lit.var] == (1 if lit.positive else 0) for lit in clause.literals)
+    return any(bits[abs(s) - 1] == (s > 0) for s in clause.codes)
 
 
 def brute_force_cpe(net: BeliefNetwork, phi: CnfFormula) -> float:

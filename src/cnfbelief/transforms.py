@@ -1,12 +1,13 @@
 """Network-level constructions around the elimination engine.
 
-Callers hand in and get back ``Clause``s, the public form.  Inside a
-run a clause is a row of signed 1-based integers (``-3``: variable 2
-at 0), its provenance reduced to a sum-exemption flag beside it:
-``_pruned_run`` writes phi so once, and the pre-pass, the requisite
-cut, hidden's embedding and the engine take rows and flags, so a
-``Clause`` is built again only for ``extract_clauses`` and the trace's
-derived clauses (``model.clause_of``).
+Callers hand in and get back ``Clause``s.  Inside a run a clause is
+a row, its ``codes``: signed 1-based integers (``-3``: variable 2 at
+0), sorted by variable, its provenance reduced to a sum-exemption flag
+beside it.  ``_pruned_run`` takes each clause's codes as they are, and
+the pre-pass, the requisite cut, hidden's embedding and the engine
+take rows and flags, so a ``Clause`` is built again only for
+``extract_clauses`` and the trace's derived clauses
+(``model.clause_of``).
 
 * extract_clauses: turn the 0/1 rows of deterministic and mixed CPTs
   into clauses, the prime implicants of each table (the parent cubes
@@ -49,10 +50,8 @@ from .graphs import Ordering, _augmented, check_ordering
 from .model import (
     EXTRACTED,
     BeliefNetwork,
-    Clause,
     CnfFormula,
     Cpt,
-    Literal,
     clause_of,
     clause_table,
     stack_tables,
@@ -271,8 +270,9 @@ def _requisite(net: BeliefNetwork, sigma: dict[int, bool], variables: tuple[int,
     answer would not be None when P(phi) = 0, so the cut needs a
     witness that it is: every dropped CPT strictly inside (0, 1), and a
     greedy assignment satisfying the dropped clauses, each taking its
-    first literal whose variable is free.  A family that propagation
-    fixed is an exact constant already and needs none.
+    first literal whose variable is free, in the row's order (by
+    variable for phi's clauses, whose rows are their codes).  A family
+    that propagation fixed is an exact constant already and needs none.
     """
     graph = _augmented(net, [{abs(s) - 1 for s in row} for row in rows], variables)
     component = {var}.difference(sigma)
@@ -428,12 +428,13 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
         if var is None:
             stats.result = brute_force_cpe(net, phi)
             stats.log_result = _log(stats.result)
-        else:
+        else:  # var has a code only inside the network
+            net.check((var,))
             stats.log_joint = tuple(_log(brute_force_cpe(net, phi.conjoin(
-                CnfFormula([Clause([Literal(var, value)])])))) for value in (False, True))
+                CnfFormula([clause_of([code])])))) for code in (-var - 1, var + 1))
         stats.elapsed = perf_counter() - t0
         return stats
-    rows = [[u + 1 if positive else -u - 1 for u, positive in c.literals] for c in phi.clauses]
+    rows = [c.codes for c in phi.clauses]
     kept = _ancestral(net, rows, var)
     stats = RunStats(width_static=0, entries_static=0,
                      log_joint=None if var is None else (-math.inf, -math.inf))

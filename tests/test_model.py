@@ -25,7 +25,7 @@ from cnfbelief import (
     serialize_network,
 )
 from cnfbelief.engine import EngineConfig, RunStats, _Run
-from cnfbelief.model import EVIDENCE, QUERY
+from cnfbelief.model import EVIDENCE, QUERY, clause_of
 
 from conftest import clause, close_enough, formula
 
@@ -86,6 +86,31 @@ class TestClause:
 
     def test_equality_ignores_literal_order(self):
         assert clause(1, -2) == clause(-2, 1)
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(lits=st.lists(st.builds(Literal, st.integers(0, 8), st.booleans()), max_size=8),
+           data=st.data())
+    def test_one_form_whatever_the_literal_order(self, lits, data):
+        # the codes are the clause: distinct, sorted by variable, and
+        # every view, comparison and printout follows from them
+        row = [lit.signed() for lit in lits]
+        both = sorted(v for v, _ in lits if Literal(v, True) in lits and Literal(v, False) in lits)
+        if both:
+            for build in (lambda: Clause(lits), lambda: clause_of(row)):
+                with pytest.raises(ModelError, match=f"^tautological clause on variable {both[0]}$"):
+                    build()
+            return
+        c = Clause(lits)
+        assert c.codes == tuple(sorted(set(row), key=abs))
+        assert clause_of(row) == Clause(Literal(abs(s) - 1, s > 0) for s in row) == c
+        assert Clause(lits + lits[::-1]) == c  # a repeated literal merges
+        other = Clause(data.draw(st.permutations(lits)))
+        shown = (hash(c), repr(c), str(c))
+        assert other == c and (hash(other), repr(other), str(other)) == shown
+        assert "literals" not in vars(c)
+        assert c.literals == set(lits) and "literals" in vars(c)
+        assert other == c and (hash(c), repr(c), str(c)) == shown
+        assert c.sorted_literals() == tuple(sorted(set(lits)))
 
 
 class TestClauseStatus:

@@ -33,7 +33,7 @@ from cnfbelief import (
 )
 from cnfbelief import engine, transforms
 from cnfbelief.cli import run_cli
-from cnfbelief.fileio import parse_dimacs, parse_network, serialize_network
+from cnfbelief.fileio import parse_dimacs, parse_network, serialize_cnf, serialize_network
 from cnfbelief.generator import gen_network, gen_query
 from cnfbelief.model import EXTRACTED
 from cnfbelief.transforms import ALGORITHMS
@@ -662,8 +662,8 @@ class TestRelevancePruning:
     def test_front_door_checks_see_the_whole_network(self, pos_net, net2):
         # A's ancestral set is A alone; the checks still cover all six variables
         query = formula(clause(1))
-        for alg in ("cpe", "cpe-d", "hidden"):
-            for outside in (clause(-9), Clause([Literal(-1)])):
+        for alg in ALGORITHMS:
+            for outside in (clause(-9), Clause([Literal(-1)]), Clause([Literal(-2, False)])):
                 with pytest.raises(ModelError, match="outside the network"):
                     evaluate(pos_net, query.conjoin(formula(outside)), alg)
         for alg in ("cpe", "cpe-d"):
@@ -790,6 +790,9 @@ class TestBeliefGivenCnf:
     def test_variable_out_of_range(self, net2):
         with pytest.raises(ValueError):
             belief_given_cnf(net2, CnfFormula([]), 5)
+        for alg in ALGORITHMS:  # -2 has no code; -1 and 1 are variable 0's
+            with pytest.raises(ModelError, match="^variable -2 outside the network$"):
+                belief_given_cnf(net2, CnfFormula([]), -2, alg)
 
     def test_agrees_across_algorithms(self, hyb_net, query_not_g):
         reference = belief_given_cnf(hyb_net, query_not_g, 3, alg="brute")
@@ -1325,6 +1328,65 @@ class TestRequisiteBelief:
                 assert len(loaded) == 1 and len(cpts) <= len(blanket) + 1, (s, alg)
                 assert close_enough(dist[0], weights[0] / sum(weights)), (s, alg)
                 assert close_enough(dist[1], weights[1] / sum(weights)), (s, alg)
+
+
+# A (0) -> B (1) -> C (2), every entry inside (0, 1)
+CHAIN_NET = """vars 3
+cpt 0 0.85
+parents 1 0
+cpt 1 0.64 0.51
+parents 2 1
+cpt 2 0.3 0.42
+"""
+# A observed, so belief on A has an empty requisite part and drops the
+# three clauses over B and C, which need a witness that they can hold
+CHAIN_CLAUSES = ((1,), (-2, -3), (2, 3), (-2, 3))
+
+
+class TestClausesAsCodes:
+    """A run reads each clause's codes, sorted by variable, whatever
+    form or order the clause was written in."""
+
+    def test_a_run_builds_no_literals(self):
+        net = gen_network(12, 3, 0.5, 3)
+        phi = parse_dimacs(serialize_cnf(gen_query(net, 4, 3, 3).conjoin(extract_clauses(net))))
+        for alg in ALGORITHMS:
+            evaluate(net, phi, alg)
+            for var in range(0, net.n, 3):
+                belief_given_cnf(net, phi, var, alg)
+        assert not [c for c in phi.clauses if "literals" in vars(c)]
+
+    def test_the_requisite_cut_follows_the_clauses_not_their_order(self, monkeypatch):
+        net = parse_network(CHAIN_NET)
+        texts = ["p cnf 3 4\n" + "".join(" ".join(map(str, order(c))) + " 0\n"
+                                         for c in CHAIN_CLAUSES)
+                 for order in (lambda c: c, lambda c: c[::-1])]
+        rng = random.Random(5)
+        shuffled = [[Literal(abs(s) - 1, s > 0) for s in c] for c in CHAIN_CLAUSES]
+        for lits in shuffled:
+            rng.shuffle(lits)
+        queries = [*map(parse_dimacs, texts), CnfFormula(map(Clause, shuffled))]
+        # the greedy witness reads each dropped clause's literals in
+        # order: in variable order it finds one, in reverse none
+        rows, flags = [r for r in CHAIN_CLAUSES if len(r) > 1], [False] * 3
+        cut = transforms._requisite(net, {0: True}, (1, 2), rows, flags, 0)
+        assert cut == ((), [], [])
+        assert transforms._requisite(net, {0: True}, (1, 2), [r[::-1] for r in rows], flags,
+                                     0) is None
+        requisite, calls = transforms._requisite, []
+        monkeypatch.setattr(transforms, "_requisite",
+                            lambda *args: calls.append(requisite(*args)) or calls[-1])
+        for alg in ("cpe", "cpe-d", "hidden"):
+            runs = []
+            for phi in queries:
+                calls.clear()
+                stats = transforms._pruned_run(net, phi, alg, None, var=0)
+                runs.append((repr(stats.log_joint), stats.forced, stats.as_dict(),
+                             [entry.format() for entry in stats.trace], list(calls)))
+            for run in runs:
+                run[2].pop("time_s")
+            assert runs[0] == runs[1] == runs[2], alg
+            assert runs[0][-1] == [cut], alg
 
 
 # A (0) -> B (1) -> C (2), and two roots: X (3), certainly 1, and Z (4)
