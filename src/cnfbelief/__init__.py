@@ -37,7 +37,6 @@ from .transforms import (
     elim_hidden,
     evaluate,
     extract_clauses,
-    hidden_embed,
     run_trace,
 )
 

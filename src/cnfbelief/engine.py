@@ -7,6 +7,7 @@ parent or clause variable outside them (belief's observed boundary
 variables, or the variables unit propagation fixed) is a vertex of the
 graph and the ordering with no CPT of its own.  Its one caller is
 ``transforms._pruned_run``, so every engine algorithm ends in it.
+hidden's clauses come as 0/1 tables, loaded as factors beside the CPTs.
 Those CPTs and all clauses are partitioned into buckets along an
 elimination ordering (each item goes to the bucket of its
 latest-ordered variable) and the buckets are processed last-to-first.
@@ -124,8 +125,9 @@ class ResourceLimitError(MemoryError):
     more: one of the smaller operands' product and one copied from the
     largest operand, or two partial products while a block of the first
     is multiplied.  So the result's size decides whether it fits.
-    ``transforms.hidden_embed`` raises it too, for a clause too wide for
-    its fresh child's table."""
+    Loading one of hidden's clauses as its 0/1 table raises it too,
+    naming the bucket the table joins, when the clause spans more than
+    ``_MAX_AXES`` variables or its table cannot be allocated."""
 
     def __init__(self, variable: int, arity: int):
         super().__init__(f"bucket {variable}: the table over its {arity} remaining "
@@ -368,6 +370,18 @@ class _Run:
         for clause, sum_exempt in zip(clauses, exempt):
             self._install_clause(clause, sum_exempt)
 
+    def table(self, row: Sequence[int]) -> Factor:
+        """``clause_table(row)``.  A row over more variables than numpy
+        can address, or whose table cannot be allocated, raises
+        ``ResourceLimitError`` naming the bucket the table would join."""
+        home = max((abs(s) - 1 for s in row), key=self.position.__getitem__)
+        if len(row) > _MAX_AXES:
+            raise ResourceLimitError(home, len(row) - 1)
+        try:
+            return clause_table(row)
+        except MemoryError as exc:
+            raise ResourceLimitError(home, len(row) - 1) from exc
+
     def process_all(self) -> None:
         while self.promoted or self.pending:
             v = self.promoted.popleft() if self.promoted else self.pending.pop()
@@ -555,16 +569,20 @@ class _Run:
 
 def _execute(net: BeliefNetwork, variables: tuple[int, ...], rows: Sequence[Iterable[int]],
              exempt: Sequence[bool], ordering, cfg, stats: RunStats,
-             query: Optional[int] = None, base: float = 0.0):
+             query: Optional[int] = None, base: float = 0.0,
+             tables: Sequence[Sequence[int]] = ()):
     """(P(phi), stats, trace) from the CPTs of ``variables``, phi given as
     ``rows`` of signed 1-based integers, frozen here, with their
     sum-exemption flags; the run fills ``stats`` and adds ``base``, a
-    log constant, to the sum of the scalars' logs.
-    The graph's vertices are those variables, their parents and phi's
-    variables; a parent or clause variable outside ``variables`` is a
-    vertex without a CPT.  A given ``ordering`` is followed over the
-    graph's vertices; the variables it lists outside the graph are
-    dropped.  One elimination pass over the graph yields the ordering
+    log constant, to the sum of the scalars' logs.  Each row of
+    ``tables`` (hidden's clauses) loads beside the CPTs as its 0/1
+    factor, ``clause_table``, which only multiplies: no clause machinery
+    sees it.
+    The graph's vertices are those variables, their parents and the
+    variables of the rows and tables; a parent or clause variable
+    outside ``variables`` is a vertex without a CPT.  A given
+    ``ordering`` is followed over the graph's vertices; the variables it
+    lists outside the graph are dropped.  One elimination pass over the graph yields the ordering
     and ``width_static``: a ``query`` that is not a unit goes first,
     and the given order or else phi's unit variables, sorted, fill the
     last slots, so the units are observed first and the greedy orders
@@ -574,7 +592,7 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], rows: Sequence[Iter
     implying fewer entries is kept with its width."""
     cfg = cfg if cfg is not None else EngineConfig()
     phi = [frozenset(row) for row in rows]
-    aug = _augmented(net, [{abs(s) - 1 for s in c} for c in phi], variables)
+    aug = _augmented(net, [{abs(s) - 1 for s in c} for c in (*phi, *tables)], variables)
     units = tuple(sorted({abs(s) - 1 for c in phi if len(c) == 1 for s in c}))
     first = None if query in units else query
     tail = tuple(v for v in (units if ordering is None else ordering) if v in aug and v != first)
@@ -596,7 +614,8 @@ def _execute(net: BeliefNetwork, variables: tuple[int, ...], rows: Sequence[Iter
     failed = False
     t0 = perf_counter()
     try:
-        run.load(cpt_factors([net.cpts[v] for v in variables]), phi, exempt)
+        run.load([*cpt_factors([net.cpts[v] for v in variables]), *map(run.table, tables)],
+                 phi, exempt)
         run.process_all()
     except ContradictionError:
         failed = True

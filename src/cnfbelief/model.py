@@ -55,11 +55,6 @@ class Literal(NamedTuple):
     def satisfied_by(self, value: int) -> bool:
         return bool(value) == self.positive
 
-    def signed(self) -> int:
-        """1-based signed integer form (negative for negated literals)."""
-        var, positive = self
-        return var + 1 if positive else -(var + 1)
-
 
 @lru_cache(maxsize=None)
 def _literal(code: int) -> Literal:
@@ -112,9 +107,6 @@ class Clause:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def sorted_literals(self) -> tuple[Literal, ...]:
-        return tuple(map(_literal, self.codes))
 
     def variables(self) -> set[int]:
         return {abs(s) - 1 for s in self.codes}

@@ -4,10 +4,9 @@ Callers hand in and get back ``Clause``s.  Inside a run a clause is
 a row, its ``codes``: signed 1-based integers (``-3``: variable 2 at
 0), sorted by variable, its provenance reduced to a sum-exemption flag
 beside it.  ``_pruned_run`` takes each clause's codes as they are, and
-the pre-pass, the requisite cut, hidden's embedding and the engine
-take rows and flags, so a ``Clause`` is built again only for
-``extract_clauses`` and the trace's derived clauses
-(``model.clause_of``).
+the pre-pass, the requisite cut and the engine take rows and flags, so
+a ``Clause`` is built again only for ``extract_clauses`` and the
+trace's derived clauses (``model.clause_of``).
 
 * extract_clauses: turn the 0/1 rows of deterministic and mixed CPTs
   into clauses, the prime implicants of each table (the parent cubes
@@ -15,12 +14,15 @@ take rows and flags, so a ``Clause`` is built again only for
   freed), so implied units surface.  The tables with the same number
   of parents are stacked and take one numpy pass, which writes each
   clause as a row (``_extracted_rows``), the form cpe-d propagates.
-* hidden_embed: the baseline that compiles each query clause into an
-  evidence-fixed hidden variable for plain elimination.
 * evaluate: the front door, through ``_pruned_run``, the one dispatch
   on the algorithm: cpe, cpe-d (phi plus the extracted clauses, for
   propagation only) and hidden run on the CPTs of the query's ancestral
   variables, in the caller's numbers, and brute enumerates the network.
+  hidden is the paper's baseline: each clause compiled into a hidden
+  child observed at 1.  Restricting that child's CPT to 1 leaves the
+  clause's 0/1 table over its own variables, so hidden loads each
+  clause as that table beside the CPTs, for plain elimination with no
+  clause machinery (Dechter, AIJ 1999).
   elim_cpe, run_trace, elim_cpe_d and elim_hidden are calls of it.
 * _propagate: the one pre-pass, for cpe-d and for belief under every
   algorithm, along the default or a given ordering.  Unit propagation
@@ -44,18 +46,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .engine import (_MAX_AXES, EngineConfig, ResourceLimitError, RunStats, TraceEntry,
-                     _execute, _log)
+from .engine import EngineConfig, RunStats, TraceEntry, _execute, _log
 from .graphs import Ordering, _augmented, check_ordering
-from .model import (
-    EXTRACTED,
-    BeliefNetwork,
-    CnfFormula,
-    Cpt,
-    clause_of,
-    clause_table,
-    stack_tables,
-)
+from .model import EXTRACTED, BeliefNetwork, CnfFormula, clause_of, stack_tables
 from .oracle import brute_force_cpe
 
 
@@ -168,39 +161,17 @@ def elim_cpe_d(net: BeliefNetwork, phi: CnfFormula, ordering=None,
     return evaluate(net, phi, "cpe-d", cfg, ordering)
 
 
-def hidden_embed(net: BeliefNetwork, clauses: Iterable[Iterable[int]]
-                 ) -> tuple[BeliefNetwork, tuple[int, ...]]:
-    """Compile each clause, a row of signed 1-based integers, into a
-    fresh child holding its truth table.
-
-    The new variable's parents are the clause's variables (ascending)
-    and its CPT rows are ``clause_table``, the table the engine gates
-    sums with: P(child=1 | row) is the clause's truth value;
-    asserting the clause means observing the child at 1.  Returns the
-    grown network and its fresh variables, net.n, net.n + 1, ...  A
-    clause whose table cannot be allocated or addressed raises
-    ``ResourceLimitError``, naming its child.
-    """
-    cpts = list(net.cpts)
-    for row in clauses:
-        if len(row) >= _MAX_AXES:  # with the child, past what numpy can address
-            raise ResourceLimitError(len(cpts), len(row))
-        try:
-            parents, table = clause_table(row)
-        except MemoryError as exc:
-            raise ResourceLimitError(len(cpts), len(row)) from exc
-        cpts.append(Cpt(len(cpts), parents, tuple(table.ravel().tolist())))
-    return BeliefNetwork(len(cpts), tuple(cpts)), tuple(range(net.n, len(cpts)))
-
-
 def elim_hidden(net: BeliefNetwork, phi: CnfFormula,
                 cfg: EngineConfig | None = None) -> tuple[float, RunStats]:
-    """``evaluate(..., "hidden")``: P(phi) via the hidden-variable embedding.
+    """``evaluate(..., "hidden")``: P(phi) by the hidden-variable baseline.
 
-    Plain variable elimination with evidence on the hidden children; no
-    clause machinery runs, so the derived-clause counters stay 0.  The
-    ordering is the engine's default on the embedded network's graph,
-    the observed children last (min degree or min fill, see ``_execute``).
+    Each clause loads as its 0/1 table (``model.clause_table``), what
+    the paper's hidden child observed at 1 restricts to, and plain
+    variable elimination multiplies and sums the tables with the CPTs.
+    No clause machinery runs, so the derived-clause counters stay 0,
+    and no fresh variable is made: the trace holds only the network's
+    variables.  The ordering is the engine's default on the graph the
+    tables clique-connect (min degree or min fill, see ``_execute``).
     """
     return evaluate(net, phi, "hidden", cfg)
 
@@ -240,8 +211,7 @@ def evaluate(net: BeliefNetwork, phi: CnfFormula, alg: str = "cpe",
     ancestors (``_ancestral``), so mf, C, U, F, O and the widths
     describe that part of the network.  ``stats.trace`` holds the
     bucket log of the elimination run, in the network's variable
-    numbers; hidden's fresh variables are net.n, net.n + 1, ... as in
-    ``hidden_embed``.  An ``ordering`` must list each of 0..n-1 once
+    numbers.  An ``ordering`` must list each of 0..n-1 once
     and applies to cpe and cpe-d only, which follow it over the
     variables their engine run keeps; the other algorithms raise
     ValueError when given one.
@@ -399,7 +369,8 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
     network (``brute_force_cpe``), with var once per value, as a unit.
     cpe, cpe-d and hidden write phi's clauses once as rows of signed
     1-based integers, each with a sum-exemption flag, and make one
-    engine run, which fills the ``stats`` opened here, over the CPTs of
+    engine run (hidden's rows, the pre-pass units included, load as
+    0/1 tables), which fills the ``stats`` opened here, over the CPTs of
     phi's (and ``var``'s) ancestral variables, cpe-d's with their
     extracted clauses, kept as ``_extracted_rows`` for the pre-pass; the
     empty clause answers 0 before anything is read.  A caller's clause
@@ -468,11 +439,11 @@ def _pruned_run(net: BeliefNetwork, phi: CnfFormula, alg: str, cfg: EngineConfig
                            | ({var} & sigma.keys()))
         rows = [[u + 1 if sigma[u] else -u - 1] for u in mentioned] + rows
         exempt = [False] * len(mentioned) + exempt
+    tables = ()
     if alg == "hidden":
-        net, fresh = hidden_embed(net, rows)
-        kept += fresh
-        rows, exempt = [[v + 1] for v in fresh], [False] * len(fresh)
-    _execute(net, kept, rows, exempt, ordering, cfg, stats, var, constant if var is None else 0.0)
+        rows, exempt, tables = [], [], rows
+    _execute(net, kept, rows, exempt, ordering, cfg, stats, var,
+             constant if var is None else 0.0, tables)
     return stats
 
 

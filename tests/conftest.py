@@ -41,7 +41,7 @@ def rows_and_tags(phi: CnfFormula) -> tuple[list[list[int]], list[bool]]:
     sum-exemption flag their tags give (True for extracted), as the
     front door hands them to the engine when each extracted clause is
     certain."""
-    return ([[lit.signed() for lit in c.literals] for c in phi.clauses],
+    return ([list(c.codes) for c in phi.clauses],
             [tag == EXTRACTED for tag in phi.provenance])
 
 

@@ -670,6 +670,31 @@ class TestResourceLimit:
         assert "bucket 5" in str(info.value) and "2 remaining" in str(info.value)
         assert isinstance(info.value.__cause__, MemoryError)
 
+    def test_a_clause_table_past_numpy_is_refused_before_it_is_built(self, monkeypatch):
+        # hidden loads one clause over 70 fair roots as its table, which
+        # would span more axes than numpy can address
+        def built(*args):
+            raise AssertionError("clause_table ran")
+
+        monkeypatch.setattr(engine, "clause_table", built)
+        net = BeliefNetwork(70, tuple(Cpt(v, (), (0.5,)) for v in range(70)))
+        with pytest.raises(ResourceLimitError) as info:
+            evaluate(net, formula(clause(*range(1, 71))), "hidden")
+        assert 0 <= info.value.variable < 70 and info.value.arity == 69
+
+    def test_a_clause_table_that_fails_to_allocate_names_a_clause_variable(
+            self, net2, monkeypatch):
+        def refuse(*args):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(engine, "clause_table", refuse)
+        for run in (lambda: evaluate(net2, formula(clause(1, -2)), "hidden"),
+                    lambda: belief_given_cnf(net2, formula(clause(1, -2)), 0, "hidden")):
+            with pytest.raises(ResourceLimitError) as info:
+                run()
+            assert info.value.variable in (0, 1) and info.value.arity == 1
+            assert isinstance(info.value.__cause__, MemoryError)
+
 
 # The dense kernel this package used before the contraction kernel,
 # kept verbatim as the reference: it builds the full product over the

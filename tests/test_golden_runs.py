@@ -18,7 +18,7 @@ from cnfbelief import (
     run_trace,
 )
 
-GOLDEN_SHA256 = "5957c88315d32cef9e434f0f76922cbd6f41675838f8f51b8b96a3d76ce8c40a"
+GOLDEN_SHA256 = "104c54522f7421dec05422734339faaa92852249f4058195a7ae7c0f8274d11a"
 
 CONFIGS = (
     EngineConfig(),

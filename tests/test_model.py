@@ -34,7 +34,7 @@ class TestLiteral:
     def test_signed_codes(self):
         # DIMACS codes: 1-based, negative for a negated literal
         literals = (Literal(0), Literal(0, False), Literal(6), Literal(11, False))
-        assert [lit.signed() for lit in literals] == [1, -1, 7, -12]
+        assert [Clause([lit]).codes for lit in literals] == [(1,), (-1,), (7,), (-12,)]
 
     def test_satisfied_by(self):
         assert Literal(2, True).satisfied_by(1)
@@ -58,13 +58,12 @@ class TestLiteral:
         assert repr(lit) == "Literal(var=1, positive=True)"
         with pytest.raises(AttributeError):
             lit.var = 2
-        assert lit.signed() == 2
 
 
 class TestClause:
     def test_duplicate_literals_collapse(self):
         c = Clause([Literal(0, True), Literal(0, True), Literal(1, False)])
-        assert len(c.sorted_literals()) == 2
+        assert c.codes == (1, -2)
 
     def test_tautology_rejected(self):
         with pytest.raises(ModelError, match="^tautological clause on variable 0$"):
@@ -93,7 +92,7 @@ class TestClause:
     def test_one_form_whatever_the_literal_order(self, lits, data):
         # the codes are the clause: distinct, sorted by variable, and
         # every view, comparison and printout follows from them
-        row = [lit.signed() for lit in lits]
+        row = [v + 1 if positive else -v - 1 for v, positive in lits]
         both = sorted(v for v, _ in lits if Literal(v, True) in lits and Literal(v, False) in lits)
         if both:
             for build in (lambda: Clause(lits), lambda: clause_of(row)):
@@ -110,7 +109,6 @@ class TestClause:
         assert "literals" not in vars(c)
         assert c.literals == set(lits) and "literals" in vars(c)
         assert other == c and (hash(c), repr(c), str(c)) == shown
-        assert c.sorted_literals() == tuple(sorted(set(lits)))
 
 
 class TestClauseStatus:

@@ -28,17 +28,16 @@ from cnfbelief import (
     elim_hidden,
     evaluate,
     extract_clauses,
-    hidden_embed,
     run_trace,
 )
 from cnfbelief import engine, transforms
 from cnfbelief.cli import run_cli
 from cnfbelief.fileio import parse_dimacs, parse_network, serialize_cnf, serialize_network
 from cnfbelief.generator import gen_network, gen_query
-from cnfbelief.model import EXTRACTED
+from cnfbelief.model import EXTRACTED, clause_table
 from cnfbelief.transforms import ALGORITHMS
 
-from conftest import A, B, C, D, F, clause, close_enough, formula, row, rows_and_tags
+from conftest import A, B, C, D, F, clause, close_enough, formula, rows_and_tags
 from test_golden_runs import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -376,31 +375,54 @@ class TestPropagatedRun:
 
 
 class TestHiddenEmbed:
-    def test_embedding_shape(self, net2):
-        embedded, fresh = hidden_embed(net2, [row(1, 2), row(-2)])
-        assert embedded.n == 4
-        assert embedded.cpts[2] == Cpt(2, (0, 1), (0.0, 1.0, 1.0, 1.0))
-        assert embedded.cpts[3] == Cpt(3, (1,), (1.0, 0.0))
-        assert fresh == (2, 3)
-
-    def test_original_cpts_untouched(self, net2):
-        embedded, _ = hidden_embed(net2, [row(1)])
-        assert embedded.cpts[:2] == net2.cpts
-
-    def test_no_clauses_no_growth(self, net2):
-        embedded, fresh = hidden_embed(net2, [])
-        assert embedded.n == 2
-        assert fresh == ()
-
     def test_embedding_preserves_probability(self):
-        for k in range(8):
-            net = gen_network(n=5, f=3, d=0.4, seed=6600 + k)
-            phi = gen_query(net, c=2, e=1, seed=7600 + k)
-            embedded, fresh = hidden_embed(net, rows_and_tags(phi)[0])
-            units = formula(*(clause(v + 1) for v in fresh))
-            want = brute_force_cpe(net, phi)
-            got = brute_force_cpe(embedded, units)
-            assert close_enough(got, want), k
+        # the paper's construction, built here as the reference: each
+        # clause a fresh child holding its 0/1 table, observed at 1;
+        # hidden loads the same tables with no fresh child
+        positive = 0
+        for k in range(12):
+            net = gen_network(n=6, f=3, d=(0.0, 0.4, 0.9)[k % 3], seed=6600 + k)
+            phi = gen_query(net, c=2, e=k % 2, seed=7600 + k)
+            cpts = list(net.cpts)
+            for codes in rows_and_tags(phi)[0]:
+                parents, table = clause_table(codes)
+                cpts.append(Cpt(len(cpts), parents, tuple(table.ravel().tolist())))
+            embedded = BeliefNetwork(len(cpts), tuple(cpts))
+            units = formula(*(clause(v + 1) for v in range(net.n, embedded.n)))
+            _, got = evaluate(net, phi, "hidden")
+            _, want, _ = run_trace(embedded, units)
+            assert math.isclose(got.log_result, want.log_result, rel_tol=1e-12), k
+            assert got.mf <= want.mf, k
+            positive += got.log_result > -math.inf
+        assert positive >= 8, positive
+
+    def test_a_run_builds_no_network(self, monkeypatch):
+        net = gen_network(n=10, f=3, d=0.4, seed=6700)
+        phi = gen_query(net, c=3, e=2, seed=7700)
+        want = brute_force_cpe(net, phi)
+        beliefs = [belief_given_cnf(net, phi, v, "brute") for v in range(net.n)]
+
+        def built(*args, **kwargs):
+            raise AssertionError("a run built a network or a CPT")
+
+        monkeypatch.setattr(BeliefNetwork, "__post_init__", built)
+        monkeypatch.setattr(Cpt, "__new__", built)
+        assert close_enough(evaluate(net, phi, "hidden")[0], want)
+        for v, belief in enumerate(beliefs):
+            got = belief_given_cnf(net, phi, v, "hidden")
+            assert got is not None and belief is not None, v
+            assert all(map(close_enough, got, belief)), v
+
+    def test_one_wide_clause_loads_as_its_table(self):
+        # 12 fair roots and the clause 1 or ... or 12: its table joins
+        # the kernel as cpe's clause does, with no fresh child to observe
+        net = BeliefNetwork(12, tuple(Cpt(v, (), (0.5,)) for v in range(12)))
+        phi = formula(clause(*range(1, 13)))
+        p, stats = evaluate(net, phi, "hidden")
+        assert close_enough(p, 1 - 2 ** -12)
+        assert stats.observed == 0
+        assert stats.mf == evaluate(net, phi, "cpe")[1].mf == 11
+        assert all(e.bucket < 12 for e in stats.trace)
 
 
 class TestElimHidden:
@@ -410,9 +432,9 @@ class TestElimHidden:
         assert stats.derived_clauses == 0
         assert stats.derived_units == 0
         assert stats.extracted == 0
-        assert stats.observed == 1
-        assert stats.mf == 2
-        assert stats.width_static == 2
+        assert stats.observed == 0
+        assert stats.mf == 1
+        assert stats.width_static == 1
         assert stats.width_posthoc == 1
 
     def test_fixture_queries(self, pos_net, phi42, hyb_net, query_not_g):
@@ -483,8 +505,10 @@ class TestEvaluate:
         _, stats = evaluate(hyb_net, query_not_g, "cpe-d", cfg, d1)
         assert [(e.bucket, e.action) for e in stats.trace] == [
             (D, "observe"), (F, "observe"), (B, "sum"), (C, "sum"), (A, "sum")]
+        # hidden loads not G as a table over G, an ancestor of every
+        # variable here: one bucket per loaded variable, no fresh one
         _, stats = evaluate(hyb_net, query_not_g, "hidden", cfg)
-        assert len(stats.trace) == hyb_net.n + len(query_not_g)
+        assert len(stats.trace) == hyb_net.n
         assert evaluate(hyb_net, query_not_g, "brute")[1].trace == []
 
     def test_f_counts_the_extracted_clauses_under_every_algorithm(self):
@@ -623,40 +647,36 @@ class TestRelevancePruning:
 
     def test_trace_is_the_sub_network_trace_in_caller_numbers(self):
         cfg = EngineConfig(i_bound=2)
-        renumbered = {"bucket": 0, "scope": 0, "derived": 0, "fresh": 0}
+        renumbered = {"bucket": 0, "scope": 0, "derived": 0}
         for k in range(12):
             net = gen_network(n=12, f=3, d=0.8, seed=9400 + k)
             phi = gen_query(net, c=2, e=1, seed=9500 + k)
             sub, sub_phi, kept = _ancestral_instance(net, phi)
             barren = set(range(net.n)) - set(kept)
-            caller = kept + list(range(net.n, net.n + len(phi)))
             order = list(range(net.n))
             random.Random(k).shuffle(order)
             projected = Ordering(tuple(kept.index(v) for v in order if v in kept))
-            embedded, fresh = hidden_embed(sub, rows_and_tags(sub_phi)[0])
-            units = formula(*(clause(v + 1) for v in fresh))
             runs = (
                 (evaluate(net, phi, "cpe", cfg, order),
                  run_trace(sub, sub_phi, projected, cfg)[2]),
                 (evaluate(net, phi, "cpe-d", cfg, order),
                  evaluate(sub, sub_phi, "cpe-d", cfg, projected)[1].trace),
-                (evaluate(net, phi, "hidden", cfg), run_trace(embedded, units, cfg=cfg)[2]),
+                (evaluate(net, phi, "hidden", cfg),
+                 evaluate(sub, sub_phi, "hidden", cfg)[1].trace),
             )
             for (_, stats), trace in runs:
                 assert stats.trace == [
-                    TraceEntry(caller[e.bucket], e.action, tuple(caller[v] for v in e.scope),
-                               tuple(_renumber(c, caller) for c in e.derived))
+                    TraceEntry(kept[e.bucket], e.action, tuple(kept[v] for v in e.scope),
+                               tuple(_renumber(c, kept) for c in e.derived))
                     for e in trace], k
                 touched = {e.bucket for e in stats.trace}
                 touched |= {v for e in stats.trace for v in e.scope}
                 touched |= {v for e in stats.trace for c in e.derived for v in c.variables()}
                 assert not touched & barren, k
-                renumbered["bucket"] += sum(caller[e.bucket] != e.bucket for e in trace)
-                renumbered["scope"] += sum(caller[v] != v for e in trace for v in e.scope)
-                renumbered["derived"] += sum(caller[l.var] != l.var
+                renumbered["bucket"] += sum(kept[e.bucket] != e.bucket for e in trace)
+                renumbered["scope"] += sum(kept[v] != v for e in trace for v in e.scope)
+                renumbered["derived"] += sum(kept[l.var] != l.var
                                              for e in trace for c in e.derived for l in c.literals)
-            (_, hidden_stats), _ = runs[2]
-            renumbered["fresh"] += sum(e.bucket >= net.n for e in hidden_stats.trace)
         assert all(renumbered.values()), renumbered
 
     def test_front_door_checks_see_the_whole_network(self, pos_net, net2):
@@ -1034,7 +1054,7 @@ def _hyperedge_walk(net: BeliefNetwork, phi: CnfFormula, sigma: dict[int, bool],
     edges = {("cpt", v): {u for u in net.family(v) if u not in sigma} for v in kept}
     for c in phi.clauses:
         if not any(sigma.get(l.var) == l.positive for l in c.literals):
-            free = frozenset(l.signed() for l in c.literals if l.var not in sigma)
+            free = frozenset(s for s in c.codes if abs(s) - 1 not in sigma)
             edges[("clause", free)] = {abs(s) - 1 for s in free}
     part, met = {var}, set()
     while True:
@@ -1119,7 +1139,7 @@ class TestPrePassAgainstAReference:
         entries = {} if sigma is None else _fixed_entries(net, sigma, kept)
         if sigma is None or 0.0 in entries.values():
             return None, count
-        items = [(frozenset(l.signed() for l in c.literals if l.var not in sigma), tag == EXTRACTED)
+        items = [(frozenset(s for s in c.codes if abs(s) - 1 not in sigma), tag == EXTRACTED)
                  for c, tag in full.items()
                  if not any(sigma.get(l.var) == l.positive for l in c.literals)]
         return (sigma, tuple(v for v in kept if v not in entries), items,
@@ -1209,7 +1229,7 @@ class TestRequisiteBelief:
             return
         assert math.isclose(constant, sum(map(math.log, entries.values())), abs_tol=1e-12)
         assert variables == tuple(v for v in kept if v not in entries)
-        open_ = {frozenset(l.signed() for l in cl.literals if l.var not in sigma)
+        open_ = {frozenset(s for s in cl.codes if abs(s) - 1 not in sigma)
                  for cl in phi.clauses
                  if not any(sigma.get(l.var) == l.positive for l in cl.literals)}
         assert set(map(frozenset, residual)) == open_
